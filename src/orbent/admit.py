@@ -7,9 +7,7 @@ mutually separated index set.  A report aggregates them into a verdict.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,9 +15,7 @@ import numpy as np
 
 from .dynsys import PointSample, SystemSpec, derive_rng, sample_points
 from .errors import ParameterError, SizeError
-from .semimetric import DistanceMatrix, Semimetric, distance_matrix
-
-MatrixLike = DistanceMatrix | np.ndarray
+from .semimetric import MatrixLike, Semimetric, as_values, distance_matrix
 
 # verdict thresholds; finite-sample calibration, not sharp constants
 ADMISSIBLE_BALL_MASS = 0.9
@@ -30,13 +26,6 @@ TRACE_DROP_FACTOR = 0.5
 TRACE_L1_FACTOR = 0.1
 
 MAX_FULL_BLOCK_MATRIX = 4096
-_CHUNK_ROWS = 1024
-
-
-def _as_values(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, DistanceMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -71,27 +60,6 @@ def _cell_assignment(sample: PointSample, n: int, partition_kind: str) -> np.nda
             cells[chunk] = b
         return cells
     raise ParameterError(f"unknown partition kind {partition_kind!r}")
-
-
-def _pair_stats(metric: Semimetric, sub: PointSample) -> tuple[int, float, float]:
-    """(count, mean, variance) of metric values over unordered pairs in ``sub``."""
-    c = sub.m
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    cols = np.arange(c)
-    for start in range(0, c, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, c))
-        block = metric.pairwise_block(sub, rows)
-        vals = block[cols[None, :] > rows[:, None]]
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        count += vals.size
-    if count == 0:
-        return 0, 0.0, 0.0
-    mean = total / count
-    var = max(0.0, total_sq / count - mean * mean)
-    return count, mean, var
 
 
 @dataclass(frozen=True)
@@ -162,26 +130,36 @@ class TracePoint:
     flagged: bool
 
 
-def _trace_point(
-    n: int, cells: np.ndarray, m: int, cell_stats
-) -> TracePoint:
-    sizes = np.bincount(cells, minlength=n)
-    kept = [i for i in range(n) if sizes[i] >= 2]
-    skipped = n - len(kept)
-    if not kept:
-        raise SizeError(f"all {n} cells have fewer than two points")
-    masses = sizes[kept] / m
-    weights = masses / masses.sum()
-    trace = 0.0
-    var_sum = 0.0
-    for w, i in zip(weights, kept):
-        count, mean, var = cell_stats(np.where(cells == i)[0])
-        trace += w * mean
-        var_sum += w * w * var / max(count, 1)
-    return TracePoint(
-        n=int(n), trace_over_n=float(trace), stderr=float(math.sqrt(var_sum)),
-        cells_skipped=skipped, flagged=skipped > 0.1 * n,
-    )
+def _trace_curve(
+    sample: PointSample, n_schedule: Sequence[int], partition_kind: str, cell_values,
+) -> list[TracePoint]:
+    """Trace points over the schedule; ``cell_values(idx)`` is the value matrix
+    of the sample points ``idx`` of one cell."""
+    curve = []
+    for n in n_schedule:
+        n = int(n)
+        cells = _cell_assignment(sample, n, partition_kind)
+        sizes = np.bincount(cells, minlength=n)
+        kept = [i for i in range(n) if sizes[i] >= 2]
+        skipped = n - len(kept)
+        if not kept:
+            raise SizeError(f"all {n} cells have fewer than two points")
+        masses = sizes[kept] / sample.m
+        weights = masses / masses.sum()
+        trace = 0.0
+        var_sum = 0.0
+        for w, i in zip(weights, kept):
+            idx = np.where(cells == i)[0]
+            pairs = cell_values(idx)[np.triu_indices(idx.size, 1)]
+            mean = float(pairs.mean())
+            var = float(max(0.0, (pairs * pairs).mean() - mean * mean))
+            trace += w * mean
+            var_sum += w * w * var / pairs.size
+        curve.append(TracePoint(
+            n=n, trace_over_n=float(trace), stderr=float(math.sqrt(var_sum)),
+            cells_skipped=skipped, flagged=skipped > 0.1 * n,
+        ))
+    return curve
 
 
 def trace_test(
@@ -192,17 +170,13 @@ def trace_test(
 
     Cells with fewer than two points are skipped and the remaining masses
     renormalized; a point is flagged when more than 10% of cells drop out.
-    A curve decreasing toward zero is evidence of admissibility.
+    A curve decreasing toward zero is evidence of admissibility.  Only the
+    pairs within each cell are evaluated.
     """
-
-    def cell_stats(idx: np.ndarray):
-        return _pair_stats(metric, sample.subsample(idx))
-
-    return [
-        _trace_point(int(n), _cell_assignment(sample, int(n), partition_kind),
-                     sample.m, cell_stats)
-        for n in n_schedule
-    ]
+    return _trace_curve(
+        sample, n_schedule, partition_kind,
+        lambda idx: metric.pairwise(sample.subsample(idx)),
+    )
 
 
 def trace_from_matrix(
@@ -210,33 +184,10 @@ def trace_from_matrix(
     partition_kind: str = "DyadicIntervals",
 ) -> list[TracePoint]:
     """Same curve as ``trace_test`` computed from a precomputed value matrix."""
-    values = _as_values(matrix)
-
-    def make_stats(idx: np.ndarray):
-        sub = values[np.ix_(idx, idx)]
-        pairs = sub[np.triu_indices(idx.size, 1)]
-        mean = float(pairs.mean())
-        var = float(max(0.0, (pairs * pairs).mean() - mean * mean))
-        return pairs.size, mean, var
-
-    return [
-        _trace_point(int(n), _cell_assignment(sample, int(n), partition_kind),
-                     sample.m, make_stats)
-        for n in n_schedule
-    ]
-
-
-TRACE_CSV_HEADER = ("metric", "n", "trace_over_n", "stderr")
-
-
-def append_trace_csv(path, metric_label: str, points: Sequence[TracePoint]) -> None:
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(TRACE_CSV_HEADER)
-        for p in points:
-            writer.writerow([metric_label, p.n, f"{p.trace_over_n:.17g}", f"{p.stderr:.17g}"])
+    values = as_values(matrix)
+    return _trace_curve(
+        sample, n_schedule, partition_kind, lambda idx: values[np.ix_(idx, idx)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +196,7 @@ def append_trace_csv(path, metric_label: str, points: Sequence[TracePoint]) -> N
 
 def ball_mass_test(matrix: MatrixLike, eps: float) -> float:
     """Fraction of points whose closed eps-ball captures another sample point."""
-    values = _as_values(matrix)
+    values = as_values(matrix)
     m = values.shape[0]
     if m < 16:
         raise ParameterError(f"ball-mass test needs at least 16 points, got {m}")
@@ -259,13 +210,18 @@ def ball_mass_test(matrix: MatrixLike, eps: float) -> float:
 # separated-set (random distance matrix) test
 
 
-def greedy_separated_size(values: np.ndarray, c: float) -> int:
-    """Size of the first-fit maximal subset with pairwise distances >= c."""
-    chosen: list[int] = []
-    for i in range(values.shape[0]):
-        if all(values[i, j] >= c for j in chosen):
-            chosen.append(i)
-    return len(chosen)
+def greedy_separated_size(separated: np.ndarray) -> int:
+    """Size of the first-fit maximal index set whose pairs are all ``separated``.
+
+    Index i joins when it is separated from every index chosen before it.
+    """
+    candidates = np.ones(separated.shape[0], dtype=bool)
+    size = 0
+    for i in range(separated.shape[0]):
+        if candidates[i]:
+            size += 1
+            candidates &= separated[:, i]
+    return size
 
 
 def exact_separated_size(values: np.ndarray, c: float) -> int:
@@ -334,7 +290,7 @@ def random_matrix_test(
         if n <= 16:
             size = exact_separated_size(values, c)
         else:
-            size = greedy_separated_size(values, c)
+            size = greedy_separated_size(values >= c)
         if size >= required:
             hits += 1
     return hits / trials

@@ -9,24 +9,29 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import scaling
+from . import admit, scaling
 from .dynsys import SystemSpec
-from .entropy import append_estimates_csv
 from .errors import InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
-from .scaling import SCALING_CSV_HEADER
 
 WORKERS_ENV = "ORBENT_WORKERS"
 OUTPUT_DIR_ENV = "ORBENT_OUTPUT_DIR"
 
 METHODS = ("Covering", "Kantorovich")
+
+ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
+ESTIMATES_CSV_HEADER = (
+    "system", "metric", "method", "n", "eps", "m", "seed", "k",
+    "value_bits", "lower_bound_bits",
+)
 
 
 class ConfigError(ParameterError):
@@ -61,6 +66,16 @@ class ExperimentConfig:
         }
 
 
+def _list_field(obj: dict, key: str, convert, kind: str) -> tuple:
+    raw = obj[key]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(key, f"{key} must be a nonempty list")
+    try:
+        return tuple(convert(x) for x in raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, f"{key} entries must be {kind}") from exc
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     """Validate a raw config object; errors name the offending field."""
     if not isinstance(obj, dict):
@@ -79,23 +94,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     except (OrbentError, KeyError, TypeError) as exc:
         raise ConfigError("metric", f"invalid metric: {exc}") from exc
 
-    eps_grid = obj["eps_grid"]
-    if not isinstance(eps_grid, list) or not eps_grid:
-        raise ConfigError("eps_grid", "eps_grid must be a nonempty list")
-    try:
-        eps_grid = tuple(float(e) for e in eps_grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("eps_grid", "eps_grid entries must be numbers") from exc
-    if any(not (e > 0) for e in eps_grid):
-        raise ConfigError("eps_grid", "eps values must be positive")
+    eps_grid = _list_field(obj, "eps_grid", float, "numbers")
+    if any(not (0 < e < math.inf) for e in eps_grid):
+        raise ConfigError("eps_grid", "eps values must be positive and finite")
 
-    schedule = obj["n_schedule"]
-    if not isinstance(schedule, list) or not schedule:
-        raise ConfigError("n_schedule", "n_schedule must be a nonempty list")
-    try:
-        schedule = tuple(int(n) for n in schedule)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("n_schedule", "n_schedule entries must be integers") from exc
+    schedule = _list_field(obj, "n_schedule", int, "integers")
     if any(n < 1 for n in schedule):
         raise ConfigError("n_schedule", "n_schedule entries must be >= 1")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -108,13 +111,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if m < 2:
         raise ConfigError("m", "m must be >= 2")
 
-    seeds = obj["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds", "seeds must be a nonempty list")
-    try:
-        seeds = tuple(int(s) for s in seeds)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("seeds", "seeds entries must be integers") from exc
+    seeds = _list_field(obj, "seeds", int, "integers")
 
     method = str(obj["method"]).strip().capitalize()
     if method not in METHODS:
@@ -192,8 +189,6 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     verdict = scaling.discreteness_verdict(profiles) if len(set(config.eps_grid)) >= 2 else None
 
     # admissibility diagnostics: base metric and the largest-n average
-    from . import admit  # local import to keep module load light
-
     diag_eps = min(config.eps_grid)
     base_report = admit.admissibility_report(
         config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
@@ -219,29 +214,25 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
 
     system_label = config.system.label()
     metric_label = config.metric.label()
-    with open(paths["rows"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCALING_CSV_HEADER)
+    with open(paths["rows"], "w", newline="") as rows_fh, \
+            open(paths["estimates"], "w", newline="") as estimates_fh:
+        rows_csv = csv.writer(rows_fh)
+        estimates_csv = csv.writer(estimates_fh)
+        rows_csv.writerow(ROWS_CSV_HEADER)
+        estimates_csv.writerow(ESTIMATES_CSV_HEADER)
         for eps in config.eps_grid:
             for n in config.n_schedule:
                 for seed in config.seeds:
                     est = cells[(float(eps), int(n), int(seed))]
-                    writer.writerow([
+                    rows_csv.writerow([
                         system_label, metric_label, f"{eps:.17g}", n, seed,
                         config.method, f"{est.value_bits:.17g}",
                     ])
-
-    if paths["estimates"].exists():
-        paths["estimates"].unlink()
-    append_estimates_csv(
-        paths["estimates"],
-        [
-            (system_label, metric_label, n, cells[(float(eps), int(n), int(seed))])
-            for eps in config.eps_grid
-            for n in config.n_schedule
-            for seed in config.seeds
-        ],
-    )
+                    estimates_csv.writerow([
+                        system_label, metric_label, est.method, n, f"{est.eps:.17g}",
+                        est.sample_size, est.seed, est.k,
+                        f"{est.value_bits:.17g}", f"{est.lower_bound_bits:.17g}",
+                    ])
 
     _dump_json(paths["profile"], {"profiles": [p.to_json() for p in profiles]})
     _dump_json(
@@ -376,6 +367,18 @@ def _error_json(code: str, message: str, field: Optional[str] = None) -> str:
     return json.dumps({"error": err})
 
 
+def _workers(flag: Optional[str]) -> int:
+    """--workers, else $ORBENT_WORKERS, else 1; a positive integer."""
+    raw = os.environ.get(WORKERS_ENV, "1") if flag is None else flag
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ConfigError("workers", f"workers must be an integer, got {raw!r}") from exc
+    if workers < 1:
+        raise ConfigError("workers", f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="orbent",
@@ -386,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument("--output-dir", default=None, help="override the config output_dir")
-    run_p.add_argument("--workers", type=int, default=None,
+    run_p.add_argument("--workers", default=None,
                        help=f"worker threads (default 1 or ${WORKERS_ENV})")
 
     cmp_p = sub.add_parser("compare", help="diff two result bundles")
@@ -407,16 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = load_config(args.config)
             output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
             if output_dir:
-                config = ExperimentConfig(
-                    system=config.system, metric=config.metric,
-                    eps_grid=config.eps_grid, n_schedule=config.n_schedule,
-                    m=config.m, seeds=config.seeds, method=config.method,
-                    output_dir=output_dir,
-                )
-            workers = args.workers
-            if workers is None:
-                workers = int(os.environ.get(WORKERS_ENV, "1"))
-            paths = run_experiment(config, workers=workers)
+                config = replace(config, output_dir=output_dir)
+            paths = run_experiment(config, workers=_workers(args.workers))
             print(json.dumps(paths, indent=2, sort_keys=True))
             return 0
         if args.verb == "compare":

@@ -89,10 +89,6 @@ class SystemSpec:
     def is_symbolic(self) -> bool:
         return self.kind == "BernoulliShift"
 
-    @property
-    def alphabet_size(self) -> Optional[int]:
-        return None if self.weights is None else len(self.weights)
-
     def with_horizon(self, horizon: int) -> "SystemSpec":
         """Copy of a shift system with a different symbol window."""
         if not self.is_symbolic:
@@ -208,9 +204,6 @@ class PointSample:
             return Point(coords=self.coords[i].copy())
         return Point(symbols=self.symbols[i, self.symbol_offset:].copy())
 
-    def points(self) -> list[Point]:
-        return [self.point(i) for i in range(self.m)]
-
     def subsample(self, indices: np.ndarray) -> "PointSample":
         idx = np.asarray(indices, dtype=int)
         if self.coords is not None:
@@ -285,6 +278,11 @@ def advance_sample(
         )
     if sample.coords is None:
         raise ParameterError(f"{acting.kind} acts on coordinate samples")
+    if acting.kind != "Identity" and acting.dim != sample.coords.shape[1]:
+        raise ParameterError(
+            f"{acting.kind} acts on {acting.dim}-dimensional points, "
+            f"the sample has {sample.coords.shape[1]} coordinates"
+        )
     coords = sample.coords
     for _ in range(steps):
         coords = step_coords(acting, coords)

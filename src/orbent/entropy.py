@@ -7,9 +7,7 @@ Transport costs are solved exactly as transportation linear programs.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -17,22 +15,14 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .admit import greedy_separated_size
 from .dynsys import PointSample, SystemSpec, derive_rng, sample_points
 from .errors import InfeasibleError, ParameterError, SizeError
-from .semimetric import DistanceMatrix, Semimetric, average_metric, distance_matrix
+from .semimetric import MatrixLike, Semimetric, as_values, average_metric, distance_matrix
 
 _REL_TOL = 1e-12
 MAX_TRANSPORT_SUPPORT = 4096
 MEDOID_RESTARTS = 5
-
-MatrixLike = Union[DistanceMatrix, np.ndarray]
-
-
-def _as_values(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, DistanceMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # atomic measures and transport
@@ -100,7 +90,7 @@ def kantorovich_distance(
         cols = np.array([pos[int(j)] for j in mu2.atom_indices])
         cost = values[np.ix_(rows, cols)]
     else:
-        values = _as_values(ground)
+        values = as_values(ground)
         cost = values[np.ix_(mu1.atom_indices, mu2.atom_indices)]
     if mu1.size + mu2.size > MAX_TRANSPORT_SUPPORT:
         raise SizeError(
@@ -155,13 +145,6 @@ class EpsEntropyEstimate:
         if self.lower_bound_bits > self.value_bits + 1e-12:
             raise ParameterError("lower bound must not exceed the estimate")
 
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps, "method": self.method, "value_bits": self.value_bits,
-            "lower_bound_bits": self.lower_bound_bits, "k": self.k,
-            "sample_size": self.sample_size, "seed": self.seed,
-        }
-
 
 def _discard_budget(eps: float, m: int) -> int:
     # empirical mirror of the mass-<eps exceptional set
@@ -178,7 +161,7 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
     separated point and the exceptional set can absorb at most the discard
     budget of them.
     """
-    values = _as_values(matrix)
+    values = as_values(matrix)
     m = values.shape[0]
     if m < 2:
         raise SizeError("covering entropy needs at least two points")
@@ -207,12 +190,8 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
             n_covered = int(covered.sum())
             k += 1
 
-    separated = values > eps * (1.0 + _REL_TOL)
-    chosen: list[int] = []
-    for i in range(m):
-        if all(separated[i, j] for j in chosen):
-            chosen.append(i)
-    lower_k = max(1, len(chosen) - discard)
+    packing = greedy_separated_size(values > eps * (1.0 + _REL_TOL))
+    lower_k = max(1, packing - discard)
 
     return EpsEntropyEstimate(
         eps=float(eps), method="Covering",
@@ -270,7 +249,7 @@ def eps_entropy_kantorovich(
     among the feasible candidates is returned (an upper bound on the true
     infimum).  No covering-free lower bound is available, so it is 0.
     """
-    values = _as_values(matrix)
+    values = as_values(matrix)
     m = values.shape[0]
     if m < 2:
         raise SizeError("quantization entropy needs at least two points")
@@ -338,24 +317,3 @@ def estimate_from_matrix(
     if name == "kantorovich":
         return eps_entropy_kantorovich(matrix, eps, seed=seed)
     raise ParameterError(f"unknown estimator method {method!r}")
-
-
-ESTIMATES_CSV_HEADER = (
-    "system", "metric", "method", "n", "eps", "m", "seed", "k",
-    "value_bits", "lower_bound_bits",
-)
-
-
-def append_estimates_csv(path, rows) -> None:
-    """Append (system_label, metric_label, n, estimate) rows to a batch CSV."""
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(ESTIMATES_CSV_HEADER)
-        for system_label, metric_label, n, est in rows:
-            writer.writerow([
-                system_label, metric_label, est.method, n, f"{est.eps:.17g}",
-                est.sample_size, est.seed, est.k,
-                f"{est.value_bits:.17g}", f"{est.lower_bound_bits:.17g}",
-            ])

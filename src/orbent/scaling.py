@@ -8,14 +8,13 @@ a purely discrete spectrum.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import admit
-from .dynsys import PointSample, SystemSpec, sample_points
+from .dynsys import SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -406,6 +405,3 @@ def limit_metric_check(
         trace_curve=curve, trace_ok=trace_ok, verdict=verdict,
         profile_class=profile_class, consistent=consistent, per_seed=per_seed,
     )
-
-
-SCALING_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")

@@ -1,23 +1,30 @@
 """Admissible semimetrics and the dynamical operations on them.
 
-A :class:`Semimetric` wraps a descriptor tree (standard metrics, block
-semimetrics, cut-offs, pull-backs, orbit averages) and evaluates it either on
-single point pairs or, vectorized, on whole samples.  Symmetry is exact by
-construction: scalar evaluation canonicalizes the argument order and matrix
-evaluation mirrors the upper triangle.
+Every semimetric is a node of one descriptor tree, a frozen dataclass that
+subclasses :class:`Semimetric`: the standard metrics, closed forms and block
+semimetrics are leaves, and the cone operations (cut-off, convex combination,
+pull-back, orbit average) are inner nodes.  A node's dataclass fields are its
+parameters, checked in ``__post_init__``; it implements ``values(sample,
+rows)`` and ``label()``, and ``symbol_horizon()`` if it reads symbols.  JSON
+is generic: ``{"type": <class name>, <field>: <value>, ...}``, decoded through
+the registry ``_NODES`` and, per field, the ``_DECODE`` entry of the field's
+annotated type.  A new node needs its class, an entry in ``_NODES``, and a
+``_DECODE`` entry only for a field type not yet there.
+
+Symmetry is exact by construction: scalar evaluation canonicalizes the
+argument order and matrix evaluation mirrors the upper triangle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .dynsys import Point, PointSample, SystemSpec, advance_sample, identity_system
 from .errors import HorizonError, MetricTypeError, ParameterError
-
-_REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +36,10 @@ class Partition:
     """Total assignment of points to blocks {0, ..., block_count-1}."""
 
     block_count: int
-    kind: str = "custom"
+    kind: str
     level: Optional[int] = None        # dyadic_intervals
     count: Optional[int] = None        # first_symbols
     alphabet: Optional[int] = None
-    custom_assign: Optional[Callable[[Point], int]] = None
 
     def __post_init__(self) -> None:
         if self.block_count < 1:
@@ -47,41 +53,24 @@ class Partition:
         if self.kind == "one_block":
             return np.zeros(sample.m, dtype=int)
         if self.kind == "dyadic_intervals":
-            if sample.coords is None:
-                raise MetricTypeError("dyadic interval partition needs coordinate points")
-            idx = np.floor(sample.coords[:, 0] * self.block_count).astype(int)
+            idx = np.floor(_coords(sample)[:, 0] * self.block_count).astype(int)
             return np.clip(idx, 0, self.block_count - 1)
-        if self.kind == "first_symbols":
-            window = sample.symbol_window
-            if window is None:
-                raise MetricTypeError("first-symbols partition needs symbolic points")
-            if window.shape[1] < self.count:
-                raise HorizonError(
-                    f"first-symbols partition needs {self.count} symbols, "
-                    f"window has {window.shape[1]}"
-                )
-            idx = np.zeros(sample.m, dtype=int)
-            for i in range(self.count):
-                idx = idx * self.alphabet + window[:, i].astype(int)
-            return idx
-        return np.array([self.custom_assign(sample.point(i)) for i in range(sample.m)])
-
-    def assign_point(self, p: Point) -> int:
-        sample = _points_to_sample([p])
-        return int(self.assign_indices(sample)[0])
+        window = _window(sample, self.count)
+        idx = np.zeros(sample.m, dtype=int)
+        for i in range(self.count):
+            idx = idx * self.alphabet + window[:, i].astype(int)
+        return idx
 
     def to_json(self) -> dict:
         if self.kind == "dyadic_intervals":
             return {"kind": self.kind, "level": self.level}
         if self.kind == "first_symbols":
             return {"kind": self.kind, "count": self.count, "alphabet": self.alphabet}
-        if self.kind == "one_block":
-            return {"kind": self.kind}
-        raise ParameterError("custom partitions are not serializable")
+        return {"kind": self.kind}
 
     @staticmethod
     def from_json(obj: dict) -> "Partition":
-        kind = obj.get("kind")
+        kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "dyadic_intervals":
             return dyadic_interval_partition(int(obj["level"]))
         if kind == "first_symbols":
@@ -90,18 +79,25 @@ class Partition:
             return one_block_partition()
         raise ParameterError(f"unknown partition kind {kind!r}")
 
+    def label(self) -> str:
+        if self.kind == "dyadic_intervals":
+            return f"dyadic_intervals;level={self.level}"
+        if self.kind == "first_symbols":
+            return f"first_symbols;count={self.count};alphabet={self.alphabet}"
+        return f"{self.kind};blocks={self.block_count}"
+
 
 def dyadic_interval_partition(level: int) -> Partition:
     """2**level equal dyadic intervals of the first coordinate."""
-    if level < 0:
-        raise ParameterError("dyadic level must be >= 0")
+    if not 0 <= level <= 53:
+        raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
     return Partition(block_count=2 ** level, kind="dyadic_intervals", level=level)
 
 
 def first_symbols_partition(count: int, alphabet: int = 2) -> Partition:
     """Cylinder partition by the first ``count`` symbols."""
-    if count < 1 or alphabet < 2:
-        raise ParameterError("need count >= 1 and alphabet >= 2")
+    if count < 1 or alphabet < 2 or count * math.log2(alphabet) > 62:
+        raise ParameterError("need count >= 1, alphabet >= 2 and alphabet**count <= 2**62")
     return Partition(
         block_count=alphabet ** count, kind="first_symbols", count=count, alphabet=alphabet
     )
@@ -111,122 +107,8 @@ def one_block_partition() -> Partition:
     return Partition(block_count=1, kind="one_block")
 
 
-def custom_partition(assign: Callable[[Point], int], block_count: int) -> Partition:
-    return Partition(block_count=block_count, kind="custom", custom_assign=assign)
-
-
 # ---------------------------------------------------------------------------
-# descriptor tree
-
-
-@dataclass(frozen=True)
-class Euclidean1D:
-    """|x - y| on the first coordinate."""
-
-
-@dataclass(frozen=True)
-class CircleArc:
-    """Arc distance min(|x-y|, 1-|x-y|) on the first coordinate."""
-
-
-@dataclass(frozen=True)
-class TorusArcL1:
-    """Sum of per-coordinate arc distances."""
-
-
-@dataclass(frozen=True)
-class FirstSymbolCut:
-    """1 if the leading symbols differ, else 0."""
-
-
-@dataclass(frozen=True)
-class Discrete:
-    """1 if the points differ at all, else 0."""
-
-
-@dataclass(frozen=True)
-class Zero:
-    """Identically zero."""
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    tag: str
-
-
-@dataclass(frozen=True)
-class Block:
-    partition: Partition
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    inner: "Descriptor"
-    level: float
-
-
-@dataclass(frozen=True)
-class Mix:
-    """Convex combination t*a + (1-t)*b; the cone is closed under it."""
-
-    a: "Descriptor"
-    b: "Descriptor"
-    t: float
-
-
-@dataclass(frozen=True)
-class PullBack:
-    inner: "Descriptor"
-    system: SystemSpec
-    k: int
-
-
-@dataclass(frozen=True)
-class Average:
-    inner: "Descriptor"
-    system: SystemSpec
-    n: int
-
-
-Descriptor = Union[
-    Euclidean1D, CircleArc, TorusArcL1, FirstSymbolCut, Discrete, Zero,
-    ClosedForm, Block, Cutoff, Mix, PullBack, Average,
-]
-
-_STANDARD_TAGS = {
-    "euclidean_1d": Euclidean1D,
-    "circle_arc": CircleArc,
-    "torus_arc_l1": TorusArcL1,
-    "first_symbol_cut": FirstSymbolCut,
-    "discrete": Discrete,
-    "zero": Zero,
-}
-
-
-def _closed_form_mean_rotated_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Average of |{x+t} - {y+t}| over a full turn: 2*d*(1-d) with d = |x-y|.
-    d = np.abs(a - b)
-    return 2.0 * d * (1.0 - d)
-
-
-def _closed_form_abs_plus_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) + np.abs(a * a - b * b)
-
-
-def _closed_form_squared_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Violates the triangle inequality; shipped as a negative control.
-    return (a - b) ** 2
-
-
-CLOSED_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "mean_rotated_abs_diff": _closed_form_mean_rotated_abs_diff,
-    "abs_plus_square": _closed_form_abs_plus_square,
-    "squared_abs_diff": _closed_form_squared_abs_diff,
-}
-
-
-# ---------------------------------------------------------------------------
-# evaluation engine
+# evaluation helpers
 
 
 def _coords(sample: PointSample) -> np.ndarray:
@@ -244,60 +126,6 @@ def _window(sample: PointSample, need: int) -> np.ndarray:
             f"evaluation needs {need} symbols, window has {window.shape[1]}"
         )
     return window
-
-
-def _values_block(desc: Descriptor, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-    """Values rho(p_r, p_c) for r in rows and all c, shape (len(rows), m)."""
-    if isinstance(desc, Zero):
-        return np.zeros((len(rows), sample.m))
-    if isinstance(desc, Euclidean1D):
-        c = _coords(sample)[:, 0]
-        return np.abs(c[rows, None] - c[None, :])
-    if isinstance(desc, CircleArc):
-        c = _coords(sample)[:, 0]
-        d = np.abs(c[rows, None] - c[None, :])
-        return np.minimum(d, 1.0 - d)
-    if isinstance(desc, TorusArcL1):
-        c = _coords(sample)
-        acc = np.zeros((len(rows), sample.m))
-        for j in range(c.shape[1]):
-            d = np.abs(c[rows, None, j] - c[None, :, j])
-            acc += np.minimum(d, 1.0 - d)
-        return acc
-    if isinstance(desc, ClosedForm):
-        fn = CLOSED_FORMS.get(desc.tag)
-        if fn is None:
-            raise ParameterError(f"unknown closed-form tag {desc.tag!r}")
-        c = _coords(sample)[:, 0]
-        return fn(c[rows, None], c[None, :])
-    if isinstance(desc, FirstSymbolCut):
-        s = _window(sample, 1)[:, 0]
-        return (s[rows, None] != s[None, :]).astype(float)
-    if isinstance(desc, Discrete):
-        if sample.coords is not None:
-            c = sample.coords
-            return np.any(c[rows, None, :] != c[None, :, :], axis=2).astype(float)
-        s = _window(sample, 1)
-        return np.any(s[rows, None, :] != s[None, :, :], axis=2).astype(float)
-    if isinstance(desc, Block):
-        idx = desc.partition.assign_indices(sample)
-        return (idx[rows, None] != idx[None, :]).astype(float)
-    if isinstance(desc, Cutoff):
-        return np.minimum(_values_block(desc.inner, sample, rows), desc.level)
-    if isinstance(desc, Mix):
-        return desc.t * _values_block(desc.a, sample, rows) \
-            + (1.0 - desc.t) * _values_block(desc.b, sample, rows)
-    if isinstance(desc, PullBack):
-        return _values_block(desc.inner, advance_sample(sample, desc.k, desc.system), rows)
-    if isinstance(desc, Average):
-        state = sample
-        acc = _values_block(desc.inner, state, rows)
-        for _ in range(1, desc.n):
-            state = advance_sample(state, 1, desc.system)
-            acc += _values_block(desc.inner, state, rows)
-        acc /= desc.n
-        return acc
-    raise ParameterError(f"unknown descriptor {type(desc).__name__}")
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -322,108 +150,353 @@ def _point_key(p: Point):
     return tuple(arr.tolist())
 
 
-def _symbol_horizon(desc: Descriptor) -> int:
-    if isinstance(desc, (FirstSymbolCut, Discrete)):
-        return 1
-    if isinstance(desc, Block):
-        return desc.partition.symbol_need
-    if isinstance(desc, Cutoff):
-        return _symbol_horizon(desc.inner)
-    if isinstance(desc, Mix):
-        return max(_symbol_horizon(desc.a), _symbol_horizon(desc.b))
-    if isinstance(desc, PullBack):
-        extra = desc.k if desc.system.is_symbolic else 0
-        return extra + _symbol_horizon(desc.inner)
-    if isinstance(desc, Average):
-        extra = desc.n - 1 if desc.system.is_symbolic else 0
-        return extra + _symbol_horizon(desc.inner)
-    return 0
+# ---------------------------------------------------------------------------
+# the node base class
 
 
-class Semimetric:
-    """A symmetric nonnegative pair evaluator described by a descriptor tree."""
+class Semimetric(ABC):
+    """A symmetric nonnegative pair evaluator; every descriptor node is one.
 
-    def __init__(self, descriptor: Descriptor):
-        self.descriptor = descriptor
+    Nodes are frozen dataclasses, so equality and hashing compare whole trees.
+    """
+
+    # name of a parameterless standard node, for make_standard and the label
+    standard_tag: ClassVar[Optional[str]] = None
+
+    @abstractmethod
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        """Values rho(p_r, p_c) for r in rows and all c, shape (len(rows), m)."""
+
+    def label(self) -> str:
+        """Compact CSV-safe identifier; nodes with parameters override it."""
+        return self.standard_tag
+
+    def symbol_horizon(self) -> int:
+        """Symbols needed past the orbit start to evaluate this semimetric."""
+        return 0
 
     def evaluate(self, p: Point, q: Point) -> float:
         if _point_key(q) < _point_key(p):
             p, q = q, p
         sample = _points_to_sample([p, q])
-        return float(_values_block(self.descriptor, sample, np.array([0]))[0, 1])
+        return float(self.values(sample, np.array([0]))[0, 1])
 
-    def __call__(self, p: Point, q: Point) -> float:
-        return self.evaluate(p, q)
+    __call__ = evaluate
 
     def pairwise(self, sample: PointSample) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal."""
-        rows = np.arange(sample.m)
-        return _symmetrize(_values_block(self.descriptor, sample, rows))
-
-    def pairwise_block(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        """Rectangular block of values against the whole sample (no mirroring)."""
-        return _values_block(self.descriptor, sample, np.asarray(rows, dtype=int))
-
-    def symbol_horizon(self) -> int:
-        """Symbols needed past the orbit start to evaluate this semimetric."""
-        return _symbol_horizon(self.descriptor)
+        return _symmetrize(self.values(sample, np.arange(sample.m)))
 
     def to_json(self) -> dict:
-        return _descriptor_to_json(self.descriptor)
+        out = {"type": type(self).__name__}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_json() if hasattr(value, "to_json") else value
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "Semimetric":
-        return Semimetric(_descriptor_from_json(obj))
+        if not isinstance(obj, dict) or "type" not in obj:
+            raise ParameterError("semimetric JSON must be an object with a 'type' field")
+        cls = _NODES.get(obj["type"])
+        if cls is None:
+            raise ParameterError(f"unknown descriptor type {obj['type']!r}")
+        kwargs = {}
+        for f in fields(cls):
+            try:
+                kwargs[f.name] = _DECODE[f.type](obj[f.name])
+            except ValueError as exc:
+                raise ParameterError(f"invalid {cls.__name__}.{f.name}: {exc}") from exc
+        return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# leaves
+
+
+@dataclass(frozen=True)
+class Euclidean1D(Semimetric):
+    """|x - y| on the first coordinate."""
+
+    standard_tag = "euclidean_1d"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        c = _coords(sample)[:, 0]
+        return np.abs(c[rows, None] - c[None, :])
+
+
+@dataclass(frozen=True)
+class CircleArc(Semimetric):
+    """Arc distance min(|x-y|, 1-|x-y|) on the first coordinate."""
+
+    standard_tag = "circle_arc"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        c = _coords(sample)[:, 0]
+        d = np.abs(c[rows, None] - c[None, :])
+        return np.minimum(d, 1.0 - d)
+
+
+@dataclass(frozen=True)
+class TorusArcL1(Semimetric):
+    """Sum of per-coordinate arc distances."""
+
+    standard_tag = "torus_arc_l1"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        c = _coords(sample)
+        acc = np.zeros((len(rows), sample.m))
+        for j in range(c.shape[1]):
+            d = np.abs(c[rows, None, j] - c[None, :, j])
+            acc += np.minimum(d, 1.0 - d)
+        return acc
+
+
+@dataclass(frozen=True)
+class FirstSymbolCut(Semimetric):
+    """1 if the leading symbols differ, else 0."""
+
+    standard_tag = "first_symbol_cut"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        s = _window(sample, 1)[:, 0]
+        return (s[rows, None] != s[None, :]).astype(float)
+
+    def symbol_horizon(self) -> int:
+        return 1
+
+
+@dataclass(frozen=True)
+class Discrete(Semimetric):
+    """1 if the points differ at all, else 0."""
+
+    standard_tag = "discrete"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        if sample.coords is not None:
+            c = sample.coords
+            return np.any(c[rows, None, :] != c[None, :, :], axis=2).astype(float)
+        s = _window(sample, 1)
+        return np.any(s[rows, None, :] != s[None, :, :], axis=2).astype(float)
+
+    def symbol_horizon(self) -> int:
+        return 1
+
+
+@dataclass(frozen=True)
+class Zero(Semimetric):
+    """Identically zero."""
+
+    standard_tag = "zero"
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        return np.zeros((len(rows), sample.m))
+
+
+def _closed_form_mean_rotated_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Average of |{x+t} - {y+t}| over a full turn: 2*d*(1-d) with d = |x-y|.
+    d = np.abs(a - b)
+    return 2.0 * d * (1.0 - d)
+
+
+def _closed_form_abs_plus_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) + np.abs(a * a - b * b)
+
+
+def _closed_form_squared_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Violates the triangle inequality; shipped as a negative control.
+    return (a - b) ** 2
+
+
+CLOSED_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "mean_rotated_abs_diff": _closed_form_mean_rotated_abs_diff,
+    "abs_plus_square": _closed_form_abs_plus_square,
+    "squared_abs_diff": _closed_form_squared_abs_diff,
+}
+
+
+@dataclass(frozen=True)
+class ClosedForm(Semimetric):
+    """A kernel of the first coordinate from ``CLOSED_FORMS``."""
+
+    tag: str
+
+    def __post_init__(self) -> None:
+        if self.tag not in CLOSED_FORMS:
+            raise ParameterError(
+                f"unknown closed-form tag {self.tag!r}; known: {sorted(CLOSED_FORMS)}"
+            )
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        c = _coords(sample)[:, 0]
+        return CLOSED_FORMS[self.tag](c[rows, None], c[None, :])
 
     def label(self) -> str:
-        return _descriptor_label(self.descriptor)
+        return f"ClosedForm[{self.tag}]"
 
-    def same_descriptor(self, other: "Semimetric") -> bool:
-        return _descriptor_label(self.descriptor) == _descriptor_label(other.descriptor)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Semimetric) and self.same_descriptor(other)
+@dataclass(frozen=True)
+class Block(Semimetric):
+    """0 within a block of the partition, 1 across blocks."""
 
-    def __hash__(self) -> int:
-        return hash(self.label())
+    partition: Partition
 
-    def __repr__(self) -> str:
-        return f"Semimetric({self.label()})"
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        idx = self.partition.assign_indices(sample)
+        return (idx[rows, None] != idx[None, :]).astype(float)
+
+    def label(self) -> str:
+        return f"Block[{self.partition.label()}]"
+
+    def symbol_horizon(self) -> int:
+        return self.partition.symbol_need
+
+
+# ---------------------------------------------------------------------------
+# cone operations
+
+
+@dataclass(frozen=True)
+class Cutoff(Semimetric):
+    """Pointwise cap min(rho, level); still a semimetric."""
+
+    inner: Semimetric
+    level: float
+
+    def __post_init__(self) -> None:
+        if not (self.level > 0):
+            raise ParameterError("cut-off level must be positive")
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        return np.minimum(self.inner.values(sample, rows), self.level)
+
+    def label(self) -> str:
+        return f"Cutoff[{self.inner.label()};level={self.level:.17g}]"
+
+    def symbol_horizon(self) -> int:
+        return self.inner.symbol_horizon()
+
+
+@dataclass(frozen=True)
+class Mix(Semimetric):
+    """Convex combination t*a + (1-t)*b; the cone is closed under it."""
+
+    a: Semimetric
+    b: Semimetric
+    t: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.t <= 1.0):
+            raise ParameterError("mixing weight must lie in [0, 1]")
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        return self.t * self.a.values(sample, rows) \
+            + (1.0 - self.t) * self.b.values(sample, rows)
+
+    def label(self) -> str:
+        return f"Mix[{self.a.label()};{self.b.label()};t={self.t:.17g}]"
+
+    def symbol_horizon(self) -> int:
+        return max(self.a.symbol_horizon(), self.b.symbol_horizon())
+
+
+@dataclass(frozen=True)
+class PullBack(Semimetric):
+    """The semimetric (x, y) -> rho(T^k x, T^k y)."""
+
+    inner: Semimetric
+    system: SystemSpec
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ParameterError("pull-back count must be >= 0")
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        return self.inner.values(advance_sample(sample, self.k, self.system), rows)
+
+    def label(self) -> str:
+        return f"PullBack[{self.inner.label()};k={self.k};{self.system.label()}]"
+
+    def symbol_horizon(self) -> int:
+        extra = self.k if self.system.is_symbolic else 0
+        return extra + self.inner.symbol_horizon()
+
+
+def _orbit_sums(
+    inner: Semimetric, system: SystemSpec, sample: PointSample, rows: np.ndarray,
+    schedule: Sequence[int],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, sum of the first n pull-backs of ``inner``) along an ascending
+    schedule; the sum is updated in place, so keeping it past a step needs a copy."""
+    state = sample
+    acc = inner.values(state, rows)
+    steps = 1
+    for n in schedule:
+        while steps < n:
+            state = advance_sample(state, 1, system)
+            acc += inner.values(state, rows)
+            steps += 1
+        yield n, acc
+
+
+@dataclass(frozen=True)
+class Average(Semimetric):
+    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit."""
+
+    inner: Semimetric
+    system: SystemSpec
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ParameterError("averaging length must be >= 1")
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        _, acc = next(_orbit_sums(self.inner, self.system, sample, rows, [self.n]))
+        acc /= self.n
+        return acc
+
+    def label(self) -> str:
+        return f"Average[{self.inner.label()};n={self.n};{self.system.label()}]"
+
+    def symbol_horizon(self) -> int:
+        extra = self.n - 1 if self.system.is_symbolic else 0
+        return extra + self.inner.symbol_horizon()
+
+
+_NODES: dict[str, type[Semimetric]] = {cls.__name__: cls for cls in (
+    Euclidean1D, CircleArc, TorusArcL1, FirstSymbolCut, Discrete, Zero,
+    ClosedForm, Block, Cutoff, Mix, PullBack, Average,
+)}
+
+# field type annotation -> decoder of that field's JSON value
+_DECODE: dict[str, Callable] = {
+    "Semimetric": Semimetric.from_json,
+    "SystemSpec": SystemSpec.from_json,
+    "Partition": Partition.from_json,
+    "float": float,
+    "int": int,
+    "str": str,
+}
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def make_standard(tag: Union[str, Descriptor]) -> Semimetric:
-    """Named standard semimetrics; also accepts a ready descriptor."""
-    if isinstance(tag, str):
-        cls = _STANDARD_TAGS.get(tag)
-        if cls is None:
-            raise ParameterError(
-                f"unknown semimetric tag {tag!r}; known: {sorted(_STANDARD_TAGS)}"
-            )
-        return Semimetric(cls())
-    return Semimetric(tag)
-
-
-def closed_form(tag: str) -> Semimetric:
-    if tag not in CLOSED_FORMS:
-        raise ParameterError(f"unknown closed-form tag {tag!r}; known: {sorted(CLOSED_FORMS)}")
-    return Semimetric(ClosedForm(tag))
-
-
-def block_semimetric(partition: Partition) -> Semimetric:
-    return Semimetric(Block(partition))
+def make_standard(tag: str) -> Semimetric:
+    """Named parameterless semimetrics such as ``euclidean_1d``."""
+    standard = {cls.standard_tag: cls for cls in _NODES.values() if cls.standard_tag}
+    if tag not in standard:
+        raise ParameterError(f"unknown semimetric tag {tag!r}; known: {sorted(standard)}")
+    return standard[tag]()
 
 
 def pull_back(metric: Semimetric, system: SystemSpec, k: int) -> Semimetric:
     """The semimetric (x, y) -> rho(T^k x, T^k y)."""
-    if k < 0:
-        raise ParameterError("pull-back count must be >= 0")
-    if k == 0 or system.kind == "Identity":
-        return metric
-    return Semimetric(PullBack(metric.descriptor, system, k))
+    pulled = PullBack(metric, system, k)
+    return metric if k == 0 or system.kind == "Identity" else pulled
 
 
 def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric:
@@ -432,115 +505,15 @@ def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric
     The identity system is an exact fixed point of averaging, so it returns
     the metric itself.
     """
-    if n < 1:
-        raise ParameterError("averaging length must be >= 1")
-    if n == 1 or system.kind == "Identity":
-        return metric
-    return Semimetric(Average(metric.descriptor, system, n))
+    averaged = Average(metric, system, n)
+    return metric if n == 1 or system.kind == "Identity" else averaged
 
 
-def mix(metric_a: Semimetric, metric_b: Semimetric, t: float) -> Semimetric:
-    """Convex combination t*a + (1-t)*b of two semimetrics."""
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError("mixing weight must lie in [0, 1]")
-    return Semimetric(Mix(metric_a.descriptor, metric_b.descriptor, float(t)))
-
-
-def cutoff(metric: Semimetric, level: float) -> Semimetric:
-    """Pointwise cap min(rho, level); still a semimetric."""
-    if not (level > 0):
-        raise ParameterError("cut-off level must be positive")
-    return Semimetric(Cutoff(metric.descriptor, float(level)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _descriptor_to_json(desc: Descriptor) -> dict:
-    if isinstance(desc, Cutoff):
-        return {"type": "Cutoff", "level": desc.level, "inner": _descriptor_to_json(desc.inner)}
-    if isinstance(desc, PullBack):
-        return {
-            "type": "PullBack", "k": desc.k, "system": desc.system.to_json(),
-            "inner": _descriptor_to_json(desc.inner),
-        }
-    if isinstance(desc, Average):
-        return {
-            "type": "Average", "n": desc.n, "system": desc.system.to_json(),
-            "inner": _descriptor_to_json(desc.inner),
-        }
-    if isinstance(desc, Mix):
-        return {
-            "type": "Mix", "t": desc.t,
-            "a": _descriptor_to_json(desc.a), "b": _descriptor_to_json(desc.b),
-        }
-    if isinstance(desc, Block):
-        return {"type": "Block", "partition": desc.partition.to_json()}
-    if isinstance(desc, ClosedForm):
-        return {"type": "ClosedForm", "tag": desc.tag}
-    return {"type": type(desc).__name__}
-
-
-def _descriptor_from_json(obj: dict) -> Descriptor:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ParameterError("semimetric JSON must be an object with a 'type' field")
-    kind = obj["type"]
-    simple = {
-        "Euclidean1D": Euclidean1D, "CircleArc": CircleArc, "TorusArcL1": TorusArcL1,
-        "FirstSymbolCut": FirstSymbolCut, "Discrete": Discrete, "Zero": Zero,
-    }
-    if kind in simple:
-        return simple[kind]()
-    if kind == "ClosedForm":
-        return ClosedForm(obj["tag"])
-    if kind == "Block":
-        return Block(Partition.from_json(obj["partition"]))
-    if kind == "Cutoff":
-        return Cutoff(_descriptor_from_json(obj["inner"]), float(obj["level"]))
-    if kind == "Mix":
-        return Mix(
-            _descriptor_from_json(obj["a"]), _descriptor_from_json(obj["b"]),
-            float(obj["t"]),
-        )
-    if kind == "PullBack":
-        return PullBack(
-            _descriptor_from_json(obj["inner"]), SystemSpec.from_json(obj["system"]),
-            int(obj["k"]),
-        )
-    if kind == "Average":
-        return Average(
-            _descriptor_from_json(obj["inner"]), SystemSpec.from_json(obj["system"]),
-            int(obj["n"]),
-        )
-    raise ParameterError(f"unknown descriptor type {kind!r}")
-
-
-def _descriptor_label(desc: Descriptor) -> str:
-    if isinstance(desc, Cutoff):
-        return f"Cutoff[{_descriptor_label(desc.inner)};level={desc.level:.17g}]"
-    if isinstance(desc, PullBack):
-        return f"PullBack[{_descriptor_label(desc.inner)};k={desc.k};{desc.system.label()}]"
-    if isinstance(desc, Average):
-        return f"Average[{_descriptor_label(desc.inner)};n={desc.n};{desc.system.label()}]"
-    if isinstance(desc, Mix):
-        return (f"Mix[{_descriptor_label(desc.a)};{_descriptor_label(desc.b)};"
-                f"t={desc.t:.17g}]")
-    if isinstance(desc, Block):
-        part = desc.partition
-        if part.kind == "dyadic_intervals":
-            return f"Block[dyadic_intervals;level={part.level}]"
-        if part.kind == "first_symbols":
-            return f"Block[first_symbols;count={part.count};alphabet={part.alphabet}]"
-        return f"Block[{part.kind};blocks={part.block_count}]"
-    if isinstance(desc, ClosedForm):
-        return f"ClosedForm[{desc.tag}]"
-    names = {
-        "Euclidean1D": "euclidean_1d", "CircleArc": "circle_arc",
-        "TorusArcL1": "torus_arc_l1", "FirstSymbolCut": "first_symbol_cut",
-        "Discrete": "discrete", "Zero": "zero",
-    }
-    return names[type(desc).__name__]
+# the other constructors have no shortcut, so they are the node classes
+closed_form = ClosedForm
+block_semimetric = Block
+mix = Mix
+cutoff = Cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +548,16 @@ class DistanceMatrix:
         np.savetxt(path, self.values, fmt="%.17g", delimiter=",")
 
 
+MatrixLike = Union[DistanceMatrix, np.ndarray]
+
+
+def as_values(matrix: MatrixLike) -> np.ndarray:
+    """The value array of a distance matrix or of a plain array."""
+    if isinstance(matrix, DistanceMatrix):
+        return matrix.values
+    return np.asarray(matrix, dtype=float)
+
+
 def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:
     """Pairwise matrix of ``metric`` on the sample (symmetric, zero diagonal)."""
     if sample.m < 1:
@@ -593,20 +576,12 @@ def streamed_average_matrices(
     schedule = sorted(set(int(n) for n in n_values))
     if not schedule or schedule[0] < 1:
         raise ParameterError("average lengths must be >= 1")
-    rows = np.arange(sample.m)
     if system.kind == "Identity":
-        base = _symmetrize(_values_block(metric.descriptor, sample, rows))
+        base = metric.pairwise(sample)
         for n in schedule:
             yield n, base.copy()
         return
-    state = sample
-    acc = _values_block(metric.descriptor, state, rows)
-    steps = 1
-    for n in schedule:
-        while steps < n:
-            state = advance_sample(state, 1, system)
-            acc += _values_block(metric.descriptor, state, rows)
-            steps += 1
+    for n, acc in _orbit_sums(metric, system, sample, np.arange(sample.m), schedule):
         yield n, _symmetrize(acc / n)
 
 
@@ -667,7 +642,7 @@ def empirical_l1(
     total = 0.0
     for start in range(0, m, chunk_rows):
         rows = np.arange(start, min(start + chunk_rows, m))
-        block = np.abs(m1.pairwise_block(sample, rows) - m2.pairwise_block(sample, rows))
+        block = np.abs(m1.values(sample, rows) - m2.values(sample, rows))
         block[np.arange(len(rows)), rows] = 0.0
         total += float(block.sum())
     return total / (m * (m - 1))
@@ -716,9 +691,8 @@ def mnorm_bounds(
 
 def _cutoff_base(m1, m2, v1, v2):
     """Detect a (rho, cutoff(rho, level)) pair; return (base matrix, level)."""
-    d1, d2 = m1.descriptor, m2.descriptor
-    if isinstance(d2, Cutoff) and _descriptor_label(d2.inner) == _descriptor_label(d1):
-        return v1, d2.level
-    if isinstance(d1, Cutoff) and _descriptor_label(d1.inner) == _descriptor_label(d2):
-        return v2, d1.level
+    if isinstance(m2, Cutoff) and m2.inner == m1:
+        return v1, m2.level
+    if isinstance(m1, Cutoff) and m1.inner == m2:
+        return v2, m1.level
     return None

@@ -98,6 +98,60 @@ class TestConfigParsing:
         assert json.loads(result.stderr)["error"]["field"] == "seeds"
 
 
+ALPHA = (5 ** 0.5 - 1) / 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("metric, field", [
+        ({"type": "Mix", "t": 5, "a": {"type": "Euclidean1D"}, "b": {"type": "CircleArc"}},
+         "metric"),
+        ({"type": "Cutoff", "level": "abc", "inner": {"type": "Euclidean1D"}}, "metric"),
+        ({"type": "Average", "n": 0, "system": {"kind": "CircleRotation", "alpha": ALPHA},
+          "inner": {"type": "Euclidean1D"}}, "metric"),
+        ({"type": "ClosedForm", "tag": "no_such_tag"}, "metric"),
+        # the skew product acts on 2-D points, the rotation sample is 1-D
+        ({"type": "PullBack", "k": 2, "system": {"kind": "AnzaiSkew", "alpha": ALPHA},
+          "inner": {"type": "Euclidean1D"}}, None),
+    ], ids=["mix-t", "cutoff-level", "average-n", "closed-form-tag", "cross-dimension"])
+    def test_bad_metric_exits_2(self, tmp_path, metric, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert error.get("field") == field
+
+    def test_infinite_eps_exits_2(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["eps_grid"] = [0.25, float("inf")]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == "eps_grid"
+
+    @pytest.mark.parametrize("env, flag", [
+        ("abc", None), ("0", None), (None, "0"), (None, "abc"),
+    ])
+    def test_bad_worker_count_exits_2(self, tmp_path, env, flag):
+        import os
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        args = [sys.executable, "-m", "orbent.cli", "run", str(path)]
+        if flag is not None:
+            args += ["--workers", flag]
+        environ = dict(os.environ)
+        environ.pop("ORBENT_WORKERS", None)
+        if env is not None:
+            environ["ORBENT_WORKERS"] = env
+        result = subprocess.run(args, capture_output=True, text=True, env=environ)
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == "workers"
+        assert not (tmp_path / "out").exists()
+
+
 class TestPresets:
     def test_list_names(self):
         result = run_cli("presets", "list")
@@ -156,6 +210,17 @@ class TestRunExperiment:
         with open(paths["rows"]) as fh:
             header = fh.readline().strip()
         assert header == "system,metric,eps,n,seed,method,value_bits"
+
+    def test_estimates_schema(self, bundle):
+        config, paths = bundle
+        with open(paths["estimates"]) as fh:
+            lines = fh.read().strip().splitlines()
+        assert lines[0] == "system,metric,method,n,eps,m,seed,k,value_bits,lower_bound_bits"
+        rows = len(config.eps_grid) * len(config.n_schedule) * len(config.seeds)
+        assert len(lines) == 1 + rows
+        assert lines[1].startswith(
+            f"{config.system.label()},circle_arc,Covering,2,0.25,64,1,"
+        )
 
     def test_rerun_is_byte_identical(self, bundle, tmp_path):
         config, paths = bundle

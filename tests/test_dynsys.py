@@ -112,6 +112,18 @@ class TestApply:
         with pytest.raises(HorizonError):
             advance_sample(sample, 10)
 
+    @pytest.mark.parametrize("acting, drawn", [
+        (anzai_skew(), circle_rotation()),
+        (torus_translation(), circle_rotation()),
+        (circle_rotation(), torus_translation()),
+    ])
+    def test_map_of_another_dimension_rejected(self, acting, drawn):
+        sample = sample_points(drawn, 4, 2)
+        with pytest.raises(ParameterError):
+            advance_sample(sample, 1, acting)
+        # the identity leaves points of any dimension alone
+        assert advance_sample(sample, 3, identity_system()).coords.shape == sample.coords.shape
+
 
 class TestMeasurePreservation:
     @pytest.mark.parametrize("system", [

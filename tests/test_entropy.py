@@ -18,7 +18,7 @@ from orbent import (
     make_standard,
     sample_points,
 )
-from orbent.entropy import append_estimates_csv, estimate_from_matrix
+from orbent.entropy import estimate_from_matrix
 
 from conftest import matrix_from_points
 from oracles import min_entropy_quantization, transport_cost_by_vertex_enumeration
@@ -254,14 +254,3 @@ class TestEstimatePipeline:
         assert kant.method == "Kantorovich"
         with pytest.raises(ParameterError):
             estimate_from_matrix(d, 0.3, "annealing")
-
-    def test_csv_schema(self, tmp_path):
-        d = _metric_matrix([0.0, 0.5, 1.0])
-        est = eps_entropy_cover(d, 0.25, seed=4)
-        path = tmp_path / "estimates.csv"
-        append_estimates_csv(path, [("sys", "metric", 8, est)])
-        append_estimates_csv(path, [("sys", "metric", 16, est)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "system,metric,method,n,eps,m,seed,k,value_bits,lower_bound_bits"
-        assert len(lines) == 3
-        assert lines[1].startswith("sys,metric,Covering,8,0.25,3,4,")

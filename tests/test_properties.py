@@ -1,0 +1,149 @@
+"""Property tests over random descriptor trees built from the node registry."""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbent import (
+    ParameterError,
+    Semimetric,
+    bernoulli_shift,
+    circle_rotation,
+    dyadic_interval_partition,
+    first_symbols_partition,
+    one_block_partition,
+    sample_points,
+    torus_translation,
+)
+from orbent.semimetric import (
+    _NODES,
+    CLOSED_FORMS,
+    Average,
+    Block,
+    CircleArc,
+    ClosedForm,
+    Cutoff,
+    Discrete,
+    Euclidean1D,
+    FirstSymbolCut,
+    Mix,
+    PullBack,
+    TorusArcL1,
+    Zero,
+)
+
+ROTATION = circle_rotation()
+TORUS = torus_translation()
+SHIFT = bernoulli_shift([0.5, 0.5], horizon=64)
+
+# leaves that evaluate on coordinate points and on symbolic points
+COORD_LEAVES = {
+    "Euclidean1D": st.just(Euclidean1D()),
+    "CircleArc": st.just(CircleArc()),
+    "TorusArcL1": st.just(TorusArcL1()),
+    "Discrete": st.just(Discrete()),
+    "Zero": st.just(Zero()),
+    "ClosedForm": st.sampled_from(sorted(CLOSED_FORMS)).map(ClosedForm),
+    "Block": st.one_of(
+        st.integers(0, 4).map(lambda level: Block(dyadic_interval_partition(level))),
+        st.just(Block(one_block_partition())),
+    ),
+}
+SYMBOL_LEAVES = {
+    "FirstSymbolCut": st.just(FirstSymbolCut()),
+    "Discrete": st.just(Discrete()),
+    "Zero": st.just(Zero()),
+    "Block": st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
+        lambda ca: Block(first_symbols_partition(*ca))
+    ),
+}
+INNER = ("Cutoff", "Mix", "PullBack", "Average")
+
+
+def trees(system, leaves):
+    def extend(children):
+        return st.one_of(
+            st.builds(Cutoff, children, st.floats(0.01, 2.0)),
+            st.builds(Mix, children, children, st.floats(0.0, 1.0)),
+            st.builds(PullBack, children, st.just(system), st.integers(0, 3)),
+            st.builds(Average, children, st.just(system), st.integers(1, 4)),
+        )
+
+    return st.recursive(st.one_of(*leaves.values()), extend, max_leaves=4)
+
+
+any_tree = st.one_of(
+    st.tuples(st.just(ROTATION), trees(ROTATION, COORD_LEAVES)),
+    st.tuples(st.just(TORUS), trees(TORUS, COORD_LEAVES)),
+    st.tuples(st.just(SHIFT), trees(SHIFT, SYMBOL_LEAVES)),
+)
+
+
+def test_strategies_cover_the_registry():
+    assert set(COORD_LEAVES) | set(SYMBOL_LEAVES) | set(INNER) == set(_NODES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_tree)
+def test_json_roundtrip(drawn):
+    _, tree = drawn
+    again = Semimetric.from_json(json.loads(json.dumps(tree.to_json())))
+    assert again == tree
+    assert hash(again) == hash(tree)
+    assert again.label() == tree.label()
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_tree, st.integers(0, 2 ** 16))
+def test_pairwise_is_symmetric_with_zero_diagonal(drawn, seed):
+    system, tree = drawn
+    if system.is_symbolic:
+        # the sample's symbol window is exactly what the tree reads, plus one
+        system = system.with_horizon(tree.symbol_horizon() + 1)
+    values = tree.pairwise(sample_points(system, 9, seed))
+    assert np.array_equal(values, values.T)
+    assert np.all(np.diagonal(values) == 0.0)
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+
+def _inner():
+    return {"type": "Euclidean1D"}
+
+
+BAD_PARTITIONS = st.one_of(
+    st.integers(),
+    st.just({"kind": "spiral"}),
+    st.builds(lambda level: {"kind": "dyadic_intervals", "level": level},
+              st.one_of(st.integers(max_value=-1), st.integers(min_value=54))),
+    # block indices of 2**63 and more would wrap around in int64
+    st.builds(lambda count: {"kind": "first_symbols", "count": count, "alphabet": 2},
+              st.one_of(st.integers(max_value=0), st.integers(min_value=63), st.just("x"))),
+)
+BAD_FIELDS = st.one_of(
+    st.builds(lambda t: {"type": "Mix", "a": _inner(), "b": _inner(), "t": t},
+              st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9),
+                        st.just(float("nan")), st.just("half"))),
+    st.builds(lambda level: {"type": "Cutoff", "inner": _inner(), "level": level},
+              st.one_of(st.floats(max_value=0.0), st.just(float("nan")), st.just("abc"))),
+    st.builds(lambda k: {"type": "PullBack", "inner": _inner(),
+                         "system": ROTATION.to_json(), "k": k},
+              st.one_of(st.integers(max_value=-1), st.just("two"))),
+    st.builds(lambda n: {"type": "Average", "inner": _inner(),
+                         "system": ROTATION.to_json(), "n": n},
+              st.one_of(st.integers(max_value=0), st.just("four"))),
+    st.builds(lambda tag: {"type": "ClosedForm", "tag": tag},
+              st.text(max_size=12).filter(lambda tag: tag not in CLOSED_FORMS)),
+    st.builds(lambda part: {"type": "Block", "partition": part}, BAD_PARTITIONS),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(BAD_FIELDS)
+def test_out_of_range_fields_rejected(blob):
+    with pytest.raises(ParameterError):
+        Semimetric.from_json(blob)
+    # the same check guards a bad node nested inside a valid one
+    with pytest.raises(ParameterError):
+        Semimetric.from_json({"type": "Cutoff", "level": 0.5, "inner": blob})

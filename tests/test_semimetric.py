@@ -290,6 +290,56 @@ class TestSerialization:
         assert again.label() == metric.label()
 
 
+# One instance of each node type with the literal label and JSON that result
+# files carry (rows.csv, estimates.csv, config.json, profile.json).
+GOLDEN = [
+    (lambda: make_standard("euclidean_1d"), "euclidean_1d", '{"type": "Euclidean1D"}'),
+    (lambda: make_standard("circle_arc"), "circle_arc", '{"type": "CircleArc"}'),
+    (lambda: make_standard("torus_arc_l1"), "torus_arc_l1", '{"type": "TorusArcL1"}'),
+    (lambda: make_standard("first_symbol_cut"), "first_symbol_cut",
+     '{"type": "FirstSymbolCut"}'),
+    (lambda: make_standard("discrete"), "discrete", '{"type": "Discrete"}'),
+    (lambda: make_standard("zero"), "zero", '{"type": "Zero"}'),
+    (lambda: closed_form("abs_plus_square"), "ClosedForm[abs_plus_square]",
+     '{"tag": "abs_plus_square", "type": "ClosedForm"}'),
+    (lambda: block_semimetric(first_symbols_partition(2, alphabet=3)),
+     "Block[first_symbols;count=2;alphabet=3]",
+     '{"partition": {"alphabet": 3, "count": 2, "kind": "first_symbols"}, "type": "Block"}'),
+    (lambda: cutoff(make_standard("euclidean_1d"), 0.3),
+     "Cutoff[euclidean_1d;level=0.29999999999999999]",
+     '{"inner": {"type": "Euclidean1D"}, "level": 0.3, "type": "Cutoff"}'),
+    (lambda: mix(make_standard("euclidean_1d"), make_standard("circle_arc"), 0.25),
+     "Mix[euclidean_1d;circle_arc;t=0.25]",
+     '{"a": {"type": "Euclidean1D"}, "b": {"type": "CircleArc"}, "t": 0.25, "type": "Mix"}'),
+    (lambda: pull_back(make_standard("circle_arc"), circle_rotation(0.2), 3),
+     "PullBack[circle_arc;k=3;CircleRotation[alpha=0.20000000000000001]]",
+     '{"inner": {"type": "CircleArc"}, "k": 3, '
+     '"system": {"alpha": 0.2, "kind": "CircleRotation"}, "type": "PullBack"}'),
+    (lambda: average_metric(make_standard("first_symbol_cut"),
+                            bernoulli_shift([0.5, 0.5], horizon=64), 8),
+     "Average[first_symbol_cut;n=8;BernoulliShift[weights=0.5;0.5]]",
+     '{"inner": {"type": "FirstSymbolCut"}, "n": 8, '
+     '"system": {"horizon": 64, "kind": "BernoulliShift", "weights": [0.5, 0.5]}, '
+     '"type": "Average"}'),
+    (lambda: block_semimetric(dyadic_interval_partition(3)),
+     "Block[dyadic_intervals;level=3]",
+     '{"partition": {"kind": "dyadic_intervals", "level": 3}, "type": "Block"}'),
+    (lambda: block_semimetric(one_block_partition()), "Block[one_block;blocks=1]",
+     '{"partition": {"kind": "one_block"}, "type": "Block"}'),
+]
+
+
+class TestGoldenStrings:
+    @pytest.mark.parametrize("make, label, blob", GOLDEN, ids=[g[1] for g in GOLDEN])
+    def test_label_and_json(self, make, label, blob):
+        metric = make()
+        assert metric.label() == label
+        assert json.dumps(metric.to_json(), sort_keys=True) == blob
+        again = Semimetric.from_json(json.loads(blob))
+        assert again == metric
+        assert again.label() == label
+
+
 class TestEmpiricalL1:
     def test_same_metric_is_zero(self, euclid, identity):
         sample = sample_points(identity, 50, 2)
