@@ -70,6 +70,7 @@ from .admit import (
 )
 from .scaling import (
     GrowthClass,
+    LimitCheck,
     ProfileRow,
     ScalingProfile,
     SpectralVerdict,

@@ -365,15 +365,37 @@ def admissibility_report(
 ) -> AdmissibilityReport:
     """Run all three diagnostics on one (system, metric) pair."""
     sample = sample_points(system, m, seed)
-    dist = distance_matrix(metric, sample)
-    off = ~np.eye(m, dtype=bool)
-    l1 = float(dist.values[off].mean())
-    ball = ball_mass_test(dist, eps)
+    return matrix_report(
+        system, metric, sample, distance_matrix(metric, sample), seed=seed, eps=eps,
+        c=c, pc_n=pc_n, pc_trials=pc_trials, trace_schedule=trace_schedule,
+    )
+
+
+def matrix_report(
+    system: SystemSpec,
+    metric: Semimetric,
+    sample: PointSample,
+    matrix: MatrixLike,
+    *,
+    seed: int,
+    eps: float,
+    c: float,
+    pc_n: int,
+    pc_trials: int,
+    trace_schedule: Sequence[int],
+) -> AdmissibilityReport:
+    """The diagnostics of ``admissibility_report`` on a sample and its value
+    matrix under ``metric``; the separated-set test draws its own points from
+    ``seed``, so only that test evaluates ``metric``."""
+    values = as_values(matrix)
+    off = ~np.eye(values.shape[0], dtype=bool)
+    l1 = float(values[off].mean())
+    ball = ball_mass_test(values, eps)
     pc = random_matrix_test(metric, system, c, pc_n, pc_trials, seed)
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
     if sample.coords is not None:
-        curve = trace_from_matrix(dist, sample, trace_schedule)
+        curve = trace_from_matrix(values, sample, trace_schedule)
         trace_ok = trace_evidence(curve, l1)
     return AdmissibilityReport(
         ball_mass_fraction=ball, pc_probability=pc, trace_curve=curve,

@@ -27,6 +27,11 @@ OUTPUT_DIR_ENV = "ORBENT_OUTPUT_DIR"
 
 METHODS = ("Covering", "Kantorovich")
 
+# m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
+# a one-worker run grows by about 5.5 of them (orbit sum, step values, kernel
+# scratch, the previous step's matrix, mirror indices, estimator masks)
+WORKING_SET_MATRICES = 8
+
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
 ESTIMATES_CSV_HEADER = (
     "system", "metric", "method", "n", "eps", "m", "seed", "k",
@@ -64,6 +69,14 @@ class ExperimentConfig:
             "method": self.method,
             "output_dir": self.output_dir,
         }
+
+
+def _physical_memory() -> Optional[int]:
+    """Physical memory in bytes, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _list_field(obj: dict, key: str, convert, kind: str) -> tuple:
@@ -110,6 +123,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("m", "m must be an integer") from exc
     if m < 2:
         raise ConfigError("m", "m must be >= 2")
+    need = WORKING_SET_MATRICES * 8 * m * m
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(
+            "m", f"m={m} needs about {need / 2 ** 30:.3g} GiB for "
+                 f"{WORKING_SET_MATRICES} m-by-m float64 matrices, more than the "
+                 f"{memory / 2 ** 30:.3g} GiB of physical memory",
+        )
 
     seeds = _list_field(obj, "seeds", int, "integers")
 
@@ -164,20 +185,25 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     out.mkdir(parents=True, exist_ok=True)
     workers = workers or 1
 
+    # admissibility diagnostics of the largest-n average, from each seed's pass
+    limit = scaling.LimitCheck(eps=min(config.eps_grid), c=0.4)
+
     def seed_job(seed: int):
         return scaling.profile_cells(
             config.system, config.metric, config.n_schedule, config.m, [seed],
-            config.eps_grid, config.method,
+            config.eps_grid, config.method, limit=limit,
         )
 
     cells: dict = {}
+    limit_reports: dict = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(seed_job, config.seeds):
-                cells.update(part)
+            parts = list(pool.map(seed_job, config.seeds))
     else:
-        for seed in config.seeds:
-            cells.update(seed_job(seed))
+        parts = [seed_job(seed) for seed in config.seeds]
+    for part_cells, part_reports in parts:
+        cells.update(part_cells)
+        limit_reports.update(part_reports)
 
     profiles = [
         scaling.assemble_profile(
@@ -188,17 +214,16 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     ]
     verdict = scaling.discreteness_verdict(profiles) if len(set(config.eps_grid)) >= 2 else None
 
-    # admissibility diagnostics: base metric and the largest-n average
-    diag_eps = min(config.eps_grid)
+    # admissibility diagnostics of the base metric
     base_report = admit.admissibility_report(
         config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
-        eps=diag_eps, c=0.4,
+        eps=limit.eps, c=limit.c,
     )
     min_eps_profile = min(profiles, key=lambda p: p.eps)
     limit_report = scaling.limit_metric_check(
         config.system, config.metric, n_big=max(config.n_schedule), m=config.m,
-        seeds=config.seeds, eps=diag_eps, c=0.4,
-        profile_class=min_eps_profile.growth_class,
+        seeds=config.seeds, limit=limit, profile_class=min_eps_profile.growth_class,
+        reports=limit_reports,
     )
 
     paths = {

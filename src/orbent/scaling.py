@@ -9,12 +9,12 @@ a purely discrete spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import admit
-from .dynsys import SystemSpec, sample_points
+from .dynsys import PointSample, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -204,14 +204,21 @@ def profile_cells(
     seeds: Sequence[int],
     eps_values: Sequence[float],
     method: str = "Covering",
-) -> dict[tuple[float, int, int], EpsEntropyEstimate]:
-    """Entropy estimates for every (eps, n, seed) cell.
+    *,
+    limit: Optional[LimitCheck] = None,
+) -> tuple[dict[tuple[float, int, int], EpsEntropyEstimate], dict[int, admit.AdmissibilityReport]]:
+    """Entropy estimates for every (eps, n, seed) cell, and with ``limit`` the
+    limit-check report of every seed.
 
     One orbit pass per seed; each cell equals the standalone
-    ``entropy_estimate`` pipeline bit-for-bit.
+    ``entropy_estimate`` pipeline bit-for-bit.  When the pass reaches the
+    largest n of the schedule, ``limit`` runs on that live matrix, so a seed's
+    report equals ``admissibility_report`` of ``average_metric(metric, system,
+    max(n_schedule))`` on the same m and seed.  No matrix outlives its step.
     """
     schedule = _validate_schedule(n_schedule)
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
+    reports: dict[int, admit.AdmissibilityReport] = {}
     for seed in seeds:
         sample = sample_points(system, m, int(seed))
         for n, values in streamed_average_matrices(metric, system, sample, schedule):
@@ -220,7 +227,9 @@ def profile_cells(
                 cells[(float(eps), n, int(seed))] = estimate_from_matrix(
                     dist, float(eps), method, seed=int(seed)
                 )
-    return cells
+            if limit is not None and n == schedule[-1]:
+                reports[int(seed)] = limit.report(system, metric, n, sample, dist, int(seed))
+    return cells, reports
 
 
 def _median_row(
@@ -268,7 +277,7 @@ def scaling_profile(
     """Entropy-vs-n profile at one eps, rows are medians over >= 3 seeds."""
     if len(seeds) < 3:
         raise ParameterError("a profile needs at least 3 seeds")
-    cells = profile_cells(system, metric, n_schedule, m, seeds, [eps], method)
+    cells, _ = profile_cells(system, metric, n_schedule, m, seeds, [eps], method)
     return assemble_profile(system, metric, method, eps, n_schedule, seeds, cells)
 
 
@@ -351,6 +360,29 @@ class LimitMetricReport:
         }
 
 
+@dataclass(frozen=True)
+class LimitCheck:
+    """Settings of the admissibility diagnostics on the large-n averaged metric."""
+
+    eps: float = 0.1
+    c: float = 0.4
+    pc_n: int = 32
+    pc_trials: int = 20
+    trace_schedule: tuple[int, ...] = (2, 4, 8, 16, 32)
+
+    def report(
+        self, system: SystemSpec, metric: Semimetric, n: int, sample: PointSample,
+        matrix: DistanceMatrix, seed: int,
+    ) -> admit.AdmissibilityReport:
+        """Diagnostics of the n-step average of ``metric`` from its ``matrix``
+        on ``sample``, which was drawn with ``seed``."""
+        return admit.matrix_report(
+            system, average_metric(metric, system, n), sample, matrix, seed=seed,
+            eps=self.eps, c=self.c, pc_n=self.pc_n, pc_trials=self.pc_trials,
+            trace_schedule=self.trace_schedule,
+        )
+
+
 def limit_metric_check(
     system: SystemSpec,
     metric: Semimetric,
@@ -358,50 +390,42 @@ def limit_metric_check(
     m: int,
     seeds: Sequence[int],
     *,
-    eps: float = 0.1,
-    c: float = 0.4,
-    pc_n: int = 32,
-    pc_trials: int = 20,
-    trace_schedule: Sequence[int] = (2, 4, 8, 16, 32),
+    limit: LimitCheck = LimitCheck(),
     profile_class: Optional[GrowthClass] = None,
+    reports: Optional[Mapping[int, admit.AdmissibilityReport]] = None,
 ) -> LimitMetricReport:
-    """Admissibility diagnostics of the n_big-step average of ``metric``.
+    """Admissibility diagnostics of the n_big-step average of ``metric``,
+    combined over ``seeds``.
 
-    A Bounded profile should come with admissible evidence here and a growing
-    one with degenerate evidence; ``consistent`` records that cross-check
-    when a profile class is supplied.
+    ``reports`` maps each seed to its report from the orbit pass of
+    ``profile_cells(..., limit=limit)`` whose schedule ends at n_big; without
+    it that pass runs here with the schedule [n_big] and no estimates.  The
+    seeds are read in order, so a repeated seed counts again, and the trace
+    curve is the first seed's.  A Bounded profile should come with admissible
+    evidence here and a growing one with degenerate evidence; ``consistent``
+    records that cross-check when a profile class is supplied.
     """
     if n_big < 1:
         raise ParameterError("n_big must be >= 1")
-    averaged = average_metric(metric, system, n_big)
-    balls = []
-    pcs = []
-    per_seed = []
-    curve: list = []
-    trace_ok: Optional[bool] = None
-    for i, seed in enumerate(seeds):
-        report = admit.admissibility_report(
-            system, averaged, m=m, seed=int(seed), eps=eps, c=c,
-            pc_n=pc_n, pc_trials=pc_trials, trace_schedule=trace_schedule,
-        )
-        balls.append(report.ball_mass_fraction)
-        pcs.append(report.pc_probability)
-        per_seed.append({
-            "seed": int(seed),
-            "ball_mass_fraction": report.ball_mass_fraction,
-            "pc_probability": report.pc_probability,
-        })
-        if i == 0:
-            curve = report.trace_curve
-            trace_ok = report.trace_ok
-    ball_med = float(np.median(balls))
-    pc_med = float(np.median(pcs))
-    verdict = admit.combine_verdict(ball_med, pc_med, trace_ok)
+    if not seeds:
+        raise ParameterError("the limit check needs at least one seed")
+    if reports is None:
+        _, reports = profile_cells(system, metric, [n_big], m, seeds, [], limit=limit)
+    per_seed = [reports[int(seed)] for seed in seeds]
+    ball_med = float(np.median([r.ball_mass_fraction for r in per_seed]))
+    pc_med = float(np.median([r.pc_probability for r in per_seed]))
+    first = per_seed[0]
+    verdict = admit.combine_verdict(ball_med, pc_med, first.trace_ok)
     consistent = None
     if profile_class is not None:
         consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
         n_big=int(n_big), ball_mass_fraction=ball_med, pc_probability=pc_med,
-        trace_curve=curve, trace_ok=trace_ok, verdict=verdict,
-        profile_class=profile_class, consistent=consistent, per_seed=per_seed,
+        trace_curve=first.trace_curve, trace_ok=first.trace_ok, verdict=verdict,
+        profile_class=profile_class, consistent=consistent,
+        per_seed=[
+            {"seed": int(seed), "ball_mass_fraction": r.ball_mass_fraction,
+             "pc_probability": r.pc_probability}
+            for seed, r in zip(seeds, per_seed)
+        ],
     )

@@ -222,7 +222,8 @@ class Euclidean1D(Semimetric):
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)[:, 0]
-        return np.abs(c[rows, None] - c[None, :])
+        d = np.subtract(c[rows, None], c[None, :])
+        return np.abs(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,9 @@ class CircleArc(Semimetric):
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)[:, 0]
-        d = np.abs(c[rows, None] - c[None, :])
-        return np.minimum(d, 1.0 - d)
+        d = np.subtract(c[rows, None], c[None, :])
+        np.abs(d, out=d)
+        return np.minimum(d, np.subtract(1.0, d), out=d)
 
 
 @dataclass(frozen=True)
@@ -246,9 +248,13 @@ class TorusArcL1(Semimetric):
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)
         acc = np.zeros((len(rows), sample.m))
+        d = np.empty_like(acc)
+        e = np.empty_like(acc)
         for j in range(c.shape[1]):
-            d = np.abs(c[rows, None, j] - c[None, :, j])
-            acc += np.minimum(d, 1.0 - d)
+            np.subtract(c[rows, None, j], c[None, :, j], out=d)
+            np.abs(d, out=d)
+            np.subtract(1.0, d, out=e)
+            acc += np.minimum(d, e, out=d)
         return acc
 
 
@@ -364,8 +370,8 @@ class Cutoff(Semimetric):
     level: float
 
     def __post_init__(self) -> None:
-        if not (self.level > 0):
-            raise ParameterError("cut-off level must be positive")
+        if not (0 < self.level < math.inf):
+            raise ParameterError("cut-off level must be positive and finite")
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         return np.minimum(self.inner.values(sample, rows), self.level)

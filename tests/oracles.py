@@ -3,11 +3,16 @@
 These deliberately avoid the library's solver paths: transport costs come
 from enumerating transportation-polytope vertices (spanning trees of the
 complete bipartite support graph), and covering counts from exhaustive
-search over ball-center subsets.
+search over ball-center subsets.  The limit-check reference recomputes the
+large-n average from scratch for every seed.
 """
 from itertools import combinations
 
 import numpy as np
+
+from orbent import admissibility_report, average_metric
+from orbent.admit import combine_verdict
+from orbent.scaling import LimitMetricReport
 
 
 def transport_cost_by_vertex_enumeration(cost, supply, demand):
@@ -131,3 +136,29 @@ def min_entropy_quantization(values, eps, max_atoms, rel_tol=1e-12):
             if best is None or entropy < best[0]:
                 best = (entropy, int(len(weights)))
     return best
+
+
+def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
+    """One seed's limit-check diagnostics with the n_big average recomputed."""
+    return admissibility_report(
+        system, average_metric(metric, system, n_big), m=m, seed=seed, eps=eps,
+        c=0.4, pc_n=32, pc_trials=20,
+    )
+
+
+def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_class=None):
+    """The limit check as a recompute per seed, combined in seed order."""
+    reports = [standalone_limit_report(system, metric, n_big, m, s, eps) for s in seeds]
+    ball = float(np.median([r.ball_mass_fraction for r in reports]))
+    pc = float(np.median([r.pc_probability for r in reports]))
+    verdict = combine_verdict(ball, pc, reports[0].trace_ok)
+    consistent = None
+    if profile_class is not None:
+        consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
+    return LimitMetricReport(
+        n_big=n_big, ball_mass_fraction=ball, pc_probability=pc,
+        trace_curve=reports[0].trace_curve, trace_ok=reports[0].trace_ok,
+        verdict=verdict, profile_class=profile_class, consistent=consistent,
+        per_seed=[{"seed": s, "ball_mass_fraction": r.ball_mass_fraction,
+                   "pc_probability": r.pc_probability} for s, r in zip(seeds, reports)],
+    )

@@ -13,6 +13,9 @@ from orbent.cli import (
     parse_config,
     run_experiment,
 )
+from orbent.scaling import GrowthClass
+
+from oracles import reference_limit_check
 
 
 def rotation_config(output_dir, metric=None):
@@ -172,6 +175,19 @@ class TestPresets:
         result = run_cli("presets", "emit", "no-such-preset")
         assert result.returncode == 2
 
+    def test_memory_budget_refuses_huge_m(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["m"] = 200_000
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == "m"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == "m"
+        assert not (tmp_path / "out").exists()
+
     def test_every_preset_parses(self, tmp_path):
         for name, raw in PRESETS.items():
             raw = dict(raw)
@@ -243,6 +259,25 @@ class TestRunExperiment:
         _, paths = bundle
         verdict = json.load(open(paths["verdict"]))
         assert verdict["verdict"] == "DiscreteSpectrumEvidence"
+
+
+class TestLimitCheckInBundle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_averaged_section_equals_recomputed_check(self, tmp_path, workers):
+        raw = rotation_config(tmp_path / "out", {"type": "Euclidean1D"})
+        raw.update(n_schedule=[1, 2, 4, 8], seeds=[7, 3, 7])
+        config = parse_config(raw)
+        paths = run_experiment(config, workers=workers)
+        with open(paths["profile"]) as fh:
+            profiles = json.load(fh)["profiles"]
+        min_eps = min(profiles, key=lambda p: p["eps"])
+        expected = reference_limit_check(
+            config.system, config.metric, 8, 64, [7, 3, 7], eps=0.1,
+            profile_class=GrowthClass.from_json(min_eps["growth_class"]),
+        )
+        with open(paths["admissibility"]) as fh:
+            averaged = json.load(fh)["averaged"]
+        assert averaged == json.loads(json.dumps(expected.to_json()))
 
 
 class TestCompare:

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from orbent import (
     ParameterError,
     Semimetric,
+    anzai_skew,
     bernoulli_shift,
+    check_axioms,
     circle_rotation,
     dyadic_interval_partition,
     first_symbols_partition,
+    identity_system,
     one_block_partition,
     sample_points,
     torus_translation,
 )
+from orbent.dynsys import advance_sample
 from orbent.semimetric import (
     _NODES,
     CLOSED_FORMS,
@@ -108,6 +112,35 @@ def test_pairwise_is_symmetric_with_zero_diagonal(drawn, seed):
     assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(any_tree.filter(lambda drawn: "squared_abs_diff" not in drawn[1].label()),
+       st.integers(0, 2 ** 16))
+def test_triangle_inequality(drawn, seed):
+    # squared_abs_diff is the shipped negative control, so it is left out
+    system, tree = drawn
+    if system.is_symbolic:
+        system = system.with_horizon(tree.symbol_horizon() + 1)
+    report = check_axioms(tree, sample_points(system, 9, seed), tol=1e-9)
+    assert report.triples_checked == 9 ** 3
+    assert report.triangle_defect <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ROTATION, TORUS, anzai_skew(), identity_system(), SHIFT]),
+       st.integers(0, 12), st.integers(0, 12), st.integers(0, 2 ** 16))
+def test_advance_sample_is_a_semigroup(system, j, k, seed):
+    # the single orbit pass advances one step at a time and relies on this
+    sample = sample_points(system, 7, seed) if system.kind != "Identity" \
+        else sample_points(TORUS, 7, seed)
+    twice = advance_sample(advance_sample(sample, j, system), k, system)
+    once = advance_sample(sample, j + k, system)
+    if system.is_symbolic:
+        assert twice.symbol_offset == once.symbol_offset == j + k
+        assert twice.symbols is once.symbols is sample.symbols
+    else:
+        assert twice.coords.tobytes() == once.coords.tobytes()
+
+
 def _inner():
     return {"type": "Euclidean1D"}
 
@@ -126,7 +159,8 @@ BAD_FIELDS = st.one_of(
               st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9),
                         st.just(float("nan")), st.just("half"))),
     st.builds(lambda level: {"type": "Cutoff", "inner": _inner(), "level": level},
-              st.one_of(st.floats(max_value=0.0), st.just(float("nan")), st.just("abc"))),
+              st.one_of(st.floats(max_value=0.0), st.just(float("nan")),
+                        st.just(float("inf")), st.just("abc"))),
     st.builds(lambda k: {"type": "PullBack", "inner": _inner(),
                          "system": ROTATION.to_json(), "k": k},
               st.one_of(st.integers(max_value=-1), st.just("two"))),

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from orbent import (
     ParameterError,
+    anzai_skew,
     bernoulli_shift,
     circle_rotation,
     classify_growth,
@@ -18,11 +21,15 @@ from orbent.scaling import (
     LINEAR,
     UNDETERMINED,
     GrowthClass,
+    LimitCheck,
     ProfileRow,
     ScalingProfile,
     SpectralVerdict,
     growth_diagnostics,
+    profile_cells,
 )
+
+from oracles import reference_limit_check, standalone_limit_report
 
 
 def rows_from(pairs, seed=1):
@@ -186,3 +193,47 @@ class TestLimitMetricCheck:
         )
         assert report.verdict == base.verdict
         assert report.ball_mass_fraction == base.ball_mass_fraction
+
+
+def as_json_text(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+LIMIT_CASES = {
+    "rotation": (circle_rotation(), make_standard("euclidean_1d")),
+    "anzai": (anzai_skew(), make_standard("torus_arc_l1")),
+    "bernoulli": (bernoulli_shift([0.5, 0.5], horizon=40), make_standard("first_symbol_cut")),
+    "identity": (identity_system(), make_standard("euclidean_1d")),
+}
+
+
+class TestLimitReportsFromThePass:
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    @pytest.mark.parametrize("schedule", [[1], [1, 3, 8]], ids=["n1", "n8"])
+    def test_seed_report_equals_standalone(self, case, schedule):
+        system, metric = LIMIT_CASES[case]
+        limit = LimitCheck(eps=0.15)
+        cells, reports = profile_cells(
+            system, metric, schedule, 48, [4, 9], [0.25, 0.15], limit=limit,
+        )
+        assert len(cells) == 2 * len(schedule) * 2
+        for seed in (4, 9):
+            expected = standalone_limit_report(system, metric, schedule[-1], 48, seed, 0.15)
+            assert as_json_text(reports[seed]) == as_json_text(expected)
+
+    def test_no_reports_without_a_limit(self, euclid, rotation):
+        _, reports = profile_cells(rotation, euclid, [1, 2], 32, [1], [0.1])
+        assert reports == {}
+
+    @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+    def test_repeated_seed_counts_again(self, case):
+        system, metric = LIMIT_CASES[case]
+        seeds = [6, 2, 6]
+        report = limit_metric_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
+        assert [row["seed"] for row in report.per_seed] == seeds
+        expected = reference_limit_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
+        assert as_json_text(report) == as_json_text(expected)
+
+    def test_needs_a_seed(self, euclid, rotation):
+        with pytest.raises(ParameterError):
+            limit_metric_check(rotation, euclid, 8, 48, [])

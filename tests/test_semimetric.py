@@ -188,6 +188,32 @@ class TestAverage:
             assert np.array_equal(values, direct)
 
 
+class TestCoordinateKernels:
+    """The buffered kernels against the plain broadcast expressions, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [None, [17, 0, 5, 5, 39]], ids=["all", "subset"])
+    def test_match_broadcast_expressions(self, rows):
+        from orbent import anzai_skew
+
+        sample = sample_points(anzai_skew(), 40, 11)
+        c = sample.coords
+        rows = np.arange(sample.m) if rows is None else np.array(rows)
+        first = np.abs(c[rows, None, 0] - c[None, :, 0])
+        torus = np.zeros((len(rows), sample.m))
+        for j in range(c.shape[1]):
+            d = np.abs(c[rows, None, j] - c[None, :, j])
+            torus += np.minimum(d, 1.0 - d)
+        expected = {
+            "euclidean_1d": first,
+            "circle_arc": np.minimum(first, 1.0 - first),
+            "torus_arc_l1": torus,
+        }
+        for tag, reference in expected.items():
+            got = make_standard(tag).values(sample, rows)
+            assert got.shape == reference.shape
+            assert got.tobytes() == reference.tobytes(), tag
+
+
 class TestCutoffAndMix:
     def test_below_cap(self, euclid):
         assert cutoff(euclid, 10.0)(pt(0.2), pt(0.7)) == pytest.approx(0.5, abs=1e-15)
