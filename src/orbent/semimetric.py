@@ -11,6 +11,13 @@ the registry ``_NODES`` and, per field, the ``_DECODE`` entry of the field's
 annotated type.  A new node needs its class, an entry in ``_NODES``, and a
 ``_DECODE`` entry only for a field type not yet there.
 
+A cut (0 where two points' keys agree, 1 where they differ) subclasses
+:class:`_Cut` and implements ``keys(sample)``, one comparable key per point,
+reading at most ``symbol_horizon()`` symbols.  On a shift its orbit average
+reads the keys of a chunk of steps from one sliding window and counts the
+differing steps by XOR and popcount; on other systems it steps like any other
+node.
+
 Symmetry is exact by construction: scalar evaluation canonicalizes the
 argument order and matrix evaluation mirrors the upper triangle.
 """
@@ -22,6 +29,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynsys import Point, PointSample, SystemSpec, advance_sample, identity_system
 from .errors import HorizonError, MetricTypeError, ParameterError
@@ -258,15 +266,29 @@ class TorusArcL1(Semimetric):
         return acc
 
 
+def _differ(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return (keys[rows, None] != keys[None, :]).astype(float)
+
+
+class _Cut(Semimetric):
+    """0 if two points have the same key, else 1."""
+
+    @abstractmethod
+    def keys(self, sample: PointSample) -> np.ndarray:
+        """One key per point, shape (m,)."""
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        return _differ(self.keys(sample), rows)
+
+
 @dataclass(frozen=True)
-class FirstSymbolCut(Semimetric):
+class FirstSymbolCut(_Cut):
     """1 if the leading symbols differ, else 0."""
 
     standard_tag = "first_symbol_cut"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        s = _window(sample, 1)[:, 0]
-        return (s[rows, None] != s[None, :]).astype(float)
+    def keys(self, sample: PointSample) -> np.ndarray:
+        return _window(sample, 1)[:, 0]
 
     def symbol_horizon(self) -> int:
         return 1
@@ -274,7 +296,8 @@ class FirstSymbolCut(Semimetric):
 
 @dataclass(frozen=True)
 class Discrete(Semimetric):
-    """1 if the points differ at all, else 0."""
+    """1 if the points differ at all, else 0.  On symbols it reads the whole
+    live window, past ``symbol_horizon()``, so it is not a cut."""
 
     standard_tag = "discrete"
 
@@ -282,8 +305,8 @@ class Discrete(Semimetric):
         if sample.coords is not None:
             c = sample.coords
             return np.any(c[rows, None, :] != c[None, :, :], axis=2).astype(float)
-        s = _window(sample, 1)
-        return np.any(s[rows, None, :] != s[None, :, :], axis=2).astype(float)
+        _, keys = np.unique(_window(sample, 1), axis=0, return_inverse=True)
+        return _differ(keys.reshape(-1), rows)
 
     def symbol_horizon(self) -> int:
         return 1
@@ -342,14 +365,13 @@ class ClosedForm(Semimetric):
 
 
 @dataclass(frozen=True)
-class Block(Semimetric):
+class Block(_Cut):
     """0 within a block of the partition, 1 across blocks."""
 
     partition: Partition
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        idx = self.partition.assign_indices(sample)
-        return (idx[rows, None] != idx[None, :]).astype(float)
+    def keys(self, sample: PointSample) -> np.ndarray:
+        return self.partition.assign_indices(sample)
 
     def label(self) -> str:
         return f"Block[{self.partition.label()}]"
@@ -429,16 +451,62 @@ class PullBack(Semimetric):
         return extra + self.inner.symbol_horizon()
 
 
+_CUT_KEYS = 1 << 15  # keys per popcount chunk, so its temporaries stay small for any m and n
+
+
+def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.ndarray:
+    """Keys of shift steps start .. stop-1, shape (m, stop - start), without
+    stepping: step k's key reads only symbols k .. k + horizon - 1."""
+    width = max(cut.symbol_horizon(), 1)
+    window = sample.symbol_window
+    if window.shape[1] < stop - 1 + width:
+        raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {window.shape[1]}")
+    steps = sliding_window_view(window, width, axis=1)[:, start:stop].reshape(-1, width)
+    flat = PointSample(sample.system, sample.seed, symbols=steps)
+    return cut.keys(flat).reshape(sample.m, stop - start)
+
+
+def _add_cut_counts(acc: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
+    """Add to acc[i, j] the number of steps (columns of ``keys``) at which
+    points rows[i] and j have different keys: keys mapped one-to-one onto
+    uint64 labels, then per uint64 word of 64 steps the OR over the labels'
+    bit planes of their XOR, bit-counted."""
+    m, steps = keys.shape
+    words = -(-steps // 64)
+    labels = np.zeros((m, 64 * words), np.uint64)  # the padding never differs
+    if keys.dtype.kind in "iu":  # an offset modulo 2**64 is one-to-one at any key range
+        np.subtract(keys, keys.min(initial=0), out=labels[:, :steps],
+                    dtype=np.uint64, casting="unsafe")
+    else:
+        labels[:, :steps] = np.unique(keys, return_inverse=True)[1].reshape(m, steps)
+    planes = [np.packbits(labels >> bit & 1, axis=1).view(np.uint64)
+              for bit in range(int(labels.max(initial=0)).bit_length())]
+    for w in range(words):
+        diff = np.uint64(0)
+        for plane in planes:
+            diff = diff | (plane[rows, w, None] ^ plane[None, :, w])
+        acc += np.bitwise_count(diff)
+
+
 def _orbit_sums(
     inner: Semimetric, system: SystemSpec, sample: PointSample, rows: np.ndarray,
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, sum of the first n pull-backs of ``inner``) along an ascending
-    schedule; the sum is updated in place, so keeping it past a step needs a copy."""
+    schedule; the sum is updated in place, so keeping it past a step needs a copy.
+    A cut on a shift adds exact integer counts of its differing steps, chunk by
+    chunk, so its sum is bit-identical to adding its 0/1 matrices step by step."""
+    cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
     state = sample
-    acc = inner.values(state, rows)
-    steps = 1
+    acc = np.zeros((len(rows), sample.m)) if cut else inner.values(state, rows)
+    steps = 0 if cut else 1
+    chunk = 64 * max(_CUT_KEYS // (64 * max(sample.m, 1)), 1)
     for n in schedule:
+        if cut:
+            for start in range(steps, n, chunk):
+                stop = min(start + chunk, n)
+                _add_cut_counts(acc, _window_keys(inner, sample, start, stop), rows)
+            steps = max(steps, n)
         while steps < n:
             state = advance_sample(state, 1, system)
             acc += inner.values(state, rows)

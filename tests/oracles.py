@@ -4,7 +4,9 @@ These deliberately avoid the library's solver paths: transport costs come
 from enumerating transportation-polytope vertices (spanning trees of the
 complete bipartite support graph), and covering counts from exhaustive
 search over ball-center subsets.  The limit-check reference recomputes the
-large-n average from scratch for every seed.
+large-n average from scratch for every seed.  The orbit-sum reference adds
+one value matrix per orbit step, and the ``Discrete`` reference compares
+every pair of points symbol by symbol.
 """
 from itertools import combinations
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from orbent import admissibility_report, average_metric
 from orbent.admit import combine_verdict
+from orbent.dynsys import advance_sample
 from orbent.scaling import LimitMetricReport
 
 
@@ -162,3 +165,22 @@ def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_clas
         per_seed=[{"seed": s, "ball_mass_fraction": r.ball_mass_fraction,
                    "pc_probability": r.pc_probability} for s, r in zip(seeds, reports)],
     )
+
+
+def stepwise_orbit_sums(inner, system, sample, rows, schedule):
+    """(n, copy of the sum of the first n pull-backs), one value matrix per step."""
+    state = sample
+    acc = inner.values(state, rows)
+    steps = 1
+    for n in schedule:
+        while steps < n:
+            state = advance_sample(state, 1, system)
+            acc += inner.values(state, rows)
+            steps += 1
+        yield n, acc.copy()
+
+
+def discrete_by_broadcast(sample, rows):
+    """``Discrete`` values as an m x m x width comparison of whole points."""
+    points = sample.coords if sample.coords is not None else sample.symbol_window
+    return np.any(points[rows, None, :] != points[None, :, :], axis=2).astype(float)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from orbent import (
+    HorizonError,
     MetricTypeError,
     ParameterError,
     Point,
+    PointSample,
     Semimetric,
+    anzai_skew,
     average_metric,
     bernoulli_shift,
     block_semimetric,
@@ -28,7 +31,23 @@ from orbent import (
     sample_points,
 )
 
+from orbent import semimetric
+from orbent.dynsys import advance_sample
+from orbent.semimetric import (
+    _NODES,
+    Average,
+    Block,
+    Discrete,
+    FirstSymbolCut,
+    _Cut,
+    _orbit_sums,
+    _symmetrize,
+    _window_keys,
+    streamed_average_matrices,
+)
+
 from conftest import coords_sample
+from oracles import discrete_by_broadcast, stepwise_orbit_sums
 
 
 def pt(x):
@@ -179,8 +198,6 @@ class TestAverage:
         assert averaged(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_streamed_matrices_match_one_shot(self, euclid, rotation):
-        from orbent.semimetric import streamed_average_matrices
-
         sample = sample_points(rotation, 24, 8)
         streamed = dict(streamed_average_matrices(euclid, rotation, sample, [1, 4, 16]))
         for n, values in streamed.items():
@@ -193,8 +210,6 @@ class TestCoordinateKernels:
 
     @pytest.mark.parametrize("rows", [None, [17, 0, 5, 5, 39]], ids=["all", "subset"])
     def test_match_broadcast_expressions(self, rows):
-        from orbent import anzai_skew
-
         sample = sample_points(anzai_skew(), 40, 11)
         c = sample.coords
         rows = np.arange(sample.m) if rows is None else np.array(rows)
@@ -212,6 +227,166 @@ class TestCoordinateKernels:
             got = make_standard(tag).values(sample, rows)
             assert got.shape == reference.shape
             assert got.tobytes() == reference.tobytes(), tag
+
+
+SHIFTS = {
+    "fair": bernoulli_shift([0.5, 0.5], horizon=1030),
+    "biased": bernoulli_shift([0.8, 0.2], horizon=1030),
+    "three": bernoulli_shift([0.2, 0.3, 0.5], horizon=1030),
+}
+CUT_CASES = (
+    [(f"first_symbol_cut-{name}", system, FirstSymbolCut()) for name, system in SHIFTS.items()]
+    + [(f"first_symbols-{count}-{alphabet}", SHIFTS["fair" if alphabet == 2 else "three"],
+        Block(first_symbols_partition(count, alphabet)))
+       for count in (1, 2, 3) for alphabet in (2, 3)]
+    + [(f"dyadic-{level}-{name}", system, Block(dyadic_interval_partition(level)))
+       for level in range(5) for name, system in (("rotation", circle_rotation()),
+                                                    ("anzai", anzai_skew()))]
+    + [(f"one_block-{name}", system, Block(one_block_partition()))
+       for name, system in (("shift", SHIFTS["fair"]), ("rotation", circle_rotation()))]
+)
+SCHEDULES = {"one": [1], "word_edges": [63, 64, 65, 130],
+             "doubling": [16, 32, 64, 128, 256, 512, 1024]}
+
+
+class TestCutPopcount:
+    """Orbit sums of cuts by XOR and popcount against the step-by-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES)
+    @pytest.mark.parametrize("system, cut", [case[1:] for case in CUT_CASES],
+                             ids=[case[0] for case in CUT_CASES])
+    def test_matches_stepwise_loop(self, system, cut, schedule):
+        for m, subset in ((1, [0, 0]), (2, [1, 0, 1]), (13, [7, 0, 7, 12])):
+            sample = sample_points(system, m, 5)
+            for rows in (np.arange(m), np.array(subset)):
+                expected = list(stepwise_orbit_sums(cut, system, sample, rows, schedule))
+                got = [(n, acc.copy())
+                       for n, acc in _orbit_sums(cut, system, sample, rows, schedule)]
+                assert [n for n, _ in got] == schedule
+                for (_, acc), (_, reference) in zip(got, expected):
+                    assert acc.tobytes() == reference.tobytes()
+                n, reference = expected[-1]
+                averaged = Average(cut, system, n).values(sample, rows)
+                assert averaged.tobytes() == (reference / n).tobytes()
+            streamed = streamed_average_matrices(cut, system, sample, schedule)
+            full = stepwise_orbit_sums(cut, system, sample, np.arange(m), schedule)
+            for (n, values), (_, reference) in zip(streamed, full, strict=True):
+                assert values.tobytes() == _symmetrize(reference / n).tobytes()
+
+    @pytest.mark.parametrize("keys_per_chunk", [1, 13 * 192], ids=["64_steps", "192_steps"])
+    def test_chunk_edges(self, monkeypatch, keys_per_chunk):
+        monkeypatch.setattr(semimetric, "_CUT_KEYS", keys_per_chunk)
+        rows = np.array([7, 0, 7, 12])
+        for name, system, cut in CUT_CASES:
+            if not system.is_symbolic:
+                continue
+            sample = sample_points(system, 13, 5)
+            for schedule in ([63, 64, 65, 191, 193, 400], SCHEDULES["doubling"]):
+                got = [acc.copy() for _, acc in _orbit_sums(cut, system, sample, rows, schedule)]
+                expected = stepwise_orbit_sums(cut, system, sample, rows, schedule)
+                assert [a.tobytes() for a in got] == [b.tobytes() for _, b in expected], name
+
+
+class TestCutGuards:
+    @pytest.mark.parametrize("cut", [FirstSymbolCut(), Block(first_symbols_partition(3))],
+                             ids=["first_symbol_cut", "first_symbols-3"])
+    @pytest.mark.parametrize("schedule", [[130], [64, 130]], ids=["first", "later"])
+    def test_one_symbol_short_raises_at_that_increment(self, cut, schedule):
+        need = schedule[-1] - 1 + cut.symbol_horizon()
+        short = bernoulli_shift([0.5, 0.5], horizon=need - 1)
+        sample = sample_points(short, 6, 2)
+        rows = np.arange(6)
+        for sums in (_orbit_sums(cut, short, sample, rows, schedule),
+                     stepwise_orbit_sums(cut, short, sample, rows, schedule)):
+            for n in schedule[:-1]:
+                assert next(sums)[0] == n
+            with pytest.raises(HorizonError):
+                next(sums)
+        exact = short.with_horizon(need)
+        sample = sample_points(exact, 6, 2)
+        got = [acc.copy() for _, acc in _orbit_sums(cut, exact, sample, rows, schedule)]
+        expected = [acc for _, acc in stepwise_orbit_sums(cut, exact, sample, rows, schedule)]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
+    @pytest.mark.parametrize("symbols", [
+        np.arange(-100, 101, dtype=np.int8), np.arange(-7, 3),
+        np.array([-2**63, -1, 0, 2**63 - 1]), np.array([-0.75, -0.5, -0.25, 0.0, 0.25, 0.5]),
+    ], ids=["int8", "int64", "int64-full-range", "float64"])
+    def test_negative_symbols(self, symbols):
+        system = bernoulli_shift([0.5, 0.5], horizon=64)
+        rng = np.random.default_rng(4)
+        a, b = rng.choice(symbols, 70), rng.choice(symbols, 70)
+        b[::3] = a[::3]
+        a[1], b[1] = symbols[0], symbols[-1]  # 2**64 - 1 apart in the full range
+        p, q = Point(symbols=a), Point(symbols=b)
+        n = 40
+        pair = PointSample(system, 0, symbols=np.stack([a, b]))
+        _, reference = next(stepwise_orbit_sums(
+            FirstSymbolCut(), system, pair, np.array([0]), [n]))
+        assert Average(FirstSymbolCut(), system, n).evaluate(p, q) == reference[0, 1] / n
+
+    def test_empty_sample(self):
+        system = bernoulli_shift([0.5, 0.5], horizon=20)
+        empty = sample_points(system, 3, 1).subsample(np.array([], dtype=int))
+        assert Average(FirstSymbolCut(), system, 8).pairwise(empty).shape == (0, 0)
+
+    def test_long_increment_memory_is_chunked(self):
+        import tracemalloc
+
+        m, n = 32, 131072
+        system = bernoulli_shift([0.5, 0.5], horizon=n)
+        sample = sample_points(system, m, 6)
+        tracemalloc.start()
+        try:
+            _, acc = next(_orbit_sums(FirstSymbolCut(), system, sample, np.arange(m), [n]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int64 key per point and step would need 8 * m * n bytes
+        assert peak < m * n
+        s = sample.symbols[:, :n]
+        assert np.array_equal(acc, [np.count_nonzero(s[i] != s, axis=1) for i in range(m)])
+
+    def test_window_keys_equal_stepped_keys(self):
+        cuts = {
+            FirstSymbolCut: [FirstSymbolCut()],
+            Block: [Block(first_symbols_partition(count, 3)) for count in (1, 2, 3)]
+            + [Block(one_block_partition())],
+        }
+        assert set(cuts) == {cls for cls in _NODES.values() if issubclass(cls, _Cut)}
+        system = bernoulli_shift([0.2, 0.3, 0.5], horizon=40)
+        sample = advance_sample(sample_points(system, 9, 8), 3)
+        for cut in (cut for group in cuts.values() for cut in group):
+            for start in (0, 7):
+                keys = _window_keys(cut, sample, start, 30)
+                for k in range(start, 30):
+                    stepped = cut.keys(advance_sample(sample, k))
+                    assert np.array_equal(keys[:, k - start], stepped), (cut.label(), k)
+
+
+class TestDiscrete:
+    @pytest.mark.parametrize("rows", [None, [17, 0, 5, 5, 39]], ids=["all", "subset"])
+    def test_matches_broadcast_expression(self, rows):
+        coords = sample_points(anzai_skew(), 40, 3)
+        symbols = sample_points(bernoulli_shift([0.5, 0.5], horizon=6), 40, 3)
+        repeated = symbols.subsample(np.arange(40) % 13)
+        rows = np.arange(40) if rows is None else np.array(rows)
+        for sample in (coords, symbols, repeated, advance_sample(repeated, 2)):
+            got = Discrete().values(sample, rows)
+            assert got.tobytes() == discrete_by_broadcast(sample, rows).tobytes()
+
+    def test_symbolic_memory_is_not_cubic(self):
+        import tracemalloc
+
+        sample = sample_points(bernoulli_shift([0.5, 0.5], horizon=1026), 128, 1)
+        tracemalloc.start()
+        try:
+            Discrete().values(sample, np.arange(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a broadcast comparison of whole windows needs m * m * window bytes
+        assert peak < 128 * 128 * 1026 / 4
 
 
 class TestCutoffAndMix:
