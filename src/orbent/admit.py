@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import PointSample, SystemSpec, derive_rng, sample_points
+from .dynsys import PointSample, Record, SystemSpec, derive_rng, sample_points
 from .errors import ParameterError, SizeError
 from .semimetric import MatrixLike, Semimetric, as_values, distance_matrix
 
@@ -120,7 +120,7 @@ def block_average_matrix(
 
 
 @dataclass(frozen=True)
-class TracePoint:
+class TracePoint(Record):
     """One point of the trace curve: mass-weighted mean of within-cell means."""
 
     n: int
@@ -301,7 +301,7 @@ def random_matrix_test(
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Aggregated diagnostics with a calibrated three-way verdict."""
 
     ball_mass_fraction: float
@@ -312,22 +312,6 @@ class AdmissibilityReport:
     eps: float = 0.1
     c: float = 0.4
     verdict: str = "Inconclusive"
-
-    def to_json(self) -> dict:
-        return {
-            "ball_mass_fraction": self.ball_mass_fraction,
-            "pc_probability": self.pc_probability,
-            "trace_curve": [
-                {"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr,
-                 "cells_skipped": p.cells_skipped, "flagged": p.flagged}
-                for p in self.trace_curve
-            ],
-            "trace_ok": self.trace_ok,
-            "empirical_l1": self.empirical_l1,
-            "eps": self.eps,
-            "c": self.c,
-            "verdict": self.verdict,
-        }
 
 
 def combine_verdict(

@@ -18,14 +18,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import admit, scaling
-from .dynsys import SystemSpec
+from .dynsys import Record, SystemSpec
+from .entropy import ESTIMATORS
 from .errors import InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
 WORKERS_ENV = "ORBENT_WORKERS"
 OUTPUT_DIR_ENV = "ORBENT_OUTPUT_DIR"
-
-METHODS = ("Covering", "Kantorovich")
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
 # a one-worker run grows by about 5.5 of them (orbit sum, step values, kernel
@@ -48,7 +47,7 @@ class ConfigError(ParameterError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     system: SystemSpec
     metric: Semimetric
     eps_grid: tuple[float, ...]
@@ -57,18 +56,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     method: str
     output_dir: str
-
-    def to_json(self) -> dict:
-        return {
-            "system": self.system.to_json(),
-            "metric": self.metric.to_json(),
-            "eps_grid": list(self.eps_grid),
-            "n_schedule": list(self.n_schedule),
-            "m": self.m,
-            "seeds": list(self.seeds),
-            "method": self.method,
-            "output_dir": self.output_dir,
-        }
 
 
 def _physical_memory() -> Optional[int]:
@@ -135,8 +122,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     seeds = _list_field(obj, "seeds", int, "integers")
 
     method = str(obj["method"]).strip().capitalize()
-    if method not in METHODS:
-        raise ConfigError("method", f"method must be one of {METHODS}")
+    if method not in ESTIMATORS:
+        raise ConfigError("method", f"method must be one of {tuple(ESTIMATORS)}")
 
     output_dir = obj["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
@@ -146,7 +133,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if system.is_symbolic:
         needed = max(schedule) + metric.symbol_horizon() + 1
         if system.horizon < needed:
-            system = system.with_horizon(needed)
+            system = replace(system, horizon=needed)
 
     return ExperimentConfig(
         system=system, metric=metric, eps_grid=eps_grid, n_schedule=schedule,
@@ -288,7 +275,7 @@ def compare_bundles(dir_a, dir_b) -> dict:
                 ]
             with open(bundle_dir / "verdict.json") as fh:
                 verdict = json.load(fh)["verdict"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+        except (FileNotFoundError, json.JSONDecodeError, KeyError, ParameterError) as exc:
             raise ConfigError("bundle", f"not a result bundle: {bundle_dir} ({exc})") from exc
         return profiles, verdict
 

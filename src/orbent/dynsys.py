@@ -1,5 +1,11 @@
 """Canonical measure-preserving systems with exact samplers for their invariant measures.
 
+Each system kind is a frozen dataclass subclassing :class:`SystemSpec`, with
+JSON ``{"kind": <class name>, <field>: <value>, ...}``; a new system needs its
+class and an entry in ``_SYSTEMS``.  The package's one JSON codec lives here:
+``fields_json`` writes dataclass fields, ``from_fields_json`` and
+``from_tagged_json`` read them through ``DECODE``, one decoder per annotation.
+
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``apply(s, p, j + k) == apply(s, apply(s, p, j), k)`` holds
 bit-for-bit.  Shift systems store a finite symbol window and fail loudly when
@@ -8,8 +14,8 @@ an orbit runs past it rather than wrapping around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -23,139 +29,183 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 # Symbol window used when a shift system is built without an explicit horizon.
 DEFAULT_SHIFT_HORIZON = 128
 
-TORUS_KINDS = ("CircleRotation", "TorusTranslation", "AnzaiSkew", "Identity")
-ALL_KINDS = TORUS_KINDS + ("BernoulliShift",)
-
 _WEIGHT_TOL = 1e-12
 
 
-def _check_angle(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    if value % 1.0 == 0.0:
-        raise ParameterError(f"{name} must have a nonzero fractional part, got {value!r}")
-    return value
+def _json_value(value):
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """A measure-preserving transformation together with its sampling data.
+def fields_json(obj) -> dict:
+    """The dataclass fields of ``obj`` as JSON: nested values by their own
+    ``to_json``, tuples as lists."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
 
-    ``weights`` is the symbol distribution of a Bernoulli shift; ``horizon``
-    is the number of symbols stored per sampled point.
-    """
 
-    kind: str
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    weights: Optional[tuple[float, ...]] = None
-    horizon: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ALL_KINDS:
-            raise ParameterError(f"unknown system kind {self.kind!r}")
-        if self.kind in ("CircleRotation", "AnzaiSkew"):
-            object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
-        elif self.kind == "TorusTranslation":
-            object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
-            object.__setattr__(self, "beta", _check_angle("beta", self.beta))
-        elif self.kind == "BernoulliShift":
-            if self.weights is None or len(self.weights) < 2:
-                raise ParameterError("BernoulliShift needs at least two symbol weights")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0.0):
-                raise ParameterError("Bernoulli weights must be positive")
-            if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise ParameterError(
-                    f"Bernoulli weights must sum to 1 within {_WEIGHT_TOL}, got {w.sum()!r}"
-                )
-            object.__setattr__(self, "weights", tuple(float(x) for x in w))
-            hor = DEFAULT_SHIFT_HORIZON if self.horizon is None else int(self.horizon)
-            if hor < 1:
-                raise ParameterError("shift horizon must be >= 1")
-            object.__setattr__(self, "horizon", hor)
-
-    @property
-    def dim(self) -> Optional[int]:
-        """Coordinate dimension, or None for symbolic systems."""
-        if self.kind in ("CircleRotation", "Identity"):
-            return 1
-        if self.kind in ("TorusTranslation", "AnzaiSkew"):
-            return 2
-        return None
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.kind == "BernoulliShift"
-
-    def with_horizon(self, horizon: int) -> "SystemSpec":
-        """Copy of a shift system with a different symbol window."""
-        if not self.is_symbolic:
-            return self
-        return SystemSpec(kind=self.kind, weights=self.weights, horizon=int(horizon))
+class Record:
+    """Mixin for result dataclasses whose JSON is exactly their fields."""
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        if self.horizon is not None:
-            out["horizon"] = self.horizon
-        return out
+        return fields_json(self)
+
+
+def from_fields_json(cls, obj: dict):
+    """Dataclass ``cls`` from a JSON object of its fields.  Only an ``Optional``
+    field may be missing, and takes its default; errors name the class and the
+    field."""
+    name = cls.__name__
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{name} JSON must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParameterError(f"{name} has no field {unknown[0]!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in obj:
+            decode = DECODE[f.type]
+            try:
+                kwargs[f.name] = decode(obj[f.name])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"invalid {name}.{f.name}: {exc}") from exc
+        elif not f.type.startswith("Optional["):
+            raise ParameterError(f"{name} needs the field {f.name!r}")
+    return cls(**kwargs)
+
+
+def from_tagged_json(obj: dict, tag_key: str, registry: dict):
+    """Decode ``{tag_key: <registry key>, <field>: <value>, ...}``."""
+    tag = obj.get(tag_key) if isinstance(obj, dict) else None
+    if not isinstance(tag, str) or tag not in registry:
+        raise ParameterError(f"expected a JSON object with {tag_key!r} in {sorted(registry)}")
+    return from_fields_json(registry[tag], {k: v for k, v in obj.items() if k != tag_key})
+
+
+class SystemSpec:
+    """A measure-preserving transformation.  A map of coordinates implements
+    ``step(coords)``; the base checks every float field as an angle."""
+
+    dim: ClassVar[Optional[int]] = None  # coordinate dimension; None if symbolic
+    is_symbolic: ClassVar[bool] = False
+
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type != "float":
+                continue
+            value = float(getattr(self, f.name))
+            if not np.isfinite(value) or value % 1.0 == 0.0:
+                raise ParameterError(f"{f.name} must be finite and not an integer, got {value!r}")
+            object.__setattr__(self, f.name, value)
+
+    def label(self) -> str:
+        """Compact CSV-safe identifier: ``kind[field=value;...]``."""
+        params = ";".join(f"{f.name}={getattr(self, f.name):.17g}" for f in fields(self))
+        return f"{self.kind}[{params}]" if params else self.kind
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **fields_json(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "SystemSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ParameterError("system JSON must be an object with a 'kind' field")
-        weights = obj.get("weights")
-        return SystemSpec(
-            kind=obj["kind"],
-            alpha=obj.get("alpha"),
-            beta=obj.get("beta"),
-            weights=None if weights is None else tuple(float(x) for x in weights),
-            horizon=obj.get("horizon"),
-        )
+        return from_tagged_json(obj, "kind", _SYSTEMS)
+
+
+@dataclass(frozen=True)
+class CircleRotation(SystemSpec):
+    alpha: float = GOLDEN_FRAC
+
+    dim = 1
+
+    def step(self, coords: np.ndarray) -> np.ndarray:
+        return (coords + self.alpha) % 1.0
+
+
+@dataclass(frozen=True)
+class TorusTranslation(SystemSpec):
+    alpha: float = GOLDEN_FRAC
+    beta: float = SQRT2_FRAC
+
+    dim = 2
+
+    def step(self, coords: np.ndarray) -> np.ndarray:
+        return (coords + np.array([self.alpha, self.beta])) % 1.0
+
+
+@dataclass(frozen=True)
+class AnzaiSkew(SystemSpec):
+    """(x, y) -> (x + alpha, y + x) on the 2-torus."""
+
+    alpha: float = GOLDEN_FRAC
+
+    dim = 2
+
+    def step(self, coords: np.ndarray) -> np.ndarray:
+        out = np.empty_like(coords)
+        out[:, 0] = (coords[:, 0] + self.alpha) % 1.0
+        out[:, 1] = (coords[:, 1] + coords[:, 0]) % 1.0
+        return out
+
+
+@dataclass(frozen=True)
+class Identity(SystemSpec):
+    """The identity map; it leaves samples of any kind alone."""
+
+    dim = 1
+
+
+@dataclass(frozen=True)
+class BernoulliShift(SystemSpec):
+    """Shift on i.i.d. symbols with distribution ``weights``; ``horizon`` is
+    the number of symbols stored per sampled point."""
+
+    weights: tuple[float, ...]
+    horizon: Optional[int] = None
+
+    is_symbolic = True
+
+    def __post_init__(self) -> None:
+        w = np.asarray(self.weights, dtype=float)
+        if len(w) < 2 or np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+            raise ParameterError(f"Bernoulli weights must be two or more positive numbers "
+                                 f"summing to 1 within {_WEIGHT_TOL}, got {self.weights!r}")
+        horizon = DEFAULT_SHIFT_HORIZON if self.horizon is None else int(self.horizon)
+        if horizon < 1:
+            raise ParameterError("shift horizon must be >= 1")
+        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "horizon", horizon)
 
     def label(self) -> str:
-        """Compact CSV-safe identifier."""
-        if self.kind == "CircleRotation":
-            return f"CircleRotation[alpha={self.alpha:.17g}]"
-        if self.kind == "TorusTranslation":
-            return f"TorusTranslation[alpha={self.alpha:.17g};beta={self.beta:.17g}]"
-        if self.kind == "AnzaiSkew":
-            return f"AnzaiSkew[alpha={self.alpha:.17g}]"
-        if self.kind == "BernoulliShift":
-            ws = ";".join(f"{w:.17g}" for w in self.weights)
-            return f"BernoulliShift[weights={ws}]"
-        return "Identity"
+        ws = ";".join(f"{w:.17g}" for w in self.weights)
+        return f"BernoulliShift[weights={ws}]"
 
 
-def circle_rotation(alpha: Optional[float] = None) -> SystemSpec:
-    return SystemSpec("CircleRotation", alpha=GOLDEN_FRAC if alpha is None else alpha)
+_SYSTEMS: dict[str, type[SystemSpec]] = {cls.__name__: cls for cls in (
+    CircleRotation, TorusTranslation, AnzaiSkew, Identity, BernoulliShift,
+)}
+
+# field type annotation -> decoder of that field's JSON value; the modules
+# that define further field types add their decoders
+DECODE: dict[str, Callable] = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "Optional[int]": lambda value: None if value is None else int(value),
+    "tuple[float, ...]": lambda values: tuple(float(x) for x in values),
+    "SystemSpec": SystemSpec.from_json,
+}
 
 
-def torus_translation(alpha: Optional[float] = None, beta: Optional[float] = None) -> SystemSpec:
-    return SystemSpec(
-        "TorusTranslation",
-        alpha=GOLDEN_FRAC if alpha is None else alpha,
-        beta=SQRT2_FRAC if beta is None else beta,
-    )
-
-
-def anzai_skew(alpha: Optional[float] = None) -> SystemSpec:
-    return SystemSpec("AnzaiSkew", alpha=GOLDEN_FRAC if alpha is None else alpha)
-
-
-def bernoulli_shift(weights: Iterable[float], horizon: Optional[int] = None) -> SystemSpec:
-    return SystemSpec("BernoulliShift", weights=tuple(weights), horizon=horizon)
-
-
-def identity_system() -> SystemSpec:
-    return SystemSpec("Identity")
+# the constructors are the classes themselves
+circle_rotation = CircleRotation
+torus_translation = TorusTranslation
+anzai_skew = AnzaiSkew
+bernoulli_shift = BernoulliShift
+identity_system = Identity
 
 
 @dataclass(frozen=True)
@@ -217,6 +267,14 @@ class PointSample:
         return f"{self.system.label()}|m={self.m}|seed={self.seed}"
 
 
+def points_sample(points: list[Point]) -> PointSample:
+    """The points as one sample of the identity; symbol windows cut to the shortest."""
+    if points[0].coords is not None:
+        return PointSample(Identity(), 0, coords=np.stack([p.coords for p in points]).astype(float))
+    width = min(p.symbols.shape[0] for p in points)
+    return PointSample(Identity(), 0, symbols=np.stack([p.symbols[:width] for p in points]))
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for (seed, key...); independent of thread layout."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) & 0xFFFFFFFFFFFFFFFF for k in key]
@@ -236,35 +294,19 @@ def sample_points(system: SystemSpec, m: int, seed: int) -> PointSample:
     return PointSample(system, int(seed), coords=coords)
 
 
-def step_coords(system: SystemSpec, coords: np.ndarray) -> np.ndarray:
-    """One application of the map, vectorized over rows; reduces mod 1 per step."""
-    if system.kind == "Identity":
-        return coords
-    if system.kind == "CircleRotation":
-        return (coords + system.alpha) % 1.0
-    if system.kind == "TorusTranslation":
-        return (coords + np.array([system.alpha, system.beta])) % 1.0
-    if system.kind == "AnzaiSkew":
-        out = np.empty_like(coords)
-        out[:, 0] = (coords[:, 0] + system.alpha) % 1.0
-        out[:, 1] = (coords[:, 1] + coords[:, 0]) % 1.0
-        return out
-    raise ParameterError(f"{system.kind} has no coordinate map")
-
-
 def advance_sample(
     sample: PointSample, steps: int, system: Optional[SystemSpec] = None
 ) -> PointSample:
     """Apply a system ``steps`` times to every point of the sample.
 
     ``system`` defaults to the one the sample was drawn from; pull-backs pass
-    their own transformation explicitly.
+    their own transformation explicitly.  The identity returns the sample.
     """
     if steps < 0:
         raise ParameterError("cannot iterate a transformation backwards here")
-    if steps == 0:
-        return sample
     acting = sample.system if system is None else system
+    if steps == 0 or isinstance(acting, Identity):
+        return sample
     if acting.is_symbolic:
         if not sample.is_symbolic:
             raise ParameterError("shift systems act on symbolic samples")
@@ -278,34 +320,19 @@ def advance_sample(
         )
     if sample.coords is None:
         raise ParameterError(f"{acting.kind} acts on coordinate samples")
-    if acting.kind != "Identity" and acting.dim != sample.coords.shape[1]:
+    if acting.dim != sample.coords.shape[1]:
         raise ParameterError(
             f"{acting.kind} acts on {acting.dim}-dimensional points, "
             f"the sample has {sample.coords.shape[1]} coordinates"
         )
     coords = sample.coords
     for _ in range(steps):
-        coords = step_coords(acting, coords)
+        coords = acting.step(coords)
     return PointSample(sample.system, sample.seed, coords=coords)
 
 
 def apply(system: SystemSpec, p: Point, k: int) -> Point:
     """Exact k-fold application of the transformation to a single point."""
-    if k < 0:
-        raise ParameterError("iteration count must be >= 0")
-    if k == 0:
-        return p
-    if system.is_symbolic:
-        if p.symbols is None:
-            raise ParameterError("shift systems act on symbolic points")
-        if k >= p.symbols.shape[0]:
-            raise HorizonError(
-                f"shift by {k} exceeds remaining symbol window {p.symbols.shape[0]}"
-            )
-        return Point(symbols=p.symbols[k:])
-    if p.coords is None:
-        raise ParameterError(f"{system.kind} acts on coordinate points")
-    coords = p.coords.reshape(1, -1)
-    for _ in range(k):
-        coords = step_coords(system, coords)
-    return Point(coords=coords[0])
+    sample = points_sample([p])
+    moved = advance_sample(sample, k, system)
+    return p if moved is sample else moved.point(0)

@@ -292,6 +292,14 @@ def eps_entropy_kantorovich(
     )
 
 
+# method name -> estimator; each entry looks its function up when called, so a
+# replacement bound to the module name (such as a tracing wrapper) runs
+ESTIMATORS = {
+    "Covering": lambda matrix, eps, seed: eps_entropy_cover(matrix, eps, seed=seed),
+    "Kantorovich": lambda matrix, eps, seed: eps_entropy_kantorovich(matrix, eps, seed=seed),
+}
+
+
 def entropy_estimate(
     system: SystemSpec,
     metric: Semimetric,
@@ -311,9 +319,7 @@ def entropy_estimate(
 def estimate_from_matrix(
     matrix: MatrixLike, eps: float, method: str, seed: int = 0
 ) -> EpsEntropyEstimate:
-    name = method.strip().lower()
-    if name == "covering":
-        return eps_entropy_cover(matrix, eps, seed=seed)
-    if name == "kantorovich":
-        return eps_entropy_kantorovich(matrix, eps, seed=seed)
-    raise ParameterError(f"unknown estimator method {method!r}")
+    estimator = ESTIMATORS.get(method.strip().capitalize())
+    if estimator is None:
+        raise ParameterError(f"unknown estimator method {method!r}")
+    return estimator(matrix, eps, seed)

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import admit
-from .dynsys import PointSample, SystemSpec, sample_points
+from .dynsys import DECODE, PointSample, Record, SystemSpec, from_fields_json, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -54,19 +54,12 @@ UNDETERMINED = GrowthClass("Undetermined")
 
 
 @dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(Record):
     n: int
     value_bits: float
     lower_bound_bits: float
     sample_size: int
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "value_bits": self.value_bits,
-            "lower_bound_bits": self.lower_bound_bits,
-            "sample_size": self.sample_size, "seed": self.seed,
-        }
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -154,7 +147,7 @@ def classify_growth(rows: Sequence[ProfileRow]) -> GrowthClass:
 
 
 @dataclass(frozen=True)
-class ScalingProfile:
+class ScalingProfile(Record):
     system: SystemSpec
     metric: Semimetric
     method: str
@@ -163,28 +156,16 @@ class ScalingProfile:
     growth_class: GrowthClass
     fit_diagnostics: dict
 
-    def to_json(self) -> dict:
-        return {
-            "system": self.system.to_json(),
-            "metric": self.metric.to_json(),
-            "method": self.method,
-            "eps": self.eps,
-            "rows": [r.to_json() for r in self.rows],
-            "growth_class": self.growth_class.to_json(),
-            "fit_diagnostics": self.fit_diagnostics,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ScalingProfile":
-        return ScalingProfile(
-            system=SystemSpec.from_json(obj["system"]),
-            metric=Semimetric.from_json(obj["metric"]),
-            method=obj["method"],
-            eps=float(obj["eps"]),
-            rows=[ProfileRow(**r) for r in obj["rows"]],
-            growth_class=GrowthClass.from_json(obj["growth_class"]),
-            fit_diagnostics=obj["fit_diagnostics"],
-        )
+        return from_fields_json(ScalingProfile, obj)
+
+
+DECODE.update({
+    "list[ProfileRow]": lambda rows: [from_fields_json(ProfileRow, r) for r in rows],
+    "GrowthClass": GrowthClass.from_json,
+    "dict": dict,
+})
 
 
 def _validate_schedule(n_schedule: Sequence[int]) -> list[int]:

@@ -6,10 +6,12 @@ semimetrics are leaves, and the cone operations (cut-off, convex combination,
 pull-back, orbit average) are inner nodes.  A node's dataclass fields are its
 parameters, checked in ``__post_init__``; it implements ``values(sample,
 rows)`` and ``label()``, and ``symbol_horizon()`` if it reads symbols.  JSON
-is generic: ``{"type": <class name>, <field>: <value>, ...}``, decoded through
-the registry ``_NODES`` and, per field, the ``_DECODE`` entry of the field's
-annotated type.  A new node needs its class, an entry in ``_NODES``, and a
-``_DECODE`` entry only for a field type not yet there.
+is generic: ``{"type": <class name>, <field>: <value>, ...}``, decoded by the
+codec of :mod:`dynsys` through the registry ``_NODES``.  A new node needs its
+class, an entry in ``_NODES``, and a ``DECODE`` entry only for a field type
+not yet there.  Partitions of :class:`Block` follow the same pattern, with
+JSON tag ``kind``: a new partition needs its class and an entry in
+``_PARTITIONS``.
 
 A cut (0 where two points' keys agree, 1 where they differ) subclasses
 :class:`_Cut` and implements ``keys(sample)``, one comparable key per point,
@@ -31,7 +33,10 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, U
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynsys import Point, PointSample, SystemSpec, advance_sample, identity_system
+from .dynsys import (
+    DECODE, Identity, Point, PointSample, SystemSpec, advance_sample, fields_json,
+    from_tagged_json, points_sample,
+)
 from .errors import HorizonError, MetricTypeError, ParameterError
 
 
@@ -39,80 +44,101 @@ from .errors import HorizonError, MetricTypeError, ParameterError
 # partitions
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Total assignment of points to blocks {0, ..., block_count-1}."""
+class Partition(ABC):
+    """Total assignment of points to blocks {0, ..., block_count-1}.  Each kind
+    is a frozen dataclass whose JSON tag ``kind`` is a snake_case name."""
 
-    block_count: int
-    kind: str
-    level: Optional[int] = None        # dyadic_intervals
-    count: Optional[int] = None        # first_symbols
-    alphabet: Optional[int] = None
+    kind: ClassVar[str]
+    symbol_need: ClassVar[int] = 0  # symbols read from each point
+
+    @abstractmethod
+    def assign_indices(self, sample: PointSample) -> np.ndarray:
+        """Block index of every point, shape (m,)."""
+
+    def label(self) -> str:
+        """Compact CSV-safe identifier: ``kind;field=value;...``."""
+        return ";".join([self.kind] + [f"{f.name}={getattr(self, f.name)}" for f in fields(self)])
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **fields_json(self)}
+
+    @staticmethod
+    def from_json(obj: dict) -> "Partition":
+        return from_tagged_json(obj, "kind", _PARTITIONS)
+
+
+@dataclass(frozen=True)
+class DyadicIntervals(Partition):
+    """2**level equal dyadic intervals of the first coordinate."""
+
+    level: int
+
+    kind = "dyadic_intervals"
 
     def __post_init__(self) -> None:
-        if self.block_count < 1:
-            raise ParameterError("a partition needs at least one block")
+        if not 0 <= self.level <= 53:
+            raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
+
+    @property
+    def block_count(self) -> int:
+        return 2 ** self.level
+
+    def assign_indices(self, sample: PointSample) -> np.ndarray:
+        idx = np.floor(_coords(sample)[:, 0] * self.block_count).astype(int)
+        return np.clip(idx, 0, self.block_count - 1)
+
+
+@dataclass(frozen=True)
+class FirstSymbols(Partition):
+    """Cylinder partition by the first ``count`` symbols."""
+
+    count: int
+    alphabet: int = 2
+
+    kind = "first_symbols"
+
+    def __post_init__(self) -> None:
+        if self.count < 1 or self.alphabet < 2 or self.count * math.log2(self.alphabet) > 62:
+            raise ParameterError("need count >= 1, alphabet >= 2 and alphabet**count <= 2**62")
+
+    @property
+    def block_count(self) -> int:
+        return self.alphabet ** self.count
 
     @property
     def symbol_need(self) -> int:
-        return self.count if self.kind == "first_symbols" else 0
+        return self.count
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        if self.kind == "one_block":
-            return np.zeros(sample.m, dtype=int)
-        if self.kind == "dyadic_intervals":
-            idx = np.floor(_coords(sample)[:, 0] * self.block_count).astype(int)
-            return np.clip(idx, 0, self.block_count - 1)
         window = _window(sample, self.count)
         idx = np.zeros(sample.m, dtype=int)
         for i in range(self.count):
             idx = idx * self.alphabet + window[:, i].astype(int)
         return idx
 
-    def to_json(self) -> dict:
-        if self.kind == "dyadic_intervals":
-            return {"kind": self.kind, "level": self.level}
-        if self.kind == "first_symbols":
-            return {"kind": self.kind, "count": self.count, "alphabet": self.alphabet}
-        return {"kind": self.kind}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Partition":
-        kind = obj.get("kind") if isinstance(obj, dict) else None
-        if kind == "dyadic_intervals":
-            return dyadic_interval_partition(int(obj["level"]))
-        if kind == "first_symbols":
-            return first_symbols_partition(int(obj["count"]), int(obj["alphabet"]))
-        if kind == "one_block":
-            return one_block_partition()
-        raise ParameterError(f"unknown partition kind {kind!r}")
+@dataclass(frozen=True)
+class OneBlock(Partition):
+    """Every point in one block."""
+
+    kind = "one_block"
+    block_count = 1
+
+    def assign_indices(self, sample: PointSample) -> np.ndarray:
+        return np.zeros(sample.m, dtype=int)
 
     def label(self) -> str:
-        if self.kind == "dyadic_intervals":
-            return f"dyadic_intervals;level={self.level}"
-        if self.kind == "first_symbols":
-            return f"first_symbols;count={self.count};alphabet={self.alphabet}"
-        return f"{self.kind};blocks={self.block_count}"
+        return "one_block;blocks=1"
 
 
-def dyadic_interval_partition(level: int) -> Partition:
-    """2**level equal dyadic intervals of the first coordinate."""
-    if not 0 <= level <= 53:
-        raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
-    return Partition(block_count=2 ** level, kind="dyadic_intervals", level=level)
+_PARTITIONS: dict[str, type[Partition]] = {cls.kind: cls for cls in (
+    DyadicIntervals, FirstSymbols, OneBlock,
+)}
 
-
-def first_symbols_partition(count: int, alphabet: int = 2) -> Partition:
-    """Cylinder partition by the first ``count`` symbols."""
-    if count < 1 or alphabet < 2 or count * math.log2(alphabet) > 62:
-        raise ParameterError("need count >= 1, alphabet >= 2 and alphabet**count <= 2**62")
-    return Partition(
-        block_count=alphabet ** count, kind="first_symbols", count=count, alphabet=alphabet
-    )
-
-
-def one_block_partition() -> Partition:
-    return Partition(block_count=1, kind="one_block")
+# the constructors are the classes themselves
+dyadic_interval_partition = DyadicIntervals
+first_symbols_partition = FirstSymbols
+one_block_partition = OneBlock
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +168,6 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     matrix[ju, iu] = matrix[iu, ju]
     np.fill_diagonal(matrix, 0.0)
     return matrix
-
-
-def _points_to_sample(points: list[Point]) -> PointSample:
-    if points[0].coords is not None:
-        coords = np.stack([p.coords for p in points]).astype(float)
-        return PointSample(identity_system(), 0, coords=coords)
-    width = min(p.symbols.shape[0] for p in points)
-    symbols = np.stack([p.symbols[:width] for p in points])
-    return PointSample(identity_system(), 0, symbols=symbols)
 
 
 def _point_key(p: Point):
@@ -186,7 +203,7 @@ class Semimetric(ABC):
     def evaluate(self, p: Point, q: Point) -> float:
         if _point_key(q) < _point_key(p):
             p, q = q, p
-        sample = _points_to_sample([p, q])
+        sample = points_sample([p, q])
         return float(self.values(sample, np.array([0]))[0, 1])
 
     __call__ = evaluate
@@ -196,26 +213,11 @@ class Semimetric(ABC):
         return _symmetrize(self.values(sample, np.arange(sample.m)))
 
     def to_json(self) -> dict:
-        out = {"type": type(self).__name__}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_json() if hasattr(value, "to_json") else value
-        return out
+        return {"type": type(self).__name__, **fields_json(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "Semimetric":
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise ParameterError("semimetric JSON must be an object with a 'type' field")
-        cls = _NODES.get(obj["type"])
-        if cls is None:
-            raise ParameterError(f"unknown descriptor type {obj['type']!r}")
-        kwargs = {}
-        for f in fields(cls):
-            try:
-                kwargs[f.name] = _DECODE[f.type](obj[f.name])
-            except ValueError as exc:
-                raise ParameterError(f"invalid {cls.__name__}.{f.name}: {exc}") from exc
-        return cls(**kwargs)
+        return from_tagged_json(obj, "type", _NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +546,7 @@ _NODES: dict[str, type[Semimetric]] = {cls.__name__: cls for cls in (
     ClosedForm, Block, Cutoff, Mix, PullBack, Average,
 )}
 
-# field type annotation -> decoder of that field's JSON value
-_DECODE: dict[str, Callable] = {
-    "Semimetric": Semimetric.from_json,
-    "SystemSpec": SystemSpec.from_json,
-    "Partition": Partition.from_json,
-    "float": float,
-    "int": int,
-    "str": str,
-}
+DECODE.update(Semimetric=Semimetric.from_json, Partition=Partition.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +564,7 @@ def make_standard(tag: str) -> Semimetric:
 def pull_back(metric: Semimetric, system: SystemSpec, k: int) -> Semimetric:
     """The semimetric (x, y) -> rho(T^k x, T^k y)."""
     pulled = PullBack(metric, system, k)
-    return metric if k == 0 or system.kind == "Identity" else pulled
+    return metric if k == 0 or isinstance(system, Identity) else pulled
 
 
 def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric:
@@ -580,7 +574,7 @@ def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric
     the metric itself.
     """
     averaged = Average(metric, system, n)
-    return metric if n == 1 or system.kind == "Identity" else averaged
+    return metric if n == 1 or isinstance(system, Identity) else averaged
 
 
 # the other constructors have no shortcut, so they are the node classes
@@ -650,7 +644,7 @@ def streamed_average_matrices(
     schedule = sorted(set(int(n) for n in n_values))
     if not schedule or schedule[0] < 1:
         raise ParameterError("average lengths must be >= 1")
-    if system.kind == "Identity":
+    if isinstance(system, Identity):
         base = metric.pairwise(sample)
         for n in schedule:
             yield n, base.copy()

@@ -115,7 +115,10 @@ class TestMalformedInput:
         # the skew product acts on 2-D points, the rotation sample is 1-D
         ({"type": "PullBack", "k": 2, "system": {"kind": "AnzaiSkew", "alpha": ALPHA},
           "inner": {"type": "Euclidean1D"}}, None),
-    ], ids=["mix-t", "cutoff-level", "average-n", "closed-form-tag", "cross-dimension"])
+        ({"type": "Cutoff", "levle": 0.5, "level": 0.5, "inner": {"type": "Euclidean1D"}},
+         "metric"),
+    ], ids=["mix-t", "cutoff-level", "average-n", "closed-form-tag", "cross-dimension",
+            "cutoff-unknown-field"])
     def test_bad_metric_exits_2(self, tmp_path, metric, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
@@ -124,6 +127,21 @@ class TestMalformedInput:
         error = json.loads(result.stderr)["error"]
         assert error["code"] == "invalid_config"
         assert error.get("field") == field
+
+    @pytest.mark.parametrize("make_config, key, value", [
+        (rotation_config, "beta", 0.7), (bernoulli_config, "horizen", 64),
+    ], ids=["rotation-beta", "shift-horizen"])
+    def test_unknown_system_field_exits_2(self, tmp_path, make_config, key, value):
+        raw = make_config(tmp_path / "out")
+        raw["system"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["field"] == "system"
+        assert repr(key) in error["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_eps_exits_2(self, tmp_path):
         raw = rotation_config(tmp_path / "out")
@@ -300,6 +318,25 @@ class TestCompare:
         result = run_cli("compare", str(rot_dir), str(tmp_path / "other"))
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "eps_grid"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda profile: profile["system"].pop("alpha"),
+        lambda profile: profile["rows"][0].update(extra=1),
+    ], ids=["system-without-alpha", "row-with-extra-key"])
+    def test_malformed_bundle_exits_2(self, bundles, tmp_path, corrupt):
+        import shutil
+
+        rot_dir, _ = bundles
+        broken = tmp_path / "broken"
+        shutil.copytree(rot_dir, broken)
+        blob = json.loads((broken / "profile.json").read_text())
+        corrupt(blob["profiles"][0])
+        (broken / "profile.json").write_text(json.dumps(blob))
+        result = run_cli("compare", str(rot_dir), str(broken))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert error["field"] == "bundle"
 
     def test_cli_compare_text_output(self, bundles):
         rot_dir, bern_dir = bundles

@@ -121,6 +121,8 @@ class TestApply:
         sample = sample_points(drawn, 4, 2)
         with pytest.raises(ParameterError):
             advance_sample(sample, 1, acting)
+        with pytest.raises(ParameterError):
+            apply(acting, sample.point(0), 1)
         # the identity leaves points of any dimension alone
         assert advance_sample(sample, 3, identity_system()).coords.shape == sample.coords.shape
 

@@ -1,5 +1,7 @@
-"""Property tests over random descriptor trees built from the node registry."""
+"""Property tests over random descriptor trees built from the node, system and
+partition registries."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from orbent import (
     sample_points,
     torus_translation,
 )
-from orbent.dynsys import advance_sample
+from orbent.dynsys import _SYSTEMS, advance_sample
 from orbent.semimetric import (
     _NODES,
+    _PARTITIONS,
     CLOSED_FORMS,
     Average,
     Block,
@@ -42,6 +45,27 @@ ROTATION = circle_rotation()
 TORUS = torus_translation()
 SHIFT = bernoulli_shift([0.5, 0.5], horizon=64)
 
+ANGLES = st.floats(0.01, 0.99)
+SYSTEMS = {
+    "CircleRotation": ANGLES.map(circle_rotation),
+    "TorusTranslation": st.tuples(ANGLES, ANGLES).map(lambda ab: torus_translation(*ab)),
+    "AnzaiSkew": ANGLES.map(anzai_skew),
+    "Identity": st.just(identity_system()),
+    "BernoulliShift": st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4).map(
+        lambda w: bernoulli_shift([x / sum(w) for x in w], horizon=64)
+    ),
+}
+# partitions of coordinate points and of symbolic points
+COORD_PARTITIONS = {
+    "dyadic_intervals": st.integers(0, 4).map(dyadic_interval_partition),
+    "one_block": st.just(one_block_partition()),
+}
+SYMBOL_PARTITIONS = {
+    "first_symbols": st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
+        lambda ca: first_symbols_partition(*ca)
+    ),
+}
+
 # leaves that evaluate on coordinate points and on symbolic points
 COORD_LEAVES = {
     "Euclidean1D": st.just(Euclidean1D()),
@@ -50,18 +74,13 @@ COORD_LEAVES = {
     "Discrete": st.just(Discrete()),
     "Zero": st.just(Zero()),
     "ClosedForm": st.sampled_from(sorted(CLOSED_FORMS)).map(ClosedForm),
-    "Block": st.one_of(
-        st.integers(0, 4).map(lambda level: Block(dyadic_interval_partition(level))),
-        st.just(Block(one_block_partition())),
-    ),
+    "Block": st.one_of(*COORD_PARTITIONS.values()).map(Block),
 }
 SYMBOL_LEAVES = {
     "FirstSymbolCut": st.just(FirstSymbolCut()),
     "Discrete": st.just(Discrete()),
     "Zero": st.just(Zero()),
-    "Block": st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
-        lambda ca: Block(first_symbols_partition(*ca))
-    ),
+    "Block": st.one_of(*SYMBOL_PARTITIONS.values()).map(Block),
 }
 INNER = ("Cutoff", "Mix", "PullBack", "Average")
 
@@ -87,6 +106,8 @@ any_tree = st.one_of(
 
 def test_strategies_cover_the_registry():
     assert set(COORD_LEAVES) | set(SYMBOL_LEAVES) | set(INNER) == set(_NODES)
+    assert set(SYSTEMS) == set(_SYSTEMS)
+    assert set(COORD_PARTITIONS) | set(SYMBOL_PARTITIONS) == set(_PARTITIONS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,12 +121,20 @@ def test_json_roundtrip(drawn):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(*SYSTEMS.values(), *COORD_PARTITIONS.values(), *SYMBOL_PARTITIONS.values()))
+def test_system_and_partition_json_roundtrip(obj):
+    again = type(obj).from_json(json.loads(json.dumps(obj.to_json())))
+    assert again == obj
+    assert again.label() == obj.label()
+
+
+@settings(max_examples=60, deadline=None)
 @given(any_tree, st.integers(0, 2 ** 16))
 def test_pairwise_is_symmetric_with_zero_diagonal(drawn, seed):
     system, tree = drawn
     if system.is_symbolic:
         # the sample's symbol window is exactly what the tree reads, plus one
-        system = system.with_horizon(tree.symbol_horizon() + 1)
+        system = replace(system, horizon=tree.symbol_horizon() + 1)
     values = tree.pairwise(sample_points(system, 9, seed))
     assert np.array_equal(values, values.T)
     assert np.all(np.diagonal(values) == 0.0)
@@ -119,19 +148,18 @@ def test_triangle_inequality(drawn, seed):
     # squared_abs_diff is the shipped negative control, so it is left out
     system, tree = drawn
     if system.is_symbolic:
-        system = system.with_horizon(tree.symbol_horizon() + 1)
+        system = replace(system, horizon=tree.symbol_horizon() + 1)
     report = check_axioms(tree, sample_points(system, 9, seed), tol=1e-9)
     assert report.triples_checked == 9 ** 3
     assert report.triangle_defect <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([ROTATION, TORUS, anzai_skew(), identity_system(), SHIFT]),
+@given(st.one_of(*SYSTEMS.values()),
        st.integers(0, 12), st.integers(0, 12), st.integers(0, 2 ** 16))
 def test_advance_sample_is_a_semigroup(system, j, k, seed):
     # the single orbit pass advances one step at a time and relies on this
-    sample = sample_points(system, 7, seed) if system.kind != "Identity" \
-        else sample_points(TORUS, 7, seed)
+    sample = sample_points(TORUS if system.kind == "Identity" else system, 7, seed)
     twice = advance_sample(advance_sample(sample, j, system), k, system)
     once = advance_sample(sample, j + k, system)
     if system.is_symbolic:
@@ -148,6 +176,7 @@ def _inner():
 BAD_PARTITIONS = st.one_of(
     st.integers(),
     st.just({"kind": "spiral"}),
+    st.just({"kind": "one_block", "level": 2}),
     st.builds(lambda level: {"kind": "dyadic_intervals", "level": level},
               st.one_of(st.integers(max_value=-1), st.integers(min_value=54))),
     # block indices of 2**63 and more would wrap around in int64
@@ -161,6 +190,10 @@ BAD_FIELDS = st.one_of(
     st.builds(lambda level: {"type": "Cutoff", "inner": _inner(), "level": level},
               st.one_of(st.floats(max_value=0.0), st.just(float("nan")),
                         st.just(float("inf")), st.just("abc"))),
+    # a misspelt field next to the right one, and a field of another kind
+    st.just({"type": "Cutoff", "inner": _inner(), "level": 0.5, "levle": 0.5}),
+    st.just({"type": "PullBack", "inner": _inner(), "k": 1,
+             "system": {**ROTATION.to_json(), "beta": 0.7}}),
     st.builds(lambda k: {"type": "PullBack", "inner": _inner(),
                          "system": ROTATION.to_json(), "k": k},
               st.one_of(st.integers(max_value=-1), st.just("two"))),

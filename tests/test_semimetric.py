@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from orbent import (
     one_block_partition,
     pull_back,
     sample_points,
+    torus_translation,
 )
 
 from orbent import semimetric
@@ -39,6 +41,7 @@ from orbent.semimetric import (
     Block,
     Discrete,
     FirstSymbolCut,
+    PullBack,
     _Cut,
     _orbit_sums,
     _symmetrize,
@@ -140,6 +143,13 @@ class TestAverage:
         averaged = average_metric(euclid, identity, 9)
         sample = sample_points(identity, 32, 2)
         assert np.array_equal(averaged.pairwise(sample), euclid.pairwise(sample))
+
+    def test_identity_acts_on_shift_samples(self, identity):
+        sample = sample_points(bernoulli_shift([0.5, 0.5], horizon=8), 16, 4)
+        expected = FirstSymbolCut().pairwise(sample)
+        for node in (Average(FirstSymbolCut(), identity, 3),
+                     PullBack(FirstSymbolCut(), identity, 2)):
+            assert np.array_equal(node.pairwise(sample), expected)
 
     def test_rotation_average_approaches_closed_form(self, euclid, rotation):
         # oracle: integral of |{x+t} - {y+t}| over a full turn is 2d(1-d)
@@ -302,7 +312,7 @@ class TestCutGuards:
                 assert next(sums)[0] == n
             with pytest.raises(HorizonError):
                 next(sums)
-        exact = short.with_horizon(need)
+        exact = replace(short, horizon=need)
         sample = sample_points(exact, 6, 2)
         got = [acc.copy() for _, acc in _orbit_sums(cut, exact, sample, rows, schedule)]
         expected = [acc for _, acc in stepwise_orbit_sums(cut, exact, sample, rows, schedule)]
@@ -527,17 +537,29 @@ GOLDEN = [
      '{"partition": {"kind": "dyadic_intervals", "level": 3}, "type": "Block"}'),
     (lambda: block_semimetric(one_block_partition()), "Block[one_block;blocks=1]",
      '{"partition": {"kind": "one_block"}, "type": "Block"}'),
+    # and one instance of each system kind
+    (lambda: circle_rotation(0.25), "CircleRotation[alpha=0.25]",
+     '{"alpha": 0.25, "kind": "CircleRotation"}'),
+    (lambda: torus_translation(0.3, 0.7),
+     "TorusTranslation[alpha=0.29999999999999999;beta=0.69999999999999996]",
+     '{"alpha": 0.3, "beta": 0.7, "kind": "TorusTranslation"}'),
+    (lambda: anzai_skew(0.21), "AnzaiSkew[alpha=0.20999999999999999]",
+     '{"alpha": 0.21, "kind": "AnzaiSkew"}'),
+    (lambda: bernoulli_shift([0.9, 0.1], horizon=64),
+     "BernoulliShift[weights=0.90000000000000002;0.10000000000000001]",
+     '{"horizon": 64, "kind": "BernoulliShift", "weights": [0.9, 0.1]}'),
+    (lambda: identity_system(), "Identity", '{"kind": "Identity"}'),
 ]
 
 
 class TestGoldenStrings:
     @pytest.mark.parametrize("make, label, blob", GOLDEN, ids=[g[1] for g in GOLDEN])
     def test_label_and_json(self, make, label, blob):
-        metric = make()
-        assert metric.label() == label
-        assert json.dumps(metric.to_json(), sort_keys=True) == blob
-        again = Semimetric.from_json(json.loads(blob))
-        assert again == metric
+        obj = make()
+        assert obj.label() == label
+        assert json.dumps(obj.to_json(), sort_keys=True) == blob
+        again = type(obj).from_json(json.loads(blob))
+        assert again == obj
         assert again.label() == label
 
 
