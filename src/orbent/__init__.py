@@ -10,16 +10,15 @@ purely discrete spectrum.
 from .dynsys import (
     GOLDEN_FRAC,
     SQRT2_FRAC,
+    AnzaiSkew,
+    BernoulliShift,
+    CircleRotation,
+    Identity,
     Point,
     PointSample,
     SystemSpec,
-    anzai_skew,
-    apply,
-    bernoulli_shift,
-    circle_rotation,
-    identity_system,
+    TorusTranslation,
     sample_points,
-    torus_translation,
 )
 from .entropy import (
     AtomicMeasure,
@@ -39,34 +38,28 @@ from .errors import (
     SizeError,
 )
 from .semimetric import (
-    AxiomReport,
+    Block,
+    ClosedForm,
+    Cutoff,
     DistanceMatrix,
+    DyadicIntervals,
+    FirstSymbols,
+    Mix,
+    OneBlock,
     Partition,
+    PullBack,
     Semimetric,
     average_metric,
-    block_semimetric,
-    check_axioms,
-    closed_form,
-    cutoff,
     distance_matrix,
-    dyadic_interval_partition,
-    empirical_l1,
-    first_symbols_partition,
     make_standard,
-    mix,
-    mnorm_bounds,
-    one_block_partition,
-    pull_back,
 )
 from .admit import (
     AdmissibilityReport,
-    BlockAverageMatrix,
     TracePoint,
     admissibility_report,
     ball_mass_test,
-    block_average_matrix,
     random_matrix_test,
-    trace_test,
+    trace_from_matrix,
 )
 from .scaling import (
     GrowthClass,

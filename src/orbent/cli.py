@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import admit, scaling
-from .dynsys import Record, SystemSpec
+from .dynsys import DECODE, Record, SystemSpec
 from .entropy import ESTIMATORS
 from .errors import InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
@@ -66,14 +66,16 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def _list_field(obj: dict, key: str, convert, kind: str) -> tuple:
+def _list_field(obj: dict, key: str, kind: str) -> tuple:
+    """A nonempty list of JSON numbers of ``kind`` (``int`` or ``float``),
+    decoded strictly by ``DECODE[kind]``."""
     raw = obj[key]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(key, f"{key} must be a nonempty list")
     try:
-        return tuple(convert(x) for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, f"{key} entries must be {kind}") from exc
+        return tuple(DECODE[kind](x) for x in raw)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(key, f"{key} entries: {exc}") from exc
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -94,20 +96,20 @@ def parse_config(obj: dict) -> ExperimentConfig:
     except (OrbentError, KeyError, TypeError) as exc:
         raise ConfigError("metric", f"invalid metric: {exc}") from exc
 
-    eps_grid = _list_field(obj, "eps_grid", float, "numbers")
+    eps_grid = _list_field(obj, "eps_grid", "float")
     if any(not (0 < e < math.inf) for e in eps_grid):
         raise ConfigError("eps_grid", "eps values must be positive and finite")
 
-    schedule = _list_field(obj, "n_schedule", int, "integers")
+    schedule = _list_field(obj, "n_schedule", "int")
     if any(n < 1 for n in schedule):
         raise ConfigError("n_schedule", "n_schedule entries must be >= 1")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("n_schedule", "n_schedule must be strictly increasing")
 
     try:
-        m = int(obj["m"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("m", "m must be an integer") from exc
+        m = DECODE["int"](obj["m"])
+    except TypeError as exc:
+        raise ConfigError("m", f"m: {exc}") from exc
     if m < 2:
         raise ConfigError("m", "m must be >= 2")
     need = WORKING_SET_MATRICES * 8 * m * m
@@ -119,7 +121,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
                  f"{memory / 2 ** 30:.3g} GiB of physical memory",
         )
 
-    seeds = _list_field(obj, "seeds", int, "integers")
+    seeds = _list_field(obj, "seeds", "int")
 
     method = str(obj["method"]).strip().capitalize()
     if method not in ESTIMATORS:

@@ -5,11 +5,14 @@ JSON ``{"kind": <class name>, <field>: <value>, ...}``; a new system needs its
 class and an entry in ``_SYSTEMS``.  The package's one JSON codec lives here:
 ``fields_json`` writes dataclass fields, ``from_fields_json`` and
 ``from_tagged_json`` read them through ``DECODE``, one decoder per annotation.
+The number decoders are strict: an ``int`` field takes only a JSON integer and
+a ``float`` field only a JSON number, never a bool or a string.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
-semigroup law ``apply(s, p, j + k) == apply(s, apply(s, p, j), k)`` holds
-bit-for-bit.  Shift systems store a finite symbol window and fail loudly when
-an orbit runs past it rather than wrapping around.
+semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
+advance_sample(x, j + k, s)`` holds bit-for-bit.  Shift systems store a finite
+symbol window and fail loudly when an orbit runs past it rather than wrapping
+around.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ def from_fields_json(cls, obj: dict):
             try:
                 kwargs[f.name] = decode(obj[f.name])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParameterError(f"invalid {name}.{f.name}: {exc}") from exc
+                raise ParameterError(f"invalid {name} field {f.name!r}: {exc}") from exc
         elif not f.type.startswith("Optional["):
             raise ParameterError(f"{name} needs the field {f.name!r}")
     return cls(**kwargs)
@@ -188,24 +191,31 @@ _SYSTEMS: dict[str, type[SystemSpec]] = {cls.__name__: cls for cls in (
     CircleRotation, TorusTranslation, AnzaiSkew, Identity, BernoulliShift,
 )}
 
+
+def _json_int(value) -> int:
+    """A JSON integer; a bool or a non-integral number is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    """A JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # field type annotation -> decoder of that field's JSON value; the modules
 # that define further field types add their decoders
 DECODE: dict[str, Callable] = {
-    "float": float,
-    "int": int,
+    "float": _json_float,
+    "int": _json_int,
     "str": str,
-    "Optional[int]": lambda value: None if value is None else int(value),
-    "tuple[float, ...]": lambda values: tuple(float(x) for x in values),
+    "Optional[int]": lambda value: None if value is None else _json_int(value),
+    "tuple[float, ...]": lambda values: tuple(_json_float(x) for x in values),
     "SystemSpec": SystemSpec.from_json,
 }
-
-
-# the constructors are the classes themselves
-circle_rotation = CircleRotation
-torus_translation = TorusTranslation
-anzai_skew = AnzaiSkew
-bernoulli_shift = BernoulliShift
-identity_system = Identity
 
 
 @dataclass(frozen=True)
@@ -253,18 +263,6 @@ class PointSample:
         if self.coords is not None:
             return Point(coords=self.coords[i].copy())
         return Point(symbols=self.symbols[i, self.symbol_offset:].copy())
-
-    def subsample(self, indices: np.ndarray) -> "PointSample":
-        idx = np.asarray(indices, dtype=int)
-        if self.coords is not None:
-            return PointSample(self.system, self.seed, coords=self.coords[idx].copy())
-        return PointSample(
-            self.system, self.seed, symbols=self.symbols[idx],
-            symbol_offset=self.symbol_offset,
-        )
-
-    def fingerprint(self) -> str:
-        return f"{self.system.label()}|m={self.m}|seed={self.seed}"
 
 
 def points_sample(points: list[Point]) -> PointSample:
@@ -329,10 +327,3 @@ def advance_sample(
     for _ in range(steps):
         coords = acting.step(coords)
     return PointSample(sample.system, sample.seed, coords=coords)
-
-
-def apply(system: SystemSpec, p: Point, k: int) -> Point:
-    """Exact k-fold application of the transformation to a single point."""
-    sample = points_sample([p])
-    moved = advance_sample(sample, k, system)
-    return p if moved is sample else moved.point(0)

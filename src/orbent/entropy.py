@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .admit import greedy_separated_size
-from .dynsys import PointSample, SystemSpec, derive_rng, sample_points
+from .dynsys import SystemSpec, derive_rng, sample_points
 from .errors import InfeasibleError, ParameterError, SizeError
 from .semimetric import MatrixLike, Semimetric, as_values, average_metric, distance_matrix
 
@@ -68,34 +67,19 @@ def atomic_entropy(measure: AtomicMeasure) -> float:
 
 
 def kantorovich_distance(
-    mu1: AtomicMeasure,
-    mu2: AtomicMeasure,
-    ground: Union[MatrixLike, Semimetric],
-    sample: Optional[PointSample] = None,
+    mu1: AtomicMeasure, mu2: AtomicMeasure, ground: MatrixLike,
 ) -> float:
     """Exact optimal transport cost between two atomic measures.
 
-    ``ground`` is a distance matrix indexed by the atoms, or a semimetric
-    together with the sample the atom indices refer to.  Solved to optimality
-    as a transportation linear program (dual simplex, no regularization).
+    ``ground`` is a distance matrix indexed by the atoms.  Solved to
+    optimality as a transportation linear program (dual simplex, no
+    regularization).
     """
-    if isinstance(ground, Semimetric):
-        if sample is None:
-            raise ParameterError("a semimetric ground needs the point sample")
-        union = np.union1d(mu1.atom_indices, mu2.atom_indices)
-        sub = sample.subsample(union)
-        values = ground.pairwise(sub)
-        pos = {int(g): i for i, g in enumerate(union)}
-        rows = np.array([pos[int(i)] for i in mu1.atom_indices])
-        cols = np.array([pos[int(j)] for j in mu2.atom_indices])
-        cost = values[np.ix_(rows, cols)]
-    else:
-        values = as_values(ground)
-        cost = values[np.ix_(mu1.atom_indices, mu2.atom_indices)]
     if mu1.size + mu2.size > MAX_TRANSPORT_SUPPORT:
         raise SizeError(
             f"combined support {mu1.size + mu2.size} exceeds {MAX_TRANSPORT_SUPPORT}"
         )
+    cost = as_values(ground)[np.ix_(mu1.atom_indices, mu2.atom_indices)]
     if np.any(cost < 0.0):
         raise ParameterError("transport needs nonnegative distances")
     return _transport_cost(cost, mu1.weights, mu2.weights)

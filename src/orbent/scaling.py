@@ -203,7 +203,7 @@ def profile_cells(
     for seed in seeds:
         sample = sample_points(system, m, int(seed))
         for n, values in streamed_average_matrices(metric, system, sample, schedule):
-            dist = DistanceMatrix(values, sample.fingerprint())
+            dist = DistanceMatrix(values)
             for eps in eps_values:
                 cells[(float(eps), n, int(seed))] = estimate_from_matrix(
                     dist, float(eps), method, seed=int(seed)

@@ -11,7 +11,9 @@ codec of :mod:`dynsys` through the registry ``_NODES``.  A new node needs its
 class, an entry in ``_NODES``, and a ``DECODE`` entry only for a field type
 not yet there.  Partitions of :class:`Block` follow the same pattern, with
 JSON tag ``kind``: a new partition needs its class and an entry in
-``_PARTITIONS``.
+``_PARTITIONS``.  ``dyadic_cells`` is the one dyadic concept: it cuts the
+coordinate space into dyadic boxes for :class:`DyadicIntervals` (on the first
+coordinate) and for the admissibility trace curve (on all coordinates).
 
 A cut (0 where two points' keys agree, 1 where they differ) subclasses
 :class:`_Cut` and implements ``keys(sample)``, one comparable key per point,
@@ -84,8 +86,7 @@ class DyadicIntervals(Partition):
         return 2 ** self.level
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        idx = np.floor(_coords(sample)[:, 0] * self.block_count).astype(int)
-        return np.clip(idx, 0, self.block_count - 1)
+        return dyadic_cells(_coords(sample)[:, :1], self.level)
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,6 @@ _PARTITIONS: dict[str, type[Partition]] = {cls.kind: cls for cls in (
     DyadicIntervals, FirstSymbols, OneBlock,
 )}
 
-# the constructors are the classes themselves
-dyadic_interval_partition = DyadicIntervals
-first_symbols_partition = FirstSymbols
-one_block_partition = OneBlock
-
-
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
@@ -149,6 +144,23 @@ def _coords(sample: PointSample) -> np.ndarray:
     if sample.coords is None:
         raise MetricTypeError("this semimetric needs coordinate points")
     return sample.coords
+
+
+def dyadic_cells(coords: np.ndarray, level: int) -> np.ndarray:
+    """Dyadic box of every point at ``level``, shape (m,).
+
+    The level's bits are dealt to the coordinates in turn, starting with the
+    first, and the boxes are numbered in row-major order: in 1-D that is
+    2**level intervals, in 2-D 2**ceil(level/2) x 2**floor(level/2) boxes with
+    index ``ix * ny + iy``.
+    """
+    dim = coords.shape[1]
+    cells = np.zeros(coords.shape[0], dtype=int)
+    for i in range(dim):
+        count = 2 ** ((level - i + dim - 1) // dim)
+        idx = np.clip(np.floor(coords[:, i] * count).astype(int), 0, count - 1)
+        cells = cells * count + idx
+    return cells
 
 
 def _window(sample: PointSample, need: int) -> np.ndarray:
@@ -561,12 +573,6 @@ def make_standard(tag: str) -> Semimetric:
     return standard[tag]()
 
 
-def pull_back(metric: Semimetric, system: SystemSpec, k: int) -> Semimetric:
-    """The semimetric (x, y) -> rho(T^k x, T^k y)."""
-    pulled = PullBack(metric, system, k)
-    return metric if k == 0 or isinstance(system, Identity) else pulled
-
-
 def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric:
     """Arithmetic mean of the first n pull-backs of ``metric`` along the orbit.
 
@@ -575,13 +581,6 @@ def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric
     """
     averaged = Average(metric, system, n)
     return metric if n == 1 or isinstance(system, Identity) else averaged
-
-
-# the other constructors have no shortcut, so they are the node classes
-closed_form = ClosedForm
-block_semimetric = Block
-mix = Mix
-cutoff = Cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +592,6 @@ class DistanceMatrix:
     """Symmetric nonnegative value matrix of a semimetric on a point sample."""
 
     values: np.ndarray
-    sample_ref: str = ""
 
     def __post_init__(self) -> None:
         v = self.values
@@ -607,13 +605,6 @@ class DistanceMatrix:
             raise ParameterError("distance matrix must be exactly symmetric")
         if np.any(np.diagonal(v) != 0.0):
             raise ParameterError("distance matrix diagonal must be exactly zero")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.values, fmt="%.17g", delimiter=",")
 
 
 MatrixLike = Union[DistanceMatrix, np.ndarray]
@@ -630,7 +621,7 @@ def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:
     """Pairwise matrix of ``metric`` on the sample (symmetric, zero diagonal)."""
     if sample.m < 1:
         raise ParameterError("distance matrix needs at least one point")
-    return DistanceMatrix(metric.pairwise(sample), sample.fingerprint())
+    return DistanceMatrix(metric.pairwise(sample))
 
 
 def streamed_average_matrices(
@@ -651,116 +642,3 @@ def streamed_average_matrices(
         return
     for n, acc in _orbit_sums(metric, system, sample, np.arange(sample.m), schedule):
         yield n, _symmetrize(acc / n)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Observed semimetric-axiom violations on a finite sample."""
-
-    symmetry_violation: float
-    triangle_defect: float
-    triples_checked: int
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetry_violation <= self.tol and self.triangle_defect <= self.tol
-
-
-def check_axioms(
-    metric: Semimetric, sample: PointSample, tol: float = 1e-9,
-    seed: int = 0, max_triples: int = 100_000,
-) -> AxiomReport:
-    """Measure symmetry and triangle defects; violations are reported, not raised.
-
-    All m^3 triples are scanned when affordable, otherwise a seeded random
-    subset of at least ``max_triples``.
-    """
-    m = sample.m
-    if m < 3:
-        raise ParameterError("axiom check needs at least three points")
-    matrix = metric.pairwise(sample)
-    sym = float(np.max(np.abs(matrix - matrix.T)))
-    defect = 0.0
-    if m ** 3 <= max_triples:
-        for j in range(m):
-            cand = matrix - matrix[:, j:j + 1] - matrix[j:j + 1, :]
-            defect = max(defect, float(cand.max()))
-        triples = m ** 3
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, m]))
-        i, j, k = (rng.integers(0, m, size=max_triples) for _ in range(3))
-        cand = matrix[i, k] - matrix[i, j] - matrix[j, k]
-        defect = float(cand.max())
-        triples = max_triples
-    return AxiomReport(sym, max(0.0, defect), triples, tol)
-
-
-def empirical_l1(
-    m1: Semimetric, m2: Semimetric, sample: PointSample, chunk_rows: int = 2048
-) -> float:
-    """Mean of |rho1 - rho2| over all ordered pairs of distinct sample points."""
-    m = sample.m
-    if m < 2:
-        raise ParameterError("empirical L1 needs at least two points")
-    total = 0.0
-    for start in range(0, m, chunk_rows):
-        rows = np.arange(start, min(start + chunk_rows, m))
-        block = np.abs(m1.values(sample, rows) - m2.values(sample, rows))
-        block[np.arange(len(rows)), rows] = 0.0
-        total += float(block.sum())
-    return total / (m * (m - 1))
-
-
-def mnorm_bounds(
-    pair: tuple[Semimetric, Semimetric], sample: PointSample
-) -> tuple[float, float]:
-    """Empirical bracket for the dominating-semimetric norm of rho1 - rho2.
-
-    The lower bound is the empirical L1 distance.  The upper bound is the best
-    of three explicit dominating semimetrics: the sum rho1 + rho2, a constant
-    cap on the largest observed |difference|, and, for cut-off pairs, the
-    two-zone construction anchored at the sample point that minimizes it.
-    """
-    m1, m2 = pair
-    m = sample.m
-    if m < 2:
-        raise ParameterError("norm bounds need at least two points")
-    v1 = m1.pairwise(sample)
-    v2 = m2.pairwise(sample)
-    off = ~np.eye(m, dtype=bool)
-    diff = np.abs(v1 - v2)
-    lower = float(diff[off].mean())
-    uppers = [float((v1 + v2)[off].mean()), float(diff[off].max())]
-
-    base = _cutoff_base(m1, m2, v1, v2)
-    if base is not None:
-        base_values, level = base
-        radius = level / 2.0
-        best = math.inf
-        for x in range(m):
-            d = base_values[x]
-            in_ball = d <= radius
-            dominator = np.where(
-                in_ball[:, None] & in_ball[None, :], 0.0,
-                np.where(
-                    ~in_ball[:, None] & ~in_ball[None, :], base_values,
-                    np.where(~in_ball[:, None], d[:, None], d[None, :]),
-                ),
-            )
-            best = min(best, float(dominator[off].mean()))
-        uppers.append(best)
-    return lower, min(uppers)
-
-
-def _cutoff_base(m1, m2, v1, v2):
-    """Detect a (rho, cutoff(rho, level)) pair; return (base matrix, level)."""
-    if isinstance(m2, Cutoff) and m2.inner == m1:
-        return v1, m2.level
-    if isinstance(m1, Cutoff) and m1.inner == m2:
-        return v2, m1.level
-    return None

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from orbent import (
+    BernoulliShift,
+    CircleRotation,
+    Identity,
     PointSample,
-    bernoulli_shift,
-    circle_rotation,
-    identity_system,
     make_standard,
 )
 from orbent.semimetric import DistanceMatrix
@@ -13,17 +13,17 @@ from orbent.semimetric import DistanceMatrix
 
 @pytest.fixture(scope="session")
 def rotation():
-    return circle_rotation()
+    return CircleRotation()
 
 
 @pytest.fixture(scope="session")
 def identity():
-    return identity_system()
+    return Identity()
 
 
 @pytest.fixture(scope="session")
 def fair_shift():
-    return bernoulli_shift([0.5, 0.5], horizon=300)
+    return BernoulliShift((0.5, 0.5), horizon=300)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def cut():
 def coords_sample(values) -> PointSample:
     """Hand-built 1-D coordinate sample (bypasses the seeded sampler)."""
     coords = np.asarray(values, dtype=float).reshape(-1, 1)
-    return PointSample(identity_system(), 0, coords=coords)
+    return PointSample(Identity(), 0, coords=coords)
 
 
 def matrix_from_points(values) -> DistanceMatrix:

@@ -2,17 +2,20 @@
 
 These deliberately avoid the library's solver paths: transport costs come
 from enumerating transportation-polytope vertices (spanning trees of the
-complete bipartite support graph), and covering counts from exhaustive
-search over ball-center subsets.  The limit-check reference recomputes the
-large-n average from scratch for every seed.  The orbit-sum reference adds
-one value matrix per orbit step, and the ``Discrete`` reference compares
-every pair of points symbol by symbol.
+complete bipartite support graph), covering counts and separated sets from
+exhaustive search.  The limit-check reference recomputes the large-n average
+from scratch for every seed.  The orbit-sum reference adds one value matrix
+per orbit step, and the ``Discrete`` reference compares every pair of points
+symbol by symbol.  The trace reference builds each box of an explicit grid
+as a mask and loops over its pairs, and the axiom checker scans triples of a
+value matrix for triangle defects.
 """
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from orbent import admissibility_report, average_metric
+from orbent import ParameterError, admissibility_report, average_metric
 from orbent.admit import combine_verdict
 from orbent.dynsys import advance_sample
 from orbent.scaling import LimitMetricReport
@@ -184,3 +187,102 @@ def discrete_by_broadcast(sample, rows):
     """``Discrete`` values as an m x m x width comparison of whole points."""
     points = sample.coords if sample.coords is not None else sample.symbol_window
     return np.any(points[rows, None, :] != points[None, :, :], axis=2).astype(float)
+
+
+def exact_separated_size(values, c):
+    """Largest subset with pairwise distances >= c, by pivoted Bron-Kerbosch
+    search over the graph of separated pairs."""
+    n = values.shape[0]
+    if n > 24:
+        raise ValueError("exact separated-set search is capped at n=24")
+    adjacency = values >= c
+    np.fill_diagonal(adjacency, False)
+    neighbor_mask = [sum(1 << j for j in range(n) if adjacency[i, j]) for i in range(n)]
+    best = 0
+
+    def expand(size, candidates, excluded):
+        nonlocal best
+        if candidates == 0 and excluded == 0:
+            best = max(best, size)
+            return
+        if size + bin(candidates).count("1") <= best:
+            return
+        pool = candidates | excluded
+        pivot = (pool & -pool).bit_length() - 1
+        rest = candidates & ~neighbor_mask[pivot]
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            expand(size + 1, candidates & neighbor_mask[v], excluded & neighbor_mask[v])
+            candidates &= ~bit
+            excluded |= bit
+            rest &= ~bit
+
+    expand(0, (1 << n) - 1, 0)
+    return best
+
+
+def reference_trace_curve(values, coords, grids):
+    """Trace points (mass-weighted mean of within-box pair means) of a value
+    matrix, one per ``(nx, ny)`` grid of equal boxes of the unit square.
+
+    Each box is a mask over the points, its pair mean a loop over its pairs;
+    boxes with fewer than two points are skipped and the masses renormalized.
+    """
+    m = values.shape[0]
+    curve = []
+    for nx, ny in grids:
+        ix = np.minimum(np.floor(coords[:, 0] * nx), nx - 1)
+        iy = np.minimum(np.floor(coords[:, 1] * ny), ny - 1)
+        means, masses = [], []
+        for bx in range(nx):
+            for by in range(ny):
+                members = np.flatnonzero((ix == bx) & (iy == by))
+                if members.size < 2:
+                    continue
+                pairs = [values[i, j] for a, i in enumerate(members) for j in members[a + 1:]]
+                means.append(sum(pairs) / len(pairs))
+                masses.append(members.size / m)
+        weights = np.array(masses) / sum(masses)
+        curve.append(float(np.dot(weights, means)))
+    return curve
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Observed semimetric-axiom violations on a finite sample."""
+
+    symmetry_violation: float
+    triangle_defect: float
+    triples_checked: int
+    tol: float
+
+    @property
+    def ok(self):
+        return self.symmetry_violation <= self.tol and self.triangle_defect <= self.tol
+
+
+def check_axioms(metric, sample, tol=1e-9, seed=0, max_triples=100_000):
+    """Measure symmetry and triangle defects; violations are reported, not raised.
+
+    All m^3 triples are scanned when affordable, otherwise a seeded random
+    subset of ``max_triples``.
+    """
+    m = sample.m
+    if m < 3:
+        raise ParameterError("axiom check needs at least three points")
+    matrix = metric.pairwise(sample)
+    sym = float(np.max(np.abs(matrix - matrix.T)))
+    defect = 0.0
+    if m ** 3 <= max_triples:
+        for j in range(m):
+            cand = matrix - matrix[:, j:j + 1] - matrix[j:j + 1, :]
+            defect = max(defect, float(cand.max()))
+        triples = m ** 3
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, m]))
+        i, j, k = (rng.integers(0, m, size=max_triples) for _ in range(3))
+        cand = matrix[i, k] - matrix[i, j] - matrix[j, k]
+        defect = float(cand.max())
+        triples = max_triples
+    return AxiomReport(sym, max(0.0, defect), triples, tol)

@@ -2,117 +2,93 @@ import numpy as np
 import pytest
 
 from orbent import (
+    BernoulliShift,
+    MetricTypeError,
     ParameterError,
+    TorusTranslation,
     admissibility_report,
     ball_mass_test,
-    bernoulli_shift,
-    block_average_matrix,
-    circle_rotation,
-    closed_form,
     distance_matrix,
-    identity_system,
     make_standard,
     random_matrix_test,
     sample_points,
-    trace_test,
-)
-from orbent.admit import (
-    exact_separated_size,
-    greedy_separated_size,
     trace_from_matrix,
 )
+from orbent.admit import greedy_separated_size
 
 from conftest import coords_sample
+from oracles import exact_separated_size, reference_trace_curve
+
+
+def trace(metric, sample, n_schedule):
+    return trace_from_matrix(metric.pairwise(sample), sample, n_schedule)
 
 
 class TestTraceTest:
     def test_euclidean_analytic(self, euclid, identity):
         # within-cell mean of |x-y| on an interval of length 1/n is 1/(3n)
         sample = sample_points(identity, 4096, 13)
-        for point in trace_test(euclid, sample, [2, 4, 8, 16]):
+        for point in trace(euclid, sample, [2, 4, 8, 16]):
             expected = 1.0 / (3.0 * point.n)
             assert abs(point.trace_over_n - expected) <= 0.15 * expected
 
     def test_discrete_metric_stays_at_one(self, identity):
         sample = sample_points(identity, 2048, 3)
         disc = make_standard("discrete")
-        for point in trace_test(disc, sample, [2, 4, 8]):
+        for point in trace(disc, sample, [2, 4, 8]):
             assert abs(point.trace_over_n - 1.0) <= 0.02
 
     def test_zero_metric_is_zero(self, identity):
         sample = sample_points(identity, 512, 5)
-        for point in trace_test(make_standard("zero"), sample, [2, 4, 8]):
+        for point in trace(make_standard("zero"), sample, [2, 4, 8]):
             assert point.trace_over_n == 0.0
 
     def test_decreasing_for_euclidean(self, euclid, identity):
         sample = sample_points(identity, 4096, 17)
-        points = trace_test(euclid, sample, [2, 4, 8, 16, 32])
+        points = trace(euclid, sample, [2, 4, 8, 16, 32])
         for a, b in zip(points, points[1:]):
             assert b.trace_over_n <= a.trace_over_n + 2 * (a.stderr + b.stderr)
 
     def test_trace_at_most_twice_l1(self, identity):
         # mass-weighted within-cell means never exceed twice the global mean
         sample = sample_points(identity, 1024, 19)
-        from orbent import empirical_l1
-
-        zero = make_standard("zero")
+        off = ~np.eye(sample.m, dtype=bool)
         for metric in (make_standard("euclidean_1d"), make_standard("circle_arc")):
-            l1 = empirical_l1(zero, metric, sample)
-            for point in trace_test(metric, sample, [2, 4, 8, 16]):
+            values = metric.pairwise(sample)
+            l1 = float(values[off].mean())
+            for point in trace_from_matrix(values, sample, [2, 4, 8, 16]):
                 assert point.trace_over_n <= 2.0 * l1 + 5 * point.stderr
 
     def test_skipped_cells_flagged(self, euclid):
         # everything in [0, 0.2): most dyadic cells at n=16 are empty
         rng = np.random.default_rng(0)
         sample = coords_sample(rng.random(64) * 0.2)
-        point = trace_test(euclid, sample, [16])[0]
+        point = trace(euclid, sample, [16])[0]
         assert point.cells_skipped >= 12
         assert point.flagged
 
     def test_requires_power_of_two(self, euclid, identity):
         sample = sample_points(identity, 128, 1)
-        with pytest.raises(ParameterError):
-            trace_test(euclid, sample, [3])
-        # equal-count blocks take any n
-        points = trace_test(euclid, sample, [3], partition_kind="EqualMeasureBlocks")
-        assert points[0].n == 3
+        for n in (3, 0, -4):
+            with pytest.raises(ParameterError):
+                trace(euclid, sample, [n])
 
     def test_symbolic_points_rejected(self, cut):
-        system = bernoulli_shift([0.5, 0.5], horizon=8)
+        system = BernoulliShift([0.5, 0.5], horizon=8)
         sample = sample_points(system, 64, 2)
-        with pytest.raises(ParameterError):
-            trace_test(cut, sample, [2])
+        with pytest.raises(MetricTypeError):
+            trace(cut, sample, [2])
 
-    def test_matrix_path_matches_metric_path(self, euclid, identity):
-        sample = sample_points(identity, 512, 23)
-        direct = trace_test(euclid, sample, [2, 4, 8])
-        via_matrix = trace_from_matrix(
-            distance_matrix(euclid, sample), sample, [2, 4, 8]
-        )
-        for a, b in zip(direct, via_matrix):
-            assert a.trace_over_n == pytest.approx(b.trace_over_n, abs=1e-12)
-
-
-class TestBlockAverageMatrix:
-    def test_averaged_triangle_bound(self, identity):
-        # within-cell means are at most twice any cross-cell mean, up to noise
-        sample = sample_points(identity, 1024, 7)
-        for tag in ("euclidean_1d", "circle_arc"):
-            metric = make_standard(tag)
-            for n in (2, 4, 8):
-                bam = block_average_matrix(metric, sample, n)
-                for k in range(n):
-                    for l in range(n):
-                        if k == l:
-                            continue
-                        slack = 5.0 * (bam.entries_stderr[k, k] + bam.entries_stderr[k, l])
-                        assert bam.entries[k, k] <= 2.0 * bam.entries[k, l] + slack
-
-    def test_masses_sum_to_one(self, euclid, identity):
-        sample = sample_points(identity, 256, 9)
-        bam = block_average_matrix(euclid, sample, 8)
-        assert bam.masses.sum() == pytest.approx(1.0, abs=1e-12)
-        assert bam.partition_kind == "DyadicIntervals"
+    def test_torus_grid_matches_box_oracle(self):
+        # level j cuts the square into 2^ceil(j/2) x 2^floor(j/2) boxes
+        system = TorusTranslation()
+        sample = sample_points(system, 512, 29)
+        values = make_standard("torus_arc_l1").pairwise(sample)
+        schedule = [2, 4, 8, 16, 32]
+        grids = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
+        got = [p.trace_over_n for p in trace_from_matrix(values, sample, schedule)]
+        expected = reference_trace_curve(values, sample.coords, grids)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestBallMass:
@@ -191,7 +167,7 @@ class TestAdmissibilityReport:
 
     def test_cut_metric_on_shift_is_admissible(self, cut):
         # no trace curve for symbolic points; ball mass and separation decide
-        system = bernoulli_shift([0.5, 0.5], horizon=16)
+        system = BernoulliShift([0.5, 0.5], horizon=16)
         report = admissibility_report(
             system, cut, m=256, seed=3, eps=0.1, c=0.4, pc_n=32, pc_trials=20,
         )

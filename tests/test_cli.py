@@ -117,8 +117,14 @@ class TestMalformedInput:
           "inner": {"type": "Euclidean1D"}}, None),
         ({"type": "Cutoff", "levle": 0.5, "level": 0.5, "inner": {"type": "Euclidean1D"}},
          "metric"),
+        # number fields are strict: no truncation, no bools, no numeric strings
+        ({"type": "Average", "n": 3.7, "system": {"kind": "CircleRotation", "alpha": ALPHA},
+          "inner": {"type": "Euclidean1D"}}, "metric"),
+        ({"type": "Block", "partition": {"kind": "dyadic_intervals", "level": True}}, "metric"),
+        ({"type": "Cutoff", "level": "0.5", "inner": {"type": "Euclidean1D"}}, "metric"),
     ], ids=["mix-t", "cutoff-level", "average-n", "closed-form-tag", "cross-dimension",
-            "cutoff-unknown-field"])
+            "cutoff-unknown-field", "average-n-float", "dyadic-level-bool",
+            "cutoff-level-string"])
     def test_bad_metric_exits_2(self, tmp_path, metric, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
@@ -130,7 +136,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("make_config, key, value", [
         (rotation_config, "beta", 0.7), (bernoulli_config, "horizen", 64),
-    ], ids=["rotation-beta", "shift-horizen"])
+        (rotation_config, "alpha", "0.3"), (bernoulli_config, "horizon", 99.9),
+    ], ids=["rotation-beta", "shift-horizen", "rotation-alpha-string", "shift-horizon-float"])
     def test_unknown_system_field_exits_2(self, tmp_path, make_config, key, value):
         raw = make_config(tmp_path / "out")
         raw["system"][key] = value
@@ -141,6 +148,20 @@ class TestMalformedInput:
         error = json.loads(result.stderr)["error"]
         assert error["field"] == "system"
         assert repr(key) in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 64.5), ("seeds", [1.9, 2, 3]), ("eps_grid", ["0.25", 0.1]),
+        ("n_schedule", [True, 2, 4, 8]),
+    ], ids=["m-float", "seeds-float", "eps-string", "schedule-bool"])
+    def test_bad_number_exits_2(self, tmp_path, key, value):
+        raw = rotation_config(tmp_path / "out")
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == key
         assert not (tmp_path / "out").exists()
 
     def test_infinite_eps_exits_2(self, tmp_path):

@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from orbent import (
+    AnzaiSkew,
+    BernoulliShift,
+    CircleRotation,
     HorizonError,
+    Identity,
     ParameterError,
     Point,
     SystemSpec,
-    anzai_skew,
-    apply,
-    bernoulli_shift,
-    circle_rotation,
-    identity_system,
+    TorusTranslation,
     sample_points,
-    torus_translation,
 )
-from orbent.dynsys import advance_sample
+from orbent.dynsys import advance_sample, points_sample
+
+
+def moved(system, p, k):
+    """The point p moved k steps by the system."""
+    return advance_sample(points_sample([p]), k, system).point(0)
 
 
 class TestSampling:
@@ -31,7 +35,7 @@ class TestSampling:
         assert not np.array_equal(a.coords, c.coords)
 
     def test_bernoulli_sample_shape(self):
-        system = bernoulli_shift([0.5, 0.5], horizon=50)
+        system = BernoulliShift([0.5, 0.5], horizon=50)
         sample = sample_points(system, 1, 1)
         assert sample.symbols.shape == (1, 50)
         assert set(np.unique(sample.symbols)) <= {0, 1}
@@ -52,84 +56,80 @@ class TestSampling:
 
     def test_bad_weights(self):
         with pytest.raises(ParameterError):
-            bernoulli_shift([0.5, 0.6])
+            BernoulliShift([0.5, 0.6])
         with pytest.raises(ParameterError):
-            bernoulli_shift([1.0, 0.0])
+            BernoulliShift([1.0, 0.0])
 
     def test_integer_angle_rejected(self):
         with pytest.raises(ParameterError):
-            circle_rotation(0.0)
+            CircleRotation(0.0)
         with pytest.raises(ParameterError):
-            circle_rotation(2.0)
+            CircleRotation(2.0)
 
 
 class TestApply:
     def test_rotation_two_steps(self):
-        system = circle_rotation(0.2)
+        system = CircleRotation(0.2)
         p = Point(coords=np.array([0.25]))
-        q = apply(system, p, 2)
+        q = moved(system, p, 2)
         expected = ((0.25 + 0.2) % 1.0 + 0.2) % 1.0
         assert q.coords[0] == expected
 
     def test_anzai_one_step(self):
-        system = anzai_skew(0.3)
+        system = AnzaiSkew(0.3)
         p = Point(coords=np.array([0.7, 0.9]))
-        q = apply(system, p, 1)
+        q = moved(system, p, 1)
         assert q.coords[0] == pytest.approx((0.7 + 0.3) % 1.0, abs=1e-15)
         assert q.coords[1] == pytest.approx((0.9 + 0.7) % 1.0, abs=1e-15)
 
     def test_shift_drops_symbols(self, fair_shift):
         p = sample_points(fair_shift, 1, 5).point(0)
-        q = apply(fair_shift, p, 1)
+        q = moved(fair_shift, p, 1)
         assert np.array_equal(q.symbols, p.symbols[1:])
 
     def test_identity_fixed(self, identity):
         p = Point(coords=np.array([0.42]))
-        assert apply(identity, p, 9).coords[0] == 0.42
-
-    def test_apply_zero_is_noop(self, rotation):
-        p = Point(coords=np.array([0.3]))
-        assert apply(rotation, p, 0) is p
+        assert moved(identity, p, 9).coords[0] == 0.42
 
     @pytest.mark.parametrize("system", [
-        circle_rotation(), torus_translation(), anzai_skew(), identity_system(),
+        CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
     ])
     def test_semigroup_law_exact(self, system):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = Point(coords=rng.random(system.dim))
             j, k = rng.integers(0, 40, size=2)
-            via_composition = apply(system, apply(system, p, int(j)), int(k))
-            direct = apply(system, p, int(j + k))
+            via_composition = moved(system, moved(system, p, int(j)), int(k))
+            direct = moved(system, p, int(j + k))
             assert np.array_equal(via_composition.coords, direct.coords)
 
     def test_shift_horizon_error(self):
-        system = bernoulli_shift([0.5, 0.5], horizon=10)
+        system = BernoulliShift([0.5, 0.5], horizon=10)
         p = sample_points(system, 1, 2).point(0)
         with pytest.raises(HorizonError):
-            apply(system, p, 10)
+            moved(system, p, 10)
         sample = sample_points(system, 4, 2)
         with pytest.raises(HorizonError):
             advance_sample(sample, 10)
 
     @pytest.mark.parametrize("acting, drawn", [
-        (anzai_skew(), circle_rotation()),
-        (torus_translation(), circle_rotation()),
-        (circle_rotation(), torus_translation()),
+        (AnzaiSkew(), CircleRotation()),
+        (TorusTranslation(), CircleRotation()),
+        (CircleRotation(), TorusTranslation()),
     ])
     def test_map_of_another_dimension_rejected(self, acting, drawn):
         sample = sample_points(drawn, 4, 2)
         with pytest.raises(ParameterError):
             advance_sample(sample, 1, acting)
         with pytest.raises(ParameterError):
-            apply(acting, sample.point(0), 1)
+            moved(acting, sample.point(0), 1)
         # the identity leaves points of any dimension alone
-        assert advance_sample(sample, 3, identity_system()).coords.shape == sample.coords.shape
+        assert advance_sample(sample, 3, Identity()).coords.shape == sample.coords.shape
 
 
 class TestMeasurePreservation:
     @pytest.mark.parametrize("system", [
-        circle_rotation(), torus_translation(), anzai_skew(), identity_system(),
+        CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
     ])
     def test_box_frequencies(self, system):
         m = 10_000
@@ -163,16 +163,16 @@ class TestMeasurePreservation:
 
 class TestSerialization:
     @pytest.mark.parametrize("system", [
-        circle_rotation(), torus_translation(0.3, 0.7), anzai_skew(0.21),
-        bernoulli_shift([0.9, 0.1], horizon=64), identity_system(),
+        CircleRotation(), TorusTranslation(0.3, 0.7), AnzaiSkew(0.21),
+        BernoulliShift([0.9, 0.1], horizon=64), Identity(),
     ])
     def test_json_roundtrip(self, system):
         again = SystemSpec.from_json(system.to_json())
         assert again == system
 
     def test_json_field_names(self):
-        obj = circle_rotation(0.25).to_json()
+        obj = CircleRotation(0.25).to_json()
         assert obj == {"kind": "CircleRotation", "alpha": 0.25}
-        obj = bernoulli_shift([0.5, 0.5], horizon=16).to_json()
+        obj = BernoulliShift([0.5, 0.5], horizon=16).to_json()
         assert obj["kind"] == "BernoulliShift"
         assert obj["weights"] == [0.5, 0.5]

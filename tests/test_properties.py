@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbent import (
+    AnzaiSkew,
+    BernoulliShift,
+    CircleRotation,
+    DyadicIntervals,
+    FirstSymbols,
+    Identity,
+    OneBlock,
     ParameterError,
     Semimetric,
-    anzai_skew,
-    bernoulli_shift,
-    check_axioms,
-    circle_rotation,
-    dyadic_interval_partition,
-    first_symbols_partition,
-    identity_system,
-    one_block_partition,
+    TorusTranslation,
     sample_points,
-    torus_translation,
 )
 from orbent.dynsys import _SYSTEMS, advance_sample
 from orbent.semimetric import (
@@ -41,28 +40,30 @@ from orbent.semimetric import (
     Zero,
 )
 
-ROTATION = circle_rotation()
-TORUS = torus_translation()
-SHIFT = bernoulli_shift([0.5, 0.5], horizon=64)
+from oracles import check_axioms
+
+ROTATION = CircleRotation()
+TORUS = TorusTranslation()
+SHIFT = BernoulliShift([0.5, 0.5], horizon=64)
 
 ANGLES = st.floats(0.01, 0.99)
 SYSTEMS = {
-    "CircleRotation": ANGLES.map(circle_rotation),
-    "TorusTranslation": st.tuples(ANGLES, ANGLES).map(lambda ab: torus_translation(*ab)),
-    "AnzaiSkew": ANGLES.map(anzai_skew),
-    "Identity": st.just(identity_system()),
+    "CircleRotation": ANGLES.map(CircleRotation),
+    "TorusTranslation": st.tuples(ANGLES, ANGLES).map(lambda ab: TorusTranslation(*ab)),
+    "AnzaiSkew": ANGLES.map(AnzaiSkew),
+    "Identity": st.just(Identity()),
     "BernoulliShift": st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4).map(
-        lambda w: bernoulli_shift([x / sum(w) for x in w], horizon=64)
+        lambda w: BernoulliShift([x / sum(w) for x in w], horizon=64)
     ),
 }
 # partitions of coordinate points and of symbolic points
 COORD_PARTITIONS = {
-    "dyadic_intervals": st.integers(0, 4).map(dyadic_interval_partition),
-    "one_block": st.just(one_block_partition()),
+    "dyadic_intervals": st.integers(0, 4).map(DyadicIntervals),
+    "one_block": st.just(OneBlock()),
 }
 SYMBOL_PARTITIONS = {
     "first_symbols": st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
-        lambda ca: first_symbols_partition(*ca)
+        lambda ca: FirstSymbols(*ca)
     ),
 }
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from orbent import (
+    AnzaiSkew,
+    BernoulliShift,
+    CircleRotation,
+    Identity,
     ParameterError,
-    anzai_skew,
-    bernoulli_shift,
-    circle_rotation,
     classify_growth,
     discreteness_verdict,
-    identity_system,
     limit_metric_check,
     make_standard,
     sample_points,
@@ -110,7 +110,7 @@ class TestScalingProfile:
     def test_bernoulli_growth_visible_before_saturation(self, cut):
         # with m=512 points the covering estimate resolves growth only while
         # the true entropy stays below log2(384) bits, i.e. n <= ~16
-        system = bernoulli_shift([0.5, 0.5], horizon=32)
+        system = BernoulliShift([0.5, 0.5], horizon=32)
         profile = scaling_profile(
             system, cut, 0.25, [2, 4, 8, 16], 512, [101, 202, 303],
         )
@@ -129,7 +129,7 @@ class TestVerdict:
     def _profile(self, eps, cls):
         rows = rows_from([(n, 1.0) for n in SCHEDULE])
         return ScalingProfile(
-            system=identity_system(), metric=make_standard("euclidean_1d"),
+            system=Identity(), metric=make_standard("euclidean_1d"),
             method="Covering", eps=eps, rows=rows, growth_class=cls,
             fit_diagnostics={},
         )
@@ -175,7 +175,7 @@ class TestLimitMetricCheck:
 
     def test_bernoulli_average_concentrates(self, cut):
         # averaged cut distances pile up near 1/2: empty balls at eps=0.1
-        system = bernoulli_shift([0.5, 0.5], horizon=300)
+        system = BernoulliShift([0.5, 0.5], horizon=300)
         report = limit_metric_check(
             system, cut, 256, 64, [1, 2, 3], profile_class=LINEAR,
         )
@@ -200,10 +200,10 @@ def as_json_text(report):
 
 
 LIMIT_CASES = {
-    "rotation": (circle_rotation(), make_standard("euclidean_1d")),
-    "anzai": (anzai_skew(), make_standard("torus_arc_l1")),
-    "bernoulli": (bernoulli_shift([0.5, 0.5], horizon=40), make_standard("first_symbol_cut")),
-    "identity": (identity_system(), make_standard("euclidean_1d")),
+    "rotation": (CircleRotation(), make_standard("euclidean_1d")),
+    "anzai": (AnzaiSkew(), make_standard("torus_arc_l1")),
+    "bernoulli": (BernoulliShift([0.5, 0.5], horizon=40), make_standard("first_symbol_cut")),
+    "identity": (Identity(), make_standard("euclidean_1d")),
 }
 
 
