@@ -70,7 +70,6 @@ from .scaling import (
     classify_growth,
     discreteness_verdict,
     limit_metric_check,
-    scaling_profile,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Two routes to the entropy of a sampled space at resolution eps: a greedy
 covering count bracketed by a packing lower bound, and the least entropy of a
 finite atomic measure within transport distance eps of the empirical measure.
-Transport costs are solved exactly as transportation linear programs.
+Every candidate measure carries the masses of its nearest-atom cells, so its
+transport distance to the sample is the mean nearest-atom distance in closed
+form; no transport problem is solved on the way to an estimate.
 """
 from __future__ import annotations
 
@@ -11,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .admit import greedy_separated_size
 from .dynsys import SystemSpec, derive_rng, sample_points
 from .errors import InfeasibleError, ParameterError, SizeError
-from .semimetric import MatrixLike, Semimetric, as_values, average_metric, distance_matrix
+from .semimetric import (
+    DistanceMatrix, MatrixLike, Semimetric, as_values, average_metric, distance_matrix,
+)
 
 _REL_TOL = 1e-12
 MAX_TRANSPORT_SUPPORT = 4096
@@ -71,9 +73,10 @@ def kantorovich_distance(
 ) -> float:
     """Exact optimal transport cost between two atomic measures.
 
-    ``ground`` is a distance matrix indexed by the atoms.  Solved to
-    optimality as a transportation linear program (dual simplex, no
-    regularization).
+    The general solver: ``ground`` is a distance matrix indexed by the atoms,
+    and the cost is solved to optimality as a transportation linear program
+    (HiGHS, no regularization).  No estimator calls it; SciPy is imported
+    only when it is called.
     """
     if mu1.size + mu2.size > MAX_TRANSPORT_SUPPORT:
         raise SizeError(
@@ -91,6 +94,9 @@ def _transport_cost(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) ->
         return float((cost[0] * demand).sum())
     if n2 == 1:
         return float((cost[:, 0] * supply).sum())
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     # transportation LP: rows emit supply, columns absorb demand
     row_idx = np.repeat(np.arange(n1), n2)
     col_idx = n1 + np.tile(np.arange(n2), n1)
@@ -204,11 +210,14 @@ def _kmedoids(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return medoids
 
 
-def _medoid_measure(values: np.ndarray, k: int, seed: int) -> AtomicMeasure:
-    """Best-of-restarts k-medoid quantization of the empirical measure."""
+def _medoid_measure(values: np.ndarray, k: int, seed: int) -> tuple[AtomicMeasure, float]:
+    """Best-of-restarts k-medoid quantization of the empirical measure, and
+    its transport distance to the empirical measure (the mean distance to the
+    nearest medoid)."""
     m = values.shape[0]
     if k >= m:
-        return AtomicMeasure.uniform(np.arange(m))
+        # the identity coupling on a zero-diagonal ground
+        return AtomicMeasure.uniform(np.arange(m)), 0.0
     best = None
     best_cost = math.inf
     for restart in range(MEDOID_RESTARTS):
@@ -219,8 +228,10 @@ def _medoid_measure(values: np.ndarray, k: int, seed: int) -> AtomicMeasure:
             best = medoids
     assign = np.argmin(values[:, best], axis=1)
     weights = np.bincount(assign, minlength=best.size) / m
+    # every point's nearest medoid has positive weight, so dropping the
+    # others leaves the cost unchanged
     keep = weights > 0
-    return AtomicMeasure(best[keep], weights[keep])
+    return AtomicMeasure(best[keep], weights[keep]), best_cost
 
 
 def eps_entropy_kantorovich(
@@ -232,33 +243,44 @@ def eps_entropy_kantorovich(
     k runs through a doubling-then-bisection schedule and the smallest entropy
     among the feasible candidates is returned (an upper bound on the true
     infimum).  No covering-free lower bound is available, so it is 0.
+
+    A candidate nu = sum_j w_j delta_{c_j}, with w_j the mass of the points
+    whose nearest medoid is c_j, lies at transport distance exactly
+    (1/m) sum_i min_j d(i, c_j) from the uniform sample mu:
+
+    - any coupling pi of (mu, nu) has
+      sum_ij pi_ij d(i, c_j) >= sum_i mu_i min_j d(i, c_j);
+    - sending each point to its nearest medoid is a coupling with exactly
+      the marginals (mu, nu), and it attains that bound.
+
+    A plain-array ``matrix`` is checked as a ``DistanceMatrix`` is.
     """
-    values = as_values(matrix)
+    if not isinstance(matrix, DistanceMatrix):
+        matrix = DistanceMatrix(as_values(matrix))
+    values = matrix.values
     m = values.shape[0]
     if m < 2:
         raise SizeError("quantization entropy needs at least two points")
     if not (eps > 0):
         raise ParameterError("eps must be positive")
-    empirical = AtomicMeasure.uniform(np.arange(m))
     slack = eps * (1.0 + _REL_TOL)
 
     feasible: dict[int, tuple[float, int]] = {}
 
     def try_k(k: int) -> bool:
-        nu = _medoid_measure(values, k, seed)
-        dist = kantorovich_distance(empirical, nu, values)
-        ok = dist < slack
+        nu, cost = _medoid_measure(values, k, seed)
+        ok = cost < slack
         if ok:
             feasible[k] = (atomic_entropy(nu), nu.size)
         return ok
 
-    # doubling until feasible, then bisect down to the frontier
+    # doubling until feasible, then bisect down to the frontier; full support
+    # costs 0, so it is always feasible
     k = 1
     while k < m and not try_k(k):
         k *= 2
     if k >= m:
-        if not try_k(m):
-            raise InfeasibleError("quantization infeasible even at full support")
+        try_k(m)
         k = m
     lo, hi = k // 2, k
     while hi - lo > 1:

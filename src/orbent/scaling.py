@@ -246,22 +246,6 @@ def assemble_profile(
     )
 
 
-def scaling_profile(
-    system: SystemSpec,
-    metric: Semimetric,
-    eps: float,
-    n_schedule: Sequence[int],
-    m: int,
-    seeds: Sequence[int],
-    method: str = "Covering",
-) -> ScalingProfile:
-    """Entropy-vs-n profile at one eps, rows are medians over >= 3 seeds."""
-    if len(seeds) < 3:
-        raise ParameterError("a profile needs at least 3 seeds")
-    cells, _ = profile_cells(system, metric, n_schedule, m, seeds, [eps], method)
-    return assemble_profile(system, metric, method, eps, n_schedule, seeds, cells)
-
-
 @dataclass(frozen=True)
 class SpectralVerdict:
     verdict: str
@@ -274,13 +258,6 @@ class SpectralVerdict:
             "per_eps": {f"{eps:.17g}": cls.to_json() for eps, cls in self.per_eps.items()},
             "basis": self.basis,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SpectralVerdict":
-        per_eps = {
-            float(eps): GrowthClass.from_json(cls) for eps, cls in obj["per_eps"].items()
-        }
-        return SpectralVerdict(obj["verdict"], per_eps, obj["basis"])
 
 
 GROWING_KINDS = ("Linear", "Polynomial", "Logarithmic")

@@ -8,17 +8,23 @@ from scratch for every seed.  The orbit-sum reference adds one value matrix
 per orbit step, and the ``Discrete`` reference compares every pair of points
 symbol by symbol.  The trace reference builds each box of an explicit grid
 as a mask and loops over its pairs, and the axiom checker scans triples of a
-value matrix for triangle defects.
+value matrix for triangle defects.  The Kantorovich reference prices every
+k-medoid candidate with the transport LP instead of the closed form, and the
+profile reference is the one-eps profile built from the library's cells.
 """
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from orbent import ParameterError, admissibility_report, average_metric
+from orbent import (
+    AtomicMeasure, ParameterError, admissibility_report, atomic_entropy, average_metric,
+    kantorovich_distance,
+)
 from orbent.admit import combine_verdict
 from orbent.dynsys import advance_sample
-from orbent.scaling import LimitMetricReport
+from orbent.entropy import _medoid_measure
+from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
 
 
 def transport_cost_by_vertex_enumeration(cost, supply, demand):
@@ -142,6 +148,50 @@ def min_entropy_quantization(values, eps, max_atoms, rel_tol=1e-12):
             if best is None or entropy < best[0]:
                 best = (entropy, int(len(weights)))
     return best
+
+
+def kantorovich_entropy_by_lp(values, eps, seed=0):
+    """(value_bits, k) of the Kantorovich estimate, each k-medoid candidate
+    priced by the transport LP against the uniform sample measure.
+
+    Same candidates and the same doubling-then-bisection k schedule as
+    ``eps_entropy_kantorovich``.
+    """
+    m = values.shape[0]
+    empirical = AtomicMeasure.uniform(np.arange(m))
+    slack = eps * (1.0 + 1e-12)
+    feasible = {}
+
+    def try_k(k):
+        nu, _ = _medoid_measure(values, k, seed)
+        ok = kantorovich_distance(empirical, nu, values) < slack
+        if ok:
+            feasible[k] = (atomic_entropy(nu), nu.size)
+        return ok
+
+    k = 1
+    while k < m and not try_k(k):
+        k *= 2
+    if k >= m:
+        if not try_k(m):
+            raise ValueError("quantization infeasible even at full support")
+        k = m
+    lo, hi = k // 2, k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if try_k(mid):
+            hi = mid
+        else:
+            lo = mid
+    return min(feasible.values())
+
+
+def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"):
+    """Entropy-vs-n profile at one eps, rows are medians over >= 3 seeds."""
+    if len(seeds) < 3:
+        raise ParameterError("a profile needs at least 3 seeds")
+    cells, _ = profile_cells(system, metric, n_schedule, m, seeds, [eps], method)
+    return assemble_profile(system, metric, method, eps, n_schedule, seeds, cells)
 
 
 def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):

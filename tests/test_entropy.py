@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from orbent import (
     AtomicMeasure,
     BernoulliShift,
+    CircleRotation,
     InfeasibleError,
     ParameterError,
     SizeError,
@@ -16,10 +21,16 @@ from orbent import (
     make_standard,
     sample_points,
 )
-from orbent.entropy import estimate_from_matrix
+from orbent import entropy
+from orbent.entropy import _medoid_measure, estimate_from_matrix
+from orbent.semimetric import Average
 
 from conftest import matrix_from_points
-from oracles import min_entropy_quantization, transport_cost_by_vertex_enumeration
+from oracles import (
+    kantorovich_entropy_by_lp,
+    min_entropy_quantization,
+    transport_cost_by_vertex_enumeration,
+)
 
 
 def _metric_matrix(points_1d):
@@ -209,6 +220,82 @@ class TestKantorovichEntropy:
         # exhaustive minimum; the balanced two-cluster answer is ~1 bit
         assert est.value_bits >= best_h - 1e-9
         assert 0.9 <= est.value_bits <= 1.05
+
+
+def _rotation_matrix():
+    euclid = make_standard("euclidean_1d")
+    return distance_matrix(euclid, sample_points(CircleRotation(), 64, 3)).values
+
+
+def _tied_cut_matrix():
+    # 7-step cut average on a fair shift: every entry is j/7, with many ties
+    shift = BernoulliShift([0.5, 0.5], horizon=16)
+    cut = Average(make_standard("first_symbol_cut"), shift, 7)
+    values = distance_matrix(cut, sample_points(shift, 64, 5)).values
+    assert np.array_equal(values * 7, np.round(values * 7))
+    return values
+
+
+def _two_cluster_matrix():
+    return _metric_matrix(two_cluster_points(np.random.default_rng(8), per_side=12)).values
+
+
+GROUNDS = {
+    "rotation": _rotation_matrix,
+    "tied-cut": _tied_cut_matrix,
+    "two-cluster": _two_cluster_matrix,
+}
+
+
+class TestClosedFormTransport:
+    """The nearest-medoid cost of each candidate against the transport LP."""
+
+    @pytest.mark.parametrize("name", GROUNDS)
+    def test_cost_equals_lp(self, name):
+        values = GROUNDS[name]()
+        m = values.shape[0]
+        empirical = AtomicMeasure.uniform(range(m))
+        for k in (1, 2, 3, 5, m):
+            nu, cost = _medoid_measure(values, k, seed=11)
+            assert cost == pytest.approx(kantorovich_distance(empirical, nu, values), abs=1e-12)
+
+    @pytest.mark.parametrize("name", GROUNDS)
+    def test_estimate_equals_lp_estimate(self, name):
+        values = GROUNDS[name]()
+        for eps in (0.05, 0.1, 0.25, 0.5):
+            est = eps_entropy_kantorovich(values, eps, seed=11)
+            assert (est.value_bits, est.k) == kantorovich_entropy_by_lp(values, eps, seed=11)
+
+    def test_no_support_cap(self, monkeypatch):
+        monkeypatch.setattr(entropy, "MAX_TRANSPORT_SUPPORT", 16)
+        d = _metric_matrix(np.random.default_rng(12).random(32))
+        est = eps_entropy_kantorovich(d, 0.01)
+        assert est.sample_size == 32
+        uniform = AtomicMeasure.uniform(range(32))
+        with pytest.raises(SizeError):
+            kantorovich_distance(uniform, uniform, d)
+
+    def test_negative_entry_rejected(self):
+        d = np.array([[0.0, -0.1], [-0.1, 0.0]])
+        with pytest.raises(ParameterError):
+            eps_entropy_kantorovich(d, 0.5)
+
+    def test_nonzero_diagonal_rejected(self):
+        d = np.array([[0.1, 0.5], [0.5, 0.0]])
+        with pytest.raises(ParameterError):
+            eps_entropy_kantorovich(d, 0.5)
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import orbent.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestEstimatePipeline:

