@@ -14,7 +14,6 @@ from .dynsys import (
     BernoulliShift,
     CircleRotation,
     Identity,
-    Point,
     PointSample,
     SystemSpec,
     TorusTranslation,

@@ -219,18 +219,6 @@ DECODE: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class Point:
-    """One phase-space point: torus coordinates in [0,1) or a symbol window."""
-
-    coords: Optional[np.ndarray] = None
-    symbols: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if (self.coords is None) == (self.symbols is None):
-            raise ParameterError("a Point carries either coords or symbols")
-
-
-@dataclass(frozen=True)
 class PointSample:
     """m points drawn i.i.d. from the invariant measure of ``system``.
 
@@ -258,19 +246,6 @@ class PointSample:
         if self.symbols is None:
             return None
         return self.symbols[:, self.symbol_offset:]
-
-    def point(self, i: int) -> Point:
-        if self.coords is not None:
-            return Point(coords=self.coords[i].copy())
-        return Point(symbols=self.symbols[i, self.symbol_offset:].copy())
-
-
-def points_sample(points: list[Point]) -> PointSample:
-    """The points as one sample of the identity; symbol windows cut to the shortest."""
-    if points[0].coords is not None:
-        return PointSample(Identity(), 0, coords=np.stack([p.coords for p in points]).astype(float))
-    width = min(p.symbols.shape[0] for p in points)
-    return PointSample(Identity(), 0, symbols=np.stack([p.symbols[:width] for p in points]))
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

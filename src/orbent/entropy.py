@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -190,19 +191,38 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
     )
 
 
-def _kmedoids(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Medoid improvement until no within-cluster swap helps; returns medoid indices."""
+def _kmedoids(
+    values: np.ndarray, k: int, rng: np.random.Generator, medoid_of: dict[bytes, int],
+) -> np.ndarray:
+    """Alternating k-medoids (Park & Jun, Expert Syst. Appl. 2009) from k
+    random points; returns sorted medoid indices.
+
+    Each round assigns every point to its nearest medoid, then moves each
+    medoid to the member with the least total distance within its cluster.
+    It stops when a round leaves the medoids unchanged or after 100 rounds,
+    so it may stop short of a fixed point.  A medoid depends only on the
+    matrix and the exact member set: ``medoid_of`` maps each member set (its
+    packed mask) to its medoid, -1 for an empty cluster, for every run on
+    the matrix.
+    """
     m = values.shape[0]
     medoids = np.sort(rng.choice(m, size=k, replace=False))
     for _ in range(100):
         assign = np.argmin(values[:, medoids], axis=1)
         new_medoids = medoids.copy()
         for label in range(k):
-            members = np.where(assign == label)[0]
-            if members.size == 0:
-                continue
-            within = values[np.ix_(members, members)].sum(axis=1)
-            new_medoids[label] = members[int(np.argmin(within))]
+            in_cluster = assign == label
+            key = np.packbits(in_cluster).tobytes()
+            medoid = medoid_of.get(key)
+            if medoid is None:
+                members = np.where(in_cluster)[0]
+                medoid = -1
+                if members.size:
+                    within = values[np.ix_(members, members)].sum(axis=1)
+                    medoid = int(members[int(np.argmin(within))])
+                medoid_of[key] = medoid
+            if medoid >= 0:
+                new_medoids[label] = medoid
         new_medoids = np.sort(new_medoids)
         if np.array_equal(new_medoids, medoids):
             break
@@ -210,7 +230,9 @@ def _kmedoids(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return medoids
 
 
-def _medoid_measure(values: np.ndarray, k: int, seed: int) -> tuple[AtomicMeasure, float]:
+def _medoid_measure(
+    values: np.ndarray, k: int, seed: int, medoid_of: dict[bytes, int],
+) -> tuple[AtomicMeasure, float]:
     """Best-of-restarts k-medoid quantization of the empirical measure, and
     its transport distance to the empirical measure (the mean distance to the
     nearest medoid)."""
@@ -221,7 +243,7 @@ def _medoid_measure(values: np.ndarray, k: int, seed: int) -> tuple[AtomicMeasur
     best = None
     best_cost = math.inf
     for restart in range(MEDOID_RESTARTS):
-        medoids = _kmedoids(values, k, derive_rng(seed, 211, restart))
+        medoids = _kmedoids(values, k, derive_rng(seed, 211, restart), medoid_of)
         cost = float(values[:, medoids].min(axis=1).mean())
         if cost < best_cost:
             best_cost = cost
@@ -235,14 +257,20 @@ def _medoid_measure(values: np.ndarray, k: int, seed: int) -> tuple[AtomicMeasur
 
 
 def eps_entropy_kantorovich(
-    matrix: MatrixLike, eps: float, seed: int = 0
-) -> EpsEntropyEstimate:
-    """Least atomic-measure entropy within transport distance eps of the sample.
+    matrix: MatrixLike, eps_values: Sequence[float], seed: int = 0
+) -> list[EpsEntropyEstimate]:
+    """Least atomic-measure entropy within transport distance eps of the
+    sample, one estimate per eps of ``eps_values``.
 
     Candidate measures are k-medoid quantizations with cluster-mass weights;
-    k runs through a doubling-then-bisection schedule and the smallest entropy
-    among the feasible candidates is returned (an upper bound on the true
-    infimum).  No covering-free lower bound is available, so it is 0.
+    for each eps, k runs through a doubling-then-bisection schedule and the
+    smallest entropy among the feasible candidates is returned (an upper
+    bound on the true infimum).  No covering-free lower bound is available,
+    so it is 0.
+
+    A candidate depends only on (matrix, k, seed), never on eps, so each k is
+    quantized once for the whole grid, and sharing cannot change an estimate:
+    each is the one its eps gets alone.
 
     A candidate nu = sum_j w_j delta_{c_j}, with w_j the mass of the points
     whose nearest medoid is c_j, lies at transport distance exactly
@@ -261,48 +289,52 @@ def eps_entropy_kantorovich(
     m = values.shape[0]
     if m < 2:
         raise SizeError("quantization entropy needs at least two points")
-    if not (eps > 0):
+    if not all(eps > 0 for eps in eps_values):
         raise ParameterError("eps must be positive")
-    slack = eps * (1.0 + _REL_TOL)
 
-    feasible: dict[int, tuple[float, int]] = {}
+    medoid_of: dict[bytes, int] = {}
+    candidates: dict[int, tuple[float, int, float]] = {}  # k -> (entropy, size, cost)
 
     def try_k(k: int) -> bool:
-        nu, cost = _medoid_measure(values, k, seed)
-        ok = cost < slack
-        if ok:
-            feasible[k] = (atomic_entropy(nu), nu.size)
-        return ok
+        tried.append(k)
+        if k not in candidates:
+            nu, cost = _medoid_measure(values, k, seed, medoid_of)
+            candidates[k] = (atomic_entropy(nu), nu.size, cost)
+        return candidates[k][2] < slack
 
-    # doubling until feasible, then bisect down to the frontier; full support
-    # costs 0, so it is always feasible
-    k = 1
-    while k < m and not try_k(k):
-        k *= 2
-    if k >= m:
-        try_k(m)
-        k = m
-    lo, hi = k // 2, k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if try_k(mid):
-            hi = mid
-        else:
-            lo = mid
+    estimates = []
+    for eps in eps_values:
+        slack = eps * (1.0 + _REL_TOL)
+        tried: list[int] = []
+        # doubling until feasible, then bisect down to the frontier; full
+        # support costs 0, so it is always feasible
+        k = 1
+        while k < m and not try_k(k):
+            k *= 2
+        if k >= m:
+            try_k(m)
+            k = m
+        lo, hi = k // 2, k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if try_k(mid):
+                hi = mid
+            else:
+                lo = mid
+        best_h, best_size, _ = min(candidates[k] for k in tried if candidates[k][2] < slack)
+        estimates.append(EpsEntropyEstimate(
+            eps=float(eps), method="Kantorovich", value_bits=best_h, lower_bound_bits=0.0,
+            k=best_size, sample_size=m, seed=int(seed),
+        ))
+    return estimates
 
-    best_h, best_size = min(feasible.values())
-    return EpsEntropyEstimate(
-        eps=float(eps), method="Kantorovich",
-        value_bits=best_h, lower_bound_bits=0.0,
-        k=best_size, sample_size=m, seed=int(seed),
-    )
 
-
-# method name -> estimator; each entry looks its function up when called, so a
-# replacement bound to the module name (such as a tracing wrapper) runs
+# method name -> estimator over an eps grid; each entry looks its function up
+# when called, so a replacement bound to the module name (such as a tracing
+# wrapper) runs
 ESTIMATORS = {
-    "Covering": lambda matrix, eps, seed: eps_entropy_cover(matrix, eps, seed=seed),
-    "Kantorovich": lambda matrix, eps, seed: eps_entropy_kantorovich(matrix, eps, seed=seed),
+    "Covering": lambda matrix, grid, seed: [eps_entropy_cover(matrix, e, seed) for e in grid],
+    "Kantorovich": lambda matrix, grid, seed: eps_entropy_kantorovich(matrix, grid, seed),
 }
 
 
@@ -319,13 +351,14 @@ def entropy_estimate(
     sample = sample_points(system, m, seed)
     averaged = average_metric(metric, system, n)
     dist = distance_matrix(averaged, sample)
-    return estimate_from_matrix(dist, eps, method, seed)
+    return estimate_from_matrix(dist, [eps], method, seed)[0]
 
 
 def estimate_from_matrix(
-    matrix: MatrixLike, eps: float, method: str, seed: int = 0
-) -> EpsEntropyEstimate:
+    matrix: MatrixLike, eps_values: Sequence[float], method: str, seed: int = 0
+) -> list[EpsEntropyEstimate]:
+    """One estimate per eps of ``eps_values``, in order."""
     estimator = ESTIMATORS.get(method.strip().capitalize())
     if estimator is None:
         raise ParameterError(f"unknown estimator method {method!r}")
-    return estimator(matrix, eps, seed)
+    return estimator(matrix, eps_values, seed)

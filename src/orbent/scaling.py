@@ -198,16 +198,15 @@ def profile_cells(
     max(n_schedule))`` on the same m and seed.  No matrix outlives its step.
     """
     schedule = _validate_schedule(n_schedule)
+    grid = [float(eps) for eps in eps_values]
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
     reports: dict[int, admit.AdmissibilityReport] = {}
     for seed in seeds:
         sample = sample_points(system, m, int(seed))
         for n, values in streamed_average_matrices(metric, system, sample, schedule):
             dist = DistanceMatrix(values)
-            for eps in eps_values:
-                cells[(float(eps), n, int(seed))] = estimate_from_matrix(
-                    dist, float(eps), method, seed=int(seed)
-                )
+            for est in estimate_from_matrix(dist, grid, method, seed=int(seed)):
+                cells[(est.eps, n, int(seed))] = est
             if limit is not None and n == schedule[-1]:
                 reports[int(seed)] = limit.report(system, metric, n, sample, dist, int(seed))
     return cells, reports

@@ -36,8 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynsys import (
-    DECODE, Identity, Point, PointSample, SystemSpec, advance_sample, fields_json,
-    from_tagged_json, points_sample,
+    DECODE, Identity, PointSample, SystemSpec, advance_sample, fields_json, from_tagged_json,
 )
 from .errors import HorizonError, MetricTypeError, ParameterError
 
@@ -182,11 +181,6 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _point_key(p: Point):
-    arr = p.coords if p.coords is not None else p.symbols
-    return tuple(arr.tolist())
-
-
 # ---------------------------------------------------------------------------
 # the node base class
 
@@ -211,14 +205,6 @@ class Semimetric(ABC):
     def symbol_horizon(self) -> int:
         """Symbols needed past the orbit start to evaluate this semimetric."""
         return 0
-
-    def evaluate(self, p: Point, q: Point) -> float:
-        if _point_key(q) < _point_key(p):
-            p, q = q, p
-        sample = points_sample([p, q])
-        return float(self.values(sample, np.array([0]))[0, 1])
-
-    __call__ = evaluate
 
     def pairwise(self, sample: PointSample) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal."""

@@ -9,8 +9,10 @@ per orbit step, and the ``Discrete`` reference compares every pair of points
 symbol by symbol.  The trace reference builds each box of an explicit grid
 as a mask and loops over its pairs, and the axiom checker scans triples of a
 value matrix for triangle defects.  The Kantorovich reference prices every
-k-medoid candidate with the transport LP instead of the closed form, and the
-profile reference is the one-eps profile built from the library's cells.
+k-medoid candidate with the transport LP instead of the closed form, and its
+candidates come from a k-medoid search that recomputes every cluster medoid
+(no medoid table).  The profile reference is the one-eps profile built from
+the library's cells.
 """
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,8 +24,8 @@ from orbent import (
     kantorovich_distance,
 )
 from orbent.admit import combine_verdict
-from orbent.dynsys import advance_sample
-from orbent.entropy import _medoid_measure
+from orbent.dynsys import advance_sample, derive_rng
+from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
 
 
@@ -150,12 +152,53 @@ def min_entropy_quantization(values, eps, max_atoms, rel_tol=1e-12):
     return best
 
 
+def reference_kmedoids(values, k, rng):
+    """Alternating k-medoids that gathers and sums every cluster's block anew
+    in every round; returns sorted medoid indices."""
+    m = values.shape[0]
+    medoids = np.sort(rng.choice(m, size=k, replace=False))
+    for _ in range(100):
+        assign = np.argmin(values[:, medoids], axis=1)
+        new_medoids = medoids.copy()
+        for label in range(k):
+            members = np.where(assign == label)[0]
+            if members.size == 0:
+                continue
+            within = values[np.ix_(members, members)].sum(axis=1)
+            new_medoids[label] = members[int(np.argmin(within))]
+        new_medoids = np.sort(new_medoids)
+        if np.array_equal(new_medoids, medoids):
+            break
+        medoids = new_medoids
+    return medoids
+
+
+def reference_medoid_measure(values, k, seed):
+    """(measure, nearest-medoid cost) of the best of the restarts of
+    ``reference_kmedoids``, with the library's restart streams."""
+    m = values.shape[0]
+    if k >= m:
+        return AtomicMeasure.uniform(np.arange(m)), 0.0
+    best = None
+    best_cost = np.inf
+    for restart in range(MEDOID_RESTARTS):
+        medoids = reference_kmedoids(values, k, derive_rng(seed, 211, restart))
+        cost = float(values[:, medoids].min(axis=1).mean())
+        if cost < best_cost:
+            best_cost = cost
+            best = medoids
+    assign = np.argmin(values[:, best], axis=1)
+    weights = np.bincount(assign, minlength=best.size) / m
+    keep = weights > 0
+    return AtomicMeasure(best[keep], weights[keep]), best_cost
+
+
 def kantorovich_entropy_by_lp(values, eps, seed=0):
     """(value_bits, k) of the Kantorovich estimate, each k-medoid candidate
     priced by the transport LP against the uniform sample measure.
 
-    Same candidates and the same doubling-then-bisection k schedule as
-    ``eps_entropy_kantorovich``.
+    Candidates from ``reference_medoid_measure``, and the same
+    doubling-then-bisection k schedule as ``eps_entropy_kantorovich``.
     """
     m = values.shape[0]
     empirical = AtomicMeasure.uniform(np.arange(m))
@@ -163,7 +206,7 @@ def kantorovich_entropy_by_lp(values, eps, seed=0):
     feasible = {}
 
     def try_k(k):
-        nu, _ = _medoid_measure(values, k, seed)
+        nu, _ = reference_medoid_measure(values, k, seed)
         ok = kantorovich_distance(empirical, nu, values) < slack
         if ok:
             feasible[k] = (atomic_entropy(nu), nu.size)

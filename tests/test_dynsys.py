@@ -8,17 +8,22 @@ from orbent import (
     HorizonError,
     Identity,
     ParameterError,
-    Point,
+    PointSample,
     SystemSpec,
     TorusTranslation,
     sample_points,
 )
-from orbent.dynsys import advance_sample, points_sample
+from orbent.dynsys import advance_sample
 
 
-def moved(system, p, k):
-    """The point p moved k steps by the system."""
-    return advance_sample(points_sample([p]), k, system).point(0)
+def one_point(coords):
+    """Sample of one coordinate point, drawn from no system."""
+    return PointSample(Identity(), 0, coords=np.asarray(coords, dtype=float).reshape(1, -1))
+
+
+def moved(system, sample, k):
+    """The sample's points moved k steps by the system."""
+    return advance_sample(sample, k, system)
 
 
 class TestSampling:
@@ -70,26 +75,23 @@ class TestSampling:
 class TestApply:
     def test_rotation_two_steps(self):
         system = CircleRotation(0.2)
-        p = Point(coords=np.array([0.25]))
-        q = moved(system, p, 2)
+        q = moved(system, one_point([0.25]), 2)
         expected = ((0.25 + 0.2) % 1.0 + 0.2) % 1.0
-        assert q.coords[0] == expected
+        assert q.coords[0, 0] == expected
 
     def test_anzai_one_step(self):
         system = AnzaiSkew(0.3)
-        p = Point(coords=np.array([0.7, 0.9]))
-        q = moved(system, p, 1)
-        assert q.coords[0] == pytest.approx((0.7 + 0.3) % 1.0, abs=1e-15)
-        assert q.coords[1] == pytest.approx((0.9 + 0.7) % 1.0, abs=1e-15)
+        q = moved(system, one_point([0.7, 0.9]), 1)
+        assert q.coords[0, 0] == pytest.approx((0.7 + 0.3) % 1.0, abs=1e-15)
+        assert q.coords[0, 1] == pytest.approx((0.9 + 0.7) % 1.0, abs=1e-15)
 
     def test_shift_drops_symbols(self, fair_shift):
-        p = sample_points(fair_shift, 1, 5).point(0)
+        p = sample_points(fair_shift, 1, 5)
         q = moved(fair_shift, p, 1)
-        assert np.array_equal(q.symbols, p.symbols[1:])
+        assert np.array_equal(q.symbol_window, p.symbol_window[:, 1:])
 
     def test_identity_fixed(self, identity):
-        p = Point(coords=np.array([0.42]))
-        assert moved(identity, p, 9).coords[0] == 0.42
+        assert moved(identity, one_point([0.42]), 9).coords[0, 0] == 0.42
 
     @pytest.mark.parametrize("system", [
         CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
@@ -97,7 +99,7 @@ class TestApply:
     def test_semigroup_law_exact(self, system):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            p = Point(coords=rng.random(system.dim))
+            p = one_point(rng.random(system.dim))
             j, k = rng.integers(0, 40, size=2)
             via_composition = moved(system, moved(system, p, int(j)), int(k))
             direct = moved(system, p, int(j + k))
@@ -105,7 +107,7 @@ class TestApply:
 
     def test_shift_horizon_error(self):
         system = BernoulliShift([0.5, 0.5], horizon=10)
-        p = sample_points(system, 1, 2).point(0)
+        p = sample_points(system, 1, 2)
         with pytest.raises(HorizonError):
             moved(system, p, 10)
         sample = sample_points(system, 4, 2)
@@ -122,7 +124,7 @@ class TestApply:
         with pytest.raises(ParameterError):
             advance_sample(sample, 1, acting)
         with pytest.raises(ParameterError):
-            moved(acting, sample.point(0), 1)
+            moved(acting, one_point(sample.coords[0]), 1)
         # the identity leaves points of any dimension alone
         assert advance_sample(sample, 3, Identity()).coords.shape == sample.coords.shape
 

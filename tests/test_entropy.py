@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orbent import (
+    AnzaiSkew,
     AtomicMeasure,
     BernoulliShift,
     CircleRotation,
@@ -29,6 +30,7 @@ from conftest import matrix_from_points
 from oracles import (
     kantorovich_entropy_by_lp,
     min_entropy_quantization,
+    reference_medoid_measure,
     transport_cost_by_vertex_enumeration,
 )
 
@@ -199,20 +201,20 @@ class TestKantorovichEntropy:
     def test_huge_eps_single_atom(self):
         rng = np.random.default_rng(4)
         d = _metric_matrix(rng.random(16))
-        est = eps_entropy_kantorovich(d, 2.0)
+        [est] = eps_entropy_kantorovich(d, [2.0])
         assert est.value_bits == 0.0
         assert est.k == 1
 
     def test_never_exceeds_full_support(self):
         rng = np.random.default_rng(6)
         d = _metric_matrix(rng.random(32))
-        est = eps_entropy_kantorovich(d, 0.01)
+        [est] = eps_entropy_kantorovich(d, [0.01])
         assert est.value_bits <= np.log2(32) + 1e-9
 
     def test_two_clusters_match_exhaustive(self):
         rng = np.random.default_rng(8)
         d = _metric_matrix(two_cluster_points(rng, per_side=12))
-        est = eps_entropy_kantorovich(d, 0.1, seed=5)
+        [est] = eps_entropy_kantorovich(d, [0.1], seed=5)
         oracle = min_entropy_quantization(d.values, 0.1, max_atoms=3)
         assert oracle is not None
         best_h, _ = oracle
@@ -247,6 +249,44 @@ GROUNDS = {
 }
 
 
+def _anzai_torus_matrix():
+    anzai = AnzaiSkew()
+    torus = Average(make_standard("torus_arc_l1"), anzai, 16)
+    return distance_matrix(torus, sample_points(anzai, 64, 7)).values
+
+
+class TestMedoidTable:
+    """The k-medoid search with its shared medoid table against the
+    reference search that recomputes every medoid."""
+
+    @pytest.mark.parametrize("name", [*GROUNDS, "anzai-torus"])
+    def test_candidates_bit_identical_to_reference(self, name):
+        values = _anzai_torus_matrix() if name == "anzai-torus" else GROUNDS[name]()
+        m = values.shape[0]
+        medoid_of = {}
+        # one table for every k, as one matrix's estimate shares it
+        for k in (1, 2, 3, 5, 8, m):
+            nu, cost = _medoid_measure(values, k, 11, medoid_of)
+            ref, ref_cost = reference_medoid_measure(values, k, 11)
+            assert nu.atom_indices.tobytes() == ref.atom_indices.tobytes()
+            assert nu.weights.tobytes() == ref.weights.tobytes()
+            assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+
+    @pytest.mark.parametrize("name", GROUNDS)
+    def test_estimate_independent_of_grid(self, name):
+        values = GROUNDS[name]()
+        alone = {eps: eps_entropy_kantorovich(values, [eps], seed=11)[0]
+                 for eps in (0.1, 0.25, 0.5)}
+        for grid in ([0.25, 0.1], [0.1, 0.25], [0.1, 0.1, 0.5]):
+            estimates = eps_entropy_kantorovich(values, grid, seed=11)
+            assert estimates == [alone[eps] for eps in grid]
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.25, 0.0], [0.1, -0.5, 0.25]])
+    def test_nonpositive_eps_in_grid_rejected(self, grid):
+        with pytest.raises(ParameterError):
+            eps_entropy_kantorovich(_two_cluster_matrix(), grid)
+
+
 class TestClosedFormTransport:
     """The nearest-medoid cost of each candidate against the transport LP."""
 
@@ -256,20 +296,20 @@ class TestClosedFormTransport:
         m = values.shape[0]
         empirical = AtomicMeasure.uniform(range(m))
         for k in (1, 2, 3, 5, m):
-            nu, cost = _medoid_measure(values, k, seed=11)
+            nu, cost = _medoid_measure(values, k, 11, {})
             assert cost == pytest.approx(kantorovich_distance(empirical, nu, values), abs=1e-12)
 
     @pytest.mark.parametrize("name", GROUNDS)
     def test_estimate_equals_lp_estimate(self, name):
         values = GROUNDS[name]()
         for eps in (0.05, 0.1, 0.25, 0.5):
-            est = eps_entropy_kantorovich(values, eps, seed=11)
+            [est] = eps_entropy_kantorovich(values, [eps], seed=11)
             assert (est.value_bits, est.k) == kantorovich_entropy_by_lp(values, eps, seed=11)
 
     def test_no_support_cap(self, monkeypatch):
         monkeypatch.setattr(entropy, "MAX_TRANSPORT_SUPPORT", 16)
         d = _metric_matrix(np.random.default_rng(12).random(32))
-        est = eps_entropy_kantorovich(d, 0.01)
+        [est] = eps_entropy_kantorovich(d, [0.01])
         assert est.sample_size == 32
         uniform = AtomicMeasure.uniform(range(32))
         with pytest.raises(SizeError):
@@ -278,12 +318,12 @@ class TestClosedFormTransport:
     def test_negative_entry_rejected(self):
         d = np.array([[0.0, -0.1], [-0.1, 0.0]])
         with pytest.raises(ParameterError):
-            eps_entropy_kantorovich(d, 0.5)
+            eps_entropy_kantorovich(d, [0.5])
 
     def test_nonzero_diagonal_rejected(self):
         d = np.array([[0.1, 0.5], [0.5, 0.0]])
         with pytest.raises(ParameterError):
-            eps_entropy_kantorovich(d, 0.5)
+            eps_entropy_kantorovich(d, [0.5])
 
     def test_cli_import_loads_no_scipy(self):
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -324,9 +364,9 @@ class TestEstimatePipeline:
 
     def test_method_dispatch(self):
         d = _metric_matrix([0.0, 0.2, 0.9, 0.95])
-        cover = estimate_from_matrix(d, 0.3, "Covering")
-        kant = estimate_from_matrix(d, 0.3, "kantorovich")
+        [cover] = estimate_from_matrix(d, [0.3], "Covering")
+        [kant] = estimate_from_matrix(d, [0.3], "kantorovich")
         assert cover.method == "Covering"
         assert kant.method == "Kantorovich"
         with pytest.raises(ParameterError):
-            estimate_from_matrix(d, 0.3, "annealing")
+            estimate_from_matrix(d, [0.3], "annealing")

@@ -19,7 +19,6 @@ from orbent import (
     Mix,
     OneBlock,
     ParameterError,
-    Point,
     PointSample,
     PullBack,
     Semimetric,
@@ -48,26 +47,34 @@ from conftest import coords_sample
 from oracles import check_axioms, discrete_by_broadcast, stepwise_orbit_sums
 
 
-def pt(x):
-    return Point(coords=np.array([float(x)]))
+def pts(*xs):
+    """Sample of the 1-D points xs."""
+    return coords_sample(xs)
 
 
-def sym(bits):
-    return Point(symbols=np.array([int(b) for b in bits], dtype=np.int8))
+def syms(*words):
+    """Sample of the symbol windows spelled by equal-length 0/1 words."""
+    symbols = np.array([[int(b) for b in word] for word in words], dtype=np.int8)
+    return PointSample(Identity(), 0, symbols=symbols)
+
+
+def rho(metric, sample):
+    """The metric's value on the first two points of the sample."""
+    return metric.pairwise(sample)[0, 1]
 
 
 class TestStandardMetrics:
     def test_euclidean(self, euclid):
-        assert euclid(pt(0.2), pt(0.7)) == pytest.approx(0.5, abs=1e-15)
+        assert rho(euclid, pts(0.2, 0.7)) == pytest.approx(0.5, abs=1e-15)
 
     def test_circle_arc(self, arc):
-        assert arc(pt(0.9), pt(0.2)) == pytest.approx(0.3, abs=1e-15)
-        assert arc(pt(0.1), pt(0.3)) == pytest.approx(0.2, abs=1e-15)
+        assert rho(arc, pts(0.9, 0.2)) == pytest.approx(0.3, abs=1e-15)
+        assert rho(arc, pts(0.1, 0.3)) == pytest.approx(0.2, abs=1e-15)
 
     def test_first_symbol_cut(self, cut):
         # 1 exactly when the leading symbols differ
-        assert cut(sym("011"), sym("101")) == 1.0
-        assert cut(sym("011"), sym("001")) == 0.0
+        assert rho(cut, syms("011", "101")) == 1.0
+        assert rho(cut, syms("011", "001")) == 0.0
 
     def test_one_block_partition_is_zero(self):
         metric = Block(OneBlock())
@@ -76,15 +83,15 @@ class TestStandardMetrics:
 
     def test_two_symbol_block(self):
         metric = Block(FirstSymbols(2, alphabet=2))
-        assert metric(sym("0110"), sym("0010")) == 1.0
-        assert metric(sym("0110"), sym("0111")) == 0.0
+        assert rho(metric, syms("0110", "0010")) == 1.0
+        assert rho(metric, syms("0110", "0111")) == 0.0
 
     def test_discrete_and_zero(self):
         disc = make_standard("discrete")
         zero = make_standard("zero")
-        assert disc(pt(0.1), pt(0.2)) == 1.0
-        assert disc(pt(0.1), pt(0.1)) == 0.0
-        assert zero(pt(0.1), pt(0.9)) == 0.0
+        assert rho(disc, pts(0.1, 0.2)) == 1.0
+        assert rho(disc, pts(0.1, 0.1)) == 0.0
+        assert rho(zero, pts(0.1, 0.9)) == 0.0
 
     def test_unknown_tag(self):
         with pytest.raises(ParameterError):
@@ -104,14 +111,13 @@ class TestStandardMetrics:
             values = metric.pairwise(sample)
             assert np.array_equal(values, values.T)
             assert np.all(np.diagonal(values) == 0.0)
-        p, q = pt(0.7311), pt(0.1189)
-        assert euclid(p, q) == euclid(q, p)
+        assert rho(euclid, pts(0.7311, 0.1189)) == rho(euclid, pts(0.1189, 0.7311))
 
 
 class TestPullBack:
     def test_identity_system(self, euclid, identity):
         pulled = PullBack(euclid, identity, 5)
-        assert pulled(pt(0.2), pt(0.9)) == euclid(pt(0.2), pt(0.9))
+        assert rho(pulled, pts(0.2, 0.9)) == rho(euclid, pts(0.2, 0.9))
 
     def test_rotation_isometry_of_arc(self, arc):
         system = CircleRotation()
@@ -119,12 +125,13 @@ class TestPullBack:
         rng = np.random.default_rng(1)
         for _ in range(25):
             a, b = rng.random(2)
-            assert pulled(pt(a), pt(b)) == pytest.approx(arc(pt(a), pt(b)), abs=1e-12)
+            pair = pts(a, b)
+            assert rho(pulled, pair) == pytest.approx(rho(arc, pair), abs=1e-12)
 
     def test_hand_evaluated_rotation_step(self, euclid):
         system = CircleRotation(0.2)
         pulled = PullBack(euclid, system, 1)
-        assert pulled(pt(0.9), pt(0.95)) == pytest.approx(0.05, abs=1e-12)
+        assert rho(pulled, pts(0.9, 0.95)) == pytest.approx(0.05, abs=1e-12)
 
 
 class TestAverage:
@@ -174,30 +181,26 @@ class TestAverage:
     def test_telescope(self, system_name, euclid, cut):
         if system_name == "rotation":
             system, metric = CircleRotation(), euclid
-            points = [pt(x) for x in np.random.default_rng(5).random(6)]
+            sample = pts(*np.random.default_rng(5).random(6))
         else:
             system = BernoulliShift([0.5, 0.5], horizon=64)
             sample = sample_points(system, 6, 5)
             metric = cut
-            points = [sample.point(i) for i in range(6)]
         for n in (2, 5, 12):
             avg_n = average_metric(metric, system, n)
             avg_prev = average_metric(metric, system, n - 1)
             pulled = PullBack(metric, system, n - 1)
-            for i in range(0, 6, 2):
-                a, b = points[i], points[i + 1]
-                lhs = n * avg_n(a, b)
-                rhs = (n - 1) * avg_prev(a, b) + pulled(a, b)
-                assert lhs == pytest.approx(rhs, abs=1e-9)
+            lhs = n * avg_n.pairwise(sample)
+            rhs = (n - 1) * avg_prev.pairwise(sample) + pulled.pairwise(sample)
+            assert np.abs(lhs - rhs).max() <= 1e-9
 
     def test_shift_average_is_prefix_hamming(self, cut):
         system = BernoulliShift([0.5, 0.5], horizon=24)
-        a = sym("0110100110101011")
-        b = sym("0101001101011010")
+        a, b = "0110100110101011", "0101001101011010"
         n = 12
         averaged = average_metric(cut, system, n)
-        expected = np.mean([a.symbols[k] != b.symbols[k] for k in range(n)])
-        assert averaged(a, b) == pytest.approx(expected, abs=1e-12)
+        expected = np.mean([a[k] != b[k] for k in range(n)])
+        assert rho(averaged, syms(a, b)) == pytest.approx(expected, abs=1e-12)
 
     def test_streamed_matrices_match_one_shot(self, euclid, rotation):
         sample = sample_points(rotation, 24, 8)
@@ -320,12 +323,11 @@ class TestCutGuards:
         a, b = rng.choice(symbols, 70), rng.choice(symbols, 70)
         b[::3] = a[::3]
         a[1], b[1] = symbols[0], symbols[-1]  # 2**64 - 1 apart in the full range
-        p, q = Point(symbols=a), Point(symbols=b)
         n = 40
         pair = PointSample(system, 0, symbols=np.stack([a, b]))
         _, reference = next(stepwise_orbit_sums(
             FirstSymbolCut(), system, pair, np.array([0]), [n]))
-        assert Average(FirstSymbolCut(), system, n).evaluate(p, q) == reference[0, 1] / n
+        assert rho(Average(FirstSymbolCut(), system, n), pair) == reference[0, 1] / n
 
     def test_empty_sample(self):
         system = BernoulliShift([0.5, 0.5], horizon=20)
@@ -393,7 +395,7 @@ class TestDiscrete:
 
 class TestCutoffAndMix:
     def test_below_cap(self, euclid):
-        assert Cutoff(euclid, 10.0)(pt(0.2), pt(0.7)) == pytest.approx(0.5, abs=1e-15)
+        assert rho(Cutoff(euclid, 10.0), pts(0.2, 0.7)) == pytest.approx(0.5, abs=1e-15)
 
     def test_cap_enforced(self, euclid, identity):
         capped = Cutoff(euclid, 0.3)
