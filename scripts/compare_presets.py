@@ -1,0 +1,136 @@
+"""Byte-for-byte comparison of the result bundles of two checkouts.
+
+Run from anywhere, with two checkouts (the parent commit and the change):
+
+    python3 scripts/compare_presets.py --parent <dir> --change <dir> \
+        --work <dir> [--config extra.json ...]
+
+Every preset of each checkout (``orbent presets emit``) and every extra config
+runs through ``orbent run`` at ``--workers`` 1 and 2 in both checkouts, with
+its bundle in ``<work>/<side>/<name>/w<workers>``; an extra config is named by
+its file stem.  The six bundle files must be byte-identical between the
+checkouts at each worker count, and the w1 bundle must equal the w2 bundle in
+each checkout.  config.json is compared without its ``output_dir``.  One line
+per case names every differing file; the exit code is 1 when any file differs
+or any run fails, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
+
+BUNDLE_FILES = (
+    "config.json", "rows.csv", "estimates.csv", "profile.json", "verdict.json",
+    "admissibility.json",
+)
+SIDES = ("parent", "change")
+WORKERS = (1, 2)
+
+
+def orbent(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, "-m", "orbent.cli", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def preset_configs(tree: Path, dest: Path) -> dict[str, Path]:
+    """Write each preset of the checkout ``tree`` to ``dest/<name>.json``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    configs = {}
+    for name in orbent(tree, "presets", "list").stdout.split():
+        path = dest / f"{name}.json"
+        path.write_text(orbent(tree, "presets", "emit", name).stdout)
+        configs[name] = path
+    return configs
+
+
+def run_bundle(tree: Path, config: Path, out: Path, workers: int) -> Optional[str]:
+    """Run ``config`` in ``tree`` into a fresh ``out``; the error text if the
+    run fails."""
+    shutil.rmtree(out, ignore_errors=True)
+    proc = orbent(tree, "run", str(config.resolve()), "--output-dir", str(out.resolve()),
+                  "--workers", str(workers))
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    return None
+
+
+def _file_bytes(path: Path) -> Optional[bytes]:
+    if not path.is_file():
+        return None
+    if path.name == "config.json":
+        config = json.loads(path.read_text())
+        config.pop("output_dir", None)
+        return json.dumps(config, sort_keys=True).encode()
+    return path.read_bytes()
+
+
+def differing_files(dir_a: Path, dir_b: Path) -> list[str]:
+    """Bundle files that differ between two bundle directories, or are
+    missing from either."""
+    return [name for name in BUNDLE_FILES
+            if _file_bytes(dir_a / name) is None
+            or _file_bytes(dir_a / name) != _file_bytes(dir_b / name)]
+
+
+def compare_case(work: Path, name: str) -> list[str]:
+    """The difference lines of one case whose bundles are all written."""
+    lines = []
+    for workers in WORKERS:
+        a, b = (work / side / name / f"w{workers}" for side in SIDES)
+        diff = differing_files(a, b)
+        if diff:
+            lines.append(f"{name}: parent/w{workers} vs change/w{workers}: {' '.join(diff)}")
+    for side in SIDES:
+        diff = differing_files(*(work / side / name / f"w{w}" for w in WORKERS))
+        if diff:
+            lines.append(f"{name}: {side}/w1 vs {side}/w2: {' '.join(diff)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--work", type=Path, required=True)
+    parser.add_argument("--config", type=Path, action="append", default=[],
+                        help="an extra experiment config; may repeat")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    cases: dict[str, dict[str, Path]] = {}
+    for side in SIDES:
+        for name, path in preset_configs(trees[side], args.work / side / "configs").items():
+            cases.setdefault(name, {})[side] = path
+    for path in args.config:
+        if path.stem in cases:
+            parser.error(f"config name {path.stem!r} is already a case")
+        cases[path.stem] = {side: path for side in SIDES}
+
+    failed = False
+    for name, configs in sorted(cases.items()):
+        errors = []
+        for side in SIDES:
+            if side not in configs:
+                errors.append(f"{side} has no preset {name!r}")
+                continue
+            for workers in WORKERS:
+                error = run_bundle(trees[side], configs[side],
+                                   args.work / side / name / f"w{workers}", workers)
+                if error:
+                    errors.append(f"{side}/w{workers} {error}")
+        lines = [f"{name}: run failed: {e}" for e in errors] or compare_case(args.work, name)
+        print("\n".join(lines) if lines else f"{name}: identical", flush=True)
+        failed = failed or bool(lines)
+    print(f"{len(cases)} cases, {'differences found' if failed else 'all identical'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

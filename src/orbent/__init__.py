@@ -50,7 +50,6 @@ from .semimetric import (
     Semimetric,
     average_metric,
     distance_matrix,
-    make_standard,
 )
 from .admit import (
     AdmissibilityReport,
@@ -62,7 +61,6 @@ from .admit import (
 )
 from .scaling import (
     GrowthClass,
-    LimitCheck,
     ProfileRow,
     ScalingProfile,
     SpectralVerdict,

@@ -9,7 +9,7 @@ aggregates them into a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ ADMISSIBLE_PC = 0.1
 DEGENERATE_PC = 0.9
 TRACE_DROP_FACTOR = 0.5
 TRACE_L1_FACTOR = 0.1
+# separated-set level and trace-curve box counts of every report
+SEPARATION_C = 0.4
+TRACE_SCHEDULE = (2, 4, 8, 16, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +162,12 @@ class AdmissibilityReport(Record):
 
     ball_mass_fraction: float
     pc_probability: float
-    trace_curve: list[TracePoint] = field(default_factory=list)
-    trace_ok: Optional[bool] = None
-    empirical_l1: float = 0.0
-    eps: float = 0.1
-    c: float = 0.4
-    verdict: str = "Inconclusive"
+    trace_curve: list[TracePoint]
+    trace_ok: Optional[bool]
+    empirical_l1: float
+    eps: float
+    c: float
+    verdict: str
 
 
 def combine_verdict(
@@ -195,16 +198,14 @@ def admissibility_report(
     m: int = 1024,
     seed: int = 0,
     eps: float = 0.1,
-    c: float = 0.4,
     pc_n: int = 64,
     pc_trials: int = 50,
-    trace_schedule: Sequence[int] = (2, 4, 8, 16, 32),
 ) -> AdmissibilityReport:
     """Run all three diagnostics on one (system, metric) pair."""
     sample = sample_points(system, m, seed)
     return matrix_report(
         system, metric, sample, distance_matrix(metric, sample), seed=seed, eps=eps,
-        c=c, pc_n=pc_n, pc_trials=pc_trials, trace_schedule=trace_schedule,
+        pc_n=pc_n, pc_trials=pc_trials,
     )
 
 
@@ -216,26 +217,25 @@ def matrix_report(
     *,
     seed: int,
     eps: float,
-    c: float,
     pc_n: int,
     pc_trials: int,
-    trace_schedule: Sequence[int],
 ) -> AdmissibilityReport:
     """The diagnostics of ``admissibility_report`` on a sample and its value
-    matrix under ``metric``; the separated-set test draws its own points from
+    matrix under ``metric``, at separation level ``SEPARATION_C`` and over the
+    ``TRACE_SCHEDULE`` boxes; the separated-set test draws its own points from
     ``seed``, so only that test evaluates ``metric``."""
     values = as_values(matrix)
     off = ~np.eye(values.shape[0], dtype=bool)
     l1 = float(values[off].mean())
     ball = ball_mass_test(values, eps)
-    pc = random_matrix_test(metric, system, c, pc_n, pc_trials, seed)
+    pc = random_matrix_test(metric, system, SEPARATION_C, pc_n, pc_trials, seed)
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
     if sample.coords is not None:
-        curve = trace_from_matrix(values, sample, trace_schedule)
+        curve = trace_from_matrix(values, sample, TRACE_SCHEDULE)
         trace_ok = trace_evidence(curve, l1)
     return AdmissibilityReport(
         ball_mass_fraction=ball, pc_probability=pc, trace_curve=curve,
-        trace_ok=trace_ok, empirical_l1=l1, eps=eps, c=c,
+        trace_ok=trace_ok, empirical_l1=l1, eps=eps, c=SEPARATION_C,
         verdict=combine_verdict(ball, pc, trace_ok),
     )

@@ -174,13 +174,10 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     out.mkdir(parents=True, exist_ok=True)
     workers = workers or 1
 
-    # admissibility diagnostics of the largest-n average, from each seed's pass
-    limit = scaling.LimitCheck(eps=min(config.eps_grid), c=0.4)
-
     def seed_job(seed: int):
         return scaling.profile_cells(
             config.system, config.metric, config.n_schedule, config.m, [seed],
-            config.eps_grid, config.method, limit=limit,
+            config.eps_grid, config.method,
         )
 
     cells: dict = {}
@@ -201,18 +198,18 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
         )
         for eps in config.eps_grid
     ]
-    verdict = scaling.discreteness_verdict(profiles) if len(set(config.eps_grid)) >= 2 else None
+    verdict = scaling.discreteness_verdict(profiles)
 
-    # admissibility diagnostics of the base metric
+    # admissibility diagnostics of the base metric, and of the largest-n
+    # average from each seed's pass
     base_report = admit.admissibility_report(
         config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
-        eps=limit.eps, c=limit.c,
+        eps=min(config.eps_grid),
     )
     min_eps_profile = min(profiles, key=lambda p: p.eps)
     limit_report = scaling.limit_metric_check(
-        config.system, config.metric, n_big=max(config.n_schedule), m=config.m,
-        seeds=config.seeds, limit=limit, profile_class=min_eps_profile.growth_class,
-        reports=limit_reports,
+        max(config.n_schedule), config.seeds, limit_reports,
+        profile_class=min_eps_profile.growth_class,
     )
 
     paths = {
@@ -249,11 +246,7 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
                     ])
 
     _dump_json(paths["profile"], {"profiles": [p.to_json() for p in profiles]})
-    _dump_json(
-        paths["verdict"],
-        verdict.to_json() if verdict is not None else
-        {"verdict": "Undetermined", "basis": "needs >= 2 eps values", "per_eps": {}},
-    )
+    _dump_json(paths["verdict"], verdict.to_json())
     _dump_json(paths["admissibility"], {
         "base": base_report.to_json(),
         "averaged": limit_report.to_json(),

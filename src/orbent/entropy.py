@@ -358,7 +358,6 @@ def estimate_from_matrix(
     matrix: MatrixLike, eps_values: Sequence[float], method: str, seed: int = 0
 ) -> list[EpsEntropyEstimate]:
     """One estimate per eps of ``eps_values``, in order."""
-    estimator = ESTIMATORS.get(method.strip().capitalize())
-    if estimator is None:
-        raise ParameterError(f"unknown estimator method {method!r}")
-    return estimator(matrix, eps_values, seed)
+    if method not in ESTIMATORS:
+        raise ParameterError(f"unknown estimator method {method!r}; known: {tuple(ESTIMATORS)}")
+    return ESTIMATORS[method](matrix, eps_values, seed)

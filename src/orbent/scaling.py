@@ -8,13 +8,13 @@ a purely discrete spectrum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import admit
-from .dynsys import DECODE, PointSample, Record, SystemSpec, from_fields_json, sample_points
+from .dynsys import DECODE, Record, SystemSpec, from_fields_json, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -24,6 +24,10 @@ from .semimetric import (
 R2_THRESHOLD = 0.95
 BOUNDED_SLACK_BITS = 1.0
 TAU_THRESHOLD = 0.5
+
+# separated-set draws of the limit check: points per draw and draws per seed
+LIMIT_PC_N = 32
+LIMIT_PC_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -185,20 +189,21 @@ def profile_cells(
     seeds: Sequence[int],
     eps_values: Sequence[float],
     method: str = "Covering",
-    *,
-    limit: Optional[LimitCheck] = None,
 ) -> tuple[dict[tuple[float, int, int], EpsEntropyEstimate], dict[int, admit.AdmissibilityReport]]:
-    """Entropy estimates for every (eps, n, seed) cell, and with ``limit`` the
-    limit-check report of every seed.
+    """Entropy estimates for every (eps, n, seed) cell, and the limit-check
+    report of every seed.
 
     One orbit pass per seed; each cell equals the standalone
     ``entropy_estimate`` pipeline bit-for-bit.  When the pass reaches the
-    largest n of the schedule, ``limit`` runs on that live matrix, so a seed's
+    largest n of the schedule, the admissibility diagnostics run on that live
+    matrix at the smallest eps with the ``LIMIT_PC_*`` draws, so a seed's
     report equals ``admissibility_report`` of ``average_metric(metric, system,
     max(n_schedule))`` on the same m and seed.  No matrix outlives its step.
     """
     schedule = _validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
+    if not grid:
+        raise ParameterError("the eps grid must be nonempty")
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
     reports: dict[int, admit.AdmissibilityReport] = {}
     for seed in seeds:
@@ -207,8 +212,11 @@ def profile_cells(
             dist = DistanceMatrix(values)
             for est in estimate_from_matrix(dist, grid, method, seed=int(seed)):
                 cells[(est.eps, n, int(seed))] = est
-            if limit is not None and n == schedule[-1]:
-                reports[int(seed)] = limit.report(system, metric, n, sample, dist, int(seed))
+            if n == schedule[-1]:
+                reports[int(seed)] = admit.matrix_report(
+                    system, average_metric(metric, system, n), sample, dist, seed=int(seed),
+                    eps=min(grid), pc_n=LIMIT_PC_N, pc_trials=LIMIT_PC_TRIALS,
+                )
     return cells, reports
 
 
@@ -266,12 +274,11 @@ def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
     """Evidence verdict from one profile per eps.
 
     Bounded growth at every eps is evidence of a purely discrete spectrum;
-    any growing class is evidence against; anything undetermined blocks a
-    positive call.
+    any growing class is evidence against; anything undetermined, or fewer
+    than two distinct eps, blocks a positive call.
     """
-    eps_values = [p.eps for p in profiles]
-    if len(set(eps_values)) < 2:
-        raise ParameterError("the verdict needs profiles at >= 2 distinct eps values")
+    if len({p.eps for p in profiles}) < 2:
+        return SpectralVerdict("Undetermined", {}, "needs >= 2 eps values")
     per_eps = {p.eps: p.growth_class for p in profiles}
     kinds = {cls.kind for cls in per_eps.values()}
     if kinds & set(GROWING_KINDS):
@@ -287,7 +294,7 @@ def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
 
 
 @dataclass(frozen=True)
-class LimitMetricReport:
+class LimitMetricReport(Record):
     """Admissibility diagnostics of the large-n averaged metric."""
 
     n_big: int
@@ -296,78 +303,31 @@ class LimitMetricReport:
     trace_curve: list
     trace_ok: Optional[bool]
     verdict: str
-    profile_class: Optional[GrowthClass] = None
-    consistent: Optional[bool] = None
-    per_seed: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "n_big": self.n_big,
-            "ball_mass_fraction": self.ball_mass_fraction,
-            "pc_probability": self.pc_probability,
-            "trace_curve": [
-                {"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
-                for p in self.trace_curve
-            ],
-            "trace_ok": self.trace_ok,
-            "verdict": self.verdict,
-            "profile_class": None if self.profile_class is None else self.profile_class.to_json(),
-            "consistent": self.consistent,
-            "per_seed": self.per_seed,
-        }
-
-
-@dataclass(frozen=True)
-class LimitCheck:
-    """Settings of the admissibility diagnostics on the large-n averaged metric."""
-
-    eps: float = 0.1
-    c: float = 0.4
-    pc_n: int = 32
-    pc_trials: int = 20
-    trace_schedule: tuple[int, ...] = (2, 4, 8, 16, 32)
-
-    def report(
-        self, system: SystemSpec, metric: Semimetric, n: int, sample: PointSample,
-        matrix: DistanceMatrix, seed: int,
-    ) -> admit.AdmissibilityReport:
-        """Diagnostics of the n-step average of ``metric`` from its ``matrix``
-        on ``sample``, which was drawn with ``seed``."""
-        return admit.matrix_report(
-            system, average_metric(metric, system, n), sample, matrix, seed=seed,
-            eps=self.eps, c=self.c, pc_n=self.pc_n, pc_trials=self.pc_trials,
-            trace_schedule=self.trace_schedule,
-        )
+    profile_class: Optional[GrowthClass]
+    consistent: Optional[bool]
+    per_seed: list
 
 
 def limit_metric_check(
-    system: SystemSpec,
-    metric: Semimetric,
     n_big: int,
-    m: int,
     seeds: Sequence[int],
-    *,
-    limit: LimitCheck = LimitCheck(),
+    reports: Mapping[int, admit.AdmissibilityReport],
     profile_class: Optional[GrowthClass] = None,
-    reports: Optional[Mapping[int, admit.AdmissibilityReport]] = None,
 ) -> LimitMetricReport:
-    """Admissibility diagnostics of the n_big-step average of ``metric``,
-    combined over ``seeds``.
+    """The limit-check reports of ``seeds``, combined.
 
     ``reports`` maps each seed to its report from the orbit pass of
-    ``profile_cells(..., limit=limit)`` whose schedule ends at n_big; without
-    it that pass runs here with the schedule [n_big] and no estimates.  The
-    seeds are read in order, so a repeated seed counts again, and the trace
-    curve is the first seed's.  A Bounded profile should come with admissible
-    evidence here and a growing one with degenerate evidence; ``consistent``
-    records that cross-check when a profile class is supplied.
+    ``profile_cells`` whose schedule ends at n_big.  The seeds are read in
+    order, so a repeated seed counts again, and the trace curve is the first
+    seed's, each point as its ``n``, ``trace_over_n`` and ``stderr``.  A
+    Bounded profile should come with admissible evidence here and a growing
+    one with degenerate evidence; ``consistent`` records that cross-check
+    when a profile class is supplied.
     """
     if n_big < 1:
         raise ParameterError("n_big must be >= 1")
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
-    if reports is None:
-        _, reports = profile_cells(system, metric, [n_big], m, seeds, [], limit=limit)
     per_seed = [reports[int(seed)] for seed in seeds]
     ball_med = float(np.median([r.ball_mass_fraction for r in per_seed]))
     pc_med = float(np.median([r.pc_probability for r in per_seed]))
@@ -378,8 +338,10 @@ def limit_metric_check(
         consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
         n_big=int(n_big), ball_mass_fraction=ball_med, pc_probability=pc_med,
-        trace_curve=first.trace_curve, trace_ok=first.trace_ok, verdict=verdict,
-        profile_class=profile_class, consistent=consistent,
+        trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
+                     for p in first.trace_curve],
+        trace_ok=first.trace_ok, verdict=verdict, profile_class=profile_class,
+        consistent=consistent,
         per_seed=[
             {"seed": int(seed), "ball_mass_fraction": r.ball_mass_fraction,
              "pc_probability": r.pc_probability}

@@ -22,8 +22,8 @@ reads the keys of a chunk of steps from one sliding window and counts the
 differing steps by XOR and popcount; on other systems it steps like any other
 node.
 
-Symmetry is exact by construction: scalar evaluation canonicalizes the
-argument order and matrix evaluation mirrors the upper triangle.
+Symmetry is exact by construction: ``pairwise`` and the streamed orbit
+averages mirror the upper triangle of every value matrix into the lower one.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ from .errors import HorizonError, MetricTypeError, ParameterError
 
 
 class Partition(ABC):
-    """Total assignment of points to blocks {0, ..., block_count-1}.  Each kind
-    is a frozen dataclass whose JSON tag ``kind`` is a snake_case name."""
+    """Total assignment of points to numbered blocks.  Each kind is a frozen
+    dataclass whose JSON tag ``kind`` is a snake_case name."""
 
     kind: ClassVar[str]
     symbol_need: ClassVar[int] = 0  # symbols read from each point
@@ -80,10 +80,6 @@ class DyadicIntervals(Partition):
         if not 0 <= self.level <= 53:
             raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
 
-    @property
-    def block_count(self) -> int:
-        return 2 ** self.level
-
     def assign_indices(self, sample: PointSample) -> np.ndarray:
         return dyadic_cells(_coords(sample)[:, :1], self.level)
 
@@ -102,10 +98,6 @@ class FirstSymbols(Partition):
             raise ParameterError("need count >= 1, alphabet >= 2 and alphabet**count <= 2**62")
 
     @property
-    def block_count(self) -> int:
-        return self.alphabet ** self.count
-
-    @property
     def symbol_need(self) -> int:
         return self.count
 
@@ -122,7 +114,6 @@ class OneBlock(Partition):
     """Every point in one block."""
 
     kind = "one_block"
-    block_count = 1
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
         return np.zeros(sample.m, dtype=int)
@@ -191,7 +182,7 @@ class Semimetric(ABC):
     Nodes are frozen dataclasses, so equality and hashing compare whole trees.
     """
 
-    # name of a parameterless standard node, for make_standard and the label
+    # label of a parameterless node
     standard_tag: ClassVar[Optional[str]] = None
 
     @abstractmethod
@@ -549,14 +540,6 @@ DECODE.update(Semimetric=Semimetric.from_json, Partition=Partition.from_json)
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def make_standard(tag: str) -> Semimetric:
-    """Named parameterless semimetrics such as ``euclidean_1d``."""
-    standard = {cls.standard_tag: cls for cls in _NODES.values() if cls.standard_tag}
-    if tag not in standard:
-        raise ParameterError(f"unknown semimetric tag {tag!r}; known: {sorted(standard)}")
-    return standard[tag]()
 
 
 def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric:

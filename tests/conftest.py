@@ -6,9 +6,8 @@ from orbent import (
     CircleRotation,
     Identity,
     PointSample,
-    make_standard,
 )
-from orbent.semimetric import DistanceMatrix
+from orbent.semimetric import CircleArc, DistanceMatrix, Euclidean1D, FirstSymbolCut
 
 
 @pytest.fixture(scope="session")
@@ -28,17 +27,17 @@ def fair_shift():
 
 @pytest.fixture(scope="session")
 def euclid():
-    return make_standard("euclidean_1d")
+    return Euclidean1D()
 
 
 @pytest.fixture(scope="session")
 def arc():
-    return make_standard("circle_arc")
+    return CircleArc()
 
 
 @pytest.fixture(scope="session")
 def cut():
-    return make_standard("first_symbol_cut")
+    return FirstSymbolCut()
 
 
 def coords_sample(values) -> PointSample:

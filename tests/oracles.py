@@ -241,7 +241,7 @@ def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
     """One seed's limit-check diagnostics with the n_big average recomputed."""
     return admissibility_report(
         system, average_metric(metric, system, n_big), m=m, seed=seed, eps=eps,
-        c=0.4, pc_n=32, pc_trials=20,
+        pc_n=32, pc_trials=20,
     )
 
 
@@ -256,7 +256,9 @@ def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_clas
         consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
         n_big=n_big, ball_mass_fraction=ball, pc_probability=pc,
-        trace_curve=reports[0].trace_curve, trace_ok=reports[0].trace_ok,
+        trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
+                     for p in reports[0].trace_curve],
+        trace_ok=reports[0].trace_ok,
         verdict=verdict, profile_class=profile_class, consistent=consistent,
         per_seed=[{"seed": s, "ball_mass_fraction": r.ball_mass_fraction,
                    "pc_probability": r.pc_probability} for s, r in zip(seeds, reports)],

@@ -9,12 +9,12 @@ from orbent import (
     admissibility_report,
     ball_mass_test,
     distance_matrix,
-    make_standard,
     random_matrix_test,
     sample_points,
     trace_from_matrix,
 )
 from orbent.admit import greedy_separated_size
+from orbent.semimetric import CircleArc, Discrete, Euclidean1D, TorusArcL1, Zero
 
 from conftest import coords_sample
 from oracles import exact_separated_size, reference_trace_curve
@@ -34,13 +34,13 @@ class TestTraceTest:
 
     def test_discrete_metric_stays_at_one(self, identity):
         sample = sample_points(identity, 2048, 3)
-        disc = make_standard("discrete")
+        disc = Discrete()
         for point in trace(disc, sample, [2, 4, 8]):
             assert abs(point.trace_over_n - 1.0) <= 0.02
 
     def test_zero_metric_is_zero(self, identity):
         sample = sample_points(identity, 512, 5)
-        for point in trace(make_standard("zero"), sample, [2, 4, 8]):
+        for point in trace(Zero(), sample, [2, 4, 8]):
             assert point.trace_over_n == 0.0
 
     def test_decreasing_for_euclidean(self, euclid, identity):
@@ -53,7 +53,7 @@ class TestTraceTest:
         # mass-weighted within-cell means never exceed twice the global mean
         sample = sample_points(identity, 1024, 19)
         off = ~np.eye(sample.m, dtype=bool)
-        for metric in (make_standard("euclidean_1d"), make_standard("circle_arc")):
+        for metric in (Euclidean1D(), CircleArc()):
             values = metric.pairwise(sample)
             l1 = float(values[off].mean())
             for point in trace_from_matrix(values, sample, [2, 4, 8, 16]):
@@ -83,7 +83,7 @@ class TestTraceTest:
         # level j cuts the square into 2^ceil(j/2) x 2^floor(j/2) boxes
         system = TorusTranslation()
         sample = sample_points(system, 512, 29)
-        values = make_standard("torus_arc_l1").pairwise(sample)
+        values = TorusArcL1().pairwise(sample)
         schedule = [2, 4, 8, 16, 32]
         grids = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
         got = [p.trace_over_n for p in trace_from_matrix(values, sample, schedule)]
@@ -99,7 +99,7 @@ class TestBallMass:
 
     def test_discrete_is_zero(self, identity):
         sample = sample_points(identity, 64, 3)
-        d = distance_matrix(make_standard("discrete"), sample)
+        d = distance_matrix(Discrete(), sample)
         assert ball_mass_test(d, 0.5) == 0.0
 
     def test_small_sample_rejected(self, euclid, identity):
@@ -111,7 +111,7 @@ class TestBallMass:
 
 class TestSeparatedSets:
     def test_discrete_always_succeeds(self, identity):
-        disc = make_standard("discrete")
+        disc = Discrete()
         assert random_matrix_test(disc, identity, 0.5, 16, 25, 3) == 1.0
 
     def test_euclidean_rarely_succeeds(self, euclid, identity):
@@ -149,7 +149,7 @@ class TestSeparatedSets:
 class TestAdmissibilityReport:
     def test_euclidean_is_admissible(self, euclid, identity):
         report = admissibility_report(
-            identity, euclid, m=512, seed=1, eps=0.1, c=0.4, pc_n=64, pc_trials=30,
+            identity, euclid, m=512, seed=1, eps=0.1, pc_n=64, pc_trials=30,
         )
         assert report.verdict == "AdmissibleEvidence"
         assert report.ball_mass_fraction >= 0.99
@@ -157,9 +157,9 @@ class TestAdmissibilityReport:
         assert report.trace_ok
 
     def test_discrete_is_not_admissible(self, identity):
-        disc = make_standard("discrete")
+        disc = Discrete()
         report = admissibility_report(
-            identity, disc, m=256, seed=1, eps=0.25, c=0.5, pc_n=16, pc_trials=20,
+            identity, disc, m=256, seed=1, eps=0.25, pc_n=16, pc_trials=20,
         )
         assert report.verdict == "NotAdmissibleEvidence"
         assert report.ball_mass_fraction == 0.0
@@ -169,14 +169,14 @@ class TestAdmissibilityReport:
         # no trace curve for symbolic points; ball mass and separation decide
         system = BernoulliShift([0.5, 0.5], horizon=16)
         report = admissibility_report(
-            system, cut, m=256, seed=3, eps=0.1, c=0.4, pc_n=32, pc_trials=20,
+            system, cut, m=256, seed=3, eps=0.1, pc_n=32, pc_trials=20,
         )
         assert report.trace_curve == []
         assert report.verdict == "AdmissibleEvidence"
 
     def test_json_roundtrip_fields(self, euclid, identity):
         report = admissibility_report(
-            identity, euclid, m=128, seed=2, eps=0.2, c=0.4, pc_n=16, pc_trials=5,
+            identity, euclid, m=128, seed=2, eps=0.2, pc_n=16, pc_trials=5,
         )
         blob = report.to_json()
         assert set(blob) >= {

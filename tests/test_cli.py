@@ -77,6 +77,11 @@ class TestConfigParsing:
             parse_config(raw)
         assert err.value.field == "method"
 
+    def test_method_name_is_canonicalized(self, tmp_path):
+        raw = rotation_config(tmp_path)
+        raw["method"] = " kantorovich "
+        assert parse_config(raw).method == "Kantorovich"
+
     def test_shift_horizon_covers_schedule(self, tmp_path):
         raw = bernoulli_config(tmp_path)
         config = parse_config(raw)
@@ -298,6 +303,17 @@ class TestRunExperiment:
         _, paths = bundle
         verdict = json.load(open(paths["verdict"]))
         assert verdict["verdict"] == "DiscreteSpectrumEvidence"
+
+    def test_one_eps_is_undetermined(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["eps_grid"] = [0.25]
+        paths = run_experiment(parse_config(raw))
+        with open(paths["verdict"]) as fh:
+            assert json.load(fh) == {
+                "verdict": "Undetermined", "per_eps": {}, "basis": "needs >= 2 eps values",
+            }
+        with open(paths["admissibility"]) as fh:
+            assert json.load(fh)["averaged"]["n_big"] == 16
 
 
 class TestLimitCheckInBundle:

@@ -1,0 +1,105 @@
+"""The bundle comparison of scripts/compare_presets.py on synthetic bundle
+directories; no experiment is run."""
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_presets.py"
+_SPEC = importlib.util.spec_from_file_location("compare_presets", _PATH)
+compare_presets = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_presets)
+
+
+def write_bundle(directory: Path, rows="n,value_bits\n1,2.5\n", output_dir=None):
+    directory.mkdir(parents=True, exist_ok=True)
+    config = {"m": 64, "output_dir": output_dir or str(directory)}
+    (directory / "config.json").write_text(json.dumps(config))
+    (directory / "rows.csv").write_text(rows)
+    for name in compare_presets.BUNDLE_FILES[2:]:
+        (directory / name).write_text(f"{name} contents\n")
+
+
+class TestDifferingFiles:
+    def test_output_dir_is_ignored(self, tmp_path):
+        write_bundle(tmp_path / "a", output_dir="results/a")
+        write_bundle(tmp_path / "b", output_dir="elsewhere/b")
+        assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == []
+
+    def test_other_config_fields_count(self, tmp_path):
+        write_bundle(tmp_path / "a")
+        write_bundle(tmp_path / "b")
+        (tmp_path / "b" / "config.json").write_text(json.dumps({"m": 128}))
+        assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == ["config.json"]
+
+    def test_one_byte_differs(self, tmp_path):
+        write_bundle(tmp_path / "a")
+        write_bundle(tmp_path / "b", rows="n,value_bits\n1,2.50\n")
+        assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == ["rows.csv"]
+
+    def test_missing_file_differs(self, tmp_path):
+        write_bundle(tmp_path / "a")
+        write_bundle(tmp_path / "b")
+        (tmp_path / "a" / "verdict.json").unlink()
+        assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == ["verdict.json"]
+        assert compare_presets.differing_files(tmp_path / "b", tmp_path / "a") == ["verdict.json"]
+        # a file missing from both bundles is no match either
+        (tmp_path / "b" / "verdict.json").unlink()
+        assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == ["verdict.json"]
+
+
+class TestMain:
+    def run_main(self, monkeypatch, tmp_path, rows_of):
+        """main() over two presets, with each run writing the bundle that
+        ``rows_of(side, name, workers)`` describes."""
+        trees = {side: tmp_path / side for side in compare_presets.SIDES}
+
+        def fake_presets(tree, dest):
+            dest.mkdir(parents=True, exist_ok=True)
+            return {name: dest / f"{name}.json" for name in ("alpha", "beta")}
+
+        def fake_run(tree, config, out, workers):
+            side = next(s for s, t in trees.items() if t == tree)
+            rows = rows_of(side, config.stem, workers)
+            if rows is None:
+                return "exit 2: invalid config"
+            write_bundle(out, rows=rows)
+            return None
+
+        monkeypatch.setattr(compare_presets, "preset_configs", fake_presets)
+        monkeypatch.setattr(compare_presets, "run_bundle", fake_run)
+        return compare_presets.main([
+            "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--work", str(tmp_path / "work"),
+        ])
+
+    def test_identical_bundles_pass(self, monkeypatch, tmp_path, capsys):
+        code = self.run_main(monkeypatch, tmp_path, lambda side, name, w: f"{name}\n")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "alpha: identical" in out and "beta: identical" in out
+
+    def test_change_differs_from_parent(self, monkeypatch, tmp_path, capsys):
+        def rows(side, name, workers):
+            return f"{name} {side}\n" if name == "beta" else f"{name}\n"
+
+        assert self.run_main(monkeypatch, tmp_path, rows) == 1
+        out = capsys.readouterr().out
+        assert "beta: parent/w1 vs change/w1: rows.csv" in out
+        assert "beta: parent/w2 vs change/w2: rows.csv" in out
+        assert "alpha: identical" in out
+
+    def test_worker_counts_differ(self, monkeypatch, tmp_path, capsys):
+        def rows(side, name, workers):
+            return f"{workers}\n" if side == "change" and name == "alpha" else "same\n"
+
+        assert self.run_main(monkeypatch, tmp_path, rows) == 1
+        out = capsys.readouterr().out
+        assert "alpha: change/w1 vs change/w2: rows.csv" in out
+        assert "alpha: parent/w1 vs parent/w2" not in out
+
+    def test_failed_run_is_reported(self, monkeypatch, tmp_path, capsys):
+        def rows(side, name, workers):
+            return None if (side, name, workers) == ("change", "beta", 2) else "same\n"
+
+        assert self.run_main(monkeypatch, tmp_path, rows) == 1
+        assert "beta: run failed: change/w2 exit 2" in capsys.readouterr().out

@@ -19,12 +19,11 @@ from orbent import (
     eps_entropy_cover,
     eps_entropy_kantorovich,
     kantorovich_distance,
-    make_standard,
     sample_points,
 )
 from orbent import entropy
 from orbent.entropy import _medoid_measure, estimate_from_matrix
-from orbent.semimetric import Average
+from orbent.semimetric import Average, Euclidean1D, FirstSymbolCut, TorusArcL1
 
 from conftest import matrix_from_points
 from oracles import (
@@ -225,14 +224,14 @@ class TestKantorovichEntropy:
 
 
 def _rotation_matrix():
-    euclid = make_standard("euclidean_1d")
+    euclid = Euclidean1D()
     return distance_matrix(euclid, sample_points(CircleRotation(), 64, 3)).values
 
 
 def _tied_cut_matrix():
     # 7-step cut average on a fair shift: every entry is j/7, with many ties
     shift = BernoulliShift([0.5, 0.5], horizon=16)
-    cut = Average(make_standard("first_symbol_cut"), shift, 7)
+    cut = Average(FirstSymbolCut(), shift, 7)
     values = distance_matrix(cut, sample_points(shift, 64, 5)).values
     assert np.array_equal(values * 7, np.round(values * 7))
     return values
@@ -251,7 +250,7 @@ GROUNDS = {
 
 def _anzai_torus_matrix():
     anzai = AnzaiSkew()
-    torus = Average(make_standard("torus_arc_l1"), anzai, 16)
+    torus = Average(TorusArcL1(), anzai, 16)
     return distance_matrix(torus, sample_points(anzai, 64, 7)).values
 
 
@@ -365,8 +364,11 @@ class TestEstimatePipeline:
     def test_method_dispatch(self):
         d = _metric_matrix([0.0, 0.2, 0.9, 0.95])
         [cover] = estimate_from_matrix(d, [0.3], "Covering")
-        [kant] = estimate_from_matrix(d, [0.3], "kantorovich")
+        [kant] = estimate_from_matrix(d, [0.3], "Kantorovich")
         assert cover.method == "Covering"
         assert kant.method == "Kantorovich"
         with pytest.raises(ParameterError):
             estimate_from_matrix(d, [0.3], "annealing")
+        # names are exact here; only parse_config canonicalizes them
+        with pytest.raises(ParameterError):
+            estimate_from_matrix(d, [0.3], "kantorovich")

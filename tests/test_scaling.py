@@ -12,19 +12,18 @@ from orbent import (
     classify_growth,
     discreteness_verdict,
     limit_metric_check,
-    make_standard,
     sample_points,
 )
 from orbent.scaling import (
     BOUNDED,
     LINEAR,
     UNDETERMINED,
-    LimitCheck,
     ProfileRow,
     ScalingProfile,
     growth_diagnostics,
     profile_cells,
 )
+from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1
 
 from oracles import reference_limit_check, scaling_profile, standalone_limit_report
 
@@ -126,7 +125,7 @@ class TestVerdict:
     def _profile(self, eps, cls):
         rows = rows_from([(n, 1.0) for n in SCHEDULE])
         return ScalingProfile(
-            system=Identity(), metric=make_standard("euclidean_1d"),
+            system=Identity(), metric=Euclidean1D(),
             method="Covering", eps=eps, rows=rows, growth_class=cls,
             fit_diagnostics={},
         )
@@ -149,25 +148,30 @@ class TestVerdict:
         )
         assert verdict.verdict == "Undetermined"
 
-    def test_needs_two_eps(self):
-        with pytest.raises(ParameterError):
-            discreteness_verdict([self._profile(0.25, BOUNDED)])
+    def test_one_eps_is_undetermined(self):
+        verdict = discreteness_verdict([self._profile(0.25, BOUNDED)])
+        assert verdict.to_json() == {
+            "verdict": "Undetermined", "per_eps": {}, "basis": "needs >= 2 eps values",
+        }
+
+
+def limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_class=None):
+    """The limit check as the CLI makes it: each seed's orbit pass ends at
+    n_big, and the reports are combined in seed order."""
+    _, reports = profile_cells(system, metric, [n_big], m, seeds, [eps])
+    return limit_metric_check(n_big, seeds, reports, profile_class=profile_class)
 
 
 class TestLimitMetricCheck:
     def test_rotation_average_is_admissible(self, euclid, rotation):
-        report = limit_metric_check(
-            rotation, euclid, 1024, 128, [1, 2, 3], profile_class=BOUNDED,
-        )
+        report = limit_check(rotation, euclid, 1024, 128, [1, 2, 3], profile_class=BOUNDED)
         assert report.verdict == "AdmissibleEvidence"
         assert report.consistent is True
 
     def test_bernoulli_average_concentrates(self, cut):
         # averaged cut distances pile up near 1/2: empty balls at eps=0.1
         system = BernoulliShift([0.5, 0.5], horizon=300)
-        report = limit_metric_check(
-            system, cut, 256, 64, [1, 2, 3], profile_class=LINEAR,
-        )
+        report = limit_check(system, cut, 256, 64, [1, 2, 3], profile_class=LINEAR)
         assert report.verdict == "NotAdmissibleEvidence"
         assert report.ball_mass_fraction <= 0.05
         assert report.consistent is True
@@ -175,10 +179,9 @@ class TestLimitMetricCheck:
     def test_identity_matches_base_diagnostics(self, euclid, identity):
         from orbent import admissibility_report
 
-        report = limit_metric_check(identity, euclid, 64, 128, [5])
+        report = limit_check(identity, euclid, 64, 128, [5])
         base = admissibility_report(
-            identity, euclid, m=128, seed=5, eps=0.1, c=0.4, pc_n=32, pc_trials=20,
-            trace_schedule=(2, 4, 8, 16, 32),
+            identity, euclid, m=128, seed=5, eps=0.1, pc_n=32, pc_trials=20,
         )
         assert report.verdict == base.verdict
         assert report.ball_mass_fraction == base.ball_mass_fraction
@@ -189,10 +192,10 @@ def as_json_text(report):
 
 
 LIMIT_CASES = {
-    "rotation": (CircleRotation(), make_standard("euclidean_1d")),
-    "anzai": (AnzaiSkew(), make_standard("torus_arc_l1")),
-    "bernoulli": (BernoulliShift([0.5, 0.5], horizon=40), make_standard("first_symbol_cut")),
-    "identity": (Identity(), make_standard("euclidean_1d")),
+    "rotation": (CircleRotation(), Euclidean1D()),
+    "anzai": (AnzaiSkew(), TorusArcL1()),
+    "bernoulli": (BernoulliShift([0.5, 0.5], horizon=40), FirstSymbolCut()),
+    "identity": (Identity(), Euclidean1D()),
 }
 
 
@@ -201,28 +204,29 @@ class TestLimitReportsFromThePass:
     @pytest.mark.parametrize("schedule", [[1], [1, 3, 8]], ids=["n1", "n8"])
     def test_seed_report_equals_standalone(self, case, schedule):
         system, metric = LIMIT_CASES[case]
-        limit = LimitCheck(eps=0.15)
-        cells, reports = profile_cells(
-            system, metric, schedule, 48, [4, 9], [0.25, 0.15], limit=limit,
-        )
+        cells, reports = profile_cells(system, metric, schedule, 48, [4, 9], [0.25, 0.15])
         assert len(cells) == 2 * len(schedule) * 2
         for seed in (4, 9):
             expected = standalone_limit_report(system, metric, schedule[-1], 48, seed, 0.15)
             assert as_json_text(reports[seed]) == as_json_text(expected)
 
-    def test_no_reports_without_a_limit(self, euclid, rotation):
-        _, reports = profile_cells(rotation, euclid, [1, 2], 32, [1], [0.1])
-        assert reports == {}
+    def test_needs_an_eps(self, euclid, rotation):
+        with pytest.raises(ParameterError):
+            profile_cells(rotation, euclid, [1, 2], 32, [1], [])
 
     @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
     def test_repeated_seed_counts_again(self, case):
         system, metric = LIMIT_CASES[case]
         seeds = [6, 2, 6]
-        report = limit_metric_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
+        report = limit_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
         assert [row["seed"] for row in report.per_seed] == seeds
         expected = reference_limit_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
         assert as_json_text(report) == as_json_text(expected)
 
-    def test_needs_a_seed(self, euclid, rotation):
+    def test_needs_a_seed(self):
         with pytest.raises(ParameterError):
-            limit_metric_check(rotation, euclid, 8, 48, [])
+            limit_metric_check(8, [], {})
+
+    def test_needs_a_positive_length(self):
+        with pytest.raises(ParameterError):
+            limit_metric_check(0, [1], {})

@@ -25,7 +25,6 @@ from orbent import (
     TorusTranslation,
     average_metric,
     distance_matrix,
-    make_standard,
     sample_points,
 )
 
@@ -34,8 +33,12 @@ from orbent.dynsys import advance_sample
 from orbent.semimetric import (
     _NODES,
     Average,
+    CircleArc,
     Discrete,
+    Euclidean1D,
     FirstSymbolCut,
+    TorusArcL1,
+    Zero,
     _Cut,
     _orbit_sums,
     _symmetrize,
@@ -87,15 +90,11 @@ class TestStandardMetrics:
         assert rho(metric, syms("0110", "0111")) == 0.0
 
     def test_discrete_and_zero(self):
-        disc = make_standard("discrete")
-        zero = make_standard("zero")
+        disc = Discrete()
+        zero = Zero()
         assert rho(disc, pts(0.1, 0.2)) == 1.0
         assert rho(disc, pts(0.1, 0.1)) == 0.0
         assert rho(zero, pts(0.1, 0.9)) == 0.0
-
-    def test_unknown_tag(self):
-        with pytest.raises(ParameterError):
-            make_standard("no_such_metric")
 
     def test_point_type_mismatch(self, cut, euclid):
         sample = sample_points(Identity(), 8, 1)
@@ -224,14 +223,14 @@ class TestCoordinateKernels:
             d = np.abs(c[rows, None, j] - c[None, :, j])
             torus += np.minimum(d, 1.0 - d)
         expected = {
-            "euclidean_1d": first,
-            "circle_arc": np.minimum(first, 1.0 - first),
-            "torus_arc_l1": torus,
+            Euclidean1D(): first,
+            CircleArc(): np.minimum(first, 1.0 - first),
+            TorusArcL1(): torus,
         }
-        for tag, reference in expected.items():
-            got = make_standard(tag).values(sample, rows)
+        for metric, reference in expected.items():
+            got = metric.values(sample, rows)
             assert got.shape == reference.shape
-            assert got.tobytes() == reference.tobytes(), tag
+            assert got.tobytes() == reference.tobytes(), metric.label()
 
 
 SHIFTS = {
@@ -488,29 +487,29 @@ class TestSerialization:
 # One instance of each node type with the literal label and JSON that result
 # files carry (rows.csv, estimates.csv, config.json, profile.json).
 GOLDEN = [
-    (lambda: make_standard("euclidean_1d"), "euclidean_1d", '{"type": "Euclidean1D"}'),
-    (lambda: make_standard("circle_arc"), "circle_arc", '{"type": "CircleArc"}'),
-    (lambda: make_standard("torus_arc_l1"), "torus_arc_l1", '{"type": "TorusArcL1"}'),
-    (lambda: make_standard("first_symbol_cut"), "first_symbol_cut",
+    (lambda: Euclidean1D(), "euclidean_1d", '{"type": "Euclidean1D"}'),
+    (lambda: CircleArc(), "circle_arc", '{"type": "CircleArc"}'),
+    (lambda: TorusArcL1(), "torus_arc_l1", '{"type": "TorusArcL1"}'),
+    (lambda: FirstSymbolCut(), "first_symbol_cut",
      '{"type": "FirstSymbolCut"}'),
-    (lambda: make_standard("discrete"), "discrete", '{"type": "Discrete"}'),
-    (lambda: make_standard("zero"), "zero", '{"type": "Zero"}'),
+    (lambda: Discrete(), "discrete", '{"type": "Discrete"}'),
+    (lambda: Zero(), "zero", '{"type": "Zero"}'),
     (lambda: ClosedForm("abs_plus_square"), "ClosedForm[abs_plus_square]",
      '{"tag": "abs_plus_square", "type": "ClosedForm"}'),
     (lambda: Block(FirstSymbols(2, alphabet=3)),
      "Block[first_symbols;count=2;alphabet=3]",
      '{"partition": {"alphabet": 3, "count": 2, "kind": "first_symbols"}, "type": "Block"}'),
-    (lambda: Cutoff(make_standard("euclidean_1d"), 0.3),
+    (lambda: Cutoff(Euclidean1D(), 0.3),
      "Cutoff[euclidean_1d;level=0.29999999999999999]",
      '{"inner": {"type": "Euclidean1D"}, "level": 0.3, "type": "Cutoff"}'),
-    (lambda: Mix(make_standard("euclidean_1d"), make_standard("circle_arc"), 0.25),
+    (lambda: Mix(Euclidean1D(), CircleArc(), 0.25),
      "Mix[euclidean_1d;circle_arc;t=0.25]",
      '{"a": {"type": "Euclidean1D"}, "b": {"type": "CircleArc"}, "t": 0.25, "type": "Mix"}'),
-    (lambda: PullBack(make_standard("circle_arc"), CircleRotation(0.2), 3),
+    (lambda: PullBack(CircleArc(), CircleRotation(0.2), 3),
      "PullBack[circle_arc;k=3;CircleRotation[alpha=0.20000000000000001]]",
      '{"inner": {"type": "CircleArc"}, "k": 3, '
      '"system": {"alpha": 0.2, "kind": "CircleRotation"}, "type": "PullBack"}'),
-    (lambda: average_metric(make_standard("first_symbol_cut"),
+    (lambda: average_metric(FirstSymbolCut(),
                             BernoulliShift([0.5, 0.5], horizon=64), 8),
      "Average[first_symbol_cut;n=8;BernoulliShift[weights=0.5;0.5]]",
      '{"inner": {"type": "FirstSymbolCut"}, "n": 8, '
