@@ -27,8 +27,8 @@ WORKERS_ENV = "ORBENT_WORKERS"
 OUTPUT_DIR_ENV = "ORBENT_OUTPUT_DIR"
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
-# a one-worker run grows by about 5.5 of them (orbit sum, step values, kernel
-# scratch, the previous step's matrix, mirror indices, estimator masks)
+# a one-worker run grows by about 3.1 of them with covering (orbit sum, this and
+# the last step's matrix, estimator masks) and by about 4.1 with Kantorovich
 WORKING_SET_MATRICES = 8
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
@@ -99,6 +99,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     eps_grid = _list_field(obj, "eps_grid", "float")
     if any(not (0 < e < math.inf) for e in eps_grid):
         raise ConfigError("eps_grid", "eps values must be positive and finite")
+    if len(set(eps_grid)) < len(eps_grid):
+        raise ConfigError("eps_grid", "eps_grid must not repeat a value")
 
     schedule = _list_field(obj, "n_schedule", "int")
     if any(n < 1 for n in schedule):

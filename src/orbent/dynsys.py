@@ -149,9 +149,9 @@ class AnzaiSkew(SystemSpec):
 
     def step(self, coords: np.ndarray) -> np.ndarray:
         out = np.empty_like(coords)
-        out[:, 0] = (coords[:, 0] + self.alpha) % 1.0
-        out[:, 1] = (coords[:, 1] + coords[:, 0]) % 1.0
-        return out
+        np.add(coords[:, 0], self.alpha, out=out[:, 0])
+        np.add(coords[:, 1], coords[:, 0], out=out[:, 1])
+        return np.remainder(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)

@@ -166,19 +166,22 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
         k = 1
     else:
         balls = values <= (eps / 2.0) * (1.0 + _REL_TOL)
+        # gains[i]: uncovered points in ball i, exact counts kept up to date
+        gains = balls.sum(axis=1)
         covered = np.zeros(m, dtype=bool)
         n_covered = 0
         k = 0
         while n_covered < target:
-            gains = balls[:, ~covered].sum(axis=1)
             best = int(np.argmax(gains))
             gain = int(gains[best])
             if gain <= 1:
                 # every remaining ball adds exactly one point (its center)
                 k += target - n_covered
                 break
-            covered |= balls[best]
-            n_covered = int(covered.sum())
+            new = balls[best] & ~covered
+            covered |= new
+            gains -= balls[:, new].sum(axis=1)
+            n_covered += gain
             k += 1
 
     packing = greedy_separated_size(values > eps * (1.0 + _REL_TOL))
@@ -218,7 +221,7 @@ def _kmedoids(
                 members = np.where(in_cluster)[0]
                 medoid = -1
                 if members.size:
-                    within = values[np.ix_(members, members)].sum(axis=1)
+                    within = values.take(members, 0).take(members, 1).sum(axis=1)
                     medoid = int(members[int(np.argmin(within))])
                 medoid_of[key] = medoid
             if medoid >= 0:

@@ -23,13 +23,17 @@ differing steps by XOR and popcount; on other systems it steps like any other
 node.
 
 Symmetry is exact by construction: ``pairwise`` and the streamed orbit
-averages mirror the upper triangle of every value matrix into the lower one.
+averages compute only the upper triangle of a value matrix, in row blocks of
+about ``_TILE`` values (rows a..b-1 against the tail sample of points a..m-1,
+so step temporaries stay block-sized), and mirror it into the lower one.  The
+tail relies on a contract of ``values``: a node's value on a pair depends only
+on those two points, so it is the same on the tail as on the whole sample.
 """
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -166,8 +170,8 @@ def _window(sample: PointSample, need: int) -> np.ndarray:
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Mirror the upper triangle into the lower one and zero the diagonal."""
-    iu, ju = np.triu_indices(matrix.shape[0], 1)
-    matrix[ju, iu] = matrix[iu, ju]
+    for i in range(1, matrix.shape[0]):
+        matrix[i, :i] = matrix[:i, i]
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
@@ -198,8 +202,9 @@ class Semimetric(ABC):
         return 0
 
     def pairwise(self, sample: PointSample) -> np.ndarray:
-        """Full m-by-m value matrix with exact symmetry and zero diagonal."""
-        return _symmetrize(self.values(sample, np.arange(sample.m)))
+        """Full m-by-m value matrix with exact symmetry and zero diagonal,
+        mirrored from its upper triangle, which is evaluated in row blocks."""
+        return _symmetrize(next(_orbit_sums(self, Identity(), sample, None, [1]))[1])
 
     def to_json(self) -> dict:
         return {"type": type(self).__name__, **fields_json(self)}
@@ -443,6 +448,28 @@ class PullBack(Semimetric):
 
 
 _CUT_KEYS = 1 << 15  # keys per popcount chunk, so its temporaries stay small for any m and n
+_TILE = 1 << 15  # values per row block of a whole matrix, so step temporaries stay block-sized
+
+
+def _tiles(acc: np.ndarray, rows: Optional[np.ndarray]) -> list:
+    """(view of ``acc``, a, rows of the tail a..m-1) of each block a pass adds
+    into: all of ``acc`` for explicit ``rows``; for ``rows`` None, rows a..b-1
+    of the whole matrix against points a..m-1, about ``_TILE`` values each."""
+    if rows is not None:
+        return [(acc, 0, rows)]
+    tiles, m, a = [], acc.shape[0], 0
+    while a < m:
+        b = min(m, a + max(1, _TILE // (m - a)))
+        tiles.append((acc[a:b, a:], a, np.arange(b - a)))
+        a = b
+    return tiles
+
+
+def _tail(sample: PointSample, start: int) -> PointSample:
+    """Points start..m-1 of ``sample``, at the same symbol offset."""
+    if sample.coords is not None:
+        return replace(sample, coords=sample.coords[start:])
+    return replace(sample, symbols=sample.symbols[start:])
 
 
 def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.ndarray:
@@ -457,11 +484,11 @@ def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.nd
     return cut.keys(flat).reshape(sample.m, stop - start)
 
 
-def _add_cut_counts(acc: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
-    """Add to acc[i, j] the number of steps (columns of ``keys``) at which
-    points rows[i] and j have different keys: keys mapped one-to-one onto
-    uint64 labels, then per uint64 word of 64 steps the OR over the labels'
-    bit planes of their XOR, bit-counted."""
+def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:
+    """Add to each tile's view the number of steps (columns of ``keys``) at
+    which its pairs of tail points have different keys: keys mapped
+    one-to-one onto uint64 labels, then per uint64 word of 64 steps the OR over
+    the labels' bit planes of their XOR, bit-counted."""
     m, steps = keys.shape
     words = -(-steps // 64)
     labels = np.zeros((m, 64 * words), np.uint64)  # the padding never differs
@@ -472,35 +499,41 @@ def _add_cut_counts(acc: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None
         labels[:, :steps] = np.unique(keys, return_inverse=True)[1].reshape(m, steps)
     planes = [np.packbits(labels >> bit & 1, axis=1).view(np.uint64)
               for bit in range(int(labels.max(initial=0)).bit_length())]
-    for w in range(words):
-        diff = np.uint64(0)
-        for plane in planes:
-            diff = diff | (plane[rows, w, None] ^ plane[None, :, w])
-        acc += np.bitwise_count(diff)
+    for view, a, rows in tiles:
+        for w in range(words):
+            diff = np.uint64(0)
+            for plane in planes:
+                tail = plane[a:, w]
+                diff = diff | (tail[rows, None] ^ tail[None, :])
+            view += np.bitwise_count(diff)
 
 
 def _orbit_sums(
-    inner: Semimetric, system: SystemSpec, sample: PointSample, rows: np.ndarray,
+    inner: Semimetric, system: SystemSpec, sample: PointSample, rows: Optional[np.ndarray],
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, sum of the first n pull-backs of ``inner``) along an ascending
     schedule; the sum is updated in place, so keeping it past a step needs a copy.
+    ``rows`` None sums the whole matrix on and above the diagonal, block by
+    block (``_tiles``); below it only a block's diagonal square is summed.
     A cut on a shift adds exact integer counts of its differing steps, chunk by
     chunk, so its sum is bit-identical to adding its 0/1 matrices step by step."""
     cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
+    acc = np.zeros((sample.m if rows is None else len(rows), sample.m))
+    tiles = _tiles(acc, rows)
     state = sample
-    acc = np.zeros((len(rows), sample.m)) if cut else inner.values(state, rows)
-    steps = 0 if cut else 1
+    steps = 0
     chunk = 64 * max(_CUT_KEYS // (64 * max(sample.m, 1)), 1)
     for n in schedule:
         if cut:
             for start in range(steps, n, chunk):
-                stop = min(start + chunk, n)
-                _add_cut_counts(acc, _window_keys(inner, sample, start, stop), rows)
+                _add_cut_counts(tiles, _window_keys(inner, sample, start, min(start + chunk, n)))
             steps = max(steps, n)
         while steps < n:
-            state = advance_sample(state, 1, system)
-            acc += inner.values(state, rows)
+            if steps:
+                state = advance_sample(state, 1, system)
+            for view, a, tail_rows in tiles:
+                view += inner.values(_tail(state, a) if a else state, tail_rows)
             steps += 1
         yield n, acc
 
@@ -609,5 +642,5 @@ def streamed_average_matrices(
         for n in schedule:
             yield n, base.copy()
         return
-    for n, acc in _orbit_sums(metric, system, sample, np.arange(sample.m), schedule):
+    for n, acc in _orbit_sums(metric, system, sample, None, schedule):
         yield n, _symmetrize(acc / n)

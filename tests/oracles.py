@@ -5,15 +5,19 @@ from enumerating transportation-polytope vertices (spanning trees of the
 complete bipartite support graph), covering counts and separated sets from
 exhaustive search.  The limit-check reference recomputes the large-n average
 from scratch for every seed.  The orbit-sum reference adds one value matrix
-per orbit step, and the ``Discrete`` reference compares every pair of points
-symbol by symbol.  The trace reference builds each box of an explicit grid
-as a mask and loops over its pairs, and the axiom checker scans triples of a
-value matrix for triangle defects.  The Kantorovich reference prices every
-k-medoid candidate with the transport LP instead of the closed form, and its
-candidates come from a k-medoid search that recomputes every cluster medoid
-(no medoid table).  The profile reference is the one-eps profile built from
-the library's cells.
+per orbit step over whole rows, and ``mirror_upper`` builds a symmetric
+matrix by adding the transpose of its strict upper triangle.  The
+``Discrete`` reference compares every pair of points symbol by symbol.  The
+trace reference builds each box of an explicit grid as a mask and loops over
+its pairs, and the axiom checker scans triples of a value matrix for triangle
+defects.  The Kantorovich reference prices every k-medoid candidate with the
+transport LP instead of the closed form, and its candidates come from a
+k-medoid search that recomputes every cluster medoid (no medoid table).  The
+covering reference recounts the uncovered points of every ball in every
+greedy round.  The profile reference is the one-eps profile built from the
+library's cells.
 """
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +27,7 @@ from orbent import (
     AtomicMeasure, ParameterError, admissibility_report, atomic_entropy, average_metric,
     kantorovich_distance,
 )
-from orbent.admit import combine_verdict
+from orbent.admit import combine_verdict, greedy_separated_size
 from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
@@ -276,6 +280,41 @@ def stepwise_orbit_sums(inner, system, sample, rows, schedule):
             acc += inner.values(state, rows)
             steps += 1
         yield n, acc.copy()
+
+
+def mirror_upper(values):
+    """The symmetric matrix with the strict upper triangle of ``values`` and a
+    zero diagonal."""
+    upper = np.triu(values, 1)
+    return upper + upper.T
+
+
+def reference_cover(values, eps, rel_tol=1e-12):
+    """(k, lower_bound_bits) of the greedy covering estimate, with the gain of
+    every ball recounted over the uncovered points in every round."""
+    values = np.asarray(values, dtype=float)
+    m = values.shape[0]
+    discard = int(math.floor(eps * m))
+    target = max(1, m - discard)
+    if float(values.max()) <= eps * (1.0 + rel_tol):
+        k = 1
+    else:
+        balls = values <= (eps / 2.0) * (1.0 + rel_tol)
+        covered = np.zeros(m, dtype=bool)
+        n_covered = 0
+        k = 0
+        while n_covered < target:
+            gains = balls[:, ~covered].sum(axis=1)
+            best = int(np.argmax(gains))
+            gain = int(gains[best])
+            if gain <= 1:
+                k += target - n_covered
+                break
+            covered |= balls[best]
+            n_covered = int(covered.sum())
+            k += 1
+    packing = greedy_separated_size(values > eps * (1.0 + rel_tol))
+    return k, math.log2(max(1, packing - discard))
 
 
 def discrete_by_broadcast(sample, rows):

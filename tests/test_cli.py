@@ -178,6 +178,18 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "eps_grid"
 
+    def test_repeated_eps_exits_2(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["eps_grid"] = [0.25, 0.1, 0.25]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["field"] == "eps_grid"
+        assert "repeat" in error["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("env, flag", [
         ("abc", None), ("0", None), (None, "0"), (None, "abc"),
     ])

@@ -29,6 +29,7 @@ from conftest import matrix_from_points
 from oracles import (
     kantorovich_entropy_by_lp,
     min_entropy_quantization,
+    reference_cover,
     reference_medoid_measure,
     transport_cost_by_vertex_enumeration,
 )
@@ -284,6 +285,40 @@ class TestMedoidTable:
     def test_nonpositive_eps_in_grid_rejected(self, grid):
         with pytest.raises(ParameterError):
             eps_entropy_kantorovich(_two_cluster_matrix(), grid)
+
+
+class TestIncrementalCover:
+    """The greedy cover with gains kept up to date against the reference that
+    recounts every ball in every round."""
+
+    @staticmethod
+    def assert_matches(values, eps_values):
+        for eps in eps_values:
+            k, lower_bits = reference_cover(values, eps)
+            if lower_bits > np.log2(k) + 1e-12:
+                # off a metric the packing may exceed the cover: both refuse
+                with pytest.raises(ParameterError):
+                    eps_entropy_cover(values, eps)
+                continue
+            est = eps_entropy_cover(values, eps)
+            assert (est.k, est.lower_bound_bits) == (k, lower_bits), eps
+
+    @pytest.mark.parametrize("name", [*GROUNDS, "anzai-torus"])
+    def test_grounds(self, name):
+        values = _anzai_torus_matrix() if name == "anzai-torus" else GROUNDS[name]()
+        self.assert_matches(values, (0.02, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5))
+
+    def test_integer_matrices_with_heavy_ties(self):
+        rng = np.random.default_rng(13)
+        for m in (2, 3, 7, 16, 40, 97):
+            upper = np.triu(rng.integers(0, 10, (m, m)), 1) / 10
+            self.assert_matches(upper + upper.T, (0.1, 0.2, 0.25, 0.3, 0.5))
+
+    def test_non_symmetric_plain_array(self):
+        rng = np.random.default_rng(14)
+        for m in (2, 5, 33, 80):
+            self.assert_matches(rng.random((m, m)), (0.1, 0.3, 0.6, 1.2))
+            self.assert_matches(rng.integers(0, 10, (m, m)) / 10, (0.1, 0.2, 0.3, 0.5))
 
 
 class TestClosedFormTransport:

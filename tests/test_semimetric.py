@@ -32,6 +32,7 @@ from orbent import semimetric
 from orbent.dynsys import advance_sample
 from orbent.semimetric import (
     _NODES,
+    CLOSED_FORMS,
     Average,
     CircleArc,
     Discrete,
@@ -47,7 +48,7 @@ from orbent.semimetric import (
 )
 
 from conftest import coords_sample
-from oracles import check_axioms, discrete_by_broadcast, stepwise_orbit_sums
+from oracles import check_axioms, discrete_by_broadcast, mirror_upper, stepwise_orbit_sums
 
 
 def pts(*xs):
@@ -365,6 +366,68 @@ class TestCutGuards:
                 for k in range(start, 30):
                     stepped = cut.keys(advance_sample(sample, k))
                     assert np.array_equal(keys[:, k - start], stepped), (cut.label(), k)
+
+
+def _tile_cases():
+    cases = []
+    for name, system in (("anzai", AnzaiSkew()), ("rotation", CircleRotation())):
+        nodes = {
+            "euclidean_1d": Euclidean1D(), "torus_arc_l1": TorusArcL1(),
+            **{tag: ClosedForm(tag) for tag in CLOSED_FORMS},
+            "mix": Mix(Euclidean1D(), CircleArc(), 0.3), "cutoff": Cutoff(TorusArcL1(), 0.2),
+            "pull_back": PullBack(TorusArcL1(), system, 3),
+            "average": Average(TorusArcL1(), system, 3),
+            "discrete": Discrete(), "dyadic": Block(DyadicIntervals(3)),
+        }
+        cases += [(f"{key}-{name}", system, node) for key, node in nodes.items()]
+    shift = BernoulliShift([0.5, 0.5], horizon=40)
+    nodes = {
+        "discrete": Discrete(), "mix_of_cuts": Mix(FirstSymbolCut(), Block(FirstSymbols(2)), 0.5),
+        "first_symbol_cut": FirstSymbolCut(), "first_symbols": Block(FirstSymbols(3)),
+    }
+    return cases + [(f"{key}-shift", shift, node) for key, node in nodes.items()]
+
+
+TILE_CASES = _tile_cases()
+
+
+class TestTiles:
+    """Whole matrices summed in upper-triangle row blocks against the
+    step-by-step sums of whole rows, bit for bit."""
+
+    @pytest.mark.parametrize("tile", [4, 64])
+    @pytest.mark.parametrize("system, node", [case[1:] for case in TILE_CASES],
+                             ids=[case[0] for case in TILE_CASES])
+    def test_whole_matrix_matches_stepwise_rows(self, monkeypatch, tile, system, node):
+        monkeypatch.setattr(semimetric, "_TILE", tile)
+        schedule = [1, 3, 8]
+        for m in (1, 2, tile - 1, tile + 1, 3 * tile + 5):
+            sample = sample_points(system, m, 9)
+            full = list(stepwise_orbit_sums(node, system, sample, np.arange(m), schedule))
+            got = [(n, acc.copy()) for n, acc in _orbit_sums(node, system, sample, None, schedule)]
+            assert [n for n, _ in got] == schedule
+            for (_, acc), (_, reference) in zip(got, full):
+                assert np.triu(acc).tobytes() == np.triu(reference).tobytes()
+            streamed = streamed_average_matrices(node, system, sample, schedule)
+            for (n, values), (_, reference) in zip(streamed, full, strict=True):
+                assert values.tobytes() == mirror_upper(reference / n).tobytes()
+                assert Average(node, system, n).pairwise(sample).tobytes() == values.tobytes()
+            assert node.pairwise(sample).tobytes() == mirror_upper(full[0][1]).tobytes()
+
+    def test_explicit_rows_stay_whole_rows(self, monkeypatch):
+        monkeypatch.setattr(semimetric, "_TILE", 4)
+        rows = np.array([22, 0, 5, 5, 17])
+        anzai, shift = AnzaiSkew(), BernoulliShift([0.5, 0.5], horizon=40)
+        for system, node in ((anzai, TorusArcL1()), (anzai, Average(TorusArcL1(), anzai, 3)),
+                             (shift, FirstSymbolCut()), (shift, Discrete())):
+            sample = sample_points(system, 23, 4)
+            _, reference = next(stepwise_orbit_sums(node, system, sample, rows, [6]))
+            _, acc = next(_orbit_sums(node, system, sample, rows, [6]))
+            assert acc.tobytes() == reference.tobytes()
+            got = Average(node, system, 6).values(sample, rows)
+            assert got.shape == (5, 23)
+            assert got.tobytes() == (reference / 6).tobytes()
+            assert np.count_nonzero(got[0, :22]), node.label()  # row 22 below the diagonal
 
 
 class TestDiscrete:
