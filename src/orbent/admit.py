@@ -30,6 +30,8 @@ TRACE_L1_FACTOR = 0.1
 # separated-set level and trace-curve box counts of every report
 SEPARATION_C = 0.4
 TRACE_SCHEDULE = (2, 4, 8, 16, 32)
+# fewest points the ball-mass test reads
+MIN_BALL_MASS_POINTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +100,9 @@ def ball_mass_test(matrix: MatrixLike, eps: float) -> float:
     """Fraction of points whose closed eps-ball captures another sample point."""
     values = as_values(matrix)
     m = values.shape[0]
-    if m < 16:
-        raise ParameterError(f"ball-mass test needs at least 16 points, got {m}")
+    if m < MIN_BALL_MASS_POINTS:
+        raise ParameterError(
+            f"ball-mass test needs at least {MIN_BALL_MASS_POINTS} points, got {m}")
     if not (eps > 0):
         raise ParameterError("eps must be positive")
     neighbors = (values <= eps).sum(axis=1) - 1

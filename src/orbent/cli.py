@@ -23,9 +23,6 @@ from .entropy import ESTIMATORS
 from .errors import InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
-WORKERS_ENV = "ORBENT_WORKERS"
-OUTPUT_DIR_ENV = "ORBENT_OUTPUT_DIR"
-
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
 # a one-worker run grows by about 3.1 of them with covering (orbit sum, this and
 # the last step's matrix, estimator masks) and by about 4.1 with Kantorovich
@@ -107,13 +104,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("n_schedule", "n_schedule entries must be >= 1")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("n_schedule", "n_schedule must be strictly increasing")
+    if len(schedule) < scaling.MIN_GROWTH_ROWS:
+        raise ConfigError("n_schedule", f"n_schedule needs at least {scaling.MIN_GROWTH_ROWS} "
+                                        "points to classify growth")
 
     try:
         m = DECODE["int"](obj["m"])
     except TypeError as exc:
         raise ConfigError("m", f"m: {exc}") from exc
-    if m < 2:
-        raise ConfigError("m", "m must be >= 2")
+    if m < admit.MIN_BALL_MASS_POINTS:
+        raise ConfigError("m", f"m must be >= {admit.MIN_BALL_MASS_POINTS}, the points "
+                               "the ball-mass test needs")
     need = WORKING_SET_MATRICES * 8 * m * m
     memory = _physical_memory()
     if memory is not None and need > memory:
@@ -376,9 +377,8 @@ def _error_json(code: str, message: str, field: Optional[str] = None) -> str:
     return json.dumps({"error": err})
 
 
-def _workers(flag: Optional[str]) -> int:
-    """--workers, else $ORBENT_WORKERS, else 1; a positive integer."""
-    raw = os.environ.get(WORKERS_ENV, "1") if flag is None else flag
+def _workers(raw: str) -> int:
+    """The --workers value, a positive integer."""
     try:
         workers = int(raw)
     except ValueError as exc:
@@ -398,8 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument("--output-dir", default=None, help="override the config output_dir")
-    run_p.add_argument("--workers", default=None,
-                       help=f"worker threads (default 1 or ${WORKERS_ENV})")
+    run_p.add_argument("--workers", default="1", help="worker threads (default 1)")
 
     cmp_p = sub.add_parser("compare", help="diff two result bundles")
     cmp_p.add_argument("dir_a")
@@ -417,9 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.verb == "run":
             config = load_config(args.config)
-            output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-            if output_dir:
-                config = replace(config, output_dir=output_dir)
+            if args.output_dir:
+                config = replace(config, output_dir=args.output_dir)
             paths = run_experiment(config, workers=_workers(args.workers))
             print(json.dumps(paths, indent=2, sort_keys=True))
             return 0

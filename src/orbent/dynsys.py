@@ -1,8 +1,10 @@
 """Canonical measure-preserving systems with exact samplers for their invariant measures.
 
 Each system kind is a frozen dataclass subclassing :class:`SystemSpec`, with
-JSON ``{"kind": <class name>, <field>: <value>, ...}``; a new system needs its
-class and an entry in ``_SYSTEMS``.  The package's one JSON codec lives here:
+JSON ``{"kind": <class name>, <field>: <value>, ...}``.  A new system is its
+class plus an entry in ``_SYSTEMS``: a map of coordinates implements ``step``,
+and a system with a new draw of points implements its own ``sample(m, rng)``
+(the base draws uniform coordinates).  The package's one JSON codec lives here:
 ``fields_json`` writes dataclass fields, ``from_fields_json`` and
 ``from_tagged_json`` read them through ``DECODE``, one decoder per annotation.
 The number decoders are strict: an ``int`` field takes only a JSON integer and
@@ -11,8 +13,8 @@ a ``float`` field only a JSON number, never a bool or a string.
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
 advance_sample(x, j + k, s)`` holds bit-for-bit.  Shift systems store a finite
-symbol window and fail loudly when an orbit runs past it rather than wrapping
-around.
+symbol window, which a step slices, and fail loudly when an orbit runs past it
+rather than wrapping around.
 """
 from __future__ import annotations
 
@@ -31,6 +33,10 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
 # Symbol window used when a shift system is built without an explicit horizon.
 DEFAULT_SHIFT_HORIZON = 128
+
+# Symbols per row block of a shift sample: ``choice`` with ``p`` makes a
+# float64 and an int64 temporary per symbol, so blocks keep them small.
+_SAMPLE_BLOCK = 1 << 15
 
 _WEIGHT_TOL = 1e-12
 
@@ -87,7 +93,8 @@ def from_tagged_json(obj: dict, tag_key: str, registry: dict):
 
 class SystemSpec:
     """A measure-preserving transformation.  A map of coordinates implements
-    ``step(coords)``; the base checks every float field as an angle."""
+    ``step(coords)``; the base checks every float field as an angle and
+    samples uniform coordinates."""
 
     dim: ClassVar[Optional[int]] = None  # coordinate dimension; None if symbolic
     is_symbolic: ClassVar[bool] = False
@@ -104,6 +111,10 @@ class SystemSpec:
             if not np.isfinite(value) or value % 1.0 == 0.0:
                 raise ParameterError(f"{f.name} must be finite and not an integer, got {value!r}")
             object.__setattr__(self, f.name, value)
+
+    def sample(self, m: int, rng: np.random.Generator) -> PointSample:
+        """m points drawn i.i.d. from the invariant measure."""
+        return PointSample(coords=rng.random((m, self.dim)))
 
     def label(self) -> str:
         """Compact CSV-safe identifier: ``kind[field=value;...]``."""
@@ -182,6 +193,18 @@ class BernoulliShift(SystemSpec):
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "horizon", horizon)
 
+    def sample(self, m: int, rng: np.random.Generator) -> PointSample:
+        """m symbol windows of ``horizon`` i.i.d. symbols, drawn in row blocks
+        of about ``_SAMPLE_BLOCK`` symbols: ``choice`` takes one uniform per
+        symbol in row-major order, so the blocks equal a single draw."""
+        w = np.asarray(self.weights)
+        symbols = np.empty((m, self.horizon), dtype=np.int8)
+        rows = max(1, _SAMPLE_BLOCK // self.horizon)
+        for a in range(0, m, rows):
+            block = symbols[a:a + rows]
+            block[...] = rng.choice(len(w), size=block.shape, p=w)
+        return PointSample(symbols=symbols)
+
     def label(self) -> str:
         ws = ";".join(f"{w:.17g}" for w in self.weights)
         return f"BernoulliShift[weights={ws}]"
@@ -220,17 +243,11 @@ DECODE: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class PointSample:
-    """m points drawn i.i.d. from the invariant measure of ``system``.
+    """m points: coordinates of shape (m, dim), or symbol windows of shape
+    (m, width) whose column j is the symbol j shift steps along the orbit."""
 
-    ``symbol_offset`` tracks how far a symbolic sample has been shifted; the
-    live window of point i is ``symbols[i, symbol_offset:]``.
-    """
-
-    system: SystemSpec
-    seed: int
     coords: Optional[np.ndarray] = None
     symbols: Optional[np.ndarray] = None
-    symbol_offset: int = 0
 
     @property
     def m(self) -> int:
@@ -240,12 +257,6 @@ class PointSample:
     @property
     def is_symbolic(self) -> bool:
         return self.symbols is not None
-
-    @property
-    def symbol_window(self) -> Optional[np.ndarray]:
-        if self.symbols is None:
-            return None
-        return self.symbols[:, self.symbol_offset:]
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -258,47 +269,32 @@ def sample_points(system: SystemSpec, m: int, seed: int) -> PointSample:
     """Draw m i.i.d. points from the invariant measure, reproducibly from seed."""
     if m < 1:
         raise ParameterError(f"sample size must be >= 1, got {m}")
-    rng = derive_rng(seed)
-    if system.is_symbolic:
-        w = np.asarray(system.weights, dtype=float)
-        symbols = rng.choice(len(w), size=(m, system.horizon), p=w).astype(np.int8)
-        return PointSample(system, int(seed), symbols=symbols)
-    coords = rng.random((m, system.dim))
-    return PointSample(system, int(seed), coords=coords)
+    return system.sample(m, derive_rng(seed))
 
 
-def advance_sample(
-    sample: PointSample, steps: int, system: Optional[SystemSpec] = None
-) -> PointSample:
-    """Apply a system ``steps`` times to every point of the sample.
-
-    ``system`` defaults to the one the sample was drawn from; pull-backs pass
-    their own transformation explicitly.  The identity returns the sample.
-    """
+def advance_sample(sample: PointSample, steps: int, system: SystemSpec) -> PointSample:
+    """Apply ``system`` ``steps`` times to every point of the sample.  The
+    identity returns the sample; a shift returns a view of the windows
+    without their first ``steps`` symbols."""
     if steps < 0:
         raise ParameterError("cannot iterate a transformation backwards here")
-    acting = sample.system if system is None else system
-    if steps == 0 or isinstance(acting, Identity):
+    if steps == 0 or isinstance(system, Identity):
         return sample
-    if acting.is_symbolic:
+    if system.is_symbolic:
         if not sample.is_symbolic:
             raise ParameterError("shift systems act on symbolic samples")
-        offset = sample.symbol_offset + steps
-        if offset >= sample.symbols.shape[1]:
-            raise HorizonError(
-                f"orbit step {offset} exceeds symbol horizon {sample.symbols.shape[1]}"
-            )
-        return PointSample(
-            sample.system, sample.seed, symbols=sample.symbols, symbol_offset=offset
-        )
+        width = sample.symbols.shape[1]
+        if steps >= width:
+            raise HorizonError(f"orbit step {steps} exceeds the symbol window {width}")
+        return PointSample(symbols=sample.symbols[:, steps:])
     if sample.coords is None:
-        raise ParameterError(f"{acting.kind} acts on coordinate samples")
-    if acting.dim != sample.coords.shape[1]:
+        raise ParameterError(f"{system.kind} acts on coordinate samples")
+    if system.dim != sample.coords.shape[1]:
         raise ParameterError(
-            f"{acting.kind} acts on {acting.dim}-dimensional points, "
+            f"{system.kind} acts on {system.dim}-dimensional points, "
             f"the sample has {sample.coords.shape[1]} coordinates"
         )
     coords = sample.coords
     for _ in range(steps):
-        coords = acting.step(coords)
-    return PointSample(sample.system, sample.seed, coords=coords)
+        coords = system.step(coords)
+    return PointSample(coords=coords)

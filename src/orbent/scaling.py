@@ -24,6 +24,8 @@ from .semimetric import (
 R2_THRESHOLD = 0.95
 BOUNDED_SLACK_BITS = 1.0
 TAU_THRESHOLD = 0.5
+# fewest profile rows the growth classification reads
+MIN_GROWTH_ROWS = 4
 
 # separated-set draws of the limit check: points per draw and draws per seed
 LIMIT_PC_N = 32
@@ -127,8 +129,8 @@ def classify_growth(rows: Sequence[ProfileRow]) -> GrowthClass:
     clears R^2 >= 0.95 with positive slope, with the plain linear fit taking
     precedence.
     """
-    if len(rows) < 4:
-        raise ParameterError("growth classification needs at least 4 rows")
+    if len(rows) < MIN_GROWTH_ROWS:
+        raise ParameterError(f"growth classification needs at least {MIN_GROWTH_ROWS} rows")
     ns = [r.n for r in sorted(rows, key=lambda r: r.n)]
     if len(set(ns)) != len(ns):
         raise ParameterError("profile rows must have distinct n")

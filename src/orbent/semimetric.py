@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -158,7 +158,7 @@ def dyadic_cells(coords: np.ndarray, level: int) -> np.ndarray:
 
 
 def _window(sample: PointSample, need: int) -> np.ndarray:
-    window = sample.symbol_window
+    window = sample.symbols
     if window is None:
         raise MetricTypeError("this semimetric needs symbolic points")
     if window.shape[1] < need:
@@ -466,22 +466,21 @@ def _tiles(acc: np.ndarray, rows: Optional[np.ndarray]) -> list:
 
 
 def _tail(sample: PointSample, start: int) -> PointSample:
-    """Points start..m-1 of ``sample``, at the same symbol offset."""
+    """Points start..m-1 of ``sample``."""
     if sample.coords is not None:
-        return replace(sample, coords=sample.coords[start:])
-    return replace(sample, symbols=sample.symbols[start:])
+        return PointSample(coords=sample.coords[start:])
+    return PointSample(symbols=sample.symbols[start:])
 
 
 def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.ndarray:
     """Keys of shift steps start .. stop-1, shape (m, stop - start), without
     stepping: step k's key reads only symbols k .. k + horizon - 1."""
     width = max(cut.symbol_horizon(), 1)
-    window = sample.symbol_window
+    window = sample.symbols
     if window.shape[1] < stop - 1 + width:
         raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {window.shape[1]}")
     steps = sliding_window_view(window, width, axis=1)[:, start:stop].reshape(-1, width)
-    flat = PointSample(sample.system, sample.seed, symbols=steps)
-    return cut.keys(flat).reshape(sample.m, stop - start)
+    return cut.keys(PointSample(symbols=steps)).reshape(sample.m, stop - start)
 
 
 def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:

@@ -43,7 +43,7 @@ def cut():
 def coords_sample(values) -> PointSample:
     """Hand-built 1-D coordinate sample (bypasses the seeded sampler)."""
     coords = np.asarray(values, dtype=float).reshape(-1, 1)
-    return PointSample(Identity(), 0, coords=coords)
+    return PointSample(coords=coords)
 
 
 def matrix_from_points(values) -> DistanceMatrix:

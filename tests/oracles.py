@@ -15,7 +15,8 @@ transport LP instead of the closed form, and its candidates come from a
 k-medoid search that recomputes every cluster medoid (no medoid table).  The
 covering reference recounts the uncovered points of every ball in every
 greedy round.  The profile reference is the one-eps profile built from the
-library's cells.
+library's cells.  The sampler reference draws a whole sample in one call:
+``rng.random`` for coordinates, ``rng.choice`` over every symbol of a shift.
 """
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from orbent import (
     kantorovich_distance,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
-from orbent.dynsys import advance_sample, derive_rng
+from orbent.dynsys import PointSample, advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
 
@@ -317,9 +318,19 @@ def reference_cover(values, eps, rel_tol=1e-12):
     return k, math.log2(max(1, packing - discard))
 
 
+def reference_sample(system, m, seed):
+    """The m points of ``sample_points(system, m, seed)``, drawn in one call."""
+    rng = derive_rng(seed)
+    if system.is_symbolic:
+        w = np.asarray(system.weights, dtype=float)
+        symbols = rng.choice(len(w), size=(m, system.horizon), p=w).astype(np.int8)
+        return PointSample(symbols=symbols)
+    return PointSample(coords=rng.random((m, system.dim)))
+
+
 def discrete_by_broadcast(sample, rows):
     """``Discrete`` values as an m x m x width comparison of whole points."""
-    points = sample.coords if sample.coords is not None else sample.symbol_window
+    points = sample.coords if sample.coords is not None else sample.symbols
     return np.any(points[rows, None, :] != points[None, :, :], axis=2).astype(float)
 
 

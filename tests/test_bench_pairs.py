@@ -91,3 +91,21 @@ class TestFailedSide:
         # the failed pair counts among the pairs run but not among the wins
         assert wall["change_better_pairs"] == 9
         assert wall["claim_met"]
+
+
+class TestPathLengths:
+    @pytest.mark.parametrize("change, warned", [("bb", False), ("bbb", True)])
+    def test_unequal_checkout_paths_warn(self, monkeypatch, tmp_path, capsys, change, warned):
+        parent = tmp_path / "aa"
+        for tree in (parent, tmp_path / change):
+            tree.mkdir()
+        (parent / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": k, "bound": v} for k, v in BOUNDS.items()]}))
+        monkeypatch.setattr(bench_pairs, "run_side", lambda *args: side(2.0))
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(tmp_path / change),
+                                 "--workloads", "shift-cut:1-2", "--out", str(out)]) == 0
+        lengths = json.loads(out.read_text())["path_lengths"]
+        assert lengths == {"parent": len(str(parent.resolve())),
+                           "change": len(str((tmp_path / change).resolve()))}
+        assert ("warning" in capsys.readouterr().err) is warned

@@ -157,8 +157,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key, value", [
         ("m", 64.5), ("seeds", [1.9, 2, 3]), ("eps_grid", ["0.25", 0.1]),
-        ("n_schedule", [True, 2, 4, 8]),
-    ], ids=["m-float", "seeds-float", "eps-string", "schedule-bool"])
+        ("n_schedule", [True, 2, 4, 8]), ("m", 15), ("n_schedule", [16, 32, 64]),
+    ], ids=["m-float", "seeds-float", "eps-string", "schedule-bool", "m-below-ball-mass",
+            "schedule-below-growth-rows"])
     def test_bad_number_exits_2(self, tmp_path, key, value):
         raw = rotation_config(tmp_path / "out")
         raw[key] = value
@@ -190,22 +191,11 @@ class TestMalformedInput:
         assert "repeat" in error["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("env, flag", [
-        ("abc", None), ("0", None), (None, "0"), (None, "abc"),
-    ])
-    def test_bad_worker_count_exits_2(self, tmp_path, env, flag):
-        import os
-
+    @pytest.mark.parametrize("flag", ["0", "abc"])
+    def test_bad_worker_count_exits_2(self, tmp_path, flag):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(rotation_config(tmp_path / "out")))
-        args = [sys.executable, "-m", "orbent.cli", "run", str(path)]
-        if flag is not None:
-            args += ["--workers", flag]
-        environ = dict(os.environ)
-        environ.pop("ORBENT_WORKERS", None)
-        if env is not None:
-            environ["ORBENT_WORKERS"] = env
-        result = subprocess.run(args, capture_output=True, text=True, env=environ)
+        result = run_cli("run", str(path), "--workers", flag)
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "workers"
         assert not (tmp_path / "out").exists()
@@ -300,6 +290,15 @@ class TestRunExperiment:
         paths_b = run_experiment(again)
         assert open(paths["rows"], "rb").read() == open(paths_b["rows"], "rb").read()
 
+    def test_output_dir_flag_overrides_config(self, bundle, tmp_path):
+        _, paths = bundle
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "ignored")))
+        result = run_cli("run", str(path), "--output-dir", str(tmp_path / "actual"))
+        assert result.returncode == 0
+        assert (tmp_path / "actual" / "rows.csv").read_bytes() == open(paths["rows"], "rb").read()
+        assert not (tmp_path / "ignored").exists()
+
     def test_worker_count_does_not_change_outputs(self, bundle, tmp_path):
         config, paths = bundle
         threaded = parse_config(rotation_config(tmp_path / "c"))
@@ -392,18 +391,3 @@ class TestCompare:
         result = run_cli("compare", str(rot_dir), str(bern_dir))
         assert result.returncode == 0
         assert "verdict A" in result.stdout
-
-    def test_env_output_dir_override(self, tmp_path):
-        import os
-
-        raw = rotation_config(tmp_path / "ignored")
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        env = dict(os.environ, ORBENT_OUTPUT_DIR=str(tmp_path / "actual"))
-        result = subprocess.run(
-            [sys.executable, "-m", "orbent.cli", "run", str(path)],
-            capture_output=True, text=True, env=env,
-        )
-        assert result.returncode == 0
-        assert (tmp_path / "actual" / "rows.csv").exists()
-        assert not (tmp_path / "ignored").exists()

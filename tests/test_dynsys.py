@@ -15,10 +15,24 @@ from orbent import (
 )
 from orbent.dynsys import advance_sample
 
+from oracles import reference_sample
+
+# horizons 1026, 1000 and 129 give row blocks of 31, 32 and 254 points, so
+# some m of each end in a partial block; 40000 gives one point per block
+SAMPLED = [
+    (system, m)
+    for system in (
+        CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
+        BernoulliShift([0.5, 0.5], horizon=1026), BernoulliShift([0.2, 0.3, 0.5], horizon=1000),
+        BernoulliShift([0.9, 0.1], horizon=129),
+    )
+    for m in (1, 31, 32, 700)
+] + [(BernoulliShift([0.5, 0.5], horizon=40000), 3)]
+
 
 def one_point(coords):
     """Sample of one coordinate point, drawn from no system."""
-    return PointSample(Identity(), 0, coords=np.asarray(coords, dtype=float).reshape(1, -1))
+    return PointSample(coords=np.asarray(coords, dtype=float).reshape(1, -1))
 
 
 def moved(system, sample, k):
@@ -55,6 +69,31 @@ class TestSampling:
         sample = sample_points(identity, 100_000, 11)
         assert abs(sample.coords[:, 0].mean() - 0.5) <= 0.01
 
+    @pytest.mark.parametrize("system, m", SAMPLED, ids=lambda v: getattr(v, "kind", v))
+    def test_sample_equals_one_draw(self, system, m):
+        got, want = sample_points(system, m, 17), reference_sample(system, m, 17)
+        for name in ("coords", "symbols"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_shift_sample_memory_is_blocked(self):
+        import tracemalloc
+
+        system = BernoulliShift([0.5, 0.5], horizon=1026)
+        m = 512
+        assert m * system.horizon >= 2 ** 19
+        tracemalloc.start()
+        try:
+            sample_points(system, m, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one draw holds a float64 and an int64 temporary per symbol
+        assert peak < 4 * m * system.horizon
+
     def test_bad_sample_size(self, identity):
         with pytest.raises(ParameterError):
             sample_points(identity, 0, 1)
@@ -88,7 +127,7 @@ class TestApply:
     def test_shift_drops_symbols(self, fair_shift):
         p = sample_points(fair_shift, 1, 5)
         q = moved(fair_shift, p, 1)
-        assert np.array_equal(q.symbol_window, p.symbol_window[:, 1:])
+        assert np.array_equal(q.symbols, p.symbols[:, 1:])
 
     def test_identity_fixed(self, identity):
         assert moved(identity, one_point([0.42]), 9).coords[0, 0] == 0.42
@@ -112,7 +151,7 @@ class TestApply:
             moved(system, p, 10)
         sample = sample_points(system, 4, 2)
         with pytest.raises(HorizonError):
-            advance_sample(sample, 10)
+            advance_sample(sample, 10, system)
 
     @pytest.mark.parametrize("acting, drawn", [
         (AnzaiSkew(), CircleRotation()),
@@ -136,7 +175,7 @@ class TestMeasurePreservation:
     def test_box_frequencies(self, system):
         m = 10_000
         sample = sample_points(system, m, 13)
-        pushed = advance_sample(sample, 1)
+        pushed = advance_sample(sample, 1, system)
         if system.dim == 1:
             boxes = [(0.0, 0.5), (0.25, 0.75), (0.1, 0.2), (0.5, 1.0), (0.0, 0.125)]
 

@@ -59,7 +59,7 @@ def pts(*xs):
 def syms(*words):
     """Sample of the symbol windows spelled by equal-length 0/1 words."""
     symbols = np.array([[int(b) for b in word] for word in words], dtype=np.int8)
-    return PointSample(Identity(), 0, symbols=symbols)
+    return PointSample(symbols=symbols)
 
 
 def rho(metric, sample):
@@ -324,14 +324,14 @@ class TestCutGuards:
         b[::3] = a[::3]
         a[1], b[1] = symbols[0], symbols[-1]  # 2**64 - 1 apart in the full range
         n = 40
-        pair = PointSample(system, 0, symbols=np.stack([a, b]))
+        pair = PointSample(symbols=np.stack([a, b]))
         _, reference = next(stepwise_orbit_sums(
             FirstSymbolCut(), system, pair, np.array([0]), [n]))
         assert rho(Average(FirstSymbolCut(), system, n), pair) == reference[0, 1] / n
 
     def test_empty_sample(self):
         system = BernoulliShift([0.5, 0.5], horizon=20)
-        empty = PointSample(system, 1, symbols=np.zeros((0, 20), dtype=np.int8))
+        empty = PointSample(symbols=np.zeros((0, 20), dtype=np.int8))
         assert Average(FirstSymbolCut(), system, 8).pairwise(empty).shape == (0, 0)
 
     def test_long_increment_memory_is_chunked(self):
@@ -359,12 +359,12 @@ class TestCutGuards:
         }
         assert set(cuts) == {cls for cls in _NODES.values() if issubclass(cls, _Cut)}
         system = BernoulliShift([0.2, 0.3, 0.5], horizon=40)
-        sample = advance_sample(sample_points(system, 9, 8), 3)
+        sample = advance_sample(sample_points(system, 9, 8), 3, system)
         for cut in (cut for group in cuts.values() for cut in group):
             for start in (0, 7):
                 keys = _window_keys(cut, sample, start, 30)
                 for k in range(start, 30):
-                    stepped = cut.keys(advance_sample(sample, k))
+                    stepped = cut.keys(advance_sample(sample, k, system))
                     assert np.array_equal(keys[:, k - start], stepped), (cut.label(), k)
 
 
@@ -434,10 +434,11 @@ class TestDiscrete:
     @pytest.mark.parametrize("rows", [None, [17, 0, 5, 5, 39]], ids=["all", "subset"])
     def test_matches_broadcast_expression(self, rows):
         coords = sample_points(AnzaiSkew(), 40, 3)
-        symbols = sample_points(BernoulliShift([0.5, 0.5], horizon=6), 40, 3)
-        repeated = replace(symbols, symbols=symbols.symbols[np.arange(40) % 13])
+        shift = BernoulliShift([0.5, 0.5], horizon=6)
+        symbols = sample_points(shift, 40, 3)
+        repeated = PointSample(symbols=symbols.symbols[np.arange(40) % 13])
         rows = np.arange(40) if rows is None else np.array(rows)
-        for sample in (coords, symbols, repeated, advance_sample(repeated, 2)):
+        for sample in (coords, symbols, repeated, advance_sample(repeated, 2, shift)):
             got = Discrete().values(sample, rows)
             assert got.tobytes() == discrete_by_broadcast(sample, rows).tobytes()
 
