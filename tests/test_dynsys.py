@@ -19,15 +19,15 @@ from oracles import reference_sample
 
 # horizons 1026, 1000 and 129 give row blocks of 31, 32 and 254 points, so
 # some m of each end in a partial block; 40000 gives one point per block
-SAMPLED = [
-    (system, m)
-    for system in (
-        CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
-        BernoulliShift([0.5, 0.5], horizon=1026), BernoulliShift([0.2, 0.3, 0.5], horizon=1000),
-        BernoulliShift([0.9, 0.1], horizon=129),
-    )
-    for m in (1, 31, 32, 700)
-] + [(BernoulliShift([0.5, 0.5], horizon=40000), 3)]
+SAMPLED_SYSTEMS = {
+    "rotation": CircleRotation(), "torus": TorusTranslation(), "anzai": AnzaiSkew(),
+    "identity": Identity(), "fair-h1026": BernoulliShift([0.5, 0.5], horizon=1026),
+    "three-h1000": BernoulliShift([0.2, 0.3, 0.5], horizon=1000),
+    "biased-h129": BernoulliShift([0.9, 0.1], horizon=129),
+}
+SAMPLED = [pytest.param(system, m, id=f"{name}-m{m}")
+           for name, system in SAMPLED_SYSTEMS.items() for m in (1, 31, 32, 700)]
+SAMPLED.append(pytest.param(BernoulliShift([0.5, 0.5], horizon=40000), 3, id="fair-h40000-m3"))
 
 
 def one_point(coords):
@@ -69,7 +69,7 @@ class TestSampling:
         sample = sample_points(identity, 100_000, 11)
         assert abs(sample.coords[:, 0].mean() - 0.5) <= 0.01
 
-    @pytest.mark.parametrize("system, m", SAMPLED, ids=lambda v: getattr(v, "kind", v))
+    @pytest.mark.parametrize("system, m", SAMPLED)
     def test_sample_equals_one_draw(self, system, m):
         got, want = sample_points(system, m, 17), reference_sample(system, m, 17)
         for name in ("coords", "symbols"):
