@@ -25,15 +25,20 @@ verdicts:
 The report records the length of each checkout's absolute path, and a warning
 goes to stderr when they differ: shift-cut ``peak_rss_mb`` has been seen to
 step by about 1.2 MiB with the length of the checkout directory's name alone.
+It also records the thread setup both sides run with: every ``*_NUM_THREADS``
+environment variable, and the BLAS library NumPy was built against.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 METRICS = ("wall_s", "peak_rss_mb", "setup_s", "ceiling_share")
 
@@ -52,6 +57,15 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     digest = next(line.split()[1] for line in out if line.startswith("digest "))
     return {"failed": result["failed"], "attempted": result["attempted"], "digest": digest,
             **{name: result["metrics"][name]["value"] for name in METRICS}}
+
+
+def thread_setup() -> dict:
+    """The ``*_NUM_THREADS`` variables that both sides inherit, and the BLAS
+    of the NumPy that this interpreter, the one both sides run with, imports."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"num_threads": {name: value for name, value in sorted(os.environ.items())
+                            if name.endswith("_NUM_THREADS")},
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -99,7 +113,7 @@ def main(argv=None) -> int:
 
     report = {"command": "python3 orbench/run.py --workload <workload> --seed <seed> "
                          f"--seconds {args.seconds} --trace 0",
-              "path_lengths": path_lengths, "workloads": {}}
+              "path_lengths": path_lengths, "threads": thread_setup(), "workloads": {}}
     for spec in args.workloads:
         name, seeds = spec.split(":")
         first, last = (int(s) for s in seeds.split("-"))

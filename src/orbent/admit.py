@@ -134,6 +134,14 @@ def random_matrix_test(
     separated set (``greedy_separated_size``) holds ceil(c*n) indices pairwise
     at distance >= c.
 
+    Trial t draws its points with ``sample_points`` from its own seed, derived
+    from ``seed`` and t.  The draws are stacked into one sample of shape
+    (trials, n, ...), so one ``metric.pairwise`` call, one orbit pass for an
+    average, evaluates every trial; a value depends only on its pair, so each
+    trial's matrix is the one its own sample would give.  Symbol windows keep
+    only the ``metric.symbols_read`` symbols that the metric can read, so a
+    cut's stacked trials hold a few symbols per point, not the whole window.
+
     The largest separated set is at least as large as the first-fit one, so
     the frequency is a lower bound on the probability of the event.  When
     c*n <= 1 the event is vacuous and the frequency is 1.
@@ -147,12 +155,18 @@ def random_matrix_test(
     required = max(1, math.ceil(c * n))
     if required <= 1:
         return 1.0
-    hits = 0
+    points = None
     for t in range(trials):
-        trial_seed = int(derive_rng(seed, 977, t).integers(0, 2 ** 62))
-        sample = sample_points(system, n, trial_seed)
-        if greedy_separated_size(metric.pairwise(sample) >= c) >= required:
-            hits += 1
+        drawn = sample_points(system, n, int(derive_rng(seed, 977, t).integers(0, 2 ** 62)))
+        kept = drawn.points
+        if drawn.is_symbolic:
+            kept = kept[..., :metric.symbols_read(kept.shape[-1])]
+        if points is None:  # filled in place, so no second copy of the draws is made
+            points = np.empty((trials,) + kept.shape, kept.dtype)
+        points[t] = kept
+    stacked = PointSample(symbols=points) if drawn.is_symbolic else PointSample(coords=points)
+    separated = metric.pairwise(stacked) >= c
+    hits = sum(greedy_separated_size(trial) >= required for trial in separated)
     return hits / trials
 
 # ---------------------------------------------------------------------------

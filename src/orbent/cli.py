@@ -24,8 +24,9 @@ from .errors import InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
-# a one-worker run grows by about 3.1 of them with covering (orbit sum, this and
-# the last step's matrix, estimator masks) and by about 4.1 with Kantorovich
+# a one-worker run grows by about 3.2 of them at m = 1024 and 2.6 at m = 2048
+# with covering (orbit-sum blocks of about half a matrix, this and the last
+# step's matrix, estimator masks) and by about 4.2 and 3.7 with Kantorovich
 WORKING_SET_MATRICES = 8
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")

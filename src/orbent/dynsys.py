@@ -34,8 +34,8 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 # Symbol window used when a shift system is built without an explicit horizon.
 DEFAULT_SHIFT_HORIZON = 128
 
-# Symbols per row block of a shift sample: ``choice`` with ``p`` makes a
-# float64 and an int64 temporary per symbol, so blocks keep them small.
+# Symbols per row block of a shift sample: each block draws a float64 uniform
+# per symbol, so blocks keep that temporary small.
 _SAMPLE_BLOCK = 1 << 15
 
 _WEIGHT_TOL = 1e-12
@@ -160,8 +160,8 @@ class AnzaiSkew(SystemSpec):
 
     def step(self, coords: np.ndarray) -> np.ndarray:
         out = np.empty_like(coords)
-        np.add(coords[:, 0], self.alpha, out=out[:, 0])
-        np.add(coords[:, 1], coords[:, 0], out=out[:, 1])
+        np.add(coords[..., 0], self.alpha, out=out[..., 0])
+        np.add(coords[..., 1], coords[..., 0], out=out[..., 1])
         return np.remainder(out, 1.0, out=out)
 
 
@@ -195,14 +195,21 @@ class BernoulliShift(SystemSpec):
 
     def sample(self, m: int, rng: np.random.Generator) -> PointSample:
         """m symbol windows of ``horizon`` i.i.d. symbols, drawn in row blocks
-        of about ``_SAMPLE_BLOCK`` symbols: ``choice`` takes one uniform per
-        symbol in row-major order, so the blocks equal a single draw."""
-        w = np.asarray(self.weights)
+        of about ``_SAMPLE_BLOCK`` symbols, equal to one
+        ``rng.choice(len(weights), (m, horizon), p=weights)``.  That call
+        draws one uniform u per symbol in row-major order and returns the
+        number of entries of the normalised cumulative weights that are
+        <= u; the last entry is exactly 1 > u, so a block counts the others."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
         symbols = np.empty((m, self.horizon), dtype=np.int8)
         rows = max(1, _SAMPLE_BLOCK // self.horizon)
         for a in range(0, m, rows):
             block = symbols[a:a + rows]
-            block[...] = rng.choice(len(w), size=block.shape, p=w)
+            u = rng.random(block.shape)
+            block[...] = 0
+            for threshold in cdf[:-1]:
+                block += u >= threshold
         return PointSample(symbols=symbols)
 
     def label(self) -> str:
@@ -243,16 +250,22 @@ DECODE: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class PointSample:
-    """m points: coordinates of shape (m, dim), or symbol windows of shape
-    (m, width) whose column j is the symbol j shift steps along the orbit."""
+    """m points: coordinates of shape (..., m, dim), or symbol windows of
+    shape (..., m, width) whose column j is the symbol j shift steps along the
+    orbit.  Leading axes stack independent samples of m points each; every
+    operation acts on each of them alone."""
 
     coords: Optional[np.ndarray] = None
     symbols: Optional[np.ndarray] = None
 
     @property
+    def points(self) -> np.ndarray:
+        """``coords`` or ``symbols``, whichever the sample holds."""
+        return self.coords if self.coords is not None else self.symbols
+
+    @property
     def m(self) -> int:
-        arr = self.coords if self.coords is not None else self.symbols
-        return int(arr.shape[0])
+        return int(self.points.shape[-2])
 
     @property
     def is_symbolic(self) -> bool:
@@ -283,16 +296,16 @@ def advance_sample(sample: PointSample, steps: int, system: SystemSpec) -> Point
     if system.is_symbolic:
         if not sample.is_symbolic:
             raise ParameterError("shift systems act on symbolic samples")
-        width = sample.symbols.shape[1]
+        width = sample.symbols.shape[-1]
         if steps >= width:
             raise HorizonError(f"orbit step {steps} exceeds the symbol window {width}")
-        return PointSample(symbols=sample.symbols[:, steps:])
+        return PointSample(symbols=sample.symbols[..., steps:])
     if sample.coords is None:
         raise ParameterError(f"{system.kind} acts on coordinate samples")
-    if system.dim != sample.coords.shape[1]:
+    if system.dim != sample.coords.shape[-1]:
         raise ParameterError(
             f"{system.kind} acts on {system.dim}-dimensional points, "
-            f"the sample has {sample.coords.shape[1]} coordinates"
+            f"the sample has {sample.coords.shape[-1]} coordinates"
         )
     coords = sample.coords
     for _ in range(steps):

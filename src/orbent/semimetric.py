@@ -17,10 +17,10 @@ coordinate) and for the admissibility trace curve (on all coordinates).
 
 A cut (0 where two points' keys agree, 1 where they differ) subclasses
 :class:`_Cut` and implements ``keys(sample)``, one comparable key per point,
-reading at most ``symbol_horizon()`` symbols.  On a shift its orbit average
-reads the keys of a chunk of steps from one sliding window and counts the
-differing steps by XOR and popcount; on other systems it steps like any other
-node.
+reading at most ``symbol_horizon()`` symbols; its ``symbols_read`` says so to
+callers that store only those.  On a shift its orbit average reads the keys
+of a chunk of steps from one sliding window and counts the differing steps by
+XOR and popcount; on other systems it steps like any other node.
 
 Symmetry is exact by construction: ``pairwise`` and the streamed orbit
 averages compute only the upper triangle of a value matrix, in row blocks of
@@ -28,6 +28,24 @@ about ``_TILE`` values (rows a..b-1 against the tail sample of points a..m-1,
 so step temporaries stay block-sized), and mirror it into the lower one.  The
 tail relies on a contract of ``values``: a node's value on a pair depends only
 on those two points, so it is the same on the tail as on the whole sample.
+Each block adds its orbit steps into its own C-contiguous accumulator, since
+adding into a strided view of the m x m matrix costs NumPy an iteration per
+row; the matrix is written from the blocks only at a schedule point.
+
+The same contract lets a sample carry leading axes: ``PointSample`` points of
+shape (..., m, dim) or (..., m, width) stack independent samples, every node
+indexes points as ``[..., rows, None]`` and coordinates as ``[..., j]``, and
+value blocks have shape (..., len(rows), m).  ``pairwise`` of a stacked sample
+is the stack of each sample's own matrix, bit for bit, from one pass whose
+blocks count values across the leading axes.
+
+The coordinate leaves form differences u_r - v_c with ``_differences``, one
+matrix product of the columns [u, 1] by the rows [1, -v].  It is exact: both
+products of each entry are by +-1, so each entry is the two-term sum
+u_r + (-v_c), rounded once, which is IEEE subtraction.  The sign of a zero
+result agrees too unless u_r is -0.0, which no sample holds.  No order of
+addition that BLAS may choose, threaded or not, with beta = 0 or with fused
+multiply-adds, can change it.
 """
 from __future__ import annotations
 
@@ -58,7 +76,7 @@ class Partition(ABC):
 
     @abstractmethod
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        """Block index of every point, shape (m,)."""
+        """Block index of every point, shape (..., m)."""
 
     def label(self) -> str:
         """Compact CSV-safe identifier: ``kind;field=value;...``."""
@@ -85,7 +103,7 @@ class DyadicIntervals(Partition):
             raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        return dyadic_cells(_coords(sample)[:, :1], self.level)
+        return dyadic_cells(_coords(sample)[..., :1], self.level)
 
 
 @dataclass(frozen=True)
@@ -107,9 +125,9 @@ class FirstSymbols(Partition):
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
         window = _window(sample, self.count)
-        idx = np.zeros(sample.m, dtype=int)
+        idx = np.zeros(window.shape[:-1], dtype=int)
         for i in range(self.count):
-            idx = idx * self.alphabet + window[:, i].astype(int)
+            idx = idx * self.alphabet + window[..., i].astype(int)
         return idx
 
 
@@ -120,7 +138,7 @@ class OneBlock(Partition):
     kind = "one_block"
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        return np.zeros(sample.m, dtype=int)
+        return np.zeros(sample.points.shape[:-1], dtype=int)
 
     def label(self) -> str:
         return "one_block;blocks=1"
@@ -141,18 +159,18 @@ def _coords(sample: PointSample) -> np.ndarray:
 
 
 def dyadic_cells(coords: np.ndarray, level: int) -> np.ndarray:
-    """Dyadic box of every point at ``level``, shape (m,).
+    """Dyadic box of every point at ``level``, shape (..., m).
 
     The level's bits are dealt to the coordinates in turn, starting with the
     first, and the boxes are numbered in row-major order: in 1-D that is
     2**level intervals, in 2-D 2**ceil(level/2) x 2**floor(level/2) boxes with
     index ``ix * ny + iy``.
     """
-    dim = coords.shape[1]
-    cells = np.zeros(coords.shape[0], dtype=int)
+    dim = coords.shape[-1]
+    cells = np.zeros(coords.shape[:-1], dtype=int)
     for i in range(dim):
         count = 2 ** ((level - i + dim - 1) // dim)
-        idx = np.clip(np.floor(coords[:, i] * count).astype(int), 0, count - 1)
+        idx = np.clip(np.floor(coords[..., i] * count).astype(int), 0, count - 1)
         cells = cells * count + idx
     return cells
 
@@ -161,18 +179,43 @@ def _window(sample: PointSample, need: int) -> np.ndarray:
     window = sample.symbols
     if window is None:
         raise MetricTypeError("this semimetric needs symbolic points")
-    if window.shape[1] < need:
+    if window.shape[-1] < need:
         raise HorizonError(
-            f"evaluation needs {need} symbols, window has {window.shape[1]}"
+            f"evaluation needs {need} symbols, window has {window.shape[-1]}"
         )
     return window
 
 
+def _differences(u: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``u[..., :, None] - v[..., None, :]``, bit for bit, as the rank-2
+    product of the columns [u, 1] and the rows [1, -v] (see the module
+    docstring for why it is exact)."""
+    left = np.empty(u.shape + (2,))
+    left[..., 0] = u
+    left[..., 1] = 1.0
+    right = np.empty(v.shape[:-1] + (2, v.shape[-1]))
+    right[..., 0, :] = 1.0
+    np.negative(v, out=right[..., 1, :])
+    return np.matmul(left, right, out=out)
+
+
+def _blocks(m: int) -> Iterator[tuple[int, int]]:
+    """(a, b) of the ``_MIRROR_BLOCK``-wide blocks of 0..m-1."""
+    for a in range(0, m, _MIRROR_BLOCK):
+        yield a, min(m, a + _MIRROR_BLOCK)
+
+
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle into the lower one and zero the diagonal."""
-    for i in range(1, matrix.shape[0]):
-        matrix[i, :i] = matrix[:i, i]
-    np.fill_diagonal(matrix, 0.0)
+    """Mirror the upper triangle of each trailing square into the lower one,
+    one square block at a time so that the transposed reads stay in cache,
+    and zero the diagonal."""
+    for a, b in _blocks(matrix.shape[-1]):
+        for c, d in _blocks(a):
+            matrix[..., a:b, c:d] = matrix[..., c:d, a:b].swapaxes(-1, -2)
+        for i in range(a + 1, b):
+            matrix[..., i, a:i] = matrix[..., a:i, i]
+    diagonal = np.arange(matrix.shape[-1])
+    matrix[..., diagonal, diagonal] = 0.0
     return matrix
 
 
@@ -191,7 +234,7 @@ class Semimetric(ABC):
 
     @abstractmethod
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        """Values rho(p_r, p_c) for r in rows and all c, shape (len(rows), m)."""
+        """Values rho(p_r, p_c) for r in rows and all c, shape (..., len(rows), m)."""
 
     def label(self) -> str:
         """Compact CSV-safe identifier; nodes with parameters override it."""
@@ -201,9 +244,14 @@ class Semimetric(ABC):
         """Symbols needed past the orbit start to evaluate this semimetric."""
         return 0
 
+    def symbols_read(self, width: int) -> int:
+        """Leading symbols of ``width``-symbol windows that ``values`` may read."""
+        return width
+
     def pairwise(self, sample: PointSample) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal,
-        mirrored from its upper triangle, which is evaluated in row blocks."""
+        mirrored from its upper triangle, which is evaluated in row blocks;
+        shape (..., m, m) for a sample with leading axes."""
         return _symmetrize(next(_orbit_sums(self, Identity(), sample, None, [1]))[1])
 
     def to_json(self) -> dict:
@@ -225,8 +273,8 @@ class Euclidean1D(Semimetric):
     standard_tag = "euclidean_1d"
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        c = _coords(sample)[:, 0]
-        d = np.subtract(c[rows, None], c[None, :])
+        c = _coords(sample)[..., 0]
+        d = _differences(c[..., rows], c)
         return np.abs(d, out=d)
 
 
@@ -237,8 +285,8 @@ class CircleArc(Semimetric):
     standard_tag = "circle_arc"
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        c = _coords(sample)[:, 0]
-        d = np.subtract(c[rows, None], c[None, :])
+        c = _coords(sample)[..., 0]
+        d = _differences(c[..., rows], c)
         np.abs(d, out=d)
         return np.minimum(d, np.subtract(1.0, d), out=d)
 
@@ -251,19 +299,21 @@ class TorusArcL1(Semimetric):
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)
-        acc = np.zeros((len(rows), sample.m))
-        d = np.empty_like(acc)
-        e = np.empty_like(acc)
-        for j in range(c.shape[1]):
-            np.subtract(c[rows, None, j], c[None, :, j], out=d)
-            np.abs(d, out=d)
-            np.subtract(1.0, d, out=e)
-            acc += np.minimum(d, e, out=d)
+        shape = c.shape[:-2] + (len(rows), sample.m)
+        acc, d, e = np.empty(shape), np.empty(shape), np.empty(shape)
+        for j in range(c.shape[-1]):
+            arc = d if j else acc
+            _differences(c[..., rows, j], c[..., j], out=arc)
+            np.abs(arc, out=arc)
+            np.subtract(1.0, arc, out=e)
+            np.minimum(arc, e, out=arc)
+            if j:
+                acc += arc
         return acc
 
 
 def _differ(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return (keys[rows, None] != keys[None, :]).astype(float)
+    return (keys[..., rows, None] != keys[..., None, :]).astype(float)
 
 
 class _Cut(Semimetric):
@@ -271,10 +321,13 @@ class _Cut(Semimetric):
 
     @abstractmethod
     def keys(self, sample: PointSample) -> np.ndarray:
-        """One key per point, shape (m,)."""
+        """One key per point, shape (..., m)."""
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         return _differ(self.keys(sample), rows)
+
+    def symbols_read(self, width: int) -> int:
+        return min(width, self.symbol_horizon())
 
 
 @dataclass(frozen=True)
@@ -284,7 +337,7 @@ class FirstSymbolCut(_Cut):
     standard_tag = "first_symbol_cut"
 
     def keys(self, sample: PointSample) -> np.ndarray:
-        return _window(sample, 1)[:, 0]
+        return _window(sample, 1)[..., 0]
 
     def symbol_horizon(self) -> int:
         return 1
@@ -300,9 +353,10 @@ class Discrete(Semimetric):
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         if sample.coords is not None:
             c = sample.coords
-            return np.any(c[rows, None, :] != c[None, :, :], axis=2).astype(float)
-        _, keys = np.unique(_window(sample, 1), axis=0, return_inverse=True)
-        return _differ(keys.reshape(-1), rows)
+            return np.any(c[..., rows, None, :] != c[..., None, :, :], axis=-1).astype(float)
+        window = _window(sample, 1)
+        _, keys = np.unique(window.reshape(-1, window.shape[-1]), axis=0, return_inverse=True)
+        return _differ(keys.reshape(window.shape[:-1]), rows)
 
     def symbol_horizon(self) -> int:
         return 1
@@ -315,7 +369,7 @@ class Zero(Semimetric):
     standard_tag = "zero"
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        return np.zeros((len(rows), sample.m))
+        return np.zeros(sample.points.shape[:-2] + (len(rows), sample.m))
 
 
 def _closed_form_mean_rotated_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,8 +407,8 @@ class ClosedForm(Semimetric):
             )
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        c = _coords(sample)[:, 0]
-        return CLOSED_FORMS[self.tag](c[rows, None], c[None, :])
+        c = _coords(sample)[..., 0]
+        return CLOSED_FORMS[self.tag](c[..., rows, None], c[..., None, :])
 
     def label(self) -> str:
         return f"ClosedForm[{self.tag}]"
@@ -449,18 +503,22 @@ class PullBack(Semimetric):
 
 _CUT_KEYS = 1 << 15  # keys per popcount chunk, so its temporaries stay small for any m and n
 _TILE = 1 << 15  # values per row block of a whole matrix, so step temporaries stay block-sized
+_MIRROR_BLOCK = 64  # side of the square blocks of a mirror or a symmetry check
 
 
-def _tiles(acc: np.ndarray, rows: Optional[np.ndarray]) -> list:
-    """(view of ``acc``, a, rows of the tail a..m-1) of each block a pass adds
-    into: all of ``acc`` for explicit ``rows``; for ``rows`` None, rows a..b-1
-    of the whole matrix against points a..m-1, about ``_TILE`` values each."""
+def _tiles(sample: PointSample, rows: Optional[np.ndarray]) -> list:
+    """(zeroed C-contiguous accumulator, a, rows of the tail a..m-1) of each
+    block a pass adds into: one for explicit ``rows``, of shape
+    (..., len(rows), m); for ``rows`` None, rows a..b-1 of the whole matrix
+    against points a..m-1, about ``_TILE`` values each across the leading
+    axes."""
+    lead, m = sample.points.shape[:-2], sample.m
     if rows is not None:
-        return [(acc, 0, rows)]
-    tiles, m, a = [], acc.shape[0], 0
+        return [(np.zeros(lead + (len(rows), m)), 0, rows)]
+    tiles, a, stack = [], 0, math.prod(lead)
     while a < m:
-        b = min(m, a + max(1, _TILE // (m - a)))
-        tiles.append((acc[a:b, a:], a, np.arange(b - a)))
+        b = min(m, a + max(1, _TILE // (stack * (m - a))))
+        tiles.append((np.zeros(lead + (b - a, m - a)), a, np.arange(b - a)))
         a = b
     return tiles
 
@@ -468,43 +526,44 @@ def _tiles(acc: np.ndarray, rows: Optional[np.ndarray]) -> list:
 def _tail(sample: PointSample, start: int) -> PointSample:
     """Points start..m-1 of ``sample``."""
     if sample.coords is not None:
-        return PointSample(coords=sample.coords[start:])
-    return PointSample(symbols=sample.symbols[start:])
+        return PointSample(coords=sample.coords[..., start:, :])
+    return PointSample(symbols=sample.symbols[..., start:, :])
 
 
 def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.ndarray:
-    """Keys of shift steps start .. stop-1, shape (m, stop - start), without
-    stepping: step k's key reads only symbols k .. k + horizon - 1."""
+    """Keys of shift steps start .. stop-1, shape (..., m, stop - start),
+    without stepping: step k's key reads only symbols k .. k + horizon - 1."""
     width = max(cut.symbol_horizon(), 1)
     window = sample.symbols
-    if window.shape[1] < stop - 1 + width:
-        raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {window.shape[1]}")
-    steps = sliding_window_view(window, width, axis=1)[:, start:stop].reshape(-1, width)
-    return cut.keys(PointSample(symbols=steps)).reshape(sample.m, stop - start)
+    if window.shape[-1] < stop - 1 + width:
+        raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {window.shape[-1]}")
+    steps = sliding_window_view(window, width, axis=-1)[..., start:stop, :]
+    keys = cut.keys(PointSample(symbols=steps.reshape(-1, width)))
+    return keys.reshape(steps.shape[:-1])
 
 
 def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:
-    """Add to each tile's view the number of steps (columns of ``keys``) at
-    which its pairs of tail points have different keys: keys mapped
-    one-to-one onto uint64 labels, then per uint64 word of 64 steps the OR over
-    the labels' bit planes of their XOR, bit-counted."""
-    m, steps = keys.shape
+    """Add to each tile's accumulator the number of steps (last axis of
+    ``keys``) at which its pairs of tail points have different keys: keys
+    mapped one-to-one onto uint64 labels, then per uint64 word of 64 steps the
+    OR over the labels' bit planes of their XOR, bit-counted."""
+    steps = keys.shape[-1]
     words = -(-steps // 64)
-    labels = np.zeros((m, 64 * words), np.uint64)  # the padding never differs
+    labels = np.zeros(keys.shape[:-1] + (64 * words,), np.uint64)  # the padding never differs
     if keys.dtype.kind in "iu":  # an offset modulo 2**64 is one-to-one at any key range
-        np.subtract(keys, keys.min(initial=0), out=labels[:, :steps],
+        np.subtract(keys, keys.min(initial=0), out=labels[..., :steps],
                     dtype=np.uint64, casting="unsafe")
     else:
-        labels[:, :steps] = np.unique(keys, return_inverse=True)[1].reshape(m, steps)
-    planes = [np.packbits(labels >> bit & 1, axis=1).view(np.uint64)
+        labels[..., :steps] = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    planes = [np.packbits(labels >> bit & 1, axis=-1).view(np.uint64)
               for bit in range(int(labels.max(initial=0)).bit_length())]
-    for view, a, rows in tiles:
+    for acc, a, rows in tiles:
         for w in range(words):
             diff = np.uint64(0)
             for plane in planes:
-                tail = plane[a:, w]
-                diff = diff | (tail[rows, None] ^ tail[None, :])
-            view += np.bitwise_count(diff)
+                tail = plane[..., a:, w]
+                diff = diff | (tail[..., rows, None] ^ tail[..., None, :])
+            acc += np.bitwise_count(diff)
 
 
 def _orbit_sums(
@@ -512,17 +571,19 @@ def _orbit_sums(
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, sum of the first n pull-backs of ``inner``) along an ascending
-    schedule; the sum is updated in place, so keeping it past a step needs a copy.
-    ``rows`` None sums the whole matrix on and above the diagonal, block by
-    block (``_tiles``); below it only a block's diagonal square is summed.
+    schedule, each sum in a fresh array.  Each block (``_tiles``) adds into
+    its own contiguous accumulator, and the blocks are written into the
+    yielded array only at a schedule point.  ``rows`` None sums the whole
+    matrix on and above the diagonal, block by block; below it only a
+    block's diagonal square is written, and the rest is left unset.
     A cut on a shift adds exact integer counts of its differing steps, chunk by
     chunk, so its sum is bit-identical to adding its 0/1 matrices step by step."""
     cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
-    acc = np.zeros((sample.m if rows is None else len(rows), sample.m))
-    tiles = _tiles(acc, rows)
+    lead, m = sample.points.shape[:-2], sample.m
+    tiles = _tiles(sample, rows)
     state = sample
     steps = 0
-    chunk = 64 * max(_CUT_KEYS // (64 * max(sample.m, 1)), 1)
+    chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(lead) * m, 1)), 1)
     for n in schedule:
         if cut:
             for start in range(steps, n, chunk):
@@ -531,10 +592,13 @@ def _orbit_sums(
         while steps < n:
             if steps:
                 state = advance_sample(state, 1, system)
-            for view, a, tail_rows in tiles:
-                view += inner.values(_tail(state, a) if a else state, tail_rows)
+            for acc, a, tail_rows in tiles:
+                acc += inner.values(_tail(state, a) if a else state, tail_rows)
             steps += 1
-        yield n, acc
+        sums = np.empty(lead + (m if rows is None else len(rows), m))
+        for acc, a, _ in tiles:
+            sums[..., a:a + acc.shape[-2], a:] = acc
+        yield n, sums
 
 
 @dataclass(frozen=True)
@@ -602,7 +666,8 @@ class DistanceMatrix:
             raise ParameterError("distance matrix entries must be finite")
         if np.any(v < 0.0):
             raise ParameterError("distance matrix entries must be nonnegative")
-        if not np.array_equal(v, v.T):
+        if not all(np.array_equal(v[a:b, c:d], v[c:d, a:b].T)
+                   for a, b in _blocks(len(v)) for c, d in _blocks(b)):
             raise ParameterError("distance matrix must be exactly symmetric")
         if np.any(np.diagonal(v) != 0.0):
             raise ParameterError("distance matrix diagonal must be exactly zero")
@@ -641,5 +706,7 @@ def streamed_average_matrices(
         for n in schedule:
             yield n, base.copy()
         return
-    for n, acc in _orbit_sums(metric, system, sample, None, schedule):
-        yield n, _symmetrize(acc / n)
+    for n, sums in _orbit_sums(metric, system, sample, None, schedule):
+        # a mirrored value is the same bits as its original, so mirroring
+        # before the division equals mirroring after it
+        yield n, np.divide(_symmetrize(sums), n, out=sums)

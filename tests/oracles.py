@@ -17,6 +17,8 @@ covering reference recounts the uncovered points of every ball in every
 greedy round.  The profile reference is the one-eps profile built from the
 library's cells.  The sampler reference draws a whole sample in one call:
 ``rng.random`` for coordinates, ``rng.choice`` over every symbol of a shift.
+The separated-set reference evaluates each trial's sample with its own
+``pairwise`` call instead of one call on the stacked trials.
 """
 import math
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import numpy as np
 
 from orbent import (
     AtomicMeasure, ParameterError, admissibility_report, atomic_entropy, average_metric,
-    kantorovich_distance,
+    kantorovich_distance, sample_points,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
 from orbent.dynsys import PointSample, advance_sample, derive_rng
@@ -326,6 +328,21 @@ def reference_sample(system, m, seed):
         symbols = rng.choice(len(w), size=(m, system.horizon), p=w).astype(np.int8)
         return PointSample(symbols=symbols)
     return PointSample(coords=rng.random((m, system.dim)))
+
+
+def reference_random_matrix_test(metric, system, c, n, trials, seed):
+    """``random_matrix_test`` with one ``pairwise`` call per trial, on that
+    trial's own sample."""
+    required = max(1, math.ceil(c * n))
+    if required <= 1:
+        return 1.0
+    hits = 0
+    for t in range(trials):
+        trial_seed = int(derive_rng(seed, 977, t).integers(0, 2 ** 62))
+        sample = sample_points(system, n, trial_seed)
+        if greedy_separated_size(metric.pairwise(sample) >= c) >= required:
+            hits += 1
+    return hits / trials
 
 
 def discrete_by_broadcast(sample, rows):

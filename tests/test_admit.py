@@ -13,11 +13,39 @@ from orbent import (
     sample_points,
     trace_from_matrix,
 )
-from orbent.admit import greedy_separated_size
-from orbent.semimetric import CircleArc, Discrete, Euclidean1D, TorusArcL1, Zero
+from orbent.admit import SEPARATION_C, greedy_separated_size
+from orbent.dynsys import GOLDEN_FRAC, AnzaiSkew, CircleRotation
+from orbent.scaling import LIMIT_PC_N, LIMIT_PC_TRIALS
+from orbent.semimetric import (
+    Average, Block, CircleArc, Discrete, Euclidean1D, FirstSymbolCut, FirstSymbols, Mix,
+    OneBlock, Semimetric, TorusArcL1, Zero,
+)
 
 from conftest import coords_sample
-from oracles import exact_separated_size, reference_trace_curve
+from oracles import exact_separated_size, reference_random_matrix_test, reference_trace_curve
+
+
+def _workload_tests():
+    """(metric, system, n, trials) of the separated-set tests that a run of
+    each benchmark workload makes: on the base metric with the report's
+    defaults, and on the average at the schedule's largest n."""
+    workloads = {
+        "anzai-orbit": (AnzaiSkew(GOLDEN_FRAC), TorusArcL1(), 128),
+        "shift-cut": (BernoulliShift([0.5, 0.5], horizon=1026), FirstSymbolCut(), 1024),
+        "rotation-quantize": (CircleRotation(GOLDEN_FRAC), Euclidean1D(), 16),
+    }
+    cases = []
+    for name, (system, metric, n_big) in workloads.items():
+        cases.append(pytest.param(metric, system, 64, 50, id=f"{name}-base"))
+        cases.append(pytest.param(Average(metric, system, n_big), system, LIMIT_PC_N,
+                                  LIMIT_PC_TRIALS, id=f"{name}-limit"))
+    # a cut's trials keep only the symbols it reads; Discrete reads them all
+    shift = BernoulliShift([0.5, 0.5], horizon=40)
+    for name, metric in (("discrete", Discrete()), ("first_symbols", Block(FirstSymbols(3))),
+                         ("one_block", Block(OneBlock())),
+                         ("mix", Mix(Discrete(), FirstSymbolCut(), 0.3))):
+        cases.append(pytest.param(metric, shift, 16, 10, id=f"shift-{name}"))
+    return cases
 
 
 def trace(metric, sample, n_schedule):
@@ -138,6 +166,24 @@ class TestSeparatedSets:
             required = int(np.ceil(c * 12))
             if greedy >= required:
                 assert exact >= required
+
+    @pytest.mark.parametrize("metric, system, n, trials", _workload_tests())
+    def test_stacked_trials_match_per_trial_loop(self, monkeypatch, metric, system, n, trials):
+        matrices = []
+        pairwise = Semimetric.pairwise
+
+        def recorded(self, sample):
+            values = pairwise(self, sample)
+            matrices.append(values.copy())
+            return values
+
+        monkeypatch.setattr(Semimetric, "pairwise", recorded)
+        got = random_matrix_test(metric, system, SEPARATION_C, n, trials, 7)
+        (stacked,) = matrices
+        matrices.clear()
+        assert got == reference_random_matrix_test(metric, system, SEPARATION_C, n, trials, 7)
+        assert stacked.shape == (trials, n, n)
+        assert stacked.tobytes() == np.stack(matrices).tobytes()
 
     def test_validation(self, euclid, identity):
         with pytest.raises(ParameterError):

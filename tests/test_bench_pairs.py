@@ -109,3 +109,19 @@ class TestPathLengths:
         assert lengths == {"parent": len(str(parent.resolve())),
                            "change": len(str((tmp_path / change).resolve()))}
         assert ("warning" in capsys.readouterr().err) is warned
+
+
+class TestThreadSetup:
+    def test_report_records_thread_variables_and_blas(self, monkeypatch, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": k, "bound": v} for k, v in BOUNDS.items()]}))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("NOT_A_THREAD_COUNT", "7")
+        monkeypatch.setattr(bench_pairs, "run_side", lambda *args: side(2.0))
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                                 "--workloads", "shift-cut:1-2", "--out", str(out)]) == 0
+        threads = json.loads(out.read_text())["threads"]
+        assert threads["num_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert all(name.endswith("_NUM_THREADS") for name in threads["num_threads"])
+        assert isinstance(threads["blas"], str) and threads["blas"]

@@ -17,13 +17,18 @@ from orbent.dynsys import advance_sample
 
 from oracles import reference_sample
 
-# horizons 1026, 1000 and 129 give row blocks of 31, 32 and 254 points, so
-# some m of each end in a partial block; 40000 gives one point per block
+# horizons 1026, 1000, 129, 300 and 77 give row blocks of 31, 32, 254, 109
+# and 425 points, so some m of each end in a partial block; 40000 gives one
+# point per block.  Ten equal weights and exact thirds put cumulative weights
+# on rounded values, where a sampler that thresholds uniforms could differ
+# from ``choice``.
 SAMPLED_SYSTEMS = {
     "rotation": CircleRotation(), "torus": TorusTranslation(), "anzai": AnzaiSkew(),
     "identity": Identity(), "fair-h1026": BernoulliShift([0.5, 0.5], horizon=1026),
     "three-h1000": BernoulliShift([0.2, 0.3, 0.5], horizon=1000),
     "biased-h129": BernoulliShift([0.9, 0.1], horizon=129),
+    "ten-h300": BernoulliShift([0.1] * 10, horizon=300),
+    "thirds-h77": BernoulliShift([1 / 3] * 3, horizon=77),
 }
 SAMPLED = [pytest.param(system, m, id=f"{name}-m{m}")
            for name, system in SAMPLED_SYSTEMS.items() for m in (1, 31, 32, 700)]
@@ -91,7 +96,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one draw holds a float64 and an int64 temporary per symbol
+        # one unblocked draw holds a float64 uniform and a bool temporary per symbol
         assert peak < 4 * m * system.horizon
 
     def test_bad_sample_size(self, identity):

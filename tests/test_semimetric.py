@@ -36,11 +36,13 @@ from orbent.semimetric import (
     Average,
     CircleArc,
     Discrete,
+    DistanceMatrix,
     Euclidean1D,
     FirstSymbolCut,
     TorusArcL1,
     Zero,
     _Cut,
+    _differences,
     _orbit_sums,
     _symmetrize,
     _window_keys,
@@ -232,6 +234,61 @@ class TestCoordinateKernels:
             got = metric.values(sample, rows)
             assert got.shape == reference.shape
             assert got.tobytes() == reference.tobytes(), metric.label()
+
+
+def _difference_inputs():
+    rng = np.random.default_rng(5)
+    uniform = rng.random(40)
+    below_one = np.nextafter(1.0, 0.0)
+    return {
+        "uniform": uniform,
+        "cubed": rng.random(40) ** 3,
+        "near_one": 1.0 - 1e-9 * rng.random(40),
+        "repeated": np.repeat(rng.random(5), 8),
+        "neighbours": np.concatenate([uniform[:20], np.nextafter(uniform[:20], 1.0)]),
+        "zero_and_below_one": np.array([0.0, below_one, 0.0, below_one, 0.5, 1e-300]),
+    }
+
+
+DIFFERENCE_INPUTS = _difference_inputs()
+
+
+class TestDifferences:
+    """The rank-2 product against NumPy's broadcast subtraction, bit for bit,
+    whatever order BLAS adds in: CI runs this class with one BLAS thread too."""
+
+    @staticmethod
+    def assert_exact(u, v):
+        want = u[..., :, None] - v[..., None, :]
+        got = _differences(u, v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        out = np.empty_like(want)
+        assert _differences(u, v, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u_name", DIFFERENCE_INPUTS)
+    @pytest.mark.parametrize("v_name", DIFFERENCE_INPUTS)
+    def test_one_dimensional(self, u_name, v_name):
+        u, v = DIFFERENCE_INPUTS[u_name], DIFFERENCE_INPUTS[v_name]
+        self.assert_exact(u, v)
+        self.assert_exact(u[:1], v)  # R = 1
+        self.assert_exact(u, v[-1:])  # W = 1
+        self.assert_exact(u[3:7], v[::-1])
+
+    @pytest.mark.parametrize("name", DIFFERENCE_INPUTS)
+    def test_batched(self, name):
+        x = DIFFERENCE_INPUTS[name]
+        stacked = np.stack([x, x[::-1], np.roll(x, 3)])
+        self.assert_exact(stacked, stacked)
+        self.assert_exact(stacked[:, :1], stacked)
+        self.assert_exact(stacked, stacked[:, 2:3])
+        self.assert_exact(stacked.reshape(3, 1, -1), stacked.reshape(1, 3, -1)[:, :, ::2])
+
+    def test_large_product(self):
+        # large enough that a threaded BLAS may split the product
+        rng = np.random.default_rng(8)
+        self.assert_exact(rng.random(300), rng.random(700) ** 3)
 
 
 SHIFTS = {
@@ -428,6 +485,53 @@ class TestTiles:
             assert got.shape == (5, 23)
             assert got.tobytes() == (reference / 6).tobytes()
             assert np.count_nonzero(got[0, :22]), node.label()  # row 22 below the diagonal
+
+
+def _stacked_cases():
+    shift = BernoulliShift([0.5, 0.5], horizon=90)
+    extra = [("average_of_cut-shift", shift, Average(FirstSymbolCut(), shift, 70)),
+             ("average_of_block-shift", shift, Average(Block(FirstSymbols(2)), shift, 5))]
+    return TILE_CASES + extra
+
+
+class TestStackedSamples:
+    """A sample with leading axes against each of its samples alone, bit for bit."""
+
+    @pytest.mark.parametrize("tile", [4, 64])
+    @pytest.mark.parametrize("system, node", [case[1:] for case in _stacked_cases()],
+                             ids=[case[0] for case in _stacked_cases()])
+    def test_pairwise_of_stack_is_each_samples_own(self, monkeypatch, tile, system, node):
+        monkeypatch.setattr(semimetric, "_TILE", tile)
+        samples = [sample_points(system, 9, seed) for seed in (1, 2, 3, 4)]
+        own = np.stack([node.pairwise(sample) for sample in samples])
+        for lead in ((4,), (2, 2)):
+            points = np.stack([sample.points for sample in samples]).reshape(
+                lead + samples[0].points.shape)
+            stacked = (PointSample(symbols=points) if system.is_symbolic
+                       else PointSample(coords=points))
+            got = node.pairwise(stacked)
+            assert got.shape == lead + (9, 9)
+            assert got.tobytes() == own.tobytes()
+
+
+class TestMirror:
+    """Blocked mirror and symmetry check against whole-matrix expressions."""
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 130])
+    def test_symmetrize_matches_mirror_upper(self, m):
+        values = np.random.default_rng(m).random((2, m, m))
+        got = _symmetrize(values.copy())
+        for matrix, original in zip(got, values):
+            assert matrix.tobytes() == mirror_upper(original).tobytes()
+
+    @pytest.mark.parametrize("m", [64, 130])
+    @pytest.mark.parametrize("pair", [(-1, -2), (-1, -3), (-1, 0), (0, -1)])
+    def test_one_asymmetric_pair_is_refused(self, m, pair):
+        values = mirror_upper(np.random.default_rng(m).random((m, m)))
+        DistanceMatrix(values)
+        values[pair] = np.nextafter(values[pair], 2.0)
+        with pytest.raises(ParameterError, match="symmetric"):
+            DistanceMatrix(values)
 
 
 class TestDiscrete:
