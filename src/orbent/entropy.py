@@ -6,6 +6,30 @@ finite atomic measure within transport distance eps of the empirical measure.
 Every candidate measure carries the masses of its nearest-atom cells, so its
 transport distance to the sample is the mean nearest-atom distance in closed
 form; no transport problem is solved on the way to an estimate.
+
+The candidates come from alternating k-medoids, its restarts run in lockstep.
+A cluster's medoid is its first member i with the least exact sum R_i of
+d(i, p) over the members p, as ``values.take(members, 0).take(members,
+1).sum(axis=1)`` computes it.  One BLAS product of the clusters' 0/1 masks
+with the matrix gives every cluster's sums at once, S_i, in an order that
+BLAS chooses; by exact symmetry S_i and R_i add the same c terms.  The
+terms are nonnegative and the mask entries exact, so any order of summing
+n of them (blocked, threaded, with FMA, or NumPy's pairwise sum) lands
+within gamma_n * T_i of the true sum T_i, gamma_n = n u / (1 - n u)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+4.2).  If R_i <= R_j, then
+
+    S_i <= T_i (1 + gamma_m) <= R_j (1 + gamma_m) / (1 - gamma_c)
+        <= S_j (1 + gamma_m)(1 + gamma_c) / ((1 - gamma_m)(1 - gamma_c)),
+
+which is below S_j + 2 (m + c) eps S_j (eps = 2u) for (m + c) eps << 1.  So
+every member whose exact sum is least, the reference's medoid and each
+member tied with it, has S_i <= min S + 2 (m + c) (eps min S +
+smallest_subnormal).  Only the members under that limit are summed exactly
+(the same rows of the same expression), and the first least of them, in
+member order, is the reference's medoid, ties included.  A sum that
+overflows keeps this: its exact value, and so the limit's, is past the
+overflow threshold, and inf <= inf.
 """
 from __future__ import annotations
 
@@ -25,6 +49,8 @@ from .semimetric import (
 _REL_TOL = 1e-12
 MAX_TRANSPORT_SUPPORT = 4096
 MEDOID_RESTARTS = 5
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 # ---------------------------------------------------------------------------
 # atomic measures and transport
@@ -194,43 +220,55 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
     )
 
 
-def _kmedoids(
-    values: np.ndarray, k: int, rng: np.random.Generator, medoid_of: dict[bytes, int],
-) -> np.ndarray:
-    """Alternating k-medoids (Park & Jun, Expert Syst. Appl. 2009) from k
-    random points; returns sorted medoid indices.
+def _screened_medoids(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Medoid of each member set (a row of the boolean ``masks``), -1 for an
+    empty set, by the screen and exact check of the module docstring.
 
-    Each round assigns every point to its nearest medoid, then moves each
-    medoid to the member with the least total distance within its cluster.
-    It stops when a round leaves the medoids unchanged or after 100 rounds,
-    so it may stop short of a fixed point.  A medoid depends only on the
-    matrix and the exact member set: ``medoid_of`` maps each member set (its
-    packed mask) to its medoid, -1 for an empty cluster, for every run on
-    the matrix.
+    The sets go through the product m // 4 at a time, so the product and its
+    operand hold at most half an m-by-m matrix.
     """
     m = values.shape[0]
-    medoids = np.sort(rng.choice(m, size=k, replace=False))
-    for _ in range(100):
-        assign = np.argmin(values[:, medoids], axis=1)
-        new_medoids = medoids.copy()
-        for label in range(k):
-            in_cluster = assign == label
-            key = np.packbits(in_cluster).tobytes()
-            medoid = medoid_of.get(key)
-            if medoid is None:
-                members = np.where(in_cluster)[0]
-                medoid = -1
-                if members.size:
-                    within = values.take(members, 0).take(members, 1).sum(axis=1)
-                    medoid = int(members[int(np.argmin(within))])
-                medoid_of[key] = medoid
-            if medoid >= 0:
-                new_medoids[label] = medoid
-        new_medoids = np.sort(new_medoids)
-        if np.array_equal(new_medoids, medoids):
-            break
-        medoids = new_medoids
+    medoids = np.full(len(masks), -1)
+    sizes = masks.sum(axis=1)
+    filled = np.flatnonzero(sizes)
+    step = max(1, m // 4)
+    for lo in range(0, filled.size, step):
+        rows = filled[lo:lo + step]
+        members = masks[rows]
+        with np.errstate(all="ignore"):
+            # silent: where a sum overflows, the exact check warns as the
+            # full sum would
+            screened = members.astype(float) @ values
+            np.copyto(screened, np.inf, where=~members)
+            least = screened.min(axis=1)
+            limit = least + 2 * (m + sizes[rows]) * (_EPS * least + _TINY)
+        near = members & (screened <= limit[:, None])
+        medoids[rows] = near.argmax(axis=1)
+        for j in np.flatnonzero(near.sum(axis=1) > 1):
+            candidates = np.flatnonzero(near[j])
+            within = values.take(candidates, 0).take(np.flatnonzero(members[j]), 1).sum(axis=1)
+            medoids[rows[j]] = candidates[np.argmin(within)]
     return medoids
+
+
+def _cluster_medoids(
+    values: np.ndarray, masks: np.ndarray, medoid_of: dict[bytes, int],
+) -> np.ndarray:
+    """Medoid of each row of ``masks`` through the medoid table: each set is
+    keyed by its packed mask, and the sets missing from the table are
+    screened together, once each."""
+    packed = np.packbits(masks, axis=1)
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    keys = [buf[lo:lo + width] for lo in range(0, len(buf), width)]
+    missing: dict[bytes, int] = {}
+    for row, key in enumerate(keys):
+        if key not in medoid_of and key not in missing:
+            missing[key] = row
+    if missing:
+        rows = np.fromiter(missing.values(), int, len(missing))
+        medoid_of.update(zip(missing, _screened_medoids(values, masks[rows]).tolist()))
+    return np.array([medoid_of[key] for key in keys])
 
 
 def _medoid_measure(
@@ -238,25 +276,60 @@ def _medoid_measure(
 ) -> tuple[AtomicMeasure, float]:
     """Best-of-restarts k-medoid quantization of the empirical measure, and
     its transport distance to the empirical measure (the mean distance to the
-    nearest medoid)."""
+    nearest medoid).
+
+    Each restart is alternating k-medoids (Park & Jun, Expert Syst. Appl.
+    2009) from k random points: a round assigns every point to its nearest
+    medoid (the first on ties), then moves each medoid to the member with
+    the least total distance within its cluster (the first on ties; an empty
+    cluster keeps its medoid).  A restart stops when a round leaves its
+    sorted medoids unchanged or after 100 rounds, so it may stop short of a
+    fixed point.
+
+    The ``MEDOID_RESTARTS`` restarts run in lockstep and share the round
+    cap: each round assigns the points of every restart still moving with
+    one gather of columns (identical to ``argmin(values[:, medoids],
+    axis=1)``), and finds all their medoids through ``medoid_of``, which
+    maps each member set (its packed mask) to its medoid, -1 for an empty
+    cluster, for every run on the matrix.  The sets it lacks are screened
+    together (module docstring), so every medoid is the one the cluster's
+    full block sum picks.  The restart with the least cost wins, the first
+    on ties, and the first when every cost is inf (then no k < m is
+    feasible and the estimate falls through to full support).
+    """
     m = values.shape[0]
     if k >= m:
         # the identity coupling on a zero-diagonal ground
         return AtomicMeasure.uniform(np.arange(m)), 0.0
-    best = None
-    best_cost = math.inf
-    for restart in range(MEDOID_RESTARTS):
-        medoids = _kmedoids(values, k, derive_rng(seed, 211, restart), medoid_of)
-        cost = float(values[:, medoids].min(axis=1).mean())
-        if cost < best_cost:
-            best_cost = cost
-            best = medoids
-    assign = np.argmin(values[:, best], axis=1)
-    weights = np.bincount(assign, minlength=best.size) / m
+    medoids = np.stack([
+        np.sort(derive_rng(seed, 211, restart).choice(m, size=k, replace=False))
+        for restart in range(MEDOID_RESTARTS)
+    ])
+    moving = np.arange(MEDOID_RESTARTS)
+    label_of = np.arange(k)[:, None]
+    for _ in range(100):
+        current = medoids[moving]
+        # labels[i, a]: nearest medoid of point i in restart a, gathered at
+        # most m * m distances at a time
+        step = max(1, m * m // current.size)
+        labels = np.concatenate([
+            values[lo:lo + step].take(current.ravel(), 1).reshape(-1, *current.shape).argmin(axis=2)
+            for lo in range(0, m, step)
+        ])
+        in_cluster = (labels.T[:, None, :] == label_of).reshape(-1, m)
+        found = _cluster_medoids(values, in_cluster, medoid_of).reshape(current.shape)
+        moved = np.sort(np.where(found >= 0, found, current), axis=1)
+        medoids[moving] = moved
+        moving = moving[(moved != current).any(axis=1)]
+        if not moving.size:
+            break
+    costs = [float(values.take(row, 1).min(axis=1).mean()) for row in medoids]
+    best = int(np.argmin(costs))
+    weights = np.bincount(values.take(medoids[best], 1).argmin(axis=1), minlength=k) / m
     # every point's nearest medoid has positive weight, so dropping the
     # others leaves the cost unchanged
     keep = weights > 0
-    return AtomicMeasure(best[keep], weights[keep]), best_cost
+    return AtomicMeasure(medoids[best][keep], weights[keep]), costs[best]
 
 
 def eps_entropy_kantorovich(

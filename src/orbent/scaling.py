@@ -8,6 +8,7 @@ a purely discrete spectrum.
 """
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -331,8 +332,10 @@ def limit_metric_check(
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
     per_seed = [reports[int(seed)] for seed in seeds]
-    ball_med = float(np.median([r.ball_mass_fraction for r in per_seed]))
-    pc_med = float(np.median([r.pc_probability for r in per_seed]))
+    # statistics.median gives np.median's value, (a + b) / 2 for an even
+    # count, without importing numpy.ma on the run path
+    ball_med = float(statistics.median(r.ball_mass_fraction for r in per_seed))
+    pc_med = float(statistics.median(r.pc_probability for r in per_seed))
     first = per_seed[0]
     verdict = admit.combine_verdict(ball_med, pc_med, first.trace_ok)
     consistent = None

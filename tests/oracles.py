@@ -182,7 +182,8 @@ def reference_kmedoids(values, k, rng):
 
 def reference_medoid_measure(values, k, seed):
     """(measure, nearest-medoid cost) of the best of the restarts of
-    ``reference_kmedoids``, with the library's restart streams."""
+    ``reference_kmedoids``, with the library's restart streams; the first
+    restart when none is cheaper (every cost inf)."""
     m = values.shape[0]
     if k >= m:
         return AtomicMeasure.uniform(np.arange(m)), 0.0
@@ -191,7 +192,7 @@ def reference_medoid_measure(values, k, seed):
     for restart in range(MEDOID_RESTARTS):
         medoids = reference_kmedoids(values, k, derive_rng(seed, 211, restart))
         cost = float(values[:, medoids].min(axis=1).mean())
-        if cost < best_cost:
+        if best is None or cost < best_cost:
             best_cost = cost
             best = medoids
     assign = np.argmin(values[:, best], axis=1)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -325,6 +326,25 @@ class TestRunExperiment:
             }
         with open(paths["admissibility"]) as fh:
             assert json.load(fh)["averaged"]["n_big"] == 16
+
+    @pytest.mark.parametrize("method", ["Covering", "Kantorovich"])
+    def test_run_leaves_numpy_ma_unloaded(self, tmp_path, method):
+        # np.median imports numpy.ma, 12-17 ms of a fresh process
+        raw = rotation_config(tmp_path / "out")
+        raw["method"] = method
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys; from orbent.cli import main; "
+                f"code = main(['run', {str(config)!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 class TestLimitCheckInBundle:

@@ -1,6 +1,9 @@
+import functools
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +214,16 @@ class TestKantorovichEntropy:
         [est] = eps_entropy_kantorovich(d, [0.01])
         assert est.value_bits <= np.log2(32) + 1e-9
 
+    def test_overflowing_costs_fall_through_to_full_support(self):
+        # every k < m has an inf mean nearest-medoid cost, so no restart is
+        # cheaper than inf; the first is kept and only full support is feasible
+        values = np.full((40, 40), 1.7e308)
+        np.fill_diagonal(values, 0.0)
+        with np.errstate(over="ignore"):
+            estimates = eps_entropy_kantorovich(values, [0.1, 1e300])
+        full = atomic_entropy(AtomicMeasure.uniform(range(40)))
+        assert [(e.k, e.value_bits) for e in estimates] == [(40, full)] * 2
+
     def test_two_clusters_match_exhaustive(self):
         rng = np.random.default_rng(8)
         d = _metric_matrix(two_cluster_points(rng, per_side=12))
@@ -255,22 +268,86 @@ def _anzai_torus_matrix():
     return distance_matrix(torus, sample_points(anzai, 64, 7)).values
 
 
-class TestMedoidTable:
-    """The k-medoid search with its shared medoid table against the
-    reference search that recomputes every medoid."""
+def _duplicate_points_matrix():
+    # 64 points on 6 sites: a medoid that coincides with an earlier label's
+    # medoid loses every point to it and leaves an empty cluster
+    return _metric_matrix(np.random.default_rng(13).integers(0, 6, 64) / 6).values
 
-    @pytest.mark.parametrize("name", [*GROUNDS, "anzai-torus"])
+
+@functools.cache
+def _rotation_average_matrix():
+    # m = 512: clusters of hundreds of members cross NumPy's 8- and 128-term
+    # pairwise summation blocks
+    rotation = CircleRotation()
+    average = Average(Euclidean1D(), rotation, 5)
+    return distance_matrix(average, sample_points(rotation, 512, 17)).values
+
+
+MEDOID_GROUNDS = {
+    **GROUNDS,
+    "anzai-torus": _anzai_torus_matrix,
+    "duplicate-points": _duplicate_points_matrix,
+    "all-zero": lambda: np.zeros((40, 40)),
+    # every entry subnormal, so are the within-cluster sums
+    "tied-cut-subnormal": lambda: _tied_cut_matrix() * 1e-310,
+    # large clusters' sums and the small k's costs overflow to inf
+    "rotation-overflow": lambda: _rotation_matrix() * 1e308,
+    "rotation-average-512": _rotation_average_matrix,
+}
+
+
+class TestMedoidTable:
+    """The lockstep k-medoid search, with its shared medoid table and its
+    screened medoids, against the reference search that sums every
+    cluster's whole block in every round of every restart."""
+
+    @pytest.mark.parametrize("name", MEDOID_GROUNDS)
     def test_candidates_bit_identical_to_reference(self, name):
-        values = _anzai_torus_matrix() if name == "anzai-torus" else GROUNDS[name]()
+        values = MEDOID_GROUNDS[name]()
         m = values.shape[0]
         medoid_of = {}
         # one table for every k, as one matrix's estimate shares it
-        for k in (1, 2, 3, 5, 8, m):
-            nu, cost = _medoid_measure(values, k, 11, medoid_of)
-            ref, ref_cost = reference_medoid_measure(values, k, 11)
+        for k in (1, 2, 3, 5, 8, m - 1, m):
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                nu, cost = _medoid_measure(values, k, 11, medoid_of)
+            with warnings.catch_warnings(record=True) as theirs:
+                warnings.simplefilter("always")
+                ref, ref_cost = reference_medoid_measure(values, k, 11)
             assert nu.atom_indices.tobytes() == ref.atom_indices.tobytes()
             assert nu.weights.tobytes() == ref.weights.tobytes()
             assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+            assert not np.isnan(cost)
+            # the screen adds no warning that the full block sums do not give
+            assert {str(w.message) for w in ours} <= {str(w.message) for w in theirs}
+        if name == "duplicate-points":
+            assert -1 in medoid_of.values()
+        if name == "rotation-overflow":
+            with np.errstate(over="ignore"):
+                assert math.isinf(reference_medoid_measure(values, 1, 11)[1])
+
+    @pytest.mark.parametrize("c", [1, 7, 8, 9, 127, 128, 129, 300, 512])
+    def test_candidate_rows_sum_as_the_full_block(self, c):
+        values = _rotation_average_matrix()
+        rng = np.random.default_rng(c)
+        members = np.sort(rng.choice(values.shape[0], size=c, replace=False))
+        full = values.take(members, 0).take(members, 1).sum(axis=1)
+        for picks in ([0], [c - 1], np.arange(c),
+                      np.sort(rng.choice(c, size=min(c, 5), replace=False))):
+            rows = values.take(members[picks], 0).take(members, 1).sum(axis=1)
+            assert rows.tobytes() == full[picks].tobytes()
+
+    def test_empty_sets_have_no_medoid(self):
+        values = _rotation_matrix()
+        masks = np.zeros((3, values.shape[0]), dtype=bool)
+        masks[1] = True
+        masks[2, [4, 9, 30]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            medoids = entropy._screened_medoids(values, masks)
+        whole = values.sum(axis=1)
+        trio = values[np.ix_([4, 9, 30], [4, 9, 30])].sum(axis=1)
+        assert medoids.tolist() == [-1, int(np.argmin(whole)), [4, 9, 30][int(np.argmin(trio))]]
 
     @pytest.mark.parametrize("name", GROUNDS)
     def test_estimate_independent_of_grid(self, name):
