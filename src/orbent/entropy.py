@@ -7,17 +7,17 @@ Every candidate measure carries the masses of its nearest-atom cells, so its
 transport distance to the sample is the mean nearest-atom distance in closed
 form; no transport problem is solved on the way to an estimate.
 
-The candidates come from alternating k-medoids, its restarts run in lockstep.
-A cluster's medoid is its first member i with the least exact sum R_i of
-d(i, p) over the members p, as ``values.take(members, 0).take(members,
-1).sum(axis=1)`` computes it.  One BLAS product of the clusters' 0/1 masks
-with the matrix gives every cluster's sums at once, S_i, in an order that
-BLAS chooses; by exact symmetry S_i and R_i add the same c terms.  The
-terms are nonnegative and the mask entries exact, so any order of summing
-n of them (blocked, threaded, with FMA, or NumPy's pairwise sum) lands
-within gamma_n * T_i of the true sum T_i, gamma_n = n u / (1 - n u)
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
-4.2).  If R_i <= R_j, then
+The candidates come from alternating k-medoids whose restarts run in
+lockstep.  A cluster of c members has as medoid its first member i with the
+least exact sum R_i of d(i, p) over the members p, as ``values.take(members,
+0).take(members, 1).sum(axis=1)`` computes it.  One BLAS product of the
+clusters' 0/1 masks with the matrix gives every cluster's sums at once, S_i,
+added in an order that BLAS chooses; by exact symmetry S_i adds the same c
+terms as R_i, and m - c exact zeros.  The terms are nonnegative and the mask
+entries exact, so any order of summing n terms (blocked, threaded, with
+FMA, or NumPy's pairwise sum) lands within gamma_n * T_i of the true sum
+T_i, gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sec. 4.2).  If R_i <= R_j, then
 
     S_i <= T_i (1 + gamma_m) <= R_j (1 + gamma_m) / (1 - gamma_c)
         <= S_j (1 + gamma_m)(1 + gamma_c) / ((1 - gamma_m)(1 - gamma_c)),

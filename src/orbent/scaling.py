@@ -8,7 +8,6 @@ a purely discrete spectrum.
 """
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -311,6 +310,16 @@ class LimitMetricReport(Record):
     per_seed: list
 
 
+def _median(values: Sequence[float]) -> float:
+    # np.median's value, (a + b) / 2 of the two middles for an even count,
+    # without importing numpy.ma (np.median) or statistics on the run path
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def limit_metric_check(
     n_big: int,
     seeds: Sequence[int],
@@ -332,10 +341,8 @@ def limit_metric_check(
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
     per_seed = [reports[int(seed)] for seed in seeds]
-    # statistics.median gives np.median's value, (a + b) / 2 for an even
-    # count, without importing numpy.ma on the run path
-    ball_med = float(statistics.median(r.ball_mass_fraction for r in per_seed))
-    pc_med = float(statistics.median(r.pc_probability for r in per_seed))
+    ball_med = _median([r.ball_mass_fraction for r in per_seed])
+    pc_med = _median([r.pc_probability for r in per_seed])
     first = per_seed[0]
     verdict = admit.combine_verdict(ball_med, pc_med, first.trace_ok)
     consistent = None
