@@ -236,8 +236,8 @@ def _screened_medoids(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
         rows = filled[lo:lo + step]
         members = masks[rows]
         with np.errstate(all="ignore"):
-            # silent: where a sum overflows, the exact check warns as the
-            # full sum would
+            # silent: an overflowing sum warns only where it is summed
+            # exactly, as the full block sums warn
             screened = members.astype(float) @ values
             np.copyto(screened, np.inf, where=~members)
             least = screened.min(axis=1)
@@ -257,14 +257,9 @@ def _cluster_medoids(
     """Medoid of each row of ``masks`` through the medoid table: each set is
     keyed by its packed mask, and the sets missing from the table are
     screened together, once each."""
-    packed = np.packbits(masks, axis=1)
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    keys = [buf[lo:lo + width] for lo in range(0, len(buf), width)]
-    missing: dict[bytes, int] = {}
-    for row, key in enumerate(keys):
-        if key not in medoid_of and key not in missing:
-            missing[key] = row
+    keys = [row.tobytes() for row in np.packbits(masks, axis=1)]
+    # rows with one key hold one set, so any of them can stand for it
+    missing = {key: row for row, key in enumerate(keys) if key not in medoid_of}
     if missing:
         rows = np.fromiter(missing.values(), int, len(missing))
         medoid_of.update(zip(missing, _screened_medoids(values, masks[rows]).tolist()))

@@ -329,7 +329,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("method", ["Covering", "Kantorovich"])
     def test_run_leaves_numpy_ma_unloaded(self, tmp_path, method):
-        # np.median imports numpy.ma, 12-17 ms of a fresh process
+        # np.median imports numpy.ma, which every fresh run would then pay for
         raw = rotation_config(tmp_path / "out")
         raw["method"] = method
         config = tmp_path / "config.json"
