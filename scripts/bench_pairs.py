@@ -7,14 +7,18 @@ Run from anywhere, with two checkouts (the parent commit and the change):
         --seconds 20 --out BENCH_<topic>.json
 
 For each workload and each seed of its range, ``orbench/run.py --trace 0``
-runs once in each checkout, alternating which side runs first.  Each pair
-records both sides' end-to-end metrics, failed runs and bundle digests.  A
-side whose orbench process exits non-zero prints no result: it is recorded
-as failed (``failed`` equal to ``attempted``, no metrics) and the batch goes
-on.  Each workload gets, per metric (all four are lower-is-better), the
-per-side medians and interquartile ranges over the sides that produced one,
-the number of pairs the change wins (ties count for neither), and two
-verdicts:
+runs twice in each checkout, for half of ``--seconds`` each, in the order
+A B B A, where A alternates between the parent and the change from one pair
+to the next.  A side's metrics are the means of its two runs, so a speed
+drift of the machine that is linear over the pair cancels.  Each pair
+records both sides' pooled end-to-end metrics, failed runs and bundle
+digest, and each side's two raw results under ``runs``.  A run whose orbench
+process exits non-zero prints no result: it is recorded as failed
+(``failed`` equal to ``attempted``, no metrics), its side gets no pooled
+metrics, and the batch goes on.  Each workload gets, per metric (all four
+are lower-is-better), the per-side medians and interquartile ranges over the
+sides that produced one, the number of pairs the change wins (ties count for
+neither), and two verdicts:
 
 - ``claim_met``: the change wins at least 9/10 of all pairs run, and its
   median is lower than the parent's by more than the parent's IQR;
@@ -57,6 +61,20 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     digest = next(line.split()[1] for line in out if line.startswith("digest "))
     return {"failed": result["failed"], "attempted": result["attempted"], "digest": digest,
             **{name: result["metrics"][name]["value"] for name in METRICS}}
+
+
+def pool(runs: list[dict]) -> dict:
+    """One side of a pair from its runs: summed ``failed`` and ``attempted``,
+    the digest every run gave (else None), the mean of each metric that every
+    run measured, and the raw runs."""
+    digests = {run["digest"] for run in runs}
+    side = {"failed": sum(run["failed"] for run in runs),
+            "attempted": sum(run["attempted"] for run in runs),
+            "digest": digests.pop() if len(digests) == 1 else None}
+    side.update({name: statistics.fmean(run[name] for run in runs) for name in METRICS
+                 if all(name in run for run in runs)})
+    side["runs"] = runs
+    return side
 
 
 def thread_setup() -> dict:
@@ -111,18 +129,20 @@ def main(argv=None) -> int:
         print(f"warning: the checkout paths differ in length ({path_lengths}); peak_rss_mb "
               "can move with the path alone", file=sys.stderr)
 
+    seconds = max(1, args.seconds // 2)
     report = {"command": "python3 orbench/run.py --workload <workload> --seed <seed> "
-                         f"--seconds {args.seconds} --trace 0",
+                         f"--seconds {seconds} --trace 0, in the order A B B A",
               "path_lengths": path_lengths, "threads": thread_setup(), "workloads": {}}
     for spec in args.workloads:
         name, seeds = spec.split(":")
         first, last = (int(s) for s in seeds.split("-"))
         pairs = []
         for i, seed in enumerate(range(first, last + 1)):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_side(trees[side], name, seed, args.seconds)
+            a, b = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            runs = {"parent": [], "change": []}
+            for side in (a, b, b, a):
+                runs[side].append(run_side(trees[side], name, seed, seconds))
+            pair = {"seed": seed, "first": a, **{side: pool(runs[side]) for side in runs}}
             pair["digest_identical"] = (pair["parent"]["digest"] is not None
                                         and pair["parent"]["digest"] == pair["change"]["digest"])
             pairs.append(pair)

@@ -30,6 +30,8 @@ TRACE_L1_FACTOR = 0.1
 # separated-set level and trace-curve box counts of every report
 SEPARATION_C = 0.4
 TRACE_SCHEDULE = (2, 4, 8, 16, 32)
+# points per separated-set trial and trials of a base report
+PC_N, PC_TRIALS = 64, 50
 # fewest points the ball-mass test reads
 MIN_BALL_MASS_POINTS = 16
 
@@ -215,8 +217,8 @@ def admissibility_report(
     m: int = 1024,
     seed: int = 0,
     eps: float = 0.1,
-    pc_n: int = 64,
-    pc_trials: int = 50,
+    pc_n: int = PC_N,
+    pc_trials: int = PC_TRIALS,
 ) -> AdmissibilityReport:
     """Run all three diagnostics on one (system, metric) pair."""
     sample = sample_points(system, m, seed)

@@ -140,6 +140,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
         needed = max(schedule) + metric.symbol_horizon() + 1
         if system.horizon < needed:
             system = replace(system, horizon=needed)
+        # int8 windows held at once: the sample's, the larger test's stacked
+        # separated-set trials (a base report keeps the symbols its metric
+        # reads, a limit report whole windows) and the sampler's float64 row
+        h = system.horizon
+        need += m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
+                                    scaling.LIMIT_PC_TRIALS * scaling.LIMIT_PC_N * h)
+        if memory is not None and need > memory:
+            raise ConfigError("n_schedule" if h == needed else "system",
+                              f"{h}-symbol windows at m={m} need about {need / 2 ** 30:.3g} GiB "
+                              f"with the matrices, more than the {memory / 2 ** 30:.3g} GiB "
+                              "of physical memory")
 
     return ExperimentConfig(
         system=system, metric=metric, eps_grid=eps_grid, n_schedule=schedule,
@@ -151,9 +162,9 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError("config", f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, or a path through a file
+        raise ConfigError("config", f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from exc
     return parse_config(obj)
 
@@ -175,7 +186,10 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     identical configs regardless of the worker count.
     """
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        raise ConfigError("output_dir", f"cannot create {out}: {exc.strerror}") from exc
     workers = workers or 1
 
     def seed_job(seed: int):
@@ -274,7 +288,7 @@ def compare_bundles(dir_a, dir_b) -> dict:
                 ]
             with open(bundle_dir / "verdict.json") as fh:
                 verdict = json.load(fh)["verdict"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError, ParameterError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ParameterError) as exc:
             raise ConfigError("bundle", f"not a result bundle: {bundle_dir} ({exc})") from exc
         return profiles, verdict
 

@@ -1,14 +1,14 @@
 """Canonical measure-preserving systems with exact samplers for their invariant measures.
 
 Each system kind is a frozen dataclass subclassing :class:`SystemSpec`, with
-JSON ``{"kind": <class name>, <field>: <value>, ...}``.  A new system is its
-class plus an entry in ``_SYSTEMS``: a map of coordinates implements ``step``,
-and a system with a new draw of points implements its own ``sample(m, rng)``
-(the base draws uniform coordinates).  The package's one JSON codec lives here:
-``fields_json`` writes dataclass fields, ``from_fields_json`` and
-``from_tagged_json`` read them through ``DECODE``, one decoder per annotation.
-The number decoders are strict: an ``int`` field takes only a JSON integer and
-a ``float`` field only a JSON number, never a bool or a string.
+JSON ``{"kind": <class name>, <field>: <value>, ...}``.  A new node, system or
+partition is its class: a map of coordinates implements ``step``, and a system
+with a new draw of points its own ``sample(m, rng)``.  The package's one JSON
+codec lives here: ``fields_json`` writes dataclass fields, ``from_fields_json``
+reads them through ``DECODE``, one decoder per annotation, and :class:`Tagged`
+adds the tag that names a class, registered when the class is defined.  The
+number decoders are strict: an ``int`` field takes only a JSON integer and a
+``float`` field only a JSON number, never a bool or a string.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
@@ -83,25 +83,47 @@ def from_fields_json(cls, obj: dict):
     return cls(**kwargs)
 
 
-def from_tagged_json(obj: dict, tag_key: str, registry: dict):
-    """Decode ``{tag_key: <registry key>, <field>: <value>, ...}``."""
-    tag = obj.get(tag_key) if isinstance(obj, dict) else None
-    if not isinstance(tag, str) or tag not in registry:
-        raise ParameterError(f"expected a JSON object with {tag_key!r} in {sorted(registry)}")
-    return from_fields_json(registry[tag], {k: v for k, v in obj.items() if k != tag_key})
+class Tagged:
+    """A family of dataclasses with JSON ``{tag_key: <json_tag()>, <field>:
+    <value>, ...}``.  The family's root sets ``tag_key`` and its own
+    ``registry``; every subclass whose name does not start with ``_`` is
+    registered under its ``json_tag()`` when it is defined."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "registry" not in vars(cls) and not cls.__name__.startswith("_"):
+            cls.registry[cls.json_tag()] = cls
+
+    @classmethod
+    def json_tag(cls) -> str:
+        return cls.__name__
+
+    def to_json(self) -> dict:
+        return {self.tag_key: self.json_tag(), **fields_json(self)}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """Decode ``{tag_key: <registry key>, <field>: <value>, ...}``."""
+        key, registry = cls.tag_key, cls.registry
+        tag = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(tag, str) or tag not in registry:
+            raise ParameterError(f"expected a JSON object with {key!r} in {sorted(registry)}")
+        return from_fields_json(registry[tag], {k: v for k, v in obj.items() if k != key})
 
 
-class SystemSpec:
+class SystemSpec(Tagged):
     """A measure-preserving transformation.  A map of coordinates implements
     ``step(coords)``; the base checks every float field as an angle and
     samples uniform coordinates."""
 
+    tag_key = "kind"
+    registry = {}
     dim: ClassVar[Optional[int]] = None  # coordinate dimension; None if symbolic
     is_symbolic: ClassVar[bool] = False
 
     @property
     def kind(self) -> str:
-        return type(self).__name__
+        return self.json_tag()
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -120,13 +142,6 @@ class SystemSpec:
         """Compact CSV-safe identifier: ``kind[field=value;...]``."""
         params = ";".join(f"{f.name}={getattr(self, f.name):.17g}" for f in fields(self))
         return f"{self.kind}[{params}]" if params else self.kind
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **fields_json(self)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SystemSpec":
-        return from_tagged_json(obj, "kind", _SYSTEMS)
 
 
 @dataclass(frozen=True)
@@ -215,11 +230,6 @@ class BernoulliShift(SystemSpec):
     def label(self) -> str:
         ws = ";".join(f"{w:.17g}" for w in self.weights)
         return f"BernoulliShift[weights={ws}]"
-
-
-_SYSTEMS: dict[str, type[SystemSpec]] = {cls.__name__: cls for cls in (
-    CircleRotation, TorusTranslation, AnzaiSkew, Identity, BernoulliShift,
-)}
 
 
 def _json_int(value) -> int:

@@ -6,17 +6,17 @@ semimetrics are leaves, and the cone operations (cut-off, convex combination,
 pull-back, orbit average) are inner nodes.  A node's dataclass fields are its
 parameters, checked in ``__post_init__``; it implements ``values(sample,
 rows)`` and ``label()``, and ``symbol_horizon()`` if it reads symbols.  JSON
-is generic: ``{"type": <class name>, <field>: <value>, ...}``, decoded by the
-codec of :mod:`dynsys` through the registry ``_NODES``.  A new node needs its
-class, an entry in ``_NODES``, and a ``DECODE`` entry only for a field type
-not yet there.  Partitions of :class:`Block` follow the same pattern, with
-JSON tag ``kind``: a new partition needs its class and an entry in
-``_PARTITIONS``.  ``dyadic_cells`` is the one dyadic concept: it cuts the
-coordinate space into dyadic boxes for :class:`DyadicIntervals` (on the first
-coordinate) and for the admissibility trace curve (on all coordinates).
+is generic: ``{"type": <class name>, <field>: <value>, ...}``, by the codec of
+:mod:`dynsys`, which registers each node class when it is defined.  A new
+node, system or partition is its class, plus a ``DECODE`` entry only for a
+field type not yet there.  Partitions of :class:`Block` follow the same
+pattern: ``{"kind": <snake_case name>, <field>: <value>, ...}``.
+``dyadic_cells`` is the one dyadic concept: it cuts the coordinate space into
+dyadic boxes for :class:`DyadicIntervals` (on the first coordinate) and for
+the admissibility trace curve (on all coordinates).
 
 A cut (0 where two points' keys agree, 1 where they differ) subclasses
-:class:`_Cut` and implements ``keys(sample)``, one comparable key per point,
+:class:`_Cut` and implements ``keys(sample)``, one integer key per point,
 reading at most ``symbol_horizon()`` symbols; its ``symbols_read`` says so to
 callers that store only those.  On a shift its orbit average reads the keys
 of a chunk of steps from one sliding window and counts the differing steps by
@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynsys import (
-    DECODE, Identity, PointSample, SystemSpec, advance_sample, fields_json, from_tagged_json,
+    DECODE, Identity, PointSample, SystemSpec, Tagged, advance_sample,
 )
 from .errors import HorizonError, MetricTypeError, ParameterError
 
@@ -67,12 +67,18 @@ from .errors import HorizonError, MetricTypeError, ParameterError
 # partitions
 
 
-class Partition(ABC):
+class Partition(Tagged, ABC):
     """Total assignment of points to numbered blocks.  Each kind is a frozen
     dataclass whose JSON tag ``kind`` is a snake_case name."""
 
+    tag_key = "kind"
+    registry = {}
     kind: ClassVar[str]
     symbol_need: ClassVar[int] = 0  # symbols read from each point
+
+    @classmethod
+    def json_tag(cls) -> str:
+        return cls.kind
 
     @abstractmethod
     def assign_indices(self, sample: PointSample) -> np.ndarray:
@@ -81,13 +87,6 @@ class Partition(ABC):
     def label(self) -> str:
         """Compact CSV-safe identifier: ``kind;field=value;...``."""
         return ";".join([self.kind] + [f"{f.name}={getattr(self, f.name)}" for f in fields(self)])
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **fields_json(self)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Partition":
-        return from_tagged_json(obj, "kind", _PARTITIONS)
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,6 @@ class OneBlock(Partition):
     def label(self) -> str:
         return "one_block;blocks=1"
 
-
-_PARTITIONS: dict[str, type[Partition]] = {cls.kind: cls for cls in (
-    DyadicIntervals, FirstSymbols, OneBlock,
-)}
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
@@ -223,12 +218,14 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
 # the node base class
 
 
-class Semimetric(ABC):
+class Semimetric(Tagged, ABC):
     """A symmetric nonnegative pair evaluator; every descriptor node is one.
 
     Nodes are frozen dataclasses, so equality and hashing compare whole trees.
     """
 
+    tag_key = "type"
+    registry = {}
     # label of a parameterless node
     standard_tag: ClassVar[Optional[str]] = None
 
@@ -253,13 +250,6 @@ class Semimetric(ABC):
         mirrored from its upper triangle, which is evaluated in row blocks;
         shape (..., m, m) for a sample with leading axes."""
         return _symmetrize(next(_orbit_sums(self, Identity(), sample, None, [1]))[1])
-
-    def to_json(self) -> dict:
-        return {"type": type(self).__name__, **fields_json(self)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Semimetric":
-        return from_tagged_json(obj, "type", _NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +307,11 @@ def _differ(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class _Cut(Semimetric):
-    """0 if two points have the same key, else 1."""
+    """0 if two points have the same integer key, else 1."""
 
     @abstractmethod
     def keys(self, sample: PointSample) -> np.ndarray:
-        """One key per point, shape (..., m)."""
+        """One integer key per point, shape (..., m)."""
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         return _differ(self.keys(sample), rows)
@@ -544,17 +534,17 @@ def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.nd
 
 def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:
     """Add to each tile's accumulator the number of steps (last axis of
-    ``keys``) at which its pairs of tail points have different keys: keys
-    mapped one-to-one onto uint64 labels, then per uint64 word of 64 steps the
-    OR over the labels' bit planes of their XOR, bit-counted."""
+    ``keys``) at which its pairs of tail points have different keys: integer
+    keys offset onto uint64 labels, one-to-one modulo 2**64 at any key range,
+    then per uint64 word of 64 steps the OR over the labels' bit planes of
+    their XOR, bit-counted."""
+    if keys.dtype.kind not in "iu":
+        raise MetricTypeError(f"cut keys must be integers, got {keys.dtype}")
     steps = keys.shape[-1]
     words = -(-steps // 64)
     labels = np.zeros(keys.shape[:-1] + (64 * words,), np.uint64)  # the padding never differs
-    if keys.dtype.kind in "iu":  # an offset modulo 2**64 is one-to-one at any key range
-        np.subtract(keys, keys.min(initial=0), out=labels[..., :steps],
-                    dtype=np.uint64, casting="unsafe")
-    else:
-        labels[..., :steps] = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    np.subtract(keys, keys.min(initial=0), out=labels[..., :steps],
+                dtype=np.uint64, casting="unsafe")
     planes = [np.packbits(labels >> bit & 1, axis=-1).view(np.uint64)
               for bit in range(int(labels.max(initial=0)).bit_length())]
     for acc, a, rows in tiles:
@@ -625,11 +615,6 @@ class Average(Semimetric):
         extra = self.n - 1 if self.system.is_symbolic else 0
         return extra + self.inner.symbol_horizon()
 
-
-_NODES: dict[str, type[Semimetric]] = {cls.__name__: cls for cls in (
-    Euclidean1D, CircleArc, TorusArcL1, FirstSymbolCut, Discrete, Zero,
-    ClosedForm, Block, Cutoff, Mix, PullBack, Average,
-)}
 
 DECODE.update(Semimetric=Semimetric.from_json, Partition=Partition.from_json)
 

@@ -125,3 +125,51 @@ class TestThreadSetup:
         assert threads["num_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert all(name.endswith("_NUM_THREADS") for name in threads["num_threads"])
         assert isinstance(threads["blas"], str) and threads["blas"]
+
+
+class TestAbbaOrder:
+    def test_order_and_pooling(self, monkeypatch, tmp_path):
+        parent, change = tmp_path / "aa", tmp_path / "bb"
+        for tree in (parent, change):
+            tree.mkdir()
+        (parent / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": k, "bound": v} for k, v in BOUNDS.items()]}))
+        calls = []
+
+        def drifting_run_side(tree, workload, seed, seconds):
+            # the machine slows by 0.1 s a run; the change is 0.5 s faster
+            calls.append((tree.name, seed, seconds))
+            wall = 2.0 + 0.1 * len(calls) - (0.5 if tree == change.resolve() else 0.0)
+            return side(wall, digest=f"d{seed}")
+
+        monkeypatch.setattr(bench_pairs, "run_side", drifting_run_side)
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--workloads", "shift-cut:1-2", "--seconds", "20",
+                                 "--out", str(out)]) == 0
+        assert calls == [("aa", 1, 10), ("bb", 1, 10), ("bb", 1, 10), ("aa", 1, 10),
+                         ("bb", 2, 10), ("aa", 2, 10), ("aa", 2, 10), ("bb", 2, 10)]
+        report = json.loads(out.read_text())
+        assert "--seconds 10" in report["command"]
+        pairs = report["workloads"]["shift-cut"]["pairs"]
+        assert [p["first"] for p in pairs] == ["parent", "change"]
+        # drift steps 1..4 and 5..8: A B B A gives both sides of a pair the
+        # same mean drift, so their difference is the change's 0.5 s alone
+        raw = [{s: [run["wall_s"] for run in p[s]["runs"]] for s in ("parent", "change")}
+               for p in pairs]
+        assert raw == [{"parent": pytest.approx([2.1, 2.4]), "change": pytest.approx([1.7, 1.8])},
+                       {"parent": pytest.approx([2.6, 2.7]), "change": pytest.approx([2.0, 2.3])}]
+        for p in pairs:
+            assert p["change"]["wall_s"] - p["parent"]["wall_s"] == pytest.approx(-0.5)
+            assert p["parent"]["attempted"] == p["change"]["attempted"] == 6
+            assert p["digest_identical"]
+
+    def test_a_failed_run_leaves_its_side_without_metrics(self):
+        failed = {"failed": 1, "attempted": 1, "digest": None}
+        pooled = bench_pairs.pool([side(2.0), failed])
+        assert pooled["failed"] == 1 and pooled["attempted"] == 4
+        assert pooled["digest"] is None
+        assert not set(bench_pairs.METRICS) & set(pooled)
+        assert pooled["runs"] == [side(2.0), failed]
+        assert bench_pairs.pool([side(2.0), side(3.0)])["wall_s"] == 2.5
+        assert bench_pairs.pool([side(2.0, "x"), side(2.0, "y")])["digest"] is None

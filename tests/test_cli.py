@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from orbent import cli
 from orbent.cli import (
     PRESETS,
     ConfigError,
@@ -200,6 +201,76 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "workers"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, field", [
+        ("config-is-directory", "config"), ("config-not-utf8", "config"),
+        ("output-dir-is-file", "output_dir"), ("output-dir-through-file", "output_dir"),
+        ("bundle-is-file", "bundle"), ("bundle-profiles-not-a-list", "bundle"),
+    ])
+    def test_os_errors_exit_2(self, tmp_path, case, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        if case == "config-is-directory":
+            result = run_cli("run", str(tmp_path))
+        elif case == "config-not-utf8":
+            path.write_bytes(b'{"m": "\xd0\x00"}')
+            result = run_cli("run", str(path))
+        elif case == "output-dir-is-file":
+            path.write_text(json.dumps(rotation_config(afile)))
+            result = run_cli("run", str(path))
+        elif case == "output-dir-through-file":
+            result = run_cli("run", str(path), "--output-dir", str(afile / "x"))
+        elif case == "bundle-is-file":
+            result = run_cli("compare", str(afile), str(tmp_path))
+        else:
+            bundle = tmp_path / "bundle"
+            bundle.mkdir()
+            (bundle / "profile.json").write_text('{"profiles": 5}')
+            (bundle / "verdict.json").write_text('{"verdict": "x"}')
+            result = run_cli("compare", str(bundle), str(bundle))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert error["field"] == field
+        assert not (tmp_path / "out").exists()
+
+    def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
+        raw = bernoulli_config(tmp_path / "out")
+        raw["m"] = 16
+        raw["n_schedule"] = [1, 2, 3, 1_000_000_000]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == "n_schedule"
+        raw["n_schedule"] = [1, 2, 3, 4]
+        raw["system"]["horizon"] = 1_000_000_000
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == "system"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == "system"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mib, refused", [(600, True), (800, False)])
+    def test_separated_set_trials_count_in_memory_budget(self, monkeypatch, tmp_path,
+                                                         mib, refused):
+        # 2**20-symbol windows: 16 sample points, 20 x 32 stacked limit-report
+        # trials and one sampler row hold about 664 MiB; without the trials, 24
+        monkeypatch.setattr(cli, "_physical_memory", lambda: mib * 2 ** 20)
+        raw = bernoulli_config(tmp_path / "out")
+        raw["m"] = 16
+        raw["n_schedule"] = [1, 2, 3, 2 ** 20]
+        if refused:
+            with pytest.raises(ConfigError) as err:
+                parse_config(raw)
+            assert err.value.field == "n_schedule"
+        else:
+            assert parse_config(raw).system.horizon == 2 ** 20 + 2
 
 
 class TestPresets:

@@ -17,14 +17,14 @@ from orbent import (
     Identity,
     OneBlock,
     ParameterError,
+    Partition,
     Semimetric,
+    SystemSpec,
     TorusTranslation,
     sample_points,
 )
-from orbent.dynsys import _SYSTEMS, advance_sample
+from orbent.dynsys import advance_sample
 from orbent.semimetric import (
-    _NODES,
-    _PARTITIONS,
     CLOSED_FORMS,
     Average,
     Block,
@@ -106,9 +106,9 @@ any_tree = st.one_of(
 
 
 def test_strategies_cover_the_registry():
-    assert set(COORD_LEAVES) | set(SYMBOL_LEAVES) | set(INNER) == set(_NODES)
-    assert set(SYSTEMS) == set(_SYSTEMS)
-    assert set(COORD_PARTITIONS) | set(SYMBOL_PARTITIONS) == set(_PARTITIONS)
+    assert set(COORD_LEAVES) | set(SYMBOL_LEAVES) | set(INNER) == set(Semimetric.registry)
+    assert set(SYSTEMS) == set(SystemSpec.registry)
+    assert set(COORD_PARTITIONS) | set(SYMBOL_PARTITIONS) == set(Partition.registry)
 
 
 @settings(max_examples=60, deadline=None)

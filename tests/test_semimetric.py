@@ -19,9 +19,11 @@ from orbent import (
     Mix,
     OneBlock,
     ParameterError,
+    Partition,
     PointSample,
     PullBack,
     Semimetric,
+    SystemSpec,
     TorusTranslation,
     average_metric,
     distance_matrix,
@@ -31,7 +33,6 @@ from orbent import (
 from orbent import semimetric
 from orbent.dynsys import advance_sample
 from orbent.semimetric import (
-    _NODES,
     CLOSED_FORMS,
     Average,
     CircleArc,
@@ -372,8 +373,8 @@ class TestCutGuards:
 
     @pytest.mark.parametrize("symbols", [
         np.arange(-100, 101, dtype=np.int8), np.arange(-7, 3),
-        np.array([-2**63, -1, 0, 2**63 - 1]), np.array([-0.75, -0.5, -0.25, 0.0, 0.25, 0.5]),
-    ], ids=["int8", "int64", "int64-full-range", "float64"])
+        np.array([-2**63, -1, 0, 2**63 - 1]),
+    ], ids=["int8", "int64", "int64-full-range"])
     def test_negative_symbols(self, symbols):
         system = BernoulliShift([0.5, 0.5], horizon=64)
         rng = np.random.default_rng(4)
@@ -385,6 +386,13 @@ class TestCutGuards:
         _, reference = next(stepwise_orbit_sums(
             FirstSymbolCut(), system, pair, np.array([0]), [n]))
         assert rho(Average(FirstSymbolCut(), system, n), pair) == reference[0, 1] / n
+
+    def test_float_symbols_are_refused(self):
+        # the popcount path counts integer keys; a float symbol has no such key
+        system = BernoulliShift([0.5, 0.5], horizon=64)
+        pair = PointSample(symbols=np.array([[-0.75, 0.5] * 35, [-0.5, 0.5] * 35]))
+        with pytest.raises(MetricTypeError, match="integer"):
+            rho(Average(FirstSymbolCut(), system, 40), pair)
 
     def test_empty_sample(self):
         system = BernoulliShift([0.5, 0.5], horizon=20)
@@ -414,7 +422,7 @@ class TestCutGuards:
             Block: [Block(FirstSymbols(count, 3)) for count in (1, 2, 3)]
             + [Block(OneBlock())],
         }
-        assert set(cuts) == {cls for cls in _NODES.values() if issubclass(cls, _Cut)}
+        assert set(cuts) == {cls for cls in Semimetric.registry.values() if issubclass(cls, _Cut)}
         system = BernoulliShift([0.2, 0.3, 0.5], horizon=40)
         sample = advance_sample(sample_points(system, 9, 8), 3, system)
         for cut in (cut for group in cuts.values() for cut in group):
@@ -712,3 +720,45 @@ class TestGoldenStrings:
         again = type(obj).from_json(json.loads(blob))
         assert again == obj
         assert again.label() == label
+
+
+class TestRegistries:
+    def test_registries_are_pinned(self):
+        assert list(Semimetric.registry.items()) == [
+            ("Euclidean1D", Euclidean1D), ("CircleArc", CircleArc), ("TorusArcL1", TorusArcL1),
+            ("FirstSymbolCut", FirstSymbolCut), ("Discrete", Discrete), ("Zero", Zero),
+            ("ClosedForm", ClosedForm), ("Block", Block), ("Cutoff", Cutoff), ("Mix", Mix),
+            ("PullBack", PullBack), ("Average", Average),
+        ]
+        assert list(SystemSpec.registry.items()) == [
+            ("CircleRotation", CircleRotation), ("TorusTranslation", TorusTranslation),
+            ("AnzaiSkew", AnzaiSkew), ("Identity", Identity), ("BernoulliShift", BernoulliShift),
+        ]
+        assert list(Partition.registry.items()) == [
+            ("dyadic_intervals", DyadicIntervals), ("first_symbols", FirstSymbols),
+            ("one_block", OneBlock),
+        ]
+        assert _Cut not in Semimetric.registry.values()
+
+    def test_cut_keys_are_integers(self):
+        partitions = {DyadicIntervals: DyadicIntervals(2), FirstSymbols: FirstSymbols(2, 3),
+                      OneBlock: OneBlock()}
+        assert set(partitions) == set(Partition.registry.values())
+        system = BernoulliShift([0.2, 0.3, 0.5], horizon=8)
+        sample = sample_points(system, 9, 5)
+        stacked = PointSample(symbols=np.stack([sample.symbols, sample.symbols[::-1]]))
+        symbolic = []
+        for partition in partitions.values():
+            try:
+                partition.assign_indices(sample)
+            except MetricTypeError:  # a partition of coordinates
+                continue
+            symbolic.append(Block(partition))
+        assert len(symbolic) == 2
+        cuts = {FirstSymbolCut: [FirstSymbolCut()], Block: symbolic}
+        assert set(cuts) == {cls for cls in Semimetric.registry.values() if issubclass(cls, _Cut)}
+        for cut in (cut for group in cuts.values() for cut in group):
+            for points in (sample, stacked):
+                keys = cut.keys(points)
+                assert keys.dtype.kind in "iu", cut.label()
+                assert keys.shape == points.symbols.shape[:-1]
