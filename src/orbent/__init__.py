@@ -29,6 +29,7 @@ from .entropy import (
     kantorovich_distance,
 )
 from .errors import (
+    ConfigError,
     HorizonError,
     InfeasibleError,
     MetricTypeError,

@@ -3,6 +3,14 @@
 Verbs: ``run <config.json>``, ``compare <dirA> <dirB>``, ``presets list``,
 ``presets emit <name>``.  Exit codes: 0 success, 2 invalid config (with a
 machine-readable error object on stderr), 3 numerical infeasibility.
+
+A config is a JSON object of eight fields: ``system`` and ``metric`` (tagged
+objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
+(arrays of integers), ``m`` (an integer), ``method`` and ``output_dir``
+(strings).  It decodes by the one codec of :mod:`orbent.dynsys`: numbers and
+strings are strict, an unknown key is refused, and an error's ``field`` is the
+top-level field at fault.  A shift's ``horizon`` is widened to cover the
+schedule.
 """
 from __future__ import annotations
 
@@ -18,9 +26,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import admit, scaling
-from .dynsys import DECODE, Record, SystemSpec
+from .dynsys import Record, SystemSpec
 from .entropy import ESTIMATORS
-from .errors import InfeasibleError, OrbentError, ParameterError
+from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
@@ -34,14 +42,6 @@ ESTIMATES_CSV_HEADER = (
     "system", "metric", "method", "n", "eps", "m", "seed", "k",
     "value_bits", "lower_bound_bits",
 )
-
-
-class ConfigError(ParameterError):
-    """Invalid experiment configuration; remembers the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -64,43 +64,24 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def _list_field(obj: dict, key: str, kind: str) -> tuple:
-    """A nonempty list of JSON numbers of ``kind`` (``int`` or ``float``),
-    decoded strictly by ``DECODE[kind]``."""
-    raw = obj[key]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(key, f"{key} must be a nonempty list")
-    try:
-        return tuple(DECODE[kind](x) for x in raw)
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(key, f"{key} entries: {exc}") from exc
-
-
 def parse_config(obj: dict) -> ExperimentConfig:
-    """Validate a raw config object; errors name the offending field."""
+    """Decode a raw config object, then make the checks that span fields or
+    that no field's decoder makes; errors name the offending field."""
     if not isinstance(obj, dict):
         raise ConfigError("config", "config must be a JSON object")
-    required = ("system", "metric", "eps_grid", "n_schedule", "m", "seeds",
-                "method", "output_dir")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(key, f"missing required field {key!r}")
-    try:
-        system = SystemSpec.from_json(obj["system"])
-    except (OrbentError, KeyError, TypeError) as exc:
-        raise ConfigError("system", f"invalid system: {exc}") from exc
-    try:
-        metric = Semimetric.from_json(obj["metric"])
-    except (OrbentError, KeyError, TypeError) as exc:
-        raise ConfigError("metric", f"invalid metric: {exc}") from exc
+    config = ExperimentConfig.from_json(obj)
+    system, metric, m = config.system, config.metric, config.m
+    for key in ("eps_grid", "n_schedule", "seeds"):
+        if not getattr(config, key):
+            raise ConfigError(key, f"{key} must be a nonempty list")
 
-    eps_grid = _list_field(obj, "eps_grid", "float")
+    eps_grid = config.eps_grid
     if any(not (0 < e < math.inf) for e in eps_grid):
         raise ConfigError("eps_grid", "eps values must be positive and finite")
     if len(set(eps_grid)) < len(eps_grid):
         raise ConfigError("eps_grid", "eps_grid must not repeat a value")
 
-    schedule = _list_field(obj, "n_schedule", "int")
+    schedule = config.n_schedule
     if any(n < 1 for n in schedule):
         raise ConfigError("n_schedule", "n_schedule entries must be >= 1")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -109,10 +90,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("n_schedule", f"n_schedule needs at least {scaling.MIN_GROWTH_ROWS} "
                                         "points to classify growth")
 
-    try:
-        m = DECODE["int"](obj["m"])
-    except TypeError as exc:
-        raise ConfigError("m", f"m: {exc}") from exc
     if m < admit.MIN_BALL_MASS_POINTS:
         raise ConfigError("m", f"m must be >= {admit.MIN_BALL_MASS_POINTS}, the points "
                                "the ball-mass test needs")
@@ -125,14 +102,15 @@ def parse_config(obj: dict) -> ExperimentConfig:
                  f"{memory / 2 ** 30:.3g} GiB of physical memory",
         )
 
-    seeds = _list_field(obj, "seeds", "int")
+    # a repeated seed would run twice and count twice in every median
+    if len(set(config.seeds)) < len(config.seeds):
+        raise ConfigError("seeds", "seeds must not repeat a value")
 
-    method = str(obj["method"]).strip().capitalize()
+    method = config.method.strip().capitalize()
     if method not in ESTIMATORS:
         raise ConfigError("method", f"method must be one of {tuple(ESTIMATORS)}")
 
-    output_dir = obj["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
+    if not config.output_dir:
         raise ConfigError("output_dir", "output_dir must be a nonempty path")
 
     # shift systems: make the symbol window cover the whole schedule
@@ -152,10 +130,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
                               f"with the matrices, more than the {memory / 2 ** 30:.3g} GiB "
                               "of physical memory")
 
-    return ExperimentConfig(
-        system=system, metric=metric, eps_grid=eps_grid, n_schedule=schedule,
-        m=m, seeds=seeds, method=method, output_dir=output_dir,
-    )
+    return replace(config, system=system, method=method)
 
 
 def load_config(path) -> ExperimentConfig:

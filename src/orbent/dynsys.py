@@ -4,11 +4,15 @@ Each system kind is a frozen dataclass subclassing :class:`SystemSpec`, with
 JSON ``{"kind": <class name>, <field>: <value>, ...}``.  A new node, system or
 partition is its class: a map of coordinates implements ``step``, and a system
 with a new draw of points its own ``sample(m, rng)``.  The package's one JSON
-codec lives here: ``fields_json`` writes dataclass fields, ``from_fields_json``
+codec lives here and decodes every JSON object of the package, the ``orbent
+run`` config too: ``fields_json`` writes dataclass fields, ``from_fields_json``
 reads them through ``DECODE``, one decoder per annotation, and :class:`Tagged`
 adds the tag that names a class, registered when the class is defined.  The
-number decoders are strict: an ``int`` field takes only a JSON integer and a
-``float`` field only a JSON number, never a bool or a string.
+decoders are strict: an ``int`` field takes only a JSON integer, a ``float``
+field only a JSON number, a ``str`` field only a JSON string and a tuple field
+only a JSON array.  A bad field raises :class:`~orbent.errors.ConfigError`,
+which carries its name, and an error inside a nested object is raised again
+under the outer object's field.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
@@ -24,7 +28,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .errors import HorizonError, ParameterError
+from .errors import ConfigError, HorizonError, ParameterError
 
 # Badly approximable defaults: golden-mean fractional part for rotations and
 # skew products, sqrt(2)-1 as the independent second torus angle.
@@ -33,6 +37,9 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
 # Symbol window used when a shift system is built without an explicit horizon.
 DEFAULT_SHIFT_HORIZON = 128
+
+# Symbols a shift may have: samples store them as int8.
+MAX_SHIFT_SYMBOLS = 128
 
 # Symbols per row block of a shift sample: each block draws a float64 uniform
 # per symbol, so blocks keep that temporary small.
@@ -54,22 +61,26 @@ def fields_json(obj) -> dict:
 
 
 class Record:
-    """Mixin for result dataclasses whose JSON is exactly their fields."""
+    """Mixin for dataclasses whose JSON is exactly their fields."""
 
     def to_json(self) -> dict:
         return fields_json(self)
 
+    @classmethod
+    def from_json(cls, obj: dict):
+        return from_fields_json(cls, obj)
+
 
 def from_fields_json(cls, obj: dict):
     """Dataclass ``cls`` from a JSON object of its fields.  Only an ``Optional``
-    field may be missing, and takes its default; errors name the class and the
-    field."""
+    field may be missing, and takes its default; a :class:`ConfigError` names
+    the class and the field."""
     name = cls.__name__
     if not isinstance(obj, dict):
         raise ParameterError(f"{name} JSON must be an object, got {obj!r}")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
-        raise ParameterError(f"{name} has no field {unknown[0]!r}")
+        raise ConfigError(unknown[0], f"{name} has no field {unknown[0]!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name in obj:
@@ -77,9 +88,9 @@ def from_fields_json(cls, obj: dict):
             try:
                 kwargs[f.name] = decode(obj[f.name])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParameterError(f"invalid {name} field {f.name!r}: {exc}") from exc
+                raise ConfigError(f.name, f"invalid {name} field {f.name!r}: {exc}") from exc
         elif not f.type.startswith("Optional["):
-            raise ParameterError(f"{name} needs the field {f.name!r}")
+            raise ConfigError(f.name, f"{name} needs the field {f.name!r}")
     return cls(**kwargs)
 
 
@@ -202,6 +213,9 @@ class BernoulliShift(SystemSpec):
         if len(w) < 2 or np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ParameterError(f"Bernoulli weights must be two or more positive numbers "
                                  f"summing to 1 within {_WEIGHT_TOL}, got {self.weights!r}")
+        if len(w) > MAX_SHIFT_SYMBOLS:
+            raise ParameterError(f"a shift has at most {MAX_SHIFT_SYMBOLS} symbols, stored as "
+                                 f"int8; got {len(w)} weights")
         horizon = DEFAULT_SHIFT_HORIZON if self.horizon is None else int(self.horizon)
         if horizon < 1:
             raise ParameterError("shift horizon must be >= 1")
@@ -246,14 +260,30 @@ def _json_float(value) -> float:
     return float(value)
 
 
+def _json_str(value) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _json_array(values) -> list:
+    """A JSON array; a string or an object is refused, not read entry by entry."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected an array, got {values!r}")
+    return values
+
+
 # field type annotation -> decoder of that field's JSON value; the modules
 # that define further field types add their decoders
 DECODE: dict[str, Callable] = {
     "float": _json_float,
     "int": _json_int,
-    "str": str,
+    "str": _json_str,
     "Optional[int]": lambda value: None if value is None else _json_int(value),
-    "tuple[float, ...]": lambda values: tuple(_json_float(x) for x in values),
+    "Optional[float]": lambda value: None if value is None else _json_float(value),
+    "tuple[int, ...]": lambda values: tuple(_json_int(x) for x in _json_array(values)),
+    "tuple[float, ...]": lambda values: tuple(_json_float(x) for x in _json_array(values)),
     "SystemSpec": SystemSpec.from_json,
 }
 

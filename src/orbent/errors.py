@@ -23,3 +23,11 @@ class SizeError(OrbentError, ValueError):
 
 class InfeasibleError(OrbentError, RuntimeError):
     """A numerical subproblem admits no solution within its constraints."""
+
+
+class ConfigError(ParameterError):
+    """An invalid JSON field or command-line argument; remembers its name."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

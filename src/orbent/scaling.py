@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import admit
-from .dynsys import DECODE, Record, SystemSpec, from_fields_json, sample_points
+from .dynsys import DECODE, Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -33,19 +33,16 @@ LIMIT_PC_TRIALS = 20
 
 
 @dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(Record):
     kind: str
     exponent: Optional[float] = None
 
     def to_json(self) -> dict:
+        """The fields, without an exponent that is None."""
         out: dict = {"kind": self.kind}
         if self.exponent is not None:
             out["exponent"] = self.exponent
         return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "GrowthClass":
-        return GrowthClass(obj["kind"], obj.get("exponent"))
 
     def __str__(self) -> str:
         if self.kind == "Polynomial":
@@ -162,13 +159,9 @@ class ScalingProfile(Record):
     growth_class: GrowthClass
     fit_diagnostics: dict
 
-    @staticmethod
-    def from_json(obj: dict) -> "ScalingProfile":
-        return from_fields_json(ScalingProfile, obj)
-
 
 DECODE.update({
-    "list[ProfileRow]": lambda rows: [from_fields_json(ProfileRow, r) for r in rows],
+    "list[ProfileRow]": lambda rows: [ProfileRow.from_json(r) for r in rows],
     "GrowthClass": GrowthClass.from_json,
     "dict": dict,
 })

@@ -123,7 +123,10 @@ class FirstSymbols(Partition):
         return self.count
 
     def assign_indices(self, sample: PointSample) -> np.ndarray:
-        window = _window(sample, self.count)
+        window = _window(sample, self.count)[..., :self.count]
+        if window.size and not 0 <= window.min() <= window.max() < self.alphabet:
+            raise ParameterError(f"first_symbols reads symbols in [0, {self.alphabet}), "
+                                 f"got {window.min()}..{window.max()}")
         idx = np.zeros(window.shape[:-1], dtype=int)
         for i in range(self.count):
             idx = idx * self.alphabet + window[..., i].astype(int)

@@ -9,6 +9,7 @@ from orbent import cli
 from orbent.cli import (
     PRESETS,
     ConfigError,
+    ExperimentConfig,
     compare_bundles,
     load_config,
     main,
@@ -78,6 +79,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.field == "method"
+
+    def test_record_json_roundtrip(self, tmp_path):
+        # the config decodes as every record does, by Record.from_json
+        config = parse_config(bernoulli_config(tmp_path))
+        assert "from_json" not in vars(ExperimentConfig)
+        assert ExperimentConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
 
     def test_method_name_is_canonicalized(self, tmp_path):
         raw = rotation_config(tmp_path)
@@ -192,6 +199,65 @@ class TestMalformedInput:
         assert error["field"] == "eps_grid"
         assert "repeat" in error["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_exits_2(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["seeds"] = [5, 5, 7]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["field"] == "seeds"
+        assert "repeat" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("system", "CircleRotation"), ("metric", ["CircleArc"]), ("eps_grid", "0.25"),
+        ("n_schedule", {"n": 4}), ("m", "64"), ("seeds", "5"), ("method", 5),
+        ("output_dir", 7), ("comment", "a key the config does not have"),
+    ], ids=["system-string", "metric-list", "eps-string", "schedule-dict", "m-string",
+            "seeds-string", "method-number", "output-dir-number", "unknown-key"])
+    def test_wrong_json_type_exits_2(self, tmp_path, key, value):
+        raw = rotation_config(tmp_path / "out")
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert error["field"] == key
+        assert not (tmp_path / "out").exists()
+
+    def test_shift_with_more_than_128_symbols_exits_2(self, tmp_path):
+        # symbols are stored as int8, so symbol 128 would wrap to -128
+        raw = bernoulli_config(tmp_path / "out")
+        raw["system"]["weights"] = [1 / 129] * 129
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["field"] == "system"
+        assert "128" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_symbol_outside_the_partition_alphabet_exits_2(self, tmp_path):
+        # a three-symbol shift under a two-symbol cylinder partition
+        raw = bernoulli_config(tmp_path / "out")
+        raw["system"]["weights"] = [0.2, 0.3, 0.5]
+        raw["metric"] = {"type": "Block",
+                         "partition": {"kind": "first_symbols", "count": 2, "alphabet": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert "[0, 2)" in error["message"]
 
     @pytest.mark.parametrize("flag", ["0", "abc"])
     def test_bad_worker_count_exits_2(self, tmp_path, flag):
@@ -422,14 +488,14 @@ class TestLimitCheckInBundle:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_averaged_section_equals_recomputed_check(self, tmp_path, workers):
         raw = rotation_config(tmp_path / "out", {"type": "Euclidean1D"})
-        raw.update(n_schedule=[1, 2, 4, 8], seeds=[7, 3, 7])
+        raw.update(n_schedule=[1, 2, 4, 8], seeds=[7, 3, 5])
         config = parse_config(raw)
         paths = run_experiment(config, workers=workers)
         with open(paths["profile"]) as fh:
             profiles = json.load(fh)["profiles"]
         min_eps = min(profiles, key=lambda p: p["eps"])
         expected = reference_limit_check(
-            config.system, config.metric, 8, 64, [7, 3, 7], eps=0.1,
+            config.system, config.metric, 8, 64, [7, 3, 5], eps=0.1,
             profile_class=GrowthClass.from_json(min_eps["growth_class"]),
         )
         with open(paths["admissibility"]) as fh:

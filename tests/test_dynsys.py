@@ -17,11 +17,12 @@ from orbent.dynsys import advance_sample
 
 from oracles import reference_sample
 
-# horizons 1026, 1000, 129, 300 and 77 give row blocks of 31, 32, 254, 109
-# and 425 points, so some m of each end in a partial block; 40000 gives one
-# point per block.  Ten equal weights and exact thirds put cumulative weights
-# on rounded values, where a sampler that thresholds uniforms could differ
-# from ``choice``.
+# horizons 1026, 1000, 129, 300, 77 and 64 give row blocks of 31, 32, 254,
+# 109, 425 and 512 points, so some m of each end in a partial block; 40000
+# gives one point per block.  Ten equal weights and exact thirds put
+# cumulative weights on rounded values, where a sampler that thresholds
+# uniforms could differ from ``choice``; 128 symbols are the most an int8
+# symbol holds.
 SAMPLED_SYSTEMS = {
     "rotation": CircleRotation(), "torus": TorusTranslation(), "anzai": AnzaiSkew(),
     "identity": Identity(), "fair-h1026": BernoulliShift([0.5, 0.5], horizon=1026),
@@ -29,6 +30,7 @@ SAMPLED_SYSTEMS = {
     "biased-h129": BernoulliShift([0.9, 0.1], horizon=129),
     "ten-h300": BernoulliShift([0.1] * 10, horizon=300),
     "thirds-h77": BernoulliShift([1 / 3] * 3, horizon=77),
+    "w128-h64": BernoulliShift([1 / 128] * 128, horizon=64),
 }
 SAMPLED = [pytest.param(system, m, id=f"{name}-m{m}")
            for name, system in SAMPLED_SYSTEMS.items() for m in (1, 31, 32, 700)]
@@ -83,6 +85,11 @@ class TestSampling:
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+    def test_more_than_128_symbols_are_refused(self):
+        # symbols are stored as int8, where symbol 128 would wrap to -128
+        with pytest.raises(ParameterError, match="128"):
+            BernoulliShift([1 / 129] * 129)
 
     def test_shift_sample_memory_is_blocked(self):
         import tracemalloc

@@ -16,6 +16,7 @@ from orbent import (
 )
 from orbent.scaling import (
     BOUNDED,
+    GrowthClass,
     LINEAR,
     UNDETERMINED,
     ProfileRow,
@@ -114,11 +115,26 @@ class TestScalingProfile:
         assert profile.fit_diagnostics["linear"]["slope"] > 0
 
     def test_profile_json_roundtrip(self, euclid, identity):
+        # profiles decode by Record.from_json, as every record does
         profile = scaling_profile(identity, euclid, 0.5, [4, 8, 16, 32], 64, [1, 2, 3])
-        again = ScalingProfile.from_json(profile.to_json())
+        blob = json.dumps(profile.to_json())
+        assert "from_json" not in vars(ScalingProfile)
+        again = ScalingProfile.from_json(json.loads(blob))
         assert again.eps == profile.eps
         assert again.growth_class == profile.growth_class
         assert [r.n for r in again.rows] == [r.n for r in profile.rows]
+        assert again == profile
+        assert json.dumps(again.to_json()) == blob
+
+    @pytest.mark.parametrize("growth, blob", [
+        (GrowthClass("Polynomial", exponent=1.5), '{"kind": "Polynomial", "exponent": 1.5}'),
+        (BOUNDED, '{"kind": "Bounded"}'),
+    ], ids=["polynomial", "bounded"])
+    def test_growth_class_json_roundtrip(self, growth, blob):
+        # a None exponent is left out of the JSON
+        assert "from_json" not in vars(GrowthClass)
+        assert json.dumps(growth.to_json()) == blob
+        assert GrowthClass.from_json(json.loads(blob)) == growth
 
 
 class TestVerdict:

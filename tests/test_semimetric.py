@@ -394,6 +394,17 @@ class TestCutGuards:
         with pytest.raises(MetricTypeError, match="integer"):
             rho(Average(FirstSymbolCut(), system, 40), pair)
 
+    @pytest.mark.parametrize("bad", [[0, 2], [-1, 0]], ids=["past-alphabet", "negative"])
+    def test_first_symbols_refuses_symbols_outside_the_alphabet(self, bad):
+        # with alphabet 2, the words [0, 2] and [1, 0] would both be block 2
+        partition = FirstSymbols(2, alphabet=2)
+        sample = PointSample(symbols=np.array([bad, [1, 0]], dtype=np.int8))
+        with pytest.raises(ParameterError, match=r"\[0, 2\)"):
+            partition.assign_indices(sample)
+        # symbols past the first ``count`` are not read
+        unread = PointSample(symbols=np.array([[0, 1, 5], [1, 0, -3]], dtype=np.int8))
+        assert partition.assign_indices(unread).tolist() == [1, 2]
+
     def test_empty_sample(self):
         system = BernoulliShift([0.5, 0.5], horizon=20)
         empty = PointSample(symbols=np.zeros((0, 20), dtype=np.int8))
