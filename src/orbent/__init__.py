@@ -38,6 +38,7 @@ from .errors import (
     SizeError,
 )
 from .semimetric import (
+    Average,
     Block,
     ClosedForm,
     Cutoff,
@@ -49,7 +50,6 @@ from .semimetric import (
     Partition,
     PullBack,
     Semimetric,
-    average_metric,
     distance_matrix,
 )
 from .admit import (

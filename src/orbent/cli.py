@@ -10,7 +10,7 @@ objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
 (strings).  It decodes by the one codec of :mod:`orbent.dynsys`: numbers and
 strings are strict, an unknown key is refused, and an error's ``field`` is the
 top-level field at fault.  A shift's ``horizon`` is widened to cover the
-schedule.
+schedule, and a metric that cannot run on the system's points is refused.
 """
 from __future__ import annotations
 
@@ -21,15 +21,15 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import admit, scaling
-from .dynsys import Record, SystemSpec
+from .dynsys import BernoulliShift, Record, SystemSpec, sample_points
 from .entropy import ESTIMATORS
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
-from .semimetric import Semimetric
+from .semimetric import FirstSymbols, Partition, Semimetric
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
 # a one-worker run grows by about 3.2 of them at m = 1024 and 2.6 at m = 2048
@@ -130,7 +130,30 @@ def parse_config(obj: dict) -> ExperimentConfig:
                               f"with the matrices, more than the {memory / 2 ** 30:.3g} GiB "
                               "of physical memory")
 
+    # the metric must run on the system's points; two points need not show
+    # every symbol, so each first_symbols alphabet is checked against the shift
+    if isinstance(system, BernoulliShift):
+        symbols = len(system.weights)
+        for node in _tree(metric):
+            if isinstance(node, FirstSymbols) and node.alphabet < symbols:
+                raise ConfigError("metric", f"first_symbols reads symbols in [0, "
+                                            f"{node.alphabet}), the shift has {symbols}")
+    try:
+        metric.pairwise(sample_points(system, 2, 0))
+    except OrbentError as exc:
+        raise ConfigError("metric",
+                          f"the metric cannot run on {system.kind} points: {exc}") from exc
+
     return replace(config, system=system, method=method)
+
+
+def _tree(node):
+    """``node`` and every metric and partition node under it."""
+    yield node
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, (Semimetric, Partition)):
+            yield from _tree(child)
 
 
 def load_config(path) -> ExperimentConfig:

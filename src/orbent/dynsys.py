@@ -4,15 +4,20 @@ Each system kind is a frozen dataclass subclassing :class:`SystemSpec`, with
 JSON ``{"kind": <class name>, <field>: <value>, ...}``.  A new node, system or
 partition is its class: a map of coordinates implements ``step``, and a system
 with a new draw of points its own ``sample(m, rng)``.  The package's one JSON
-codec lives here and decodes every JSON object of the package, the ``orbent
-run`` config too: ``fields_json`` writes dataclass fields, ``from_fields_json``
-reads them through ``DECODE``, one decoder per annotation, and :class:`Tagged`
-adds the tag that names a class, registered when the class is defined.  The
-decoders are strict: an ``int`` field takes only a JSON integer, a ``float``
-field only a JSON number, a ``str`` field only a JSON string and a tuple field
-only a JSON array.  A bad field raises :class:`~orbent.errors.ConfigError`,
-which carries its name, and an error inside a nested object is raised again
-under the outer object's field.
+codec lives here and writes and decodes every JSON object of the package,
+the ``orbent run`` config and the bundle records too: ``fields_json`` writes
+dataclass fields, ``from_fields_json`` reads them through ``DECODE``, one
+decoder per annotation, and :class:`Tagged` adds the tag that names a class,
+registered when the class is defined.  The writer has two rules beyond
+"each field by its own ``to_json``": a dict is written key by key with each
+value by the same rules, and a field that is None is left out when its
+default is None, so that an optional field left unset adds nothing, but is
+written as null when it has no default.  The decoders are strict: an ``int``
+field takes only a JSON integer, a ``float`` field only a JSON number, a
+``str`` field only a JSON string and a tuple field only a JSON array.  A bad
+field raises :class:`~orbent.errors.ConfigError`, which carries its name, and
+an error inside a nested object is raised again under the outer object's
+field.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
@@ -51,13 +56,16 @@ _WEIGHT_TOL = 1e-12
 def _json_value(value):
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     return value.to_json() if hasattr(value, "to_json") else value
 
 
 def fields_json(obj) -> dict:
-    """The dataclass fields of ``obj`` as JSON: nested values by their own
-    ``to_json``, tuples as lists."""
-    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    """The dataclass fields of ``obj`` as JSON, by the rules of the module
+    docstring: nested values by their own ``to_json``, tuples as lists."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)
+            if getattr(obj, f.name) is not None or f.default is not None}
 
 
 class Record:

@@ -43,7 +43,7 @@ from .admit import greedy_separated_size
 from .dynsys import SystemSpec, derive_rng, sample_points
 from .errors import InfeasibleError, ParameterError, SizeError
 from .semimetric import (
-    DistanceMatrix, MatrixLike, Semimetric, as_values, average_metric, distance_matrix,
+    Average, DistanceMatrix, MatrixLike, Semimetric, as_values, distance_matrix,
 )
 
 _REL_TOL = 1e-12
@@ -420,8 +420,7 @@ def entropy_estimate(
 ) -> EpsEntropyEstimate:
     """Full pipeline: sample, average the metric n steps, estimate entropy."""
     sample = sample_points(system, m, seed)
-    averaged = average_metric(metric, system, n)
-    dist = distance_matrix(averaged, sample)
+    dist = distance_matrix(Average(metric, system, n), sample)
     return estimate_from_matrix(dist, [eps], method, seed)[0]
 
 

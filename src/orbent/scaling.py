@@ -18,7 +18,7 @@ from .dynsys import DECODE, Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
-    DistanceMatrix, Semimetric, average_metric, streamed_average_matrices,
+    Average, DistanceMatrix, Semimetric, streamed_average_matrices,
 )
 
 R2_THRESHOLD = 0.95
@@ -36,13 +36,6 @@ LIMIT_PC_TRIALS = 20
 class GrowthClass(Record):
     kind: str
     exponent: Optional[float] = None
-
-    def to_json(self) -> dict:
-        """The fields, without an exponent that is None."""
-        out: dict = {"kind": self.kind}
-        if self.exponent is not None:
-            out["exponent"] = self.exponent
-        return out
 
     def __str__(self) -> str:
         if self.kind == "Polynomial":
@@ -163,6 +156,7 @@ class ScalingProfile(Record):
 DECODE.update({
     "list[ProfileRow]": lambda rows: [ProfileRow.from_json(r) for r in rows],
     "GrowthClass": GrowthClass.from_json,
+    "dict[str, GrowthClass]": lambda obj: {k: GrowthClass.from_json(v) for k, v in obj.items()},
     "dict": dict,
 })
 
@@ -192,7 +186,7 @@ def profile_cells(
     ``entropy_estimate`` pipeline bit-for-bit.  When the pass reaches the
     largest n of the schedule, the admissibility diagnostics run on that live
     matrix at the smallest eps with the ``LIMIT_PC_*`` draws, so a seed's
-    report equals ``admissibility_report`` of ``average_metric(metric, system,
+    report equals ``admissibility_report`` of ``Average(metric, system,
     max(n_schedule))`` on the same m and seed.  No matrix outlives its step.
     """
     schedule = _validate_schedule(n_schedule)
@@ -209,7 +203,7 @@ def profile_cells(
                 cells[(est.eps, n, int(seed))] = est
             if n == schedule[-1]:
                 reports[int(seed)] = admit.matrix_report(
-                    system, average_metric(metric, system, n), sample, dist, seed=int(seed),
+                    system, Average(metric, system, n), sample, dist, seed=int(seed),
                     eps=min(grid), pc_n=LIMIT_PC_N, pc_trials=LIMIT_PC_TRIALS,
                 )
     return cells, reports
@@ -249,17 +243,12 @@ def assemble_profile(
 
 
 @dataclass(frozen=True)
-class SpectralVerdict:
-    verdict: str
-    per_eps: dict
-    basis: str
+class SpectralVerdict(Record):
+    """The verdict, and the growth class of each eps keyed by ``f"{eps:.17g}"``."""
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "per_eps": {f"{eps:.17g}": cls.to_json() for eps, cls in self.per_eps.items()},
-            "basis": self.basis,
-        }
+    verdict: str
+    per_eps: dict[str, GrowthClass]
+    basis: str
 
 
 GROWING_KINDS = ("Linear", "Polynomial", "Logarithmic")
@@ -274,7 +263,7 @@ def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
     """
     if len({p.eps for p in profiles}) < 2:
         return SpectralVerdict("Undetermined", {}, "needs >= 2 eps values")
-    per_eps = {p.eps: p.growth_class for p in profiles}
+    per_eps = {f"{p.eps:.17g}": p.growth_class for p in profiles}
     kinds = {cls.kind for cls in per_eps.values()}
     if kinds & set(GROWING_KINDS):
         verdict = "NotDiscreteEvidence"

@@ -596,7 +596,8 @@ def _orbit_sums(
 
 @dataclass(frozen=True)
 class Average(Semimetric):
-    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit."""
+    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit;
+    at the fixed points n = 1 and the identity map, ``inner``'s own values."""
 
     inner: Semimetric
     system: SystemSpec
@@ -607,6 +608,8 @@ class Average(Semimetric):
             raise ParameterError("averaging length must be >= 1")
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        if self.n == 1 or isinstance(self.system, Identity):
+            return self.inner.values(sample, rows)
         _, acc = next(_orbit_sums(self.inner, self.system, sample, rows, [self.n]))
         acc /= self.n
         return acc
@@ -620,20 +623,6 @@ class Average(Semimetric):
 
 
 DECODE.update(Semimetric=Semimetric.from_json, Partition=Partition.from_json)
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def average_metric(metric: Semimetric, system: SystemSpec, n: int) -> Semimetric:
-    """Arithmetic mean of the first n pull-backs of ``metric`` along the orbit.
-
-    The identity system is an exact fixed point of averaging, so it returns
-    the metric itself.
-    """
-    averaged = Average(metric, system, n)
-    return metric if n == 1 or isinstance(system, Identity) else averaged
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +672,7 @@ def streamed_average_matrices(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, pairwise matrix of the n-step orbit average) in one orbit pass.
 
-    Accumulation order matches ``average_metric(metric, system, n)`` exactly,
+    Accumulation order matches ``Average(metric, system, n)`` exactly,
     so the yielded matrices are bit-identical to the one-shot computation.
     """
     schedule = sorted(set(int(n) for n in n_values))

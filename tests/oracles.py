@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from orbent import (
-    AtomicMeasure, ParameterError, admissibility_report, atomic_entropy, average_metric,
+    AtomicMeasure, Average, ParameterError, admissibility_report, atomic_entropy,
     kantorovich_distance, sample_points,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
@@ -248,7 +248,7 @@ def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"
 def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
     """One seed's limit-check diagnostics with the n_big average recomputed."""
     return admissibility_report(
-        system, average_metric(metric, system, n_big), m=m, seed=seed, eps=eps,
+        system, Average(metric, system, n_big), m=m, seed=seed, eps=eps,
         pc_n=32, pc_trials=20,
     )
 

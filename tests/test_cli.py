@@ -128,7 +128,7 @@ class TestMalformedInput:
         ({"type": "ClosedForm", "tag": "no_such_tag"}, "metric"),
         # the skew product acts on 2-D points, the rotation sample is 1-D
         ({"type": "PullBack", "k": 2, "system": {"kind": "AnzaiSkew", "alpha": ALPHA},
-          "inner": {"type": "Euclidean1D"}}, None),
+          "inner": {"type": "Euclidean1D"}}, "metric"),
         ({"type": "Cutoff", "levle": 0.5, "level": 0.5, "inner": {"type": "Euclidean1D"}},
          "metric"),
         # number fields are strict: no truncation, no bools, no numeric strings
@@ -258,6 +258,27 @@ class TestMalformedInput:
         error = json.loads(result.stderr)["error"]
         assert error["code"] == "invalid_config"
         assert "[0, 2)" in error["message"]
+
+    @pytest.mark.parametrize("make_config, system, metric", [
+        (bernoulli_config, {"weights": [0.2, 0.3, 0.5]},
+         {"type": "Block", "partition": {"kind": "first_symbols", "count": 2, "alphabet": 2}}),
+        (bernoulli_config, {}, {"type": "Euclidean1D"}),
+        (rotation_config, {}, {"type": "FirstSymbolCut"}),
+        (rotation_config, {}, {"type": "PullBack", "k": 1, "inner": {"type": "Euclidean1D"},
+                               "system": {"kind": "BernoulliShift", "weights": [0.5, 0.5]}}),
+    ], ids=["three-symbols-block2", "shift-euclid", "rotation-cut", "rotation-shift-pullback"])
+    def test_metric_that_cannot_run_on_the_system_exits_2(self, tmp_path, make_config,
+                                                          system, metric):
+        raw = make_config(tmp_path / "out")
+        raw["system"].update(system)
+        raw["metric"] = metric
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stderr)["error"]["field"] == "metric"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["0", "abc"])
     def test_bad_worker_count_exits_2(self, tmp_path, flag):

@@ -21,6 +21,7 @@ from orbent.scaling import (
     UNDETERMINED,
     ProfileRow,
     ScalingProfile,
+    SpectralVerdict,
     growth_diagnostics,
     profile_cells,
 )
@@ -131,8 +132,8 @@ class TestScalingProfile:
         (BOUNDED, '{"kind": "Bounded"}'),
     ], ids=["polynomial", "bounded"])
     def test_growth_class_json_roundtrip(self, growth, blob):
-        # a None exponent is left out of the JSON
-        assert "from_json" not in vars(GrowthClass)
+        # a None exponent is left out of the JSON, by the codec's own rule
+        assert "from_json" not in vars(GrowthClass) and "to_json" not in vars(GrowthClass)
         assert json.dumps(growth.to_json()) == blob
         assert GrowthClass.from_json(json.loads(blob)) == growth
 
@@ -170,6 +171,21 @@ class TestVerdict:
             "verdict": "Undetermined", "per_eps": {}, "basis": "needs >= 2 eps values",
         }
 
+    def test_verdict_json_keys_eps_by_17_digits(self):
+        # the codec writes the verdict's dict of growth classes entry by entry
+        polynomial = GrowthClass("Polynomial", exponent=1.5)
+        verdict = discreteness_verdict(
+            [self._profile(0.25, BOUNDED), self._profile(0.1, polynomial)]
+        )
+        assert "to_json" not in vars(SpectralVerdict)
+        assert verdict.to_json() == {
+            "verdict": "NotDiscreteEvidence",
+            "per_eps": {"0.25": {"kind": "Bounded"},
+                        "0.10000000000000001": {"kind": "Polynomial", "exponent": 1.5}},
+            "basis": "entropy of the averaged metric grows with n at some eps",
+        }
+        assert SpectralVerdict.from_json(json.loads(json.dumps(verdict.to_json()))) == verdict
+
 
 def limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_class=None):
     """The limit check as the CLI makes it: each seed's orbit pass ends at
@@ -201,6 +217,16 @@ class TestLimitMetricCheck:
         )
         assert report.verdict == base.verdict
         assert report.ball_mass_fraction == base.ball_mass_fraction
+
+    def test_shift_reports_write_none_as_null(self, cut):
+        # these fields have no default, so a None is written as null, not left out
+        system = BernoulliShift([0.5, 0.5], horizon=40)
+        _, reports = profile_cells(system, cut, [8], 48, [1], [0.1])
+        assert '"trace_ok": null' in json.dumps(reports[1].to_json())
+        combined = limit_metric_check(8, [1], reports).to_json()
+        assert {key: value for key, value in combined.items() if value is None} == {
+            "trace_ok": None, "profile_class": None, "consistent": None,
+        }
 
 
 def as_json_text(report):

@@ -25,7 +25,6 @@ from orbent import (
     Semimetric,
     SystemSpec,
     TorusTranslation,
-    average_metric,
     distance_matrix,
     sample_points,
 )
@@ -139,12 +138,23 @@ class TestPullBack:
 
 class TestAverage:
     def test_single_term_is_same_metric(self, euclid, rotation):
-        assert average_metric(euclid, rotation, 1) is euclid
+        sample = sample_points(rotation, 32, 2)
+        assert Average(euclid, rotation, 1).pairwise(sample).tobytes() \
+            == euclid.pairwise(sample).tobytes()
 
     def test_identity_fixed_point(self, euclid, identity):
-        averaged = average_metric(euclid, identity, 9)
+        averaged = Average(euclid, identity, 9)
         sample = sample_points(identity, 32, 2)
         assert np.array_equal(averaged.pairwise(sample), euclid.pairwise(sample))
+
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("metric", [Euclidean1D(), CircleArc()], ids=["euclid", "arc"])
+    def test_identity_average_is_exact(self, metric, identity, n):
+        sample = sample_points(identity, 256, 5)
+        expected = metric.pairwise(sample).tobytes()
+        assert Average(metric, identity, n).pairwise(sample).tobytes() == expected
+        _, streamed = next(streamed_average_matrices(metric, identity, sample, [n]))
+        assert streamed.tobytes() == expected
 
     def test_identity_acts_on_shift_samples(self, identity):
         sample = sample_points(BernoulliShift([0.5, 0.5], horizon=8), 16, 4)
@@ -155,7 +165,7 @@ class TestAverage:
 
     def test_rotation_average_approaches_closed_form(self, euclid, rotation):
         # oracle: integral of |{x+t} - {y+t}| over a full turn is 2d(1-d)
-        averaged = average_metric(euclid, rotation, 4096)
+        averaged = Average(euclid, rotation, 4096)
         sample = sample_points(rotation, 64, 9)
         values = averaged.pairwise(sample)
         x = sample.coords[:, 0]
@@ -176,7 +186,7 @@ class TestAverage:
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_arc_is_averaging_fixed_point(self, arc, rotation, n):
-        averaged = average_metric(arc, rotation, n)
+        averaged = Average(arc, rotation, n)
         sample = sample_points(rotation, 40, 4)
         assert np.abs(averaged.pairwise(sample) - arc.pairwise(sample)).max() <= 1e-12
 
@@ -190,8 +200,8 @@ class TestAverage:
             sample = sample_points(system, 6, 5)
             metric = cut
         for n in (2, 5, 12):
-            avg_n = average_metric(metric, system, n)
-            avg_prev = average_metric(metric, system, n - 1)
+            avg_n = Average(metric, system, n)
+            avg_prev = Average(metric, system, n - 1)
             pulled = PullBack(metric, system, n - 1)
             lhs = n * avg_n.pairwise(sample)
             rhs = (n - 1) * avg_prev.pairwise(sample) + pulled.pairwise(sample)
@@ -201,7 +211,7 @@ class TestAverage:
         system = BernoulliShift([0.5, 0.5], horizon=24)
         a, b = "0110100110101011", "0101001101011010"
         n = 12
-        averaged = average_metric(cut, system, n)
+        averaged = Average(cut, system, n)
         expected = np.mean([a[k] != b[k] for k in range(n)])
         assert rho(averaged, syms(a, b)) == pytest.approx(expected, abs=1e-12)
 
@@ -209,7 +219,7 @@ class TestAverage:
         sample = sample_points(rotation, 24, 8)
         streamed = dict(streamed_average_matrices(euclid, rotation, sample, [1, 4, 16]))
         for n, values in streamed.items():
-            direct = average_metric(euclid, rotation, n).pairwise(sample)
+            direct = Average(euclid, rotation, n).pairwise(sample)
             assert np.array_equal(values, direct)
 
 
@@ -647,7 +657,7 @@ class TestDistanceMatrix:
         system = BernoulliShift([0.5, 0.5], horizon=40)
         sample = sample_points(system, 6, 10)
         n = 24
-        values = distance_matrix(average_metric(cut, system, n), sample).values
+        values = distance_matrix(Average(cut, system, n), sample).values
         window = sample.symbols[:, :n]
         for i in range(6):
             for j in range(6):
@@ -658,7 +668,7 @@ class TestDistanceMatrix:
 class TestSerialization:
     def test_nested_roundtrip(self, euclid):
         system = CircleRotation()
-        metric = average_metric(Cutoff(euclid, 0.8), system, 16)
+        metric = Average(Cutoff(euclid, 0.8), system, 16)
         blob = json.dumps(metric.to_json())
         again = Semimetric.from_json(json.loads(blob))
         assert again.label() == metric.label()
@@ -696,8 +706,7 @@ GOLDEN = [
      "PullBack[circle_arc;k=3;CircleRotation[alpha=0.20000000000000001]]",
      '{"inner": {"type": "CircleArc"}, "k": 3, '
      '"system": {"alpha": 0.2, "kind": "CircleRotation"}, "type": "PullBack"}'),
-    (lambda: average_metric(FirstSymbolCut(),
-                            BernoulliShift([0.5, 0.5], horizon=64), 8),
+    (lambda: Average(FirstSymbolCut(), BernoulliShift([0.5, 0.5], horizon=64), 8),
      "Average[first_symbol_cut;n=8;BernoulliShift[weights=0.5;0.5]]",
      '{"inner": {"type": "FirstSymbolCut"}, "n": 8, '
      '"system": {"horizon": 64, "kind": "BernoulliShift", "weights": [0.5, 0.5]}, '
