@@ -6,11 +6,12 @@ machine-readable error object on stderr), 3 numerical infeasibility.
 
 A config is a JSON object of eight fields: ``system`` and ``metric`` (tagged
 objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
-(arrays of integers), ``m`` (an integer), ``method`` and ``output_dir``
-(strings).  It decodes by the one codec of :mod:`orbent.dynsys`: numbers and
-strings are strict, an unknown key is refused, and an error's ``field`` is the
-top-level field at fault.  A shift's ``horizon`` is widened to cover the
-schedule, and a metric that cannot run on the system's points is refused.
+(arrays of integers; each seed lies in [0, 2**64)), ``m`` (an integer),
+``method`` and ``output_dir`` (strings).  It decodes by the one codec of
+:mod:`orbent.dynsys`: numbers and strings are strict, an unknown key is
+refused, and an error's ``field`` is the top-level field at fault.  A shift's
+``horizon`` is widened to cover the schedule, and a metric that cannot run on
+the system's points is refused.
 """
 from __future__ import annotations
 
@@ -21,15 +22,17 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import admit, scaling
-from .dynsys import BernoulliShift, Record, SystemSpec, sample_points
+from .dynsys import BernoulliShift, PointSample, Record, SystemSpec, sample_points
 from .entropy import ESTIMATORS
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
-from .semimetric import FirstSymbols, Partition, Semimetric
+from .semimetric import Semimetric
 
 # m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
 # a one-worker run grows by about 3.2 of them at m = 1024 and 2.6 at m = 2048
@@ -102,7 +105,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
                  f"{memory / 2 ** 30:.3g} GiB of physical memory",
         )
 
-    # a repeated seed would run twice and count twice in every median
+    # the sampler reads a seed modulo 2**64, so a seed outside [0, 2**64)
+    # would draw the samples of another; a repeated seed would run twice and
+    # count twice in every median
+    if any(not 0 <= seed < 2 ** 64 for seed in config.seeds):
+        raise ConfigError("seeds", "seeds must lie in [0, 2**64)")
     if len(set(config.seeds)) < len(config.seeds):
         raise ConfigError("seeds", "seeds must not repeat a value")
 
@@ -130,30 +137,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
                               f"with the matrices, more than the {memory / 2 ** 30:.3g} GiB "
                               "of physical memory")
 
-    # the metric must run on the system's points; two points need not show
-    # every symbol, so each first_symbols alphabet is checked against the shift
+    # the metric must run on the system's points; two sampled points need not
+    # show every symbol, so a shift's probe is its first and last symbol held
+    # constant along the window
     if isinstance(system, BernoulliShift):
-        symbols = len(system.weights)
-        for node in _tree(metric):
-            if isinstance(node, FirstSymbols) and node.alphabet < symbols:
-                raise ConfigError("metric", f"first_symbols reads symbols in [0, "
-                                            f"{node.alphabet}), the shift has {symbols}")
+        probe = PointSample(symbols=np.full((2, system.horizon),
+                                            [[0], [len(system.weights) - 1]], dtype=np.int8))
+    else:
+        probe = sample_points(system, 2, 0)
     try:
-        metric.pairwise(sample_points(system, 2, 0))
+        metric.pairwise(probe)
     except OrbentError as exc:
         raise ConfigError("metric",
                           f"the metric cannot run on {system.kind} points: {exc}") from exc
 
     return replace(config, system=system, method=method)
-
-
-def _tree(node):
-    """``node`` and every metric and partition node under it."""
-    yield node
-    for f in fields(node):
-        child = getattr(node, f.name)
-        if isinstance(child, (Semimetric, Partition)):
-            yield from _tree(child)
 
 
 def load_config(path) -> ExperimentConfig:

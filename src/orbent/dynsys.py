@@ -218,7 +218,7 @@ class BernoulliShift(SystemSpec):
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if len(w) < 2 or np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        if len(w) < 2 or not (np.all(w > 0.0) and abs(float(w.sum()) - 1.0) <= _WEIGHT_TOL):
             raise ParameterError(f"Bernoulli weights must be two or more positive numbers "
                                  f"summing to 1 within {_WEIGHT_TOL}, got {self.weights!r}")
         if len(w) > MAX_SHIFT_SYMBOLS:

@@ -30,7 +30,8 @@ tail relies on a contract of ``values``: a node's value on a pair depends only
 on those two points, so it is the same on the tail as on the whole sample.
 Each block adds its orbit steps into its own C-contiguous accumulator, since
 adding into a strided view of the m x m matrix costs NumPy an iteration per
-row; the matrix is written from the blocks only at a schedule point.
+row; at a schedule point ``_orbit_means`` divides the blocks into the matrix,
+and at its fixed points, n = 1 and the identity map, it takes one step only.
 
 The same contract lets a sample carry leading axes: ``PointSample`` points of
 shape (..., m, dim) or (..., m, width) stack independent samples, every node
@@ -252,7 +253,7 @@ class Semimetric(Tagged, ABC):
         """Full m-by-m value matrix with exact symmetry and zero diagonal,
         mirrored from its upper triangle, which is evaluated in row blocks;
         shape (..., m, m) for a sample with leading axes."""
-        return _symmetrize(next(_orbit_sums(self, Identity(), sample, None, [1]))[1])
+        return _symmetrize(next(_orbit_means(self, Identity(), sample, None, [1]))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +560,19 @@ def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:
             acc += np.bitwise_count(diff)
 
 
-def _orbit_sums(
+def _orbit_means(
     inner: Semimetric, system: SystemSpec, sample: PointSample, rows: Optional[np.ndarray],
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, sum of the first n pull-backs of ``inner``) along an ascending
-    schedule, each sum in a fresh array.  Each block (``_tiles``) adds into
-    its own contiguous accumulator, and the blocks are written into the
-    yielded array only at a schedule point.  ``rows`` None sums the whole
-    matrix on and above the diagonal, block by block; below it only a
-    block's diagonal square is written, and the rest is left unset.
-    A cut on a shift adds exact integer counts of its differing steps, chunk by
-    chunk, so its sum is bit-identical to adding its 0/1 matrices step by step."""
+    """Yield (n, mean of the first n pull-backs of ``inner``) along an
+    ascending schedule, each in a fresh array.  Each block (``_tiles``) adds
+    into its own contiguous accumulator, divided by the steps taken into the
+    yielded array at a schedule point.  ``rows`` None averages the whole
+    matrix on and above the diagonal, block by block; below it only a block's
+    diagonal square is written, and the rest is left unset.  The identity map
+    takes one step for every n, so there, as at n = 1, the mean is ``inner``'s
+    values bit for bit.  A cut on a shift adds exact integer counts of its
+    differing steps, chunk by chunk, as adding its 0/1 matrices would."""
     cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
     lead, m = sample.points.shape[:-2], sample.m
     tiles = _tiles(sample, rows)
@@ -578,20 +580,21 @@ def _orbit_sums(
     steps = 0
     chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(lead) * m, 1)), 1)
     for n in schedule:
+        end = 1 if isinstance(system, Identity) else n
         if cut:
-            for start in range(steps, n, chunk):
-                _add_cut_counts(tiles, _window_keys(inner, sample, start, min(start + chunk, n)))
-            steps = max(steps, n)
-        while steps < n:
+            for start in range(steps, end, chunk):
+                _add_cut_counts(tiles, _window_keys(inner, sample, start, min(start + chunk, end)))
+            steps = max(steps, end)
+        while steps < end:
             if steps:
                 state = advance_sample(state, 1, system)
             for acc, a, tail_rows in tiles:
                 acc += inner.values(_tail(state, a) if a else state, tail_rows)
             steps += 1
-        sums = np.empty(lead + (m if rows is None else len(rows), m))
+        means = np.empty(lead + (m if rows is None else len(rows), m))
         for acc, a, _ in tiles:
-            sums[..., a:a + acc.shape[-2], a:] = acc
-        yield n, sums
+            np.divide(acc, steps, out=means[..., a:a + acc.shape[-2], a:])
+        yield n, means
 
 
 @dataclass(frozen=True)
@@ -608,11 +611,7 @@ class Average(Semimetric):
             raise ParameterError("averaging length must be >= 1")
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        if self.n == 1 or isinstance(self.system, Identity):
-            return self.inner.values(sample, rows)
-        _, acc = next(_orbit_sums(self.inner, self.system, sample, rows, [self.n]))
-        acc /= self.n
-        return acc
+        return next(_orbit_means(self.inner, self.system, sample, rows, [self.n]))[1]
 
     def label(self) -> str:
         return f"Average[{self.inner.label()};n={self.n};{self.system.label()}]"
@@ -678,12 +677,5 @@ def streamed_average_matrices(
     schedule = sorted(set(int(n) for n in n_values))
     if not schedule or schedule[0] < 1:
         raise ParameterError("average lengths must be >= 1")
-    if isinstance(system, Identity):
-        base = metric.pairwise(sample)
-        for n in schedule:
-            yield n, base.copy()
-        return
-    for n, sums in _orbit_sums(metric, system, sample, None, schedule):
-        # a mirrored value is the same bits as its original, so mirroring
-        # before the division equals mirroring after it
-        yield n, np.divide(_symmetrize(sums), n, out=sums)
+    for n, means in _orbit_means(metric, system, sample, None, schedule):
+        yield n, _symmetrize(means)

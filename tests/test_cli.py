@@ -212,6 +212,38 @@ class TestMalformedInput:
         assert "repeat" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds", [[1, 2 ** 64 + 1, 3], [2 ** 64 - 1, -1, 3]],
+                             ids=["past-2**64", "negative"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, seeds):
+        # the sampler reads seeds modulo 2**64, so each list names one seed twice
+        raw = rotation_config(tmp_path / "out")
+        raw["seeds"] = seeds
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)["error"]
+        assert error["field"] == "seeds"
+        assert "2**64" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_64_bit_seeds_are_accepted(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["seeds"] = [0, 2 ** 64 - 1, 5]
+        assert parse_config(raw).seeds == (0, 2 ** 64 - 1, 5)
+
+    def test_nan_weight_exits_2(self, tmp_path):
+        raw = bernoulli_config(tmp_path / "out")
+        raw["system"]["weights"] = [float("nan"), 1.0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))  # JSON's NaN token, which json.load accepts
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stderr)["error"]["field"] == "system"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("system", "CircleRotation"), ("metric", ["CircleArc"]), ("eps_grid", "0.25"),
         ("n_schedule", {"n": 4}), ("m", "64"), ("seeds", "5"), ("method", 5),

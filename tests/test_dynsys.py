@@ -115,6 +115,11 @@ class TestSampling:
             BernoulliShift([0.5, 0.6])
         with pytest.raises(ParameterError):
             BernoulliShift([1.0, 0.0])
+        # every comparison with NaN is False, so a NaN weight must fail a test
+        # that requires it to pass, not pass one that looks for a fault
+        for weights in ([float("nan"), 1.0], [0.5, 0.5, float("nan")]):
+            with pytest.raises(ParameterError):
+                BernoulliShift(weights)
 
     def test_integer_angle_rejected(self):
         with pytest.raises(ParameterError):

@@ -43,7 +43,7 @@ from orbent.semimetric import (
     Zero,
     _Cut,
     _differences,
-    _orbit_sums,
+    _orbit_means,
     _symmetrize,
     _window_keys,
     streamed_average_matrices,
@@ -148,9 +148,12 @@ class TestAverage:
         assert np.array_equal(averaged.pairwise(sample), euclid.pairwise(sample))
 
     @pytest.mark.parametrize("n", [3, 7])
-    @pytest.mark.parametrize("metric", [Euclidean1D(), CircleArc()], ids=["euclid", "arc"])
-    def test_identity_average_is_exact(self, metric, identity, n):
-        sample = sample_points(identity, 256, 5)
+    @pytest.mark.parametrize("metric, points", [
+        (Euclidean1D(), Identity()), (CircleArc(), Identity()),
+        (FirstSymbolCut(), BernoulliShift([0.5, 0.5], horizon=8)),
+    ], ids=["euclid", "arc", "cut-on-shift-sample"])
+    def test_identity_average_is_exact(self, metric, points, identity, n):
+        sample = sample_points(points, 256, 5)
         expected = metric.pairwise(sample).tobytes()
         assert Average(metric, identity, n).pairwise(sample).tobytes() == expected
         _, streamed = next(streamed_average_matrices(metric, identity, sample, [n]))
@@ -333,11 +336,10 @@ class TestCutPopcount:
             sample = sample_points(system, m, 5)
             for rows in (np.arange(m), np.array(subset)):
                 expected = list(stepwise_orbit_sums(cut, system, sample, rows, schedule))
-                got = [(n, acc.copy())
-                       for n, acc in _orbit_sums(cut, system, sample, rows, schedule)]
+                got = list(_orbit_means(cut, system, sample, rows, schedule))
                 assert [n for n, _ in got] == schedule
-                for (_, acc), (_, reference) in zip(got, expected):
-                    assert acc.tobytes() == reference.tobytes()
+                for (n, mean), (_, reference) in zip(got, expected):
+                    assert mean.tobytes() == (reference / n).tobytes()
                 n, reference = expected[-1]
                 averaged = Average(cut, system, n).values(sample, rows)
                 assert averaged.tobytes() == (reference / n).tobytes()
@@ -355,9 +357,9 @@ class TestCutPopcount:
                 continue
             sample = sample_points(system, 13, 5)
             for schedule in ([63, 64, 65, 191, 193, 400], SCHEDULES["doubling"]):
-                got = [acc.copy() for _, acc in _orbit_sums(cut, system, sample, rows, schedule)]
+                got = [mean for _, mean in _orbit_means(cut, system, sample, rows, schedule)]
                 expected = stepwise_orbit_sums(cut, system, sample, rows, schedule)
-                assert [a.tobytes() for a in got] == [b.tobytes() for _, b in expected], name
+                assert [a.tobytes() for a in got] == [(b / n).tobytes() for n, b in expected], name
 
 
 class TestCutGuards:
@@ -369,7 +371,7 @@ class TestCutGuards:
         short = BernoulliShift([0.5, 0.5], horizon=need - 1)
         sample = sample_points(short, 6, 2)
         rows = np.arange(6)
-        for sums in (_orbit_sums(cut, short, sample, rows, schedule),
+        for sums in (_orbit_means(cut, short, sample, rows, schedule),
                      stepwise_orbit_sums(cut, short, sample, rows, schedule)):
             for n in schedule[:-1]:
                 assert next(sums)[0] == n
@@ -377,9 +379,9 @@ class TestCutGuards:
                 next(sums)
         exact = replace(short, horizon=need)
         sample = sample_points(exact, 6, 2)
-        got = [acc.copy() for _, acc in _orbit_sums(cut, exact, sample, rows, schedule)]
-        expected = [acc for _, acc in stepwise_orbit_sums(cut, exact, sample, rows, schedule)]
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+        got = [mean for _, mean in _orbit_means(cut, exact, sample, rows, schedule)]
+        expected = stepwise_orbit_sums(cut, exact, sample, rows, schedule)
+        assert [a.tobytes() for a in got] == [(b / n).tobytes() for n, b in expected]
 
     @pytest.mark.parametrize("symbols", [
         np.arange(-100, 101, dtype=np.int8), np.arange(-7, 3),
@@ -428,14 +430,15 @@ class TestCutGuards:
         sample = sample_points(system, m, 6)
         tracemalloc.start()
         try:
-            _, acc = next(_orbit_sums(FirstSymbolCut(), system, sample, np.arange(m), [n]))
+            _, mean = next(_orbit_means(FirstSymbolCut(), system, sample, np.arange(m), [n]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one int64 key per point and step would need 8 * m * n bytes
         assert peak < m * n
         s = sample.symbols[:, :n]
-        assert np.array_equal(acc, [np.count_nonzero(s[i] != s, axis=1) for i in range(m)])
+        counts = np.array([np.count_nonzero(s[i] != s, axis=1) for i in range(m)])
+        assert mean.tobytes() == (counts / n).tobytes()
 
     def test_window_keys_equal_stepped_keys(self):
         cuts = {
@@ -490,10 +493,10 @@ class TestTiles:
         for m in (1, 2, tile - 1, tile + 1, 3 * tile + 5):
             sample = sample_points(system, m, 9)
             full = list(stepwise_orbit_sums(node, system, sample, np.arange(m), schedule))
-            got = [(n, acc.copy()) for n, acc in _orbit_sums(node, system, sample, None, schedule)]
+            got = list(_orbit_means(node, system, sample, None, schedule))
             assert [n for n, _ in got] == schedule
-            for (_, acc), (_, reference) in zip(got, full):
-                assert np.triu(acc).tobytes() == np.triu(reference).tobytes()
+            for (n, mean), (_, reference) in zip(got, full):
+                assert np.triu(mean).tobytes() == np.triu(reference / n).tobytes()
             streamed = streamed_average_matrices(node, system, sample, schedule)
             for (n, values), (_, reference) in zip(streamed, full, strict=True):
                 assert values.tobytes() == mirror_upper(reference / n).tobytes()
@@ -508,12 +511,14 @@ class TestTiles:
                              (shift, FirstSymbolCut()), (shift, Discrete())):
             sample = sample_points(system, 23, 4)
             _, reference = next(stepwise_orbit_sums(node, system, sample, rows, [6]))
-            _, acc = next(_orbit_sums(node, system, sample, rows, [6]))
-            assert acc.tobytes() == reference.tobytes()
+            _, mean = next(_orbit_means(node, system, sample, rows, [6]))
+            assert mean.tobytes() == (reference / 6).tobytes()
             got = Average(node, system, 6).values(sample, rows)
             assert got.shape == (5, 23)
-            assert got.tobytes() == (reference / 6).tobytes()
+            assert got.tobytes() == mean.tobytes()
             assert np.count_nonzero(got[0, :22]), node.label()  # row 22 below the diagonal
+            fixed = Average(node, Identity(), 6).values(sample, rows)
+            assert fixed.tobytes() == node.values(sample, rows).tobytes(), node.label()
 
 
 def _stacked_cases():
