@@ -11,8 +11,10 @@ its bundle in ``<work>/<side>/<name>/w<workers>``; an extra config is named by
 its file stem.  The six bundle files must be byte-identical between the
 checkouts at each worker count, and the w1 bundle must equal the w2 bundle in
 each checkout.  config.json is compared without its ``output_dir``.  One line
-per case names every differing file; the exit code is 1 when any file differs
-or any run fails, else 0.
+per case names every differing file, and an indented line after it names
+the dotted keys that differ in each differing JSON file, for example
+``admissibility.json: base.pc_probability, base.verdict``; the exit code is 1
+when any file differs or any run fails, else 0.
 """
 from __future__ import annotations
 
@@ -79,18 +81,49 @@ def differing_files(dir_a: Path, dir_b: Path) -> list[str]:
             or _file_bytes(dir_a / name) != _file_bytes(dir_b / name)]
 
 
-def compare_case(work: Path, name: str) -> list[str]:
-    """The difference lines of one case whose bundles are all written."""
+def differing_keys(a, b, path: str = "") -> list[str]:
+    """Dotted paths of the values that differ between two decoded JSON
+    values; a key on one side only, or a list of another length, is one
+    path, and list entries are named by their index."""
+    def sub(key) -> str:
+        return f"{path}.{key}" if path else str(key)
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(set(a) | set(b)) for p in (
+            differing_keys(a[key], b[key], sub(key)) if key in a and key in b else [sub(key)])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in differing_keys(x, y, sub(i))]
+    return [] if type(a) is type(b) and a == b else [path or "(top level)"]
+
+
+def key_lines(dir_a: Path, dir_b: Path, names: list[str]) -> list[str]:
+    """One line per differing JSON file that both bundles hold, naming the
+    differing keys."""
     lines = []
-    for workers in WORKERS:
-        a, b = (work / side / name / f"w{workers}" for side in SIDES)
+    for name in names:
+        if not name.endswith(".json"):
+            continue
+        try:
+            a, b = (json.loads(_file_bytes(d / name)) for d in (dir_a, dir_b))
+        except (TypeError, ValueError):  # missing from a bundle, or not JSON
+            continue
+        lines.append(f"  {name}: {', '.join(differing_keys(a, b)) or 'layout only'}")
+    return lines
+
+
+def compare_case(work: Path, name: str) -> list[str]:
+    """The difference lines of one case whose bundles are all written, each
+    JSON file's differing keys on an indented line after it."""
+    pairs = [(f"parent/w{w} vs change/w{w}", *(work / side / name / f"w{w}" for side in SIDES))
+             for w in WORKERS]
+    pairs += [(f"{side}/w1 vs {side}/w2", *(work / side / name / f"w{w}" for w in WORKERS))
+              for side in SIDES]
+    lines = []
+    for label, a, b in pairs:
         diff = differing_files(a, b)
         if diff:
-            lines.append(f"{name}: parent/w{workers} vs change/w{workers}: {' '.join(diff)}")
-    for side in SIDES:
-        diff = differing_files(*(work / side / name / f"w{w}" for w in WORKERS))
-        if diff:
-            lines.append(f"{name}: {side}/w1 vs {side}/w2: {' '.join(diff)}")
+            lines.append(f"{name}: {label}: {' '.join(diff)}")
+            lines += key_lines(a, b, diff)
     return lines
 
 

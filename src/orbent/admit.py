@@ -9,7 +9,7 @@ aggregates them into a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,13 +136,13 @@ def random_matrix_test(
     separated set (``greedy_separated_size``) holds ceil(c*n) indices pairwise
     at distance >= c.
 
-    Trial t draws its points with ``sample_points`` from its own seed, derived
-    from ``seed`` and t.  The draws are stacked into one sample of shape
-    (trials, n, ...), so one ``metric.pairwise`` call, one orbit pass for an
-    average, evaluates every trial; a value depends only on its pair, so each
-    trial's matrix is the one its own sample would give.  Symbol windows keep
-    only the ``metric.symbols_read`` symbols that the metric can read, so a
-    cut's stacked trials hold a few symbols per point, not the whole window.
+    One ``system.sample`` call on ``derive_rng(seed, 977)`` draws the points
+    of every trial, trials * n of them, reshaped to (trials, n, ...), and one
+    ``metric.pairwise`` call, one orbit pass for an average, evaluates every
+    trial; a value depends only on its pair, so each trial's matrix is the
+    one its own points would give.  On a shift the draw's windows hold only
+    the ``metric.symbols_read(horizon)`` symbols the metric can read, so the
+    frequency does not depend on how many symbols the system stores.
 
     The largest separated set is at least as large as the first-fit one, so
     the frequency is a lower bound on the probability of the event.  When
@@ -157,15 +157,10 @@ def random_matrix_test(
     required = max(1, math.ceil(c * n))
     if required <= 1:
         return 1.0
-    points = None
-    for t in range(trials):
-        drawn = sample_points(system, n, int(derive_rng(seed, 977, t).integers(0, 2 ** 62)))
-        kept = drawn.points
-        if drawn.is_symbolic:
-            kept = kept[..., :metric.symbols_read(kept.shape[-1])]
-        if points is None:  # filled in place, so no second copy of the draws is made
-            points = np.empty((trials,) + kept.shape, kept.dtype)
-        points[t] = kept
+    if system.is_symbolic:  # a shift stores one symbol at least
+        system = replace(system, horizon=max(1, metric.symbols_read(system.horizon)))
+    drawn = system.sample(trials * n, derive_rng(seed, 977))
+    points = drawn.points.reshape(trials, n, -1)
     stacked = PointSample(symbols=points) if drawn.is_symbolic else PointSample(coords=points)
     separated = metric.pairwise(stacked) >= c
     hits = sum(greedy_separated_size(trial) >= required for trial in separated)

@@ -126,7 +126,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         if system.horizon < needed:
             system = replace(system, horizon=needed)
         # int8 windows held at once: the sample's, the larger test's stacked
-        # separated-set trials (a base report keeps the symbols its metric
+        # separated-set trials (a base report draws the symbols its metric
         # reads, a limit report whole windows) and the sampler's float64 row
         h = system.horizon
         need += m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
@@ -154,7 +154,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return replace(config, system=system, method=method)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, output_dir: Optional[str] = None) -> ExperimentConfig:
+    """The config at ``path``; a given ``output_dir`` replaces its own before the checks."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -162,6 +163,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config", f"cannot read config {path}: {exc.strerror}") from exc
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from exc
+    if output_dir is not None and isinstance(obj, dict):
+        obj = {**obj, "output_dir": output_dir}
     return parse_config(obj)
 
 
@@ -235,36 +238,39 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
         "admissibility": out / "admissibility.json",
     }
 
-    _dump_json(paths["config"], config.to_json())
+    try:  # a bundle file that cannot be written, e.g. a directory by its name
+        _dump_json(paths["config"], config.to_json())
 
-    system_label = config.system.label()
-    metric_label = config.metric.label()
-    with open(paths["rows"], "w", newline="") as rows_fh, \
-            open(paths["estimates"], "w", newline="") as estimates_fh:
-        rows_csv = csv.writer(rows_fh)
-        estimates_csv = csv.writer(estimates_fh)
-        rows_csv.writerow(ROWS_CSV_HEADER)
-        estimates_csv.writerow(ESTIMATES_CSV_HEADER)
-        for eps in config.eps_grid:
-            for n in config.n_schedule:
-                for seed in config.seeds:
-                    est = cells[(float(eps), int(n), int(seed))]
-                    rows_csv.writerow([
-                        system_label, metric_label, f"{eps:.17g}", n, seed,
-                        config.method, f"{est.value_bits:.17g}",
-                    ])
-                    estimates_csv.writerow([
-                        system_label, metric_label, est.method, n, f"{est.eps:.17g}",
-                        est.sample_size, est.seed, est.k,
-                        f"{est.value_bits:.17g}", f"{est.lower_bound_bits:.17g}",
-                    ])
+        system_label = config.system.label()
+        metric_label = config.metric.label()
+        with open(paths["rows"], "w", newline="") as rows_fh, \
+                open(paths["estimates"], "w", newline="") as estimates_fh:
+            rows_csv = csv.writer(rows_fh)
+            estimates_csv = csv.writer(estimates_fh)
+            rows_csv.writerow(ROWS_CSV_HEADER)
+            estimates_csv.writerow(ESTIMATES_CSV_HEADER)
+            for eps in config.eps_grid:
+                for n in config.n_schedule:
+                    for seed in config.seeds:
+                        est = cells[(float(eps), int(n), int(seed))]
+                        rows_csv.writerow([
+                            system_label, metric_label, f"{eps:.17g}", n, seed,
+                            config.method, f"{est.value_bits:.17g}",
+                        ])
+                        estimates_csv.writerow([
+                            system_label, metric_label, est.method, n, f"{est.eps:.17g}",
+                            est.sample_size, est.seed, est.k,
+                            f"{est.value_bits:.17g}", f"{est.lower_bound_bits:.17g}",
+                        ])
 
-    _dump_json(paths["profile"], {"profiles": [p.to_json() for p in profiles]})
-    _dump_json(paths["verdict"], verdict.to_json())
-    _dump_json(paths["admissibility"], {
-        "base": base_report.to_json(),
-        "averaged": limit_report.to_json(),
-    })
+        _dump_json(paths["profile"], {"profiles": [p.to_json() for p in profiles]})
+        _dump_json(paths["verdict"], verdict.to_json())
+        _dump_json(paths["admissibility"], {
+            "base": base_report.to_json(),
+            "averaged": limit_report.to_json(),
+        })
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot write {exc.filename}: {exc.strerror}") from exc
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -426,9 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.verb == "run":
-            config = load_config(args.config)
-            if args.output_dir:
-                config = replace(config, output_dir=args.output_dir)
+            config = load_config(args.config, args.output_dir)
             paths = run_experiment(config, workers=_workers(args.workers))
             print(json.dumps(paths, indent=2, sort_keys=True))
             return 0

@@ -17,8 +17,9 @@ covering reference recounts the uncovered points of every ball in every
 greedy round.  The profile reference is the one-eps profile built from the
 library's cells.  The sampler reference draws a whole sample in one call:
 ``rng.random`` for coordinates, ``rng.choice`` over every symbol of a shift.
-The separated-set reference evaluates each trial's sample with its own
-``pairwise`` call instead of one call on the stacked trials.
+The separated-set reference draws every trial in one such call, over the
+symbols its metric reads, and evaluates each trial with its own ``pairwise``
+call instead of one call on the stacked trials.
 """
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from orbent import (
     AtomicMeasure, Average, ParameterError, admissibility_report, atomic_entropy,
-    kantorovich_distance, sample_points,
+    kantorovich_distance,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
 from orbent.dynsys import PointSample, advance_sample, derive_rng
@@ -332,17 +333,22 @@ def reference_sample(system, m, seed):
 
 
 def reference_random_matrix_test(metric, system, c, n, trials, seed):
-    """``random_matrix_test`` with one ``pairwise`` call per trial, on that
-    trial's own sample."""
+    """``random_matrix_test`` with the trials drawn in one call, like
+    ``reference_sample`` but over the symbols the metric reads, and one
+    ``pairwise`` call per trial, on that trial's own points."""
     required = max(1, math.ceil(c * n))
     if required <= 1:
         return 1.0
-    hits = 0
-    for t in range(trials):
-        trial_seed = int(derive_rng(seed, 977, t).integers(0, 2 ** 62))
-        sample = sample_points(system, n, trial_seed)
-        if greedy_separated_size(metric.pairwise(sample) >= c) >= required:
-            hits += 1
+    rng = derive_rng(seed, 977)
+    if system.is_symbolic:
+        w = np.asarray(system.weights, dtype=float)
+        width = metric.symbols_read(system.horizon)
+        draws = rng.choice(len(w), size=(trials, n, width), p=w).astype(np.int8)
+        samples = [PointSample(symbols=points) for points in draws]
+    else:
+        samples = [PointSample(coords=points) for points in rng.random((trials, n, system.dim))]
+    hits = sum(greedy_separated_size(metric.pairwise(sample) >= c) >= required
+               for sample in samples)
     return hits / trials
 
 

@@ -185,6 +185,30 @@ class TestSeparatedSets:
         assert stacked.shape == (trials, n, n)
         assert stacked.tobytes() == np.stack(matrices).tobytes()
 
+    @pytest.mark.parametrize("metric, width", [
+        (FirstSymbolCut(), 1), (Block(FirstSymbols(2, alphabet=2)), 2),
+    ], ids=["first_symbol_cut", "first_symbols2"])
+    def test_cut_draws_once_only_the_symbols_it_reads(self, monkeypatch, metric, width):
+        draws = []
+        sample = BernoulliShift.sample
+
+        def recorded(self, m, rng):
+            drawn = sample(self, m, rng)
+            draws.append(drawn.symbols.shape)
+            return drawn
+
+        monkeypatch.setattr(BernoulliShift, "sample", recorded)
+        system = BernoulliShift([0.5, 0.5], horizon=1026)
+        random_matrix_test(metric, system, SEPARATION_C, 64, 50, 7)
+        assert draws == [(50 * 64, width)]
+
+    def test_frequency_does_not_depend_on_stored_window(self):
+        metric = Block(FirstSymbols(7, alphabet=2))
+        freqs = {horizon: random_matrix_test(metric, BernoulliShift([0.8, 0.2], horizon=horizon),
+                                             SEPARATION_C, 64, 50, 1)
+                 for horizon in (7, 16, 128, 1026)}
+        assert len(set(freqs.values())) == 1, freqs
+
     def test_validation(self, euclid, identity):
         with pytest.raises(ParameterError):
             random_matrix_test(euclid, identity, 1.5, 8, 2, 0)

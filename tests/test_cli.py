@@ -356,6 +356,22 @@ class TestMalformedInput:
         assert error["field"] == field
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["bundle-file-is-directory", "output-dir-flag-empty"])
+    def test_output_dir_errors_exit_2(self, tmp_path, case):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(tmp_path / "out")))
+        if case == "bundle-file-is-directory":
+            (tmp_path / "out" / "rows.csv").mkdir(parents=True)
+            result = run_cli("run", str(path))
+        else:
+            result = run_cli("run", str(path), "--output-dir", "")
+            assert not (tmp_path / "out").exists()
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)["error"]
+        assert error["code"] == "invalid_config"
+        assert error["field"] == "output_dir"
+
     def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
         raw = bernoulli_config(tmp_path / "out")
         raw["m"] = 16

@@ -47,6 +47,41 @@ class TestDifferingFiles:
         assert compare_presets.differing_files(tmp_path / "a", tmp_path / "b") == ["verdict.json"]
 
 
+class TestDifferingKeys:
+    def test_dotted_paths(self):
+        a = {"base": {"pc_probability": 0.84, "verdict": "Inconclusive", "c": 0.4},
+             "averaged": {"per_seed": [{"seed": 1}, {"seed": 2}], "trace_curve": [1, 2]},
+             "only_a": 1, "count": 1}
+        b = {"base": {"pc_probability": 0.96, "verdict": "NotAdmissibleEvidence", "c": 0.4},
+             "averaged": {"per_seed": [{"seed": 1}, {"seed": 3}], "trace_curve": [1]},
+             "count": 1.0}
+        assert compare_presets.differing_keys(a, b) == [
+            "averaged.per_seed.1.seed", "averaged.trace_curve", "base.pc_probability",
+            "base.verdict", "count", "only_a",
+        ]
+        assert compare_presets.differing_keys(a, a) == []
+        assert compare_presets.differing_keys([1], [2]) == ["0"]
+        assert compare_presets.differing_keys(1, 2) == ["(top level)"]
+
+    def test_case_lines_name_the_keys_of_json_files(self, tmp_path):
+        work = tmp_path / "work"
+        for side in compare_presets.SIDES:
+            pc, verdict = (0.84, "Inconclusive") if side == "parent" else (0.96, "Admissible")
+            for workers in compare_presets.WORKERS:
+                bundle = work / side / "case" / f"w{workers}"
+                write_bundle(bundle, rows=f"n,value_bits\n1,{workers}\n")
+                (bundle / "admissibility.json").write_text(json.dumps(
+                    {"base": {"c": 0.4, "pc_probability": pc, "verdict": verdict}}))
+        assert compare_presets.compare_case(work, "case") == [
+            "case: parent/w1 vs change/w1: admissibility.json",
+            "  admissibility.json: base.pc_probability, base.verdict",
+            "case: parent/w2 vs change/w2: admissibility.json",
+            "  admissibility.json: base.pc_probability, base.verdict",
+            "case: parent/w1 vs parent/w2: rows.csv",
+            "case: change/w1 vs change/w2: rows.csv",
+        ]
+
+
 class TestMain:
     def run_main(self, monkeypatch, tmp_path, rows_of):
         """main() over two presets, with each run writing the bundle that
