@@ -119,13 +119,16 @@ def greedy_separated_size(separated: np.ndarray) -> int:
     """Size of the first-fit maximal index set whose pairs are all ``separated``.
 
     Index i joins when it is separated from every index chosen before it.
+    ``separated`` must be exactly symmetric, as ``values > eps`` of a
+    :class:`~orbent.semimetric.DistanceMatrix` or ``pairwise >= c`` is: a
+    joining index's row, contiguous in C order, stands for its column.
     """
     candidates = np.ones(separated.shape[0], dtype=bool)
     size = 0
     for i in range(separated.shape[0]):
         if candidates[i]:
             size += 1
-            candidates &= separated[:, i]
+            candidates &= separated[i]
     return size
 
 

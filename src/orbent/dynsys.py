@@ -133,12 +133,19 @@ class Tagged:
 class SystemSpec(Tagged):
     """A measure-preserving transformation.  A map of coordinates implements
     ``step(coords)``; the base checks every float field as an angle and
-    samples uniform coordinates."""
+    samples uniform coordinates.
+
+    A map of the torus that is affine, T p = A p + b (mod 1) with one b for
+    every point, declares its linear part A in ``shear``: each pair (i, j)
+    adds coordinate j, which A fixes, to coordinate i, and A fixes every
+    coordinate that no pair names.  So T^k p - A^k p is one vector for all
+    points.  ``()`` is a translation; None, the default, declares nothing."""
 
     tag_key = "kind"
     registry = {}
     dim: ClassVar[Optional[int]] = None  # coordinate dimension; None if symbolic
     is_symbolic: ClassVar[bool] = False
+    shear: ClassVar[Optional[tuple[tuple[int, int], ...]]] = None
 
     @property
     def kind(self) -> str:
@@ -168,6 +175,7 @@ class CircleRotation(SystemSpec):
     alpha: float = GOLDEN_FRAC
 
     dim = 1
+    shear = ()
 
     def step(self, coords: np.ndarray) -> np.ndarray:
         return (coords + self.alpha) % 1.0
@@ -179,6 +187,7 @@ class TorusTranslation(SystemSpec):
     beta: float = SQRT2_FRAC
 
     dim = 2
+    shear = ()
 
     def step(self, coords: np.ndarray) -> np.ndarray:
         return (coords + np.array([self.alpha, self.beta])) % 1.0
@@ -186,11 +195,14 @@ class TorusTranslation(SystemSpec):
 
 @dataclass(frozen=True)
 class AnzaiSkew(SystemSpec):
-    """(x, y) -> (x + alpha, y + x) on the 2-torus."""
+    """(x, y) -> (x + alpha, y + x) on the 2-torus.  Its linear part
+    (x, y) -> (x, y + x) fixes x and adds x to y, so T^k (x, y) is
+    (x, y + k x) plus (k alpha, alpha k (k - 1) / 2), the same for all points."""
 
     alpha: float = GOLDEN_FRAC
 
     dim = 2
+    shear = ((1, 0),)
 
     def step(self, coords: np.ndarray) -> np.ndarray:
         out = np.empty_like(coords)

@@ -30,8 +30,14 @@ tail relies on a contract of ``values``: a node's value on a pair depends only
 on those two points, so it is the same on the tail as on the whole sample.
 Each block adds its orbit steps into its own C-contiguous accumulator, since
 adding into a strided view of the m x m matrix costs NumPy an iteration per
-row; at a schedule point ``_orbit_means`` divides the blocks into the matrix,
-and at its fixed points, n = 1 and the identity map, it takes one step only.
+row; at a schedule point ``_orbit_means`` divides the blocks into the matrix.
+At its fixed points it takes one step only, so the mean is the inner node's
+values bit for bit: at n = 1, under the identity map, and for an arc node
+(``CircleArc``, ``TorusArcL1``) under a map whose linear part fixes every
+coordinate the node reads, such as a rotation or a torus translation.  An arc
+node is a sum of per-coordinate arcs, which a translation of the torus leaves
+unchanged; under the Anzai skew it steps only the coordinate the linear part
+moves, y <- (y + x) mod 1, and matches full-map stepping up to rounding.
 
 The same contract lets a sample carry leading axes: ``PointSample`` points of
 shape (..., m, dim) or (..., m, width) stack independent samples, every node
@@ -272,38 +278,53 @@ class Euclidean1D(Semimetric):
         return np.abs(d, out=d)
 
 
+def _arc_sum(coords: np.ndarray, rows: np.ndarray, columns: Iterable[int],
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over ``columns``, added in their order, of the arc distances
+    min(|u_r - u_c|, 1 - |u_r - u_c|) of coordinate column u, for r in rows
+    and all c; shape (..., len(rows), m), written into ``out`` if given."""
+    total = None
+    for j in columns:
+        u = coords[..., j]
+        arc = _differences(u[..., rows], u, out=out if total is None else None)
+        np.abs(arc, out=arc)
+        np.minimum(arc, np.subtract(1.0, arc), out=arc)
+        total = arc if total is None else np.add(total, arc, out=total)
+    return total
+
+
+class _Arc(Semimetric):
+    """Sum of the arc distances of the coordinates it reads.  Each arc depends
+    only on the difference of two points modulo 1, so under an affine torus
+    map T p = A p + b it is the same on T^k p as on A^k p."""
+
+    @abstractmethod
+    def coordinates(self, dim: int) -> Sequence[int]:
+        """The coordinates of ``dim``-dimensional points that it reads."""
+
+    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+        c = _coords(sample)
+        return _arc_sum(c, rows, self.coordinates(c.shape[-1]))
+
+
 @dataclass(frozen=True)
-class CircleArc(Semimetric):
+class CircleArc(_Arc):
     """Arc distance min(|x-y|, 1-|x-y|) on the first coordinate."""
 
     standard_tag = "circle_arc"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        c = _coords(sample)[..., 0]
-        d = _differences(c[..., rows], c)
-        np.abs(d, out=d)
-        return np.minimum(d, np.subtract(1.0, d), out=d)
+    def coordinates(self, dim: int) -> Sequence[int]:
+        return (0,)
 
 
 @dataclass(frozen=True)
-class TorusArcL1(Semimetric):
+class TorusArcL1(_Arc):
     """Sum of per-coordinate arc distances."""
 
     standard_tag = "torus_arc_l1"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        c = _coords(sample)
-        shape = c.shape[:-2] + (len(rows), sample.m)
-        acc, d, e = np.empty(shape), np.empty(shape), np.empty(shape)
-        for j in range(c.shape[-1]):
-            arc = d if j else acc
-            _differences(c[..., rows, j], c[..., j], out=arc)
-            np.abs(arc, out=arc)
-            np.subtract(1.0, arc, out=e)
-            np.minimum(arc, e, out=arc)
-            if j:
-                acc += arc
-        return acc
+    def coordinates(self, dim: int) -> Sequence[int]:
+        return range(dim)
 
 
 def _differ(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -569,38 +590,75 @@ def _orbit_means(
     into its own contiguous accumulator, divided by the steps taken into the
     yielded array at a schedule point.  ``rows`` None averages the whole
     matrix on and above the diagonal, block by block; below it only a block's
-    diagonal square is written, and the rest is left unset.  The identity map
-    takes one step for every n, so there, as at n = 1, the mean is ``inner``'s
-    values bit for bit.  A cut on a shift adds exact integer counts of its
-    differing steps, chunk by chunk, as adding its 0/1 matrices would."""
+    diagonal square is written, and the rest is left unset.
+
+    At a fixed point the pass takes one step for every n, so the mean is
+    ``inner``'s values bit for bit, as it is at n = 1.  The fixed points are
+    the identity map, and an arc node (``_Arc``) under a map whose linear
+    part (``SystemSpec.shear``) fixes every coordinate the node reads.  Under
+    any other declared linear part A an arc node steps by A alone: the
+    coordinates A moves are stepped from the sample, p_i <- (p_i + p_j) mod 1
+    for each of its pairs (i, j), and their arcs are accumulated; each
+    coordinate that A fixes adds n times its base arc, formed at each schedule
+    point in the yielded array, so a mean does not depend on the schedule.
+    Dropping the translation part of T^k leaves every arc as it is, so these
+    means match full-map stepping up to rounding.  A cut on a shift adds exact
+    integer counts of its differing steps, chunk by chunk, as adding its 0/1
+    matrices would."""
     cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
     lead, m = sample.points.shape[:-2], sample.m
     tiles = _tiles(sample, rows)
     state = sample
     steps = 0
     chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(lead) * m, 1)), 1)
+    single = isinstance(system, Identity)
+    moved, fixed = [], []
+    if (isinstance(inner, _Arc) and system.shear is not None
+            and sample.coords is not None and sample.coords.shape[-1] == system.dim):
+        read = inner.coordinates(system.dim)
+        moved = [(i, j) for i, j in system.shear if i in read]
+        single = not moved
+        if moved:
+            fixed = [j for j in read if j not in dict(moved)]
+            state = PointSample(coords=sample.coords[..., [i for i, _ in moved]])
+            source = sample.coords[..., [j for _, j in moved]]
     for n in schedule:
-        end = 1 if isinstance(system, Identity) else n
+        end = 1 if single else n
         if cut:
             for start in range(steps, end, chunk):
                 _add_cut_counts(tiles, _window_keys(inner, sample, start, min(start + chunk, end)))
             steps = max(steps, end)
         while steps < end:
-            if steps:
+            if steps and moved:
+                np.remainder(np.add(state.coords, source, out=state.coords), 1.0,
+                             out=state.coords)
+            elif steps:
                 state = advance_sample(state, 1, system)
             for acc, a, tail_rows in tiles:
-                acc += inner.values(_tail(state, a) if a else state, tail_rows)
+                tail = _tail(state, a) if a else state
+                acc += (_arc_sum(tail.coords, tail_rows, range(len(moved))) if moved
+                        else inner.values(tail, tail_rows))
             steps += 1
         means = np.empty(lead + (m if rows is None else len(rows), m))
-        for acc, a, _ in tiles:
-            np.divide(acc, steps, out=means[..., a:a + acc.shape[-2], a:])
+        for acc, a, tail_rows in tiles:
+            mean = means[..., a:a + acc.shape[-2], a:]
+            if fixed:
+                _arc_sum(_tail(sample, a).coords, tail_rows, fixed, out=mean)
+                mean *= steps
+                mean += acc
+                mean /= steps
+            else:
+                np.divide(acc, steps, out=mean)
         yield n, means
 
 
 @dataclass(frozen=True)
 class Average(Semimetric):
-    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit;
-    at the fixed points n = 1 and the identity map, ``inner``'s own values."""
+    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit.
+    At the fixed points, n = 1, the identity map, and an arc node whose
+    coordinates the map's linear part fixes, it is ``inner``'s own values bit
+    for bit; an arc node whose coordinates it moves is stepped by the linear
+    part, and matches full-map stepping up to rounding (``_orbit_means``)."""
 
     inner: Semimetric
     system: SystemSpec

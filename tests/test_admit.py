@@ -167,6 +167,21 @@ class TestSeparatedSets:
             if greedy >= required:
                 assert exact >= required
 
+    @pytest.mark.parametrize("system, metric", [
+        (BernoulliShift([0.5, 0.5], horizon=8), Average(Block(FirstSymbols(2)), BernoulliShift(
+            [0.5, 0.5], horizon=8), 4)),
+        (AnzaiSkew(), Average(TorusArcL1(), AnzaiSkew(), 8)),
+    ], ids=["shift", "anzai"])
+    def test_greedy_on_symmetric_matrix_is_first_fit_by_columns(self, system, metric):
+        values = metric.pairwise(sample_points(system, 96, 2))
+        for separated in (values > 0.3, values >= SEPARATION_C):
+            chosen = []
+            for i in range(len(separated)):
+                if all(separated[j, i] for j in chosen):
+                    chosen.append(i)
+            assert 1 < len(chosen) < len(separated)
+            assert greedy_separated_size(separated) == len(chosen)
+
     @pytest.mark.parametrize("metric, system, n, trials", _workload_tests())
     def test_stacked_trials_match_per_trial_loop(self, monkeypatch, metric, system, n, trials):
         matrices = []

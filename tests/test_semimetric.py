@@ -41,6 +41,7 @@ from orbent.semimetric import (
     FirstSymbolCut,
     TorusArcL1,
     Zero,
+    _Arc,
     _Cut,
     _differences,
     _orbit_means,
@@ -459,9 +460,10 @@ class TestCutGuards:
 
 def _tile_cases():
     cases = []
-    for name, system in (("anzai", AnzaiSkew()), ("rotation", CircleRotation())):
+    for name, system in (("anzai", AnzaiSkew()), ("rotation", CircleRotation()),
+                         ("torus", TorusTranslation())):
         nodes = {
-            "euclidean_1d": Euclidean1D(), "torus_arc_l1": TorusArcL1(),
+            "euclidean_1d": Euclidean1D(), "torus_arc_l1": TorusArcL1(), "circle_arc": CircleArc(),
             **{tag: ClosedForm(tag) for tag in CLOSED_FORMS},
             "mix": Mix(Euclidean1D(), CircleArc(), 0.3), "cutoff": Cutoff(TorusArcL1(), 0.2),
             "pull_back": PullBack(TorusArcL1(), system, 3),
@@ -480,27 +482,49 @@ def _tile_cases():
 TILE_CASES = _tile_cases()
 
 
+def _arc_moved(system, node):
+    """Whether ``system``'s linear part moves a coordinate that the arc node
+    reads: only y under the Anzai skew, which ``TorusArcL1`` reads."""
+    return isinstance(system, AnzaiSkew) and isinstance(node, TorusArcL1)
+
+
+def _same(got, want, exact):
+    """``got`` equals ``want`` bit for bit, or within 1e-12 where not ``exact``."""
+    if exact:
+        return got.tobytes() == want.tobytes()
+    return got.shape == want.shape and np.abs(got - want).max() <= 1e-12
+
+
 class TestTiles:
     """Whole matrices summed in upper-triangle row blocks against the
-    step-by-step sums of whole rows, bit for bit."""
+    step-by-step sums of whole rows, bit for bit.  An arc node is its own
+    values at every n where the map's linear part fixes what it reads, and
+    within 1e-12 of the step-by-step sums, bit for bit at n = 1, where it
+    moves them."""
 
     @pytest.mark.parametrize("tile", [4, 64])
     @pytest.mark.parametrize("system, node", [case[1:] for case in TILE_CASES],
                              ids=[case[0] for case in TILE_CASES])
     def test_whole_matrix_matches_stepwise_rows(self, monkeypatch, tile, system, node):
         monkeypatch.setattr(semimetric, "_TILE", tile)
-        schedule = [1, 3, 8]
+        moved = _arc_moved(system, node)
+        fixed_point = isinstance(node, _Arc) and not moved
+        schedule = [1, 7, 1024] if moved else [1, 3, 8]
         for m in (1, 2, tile - 1, tile + 1, 3 * tile + 5):
             sample = sample_points(system, m, 9)
             full = list(stepwise_orbit_sums(node, system, sample, np.arange(m), schedule))
+            expected = [(n, full[0][1] if fixed_point else reference / n, n == 1 or not moved)
+                        for n, reference in full]
             got = list(_orbit_means(node, system, sample, None, schedule))
             assert [n for n, _ in got] == schedule
-            for (n, mean), (_, reference) in zip(got, full):
-                assert np.triu(mean).tobytes() == np.triu(reference / n).tobytes()
+            for (n, mean), (_, want, exact) in zip(got, expected):
+                assert _same(np.triu(mean), np.triu(want), exact), n
             streamed = streamed_average_matrices(node, system, sample, schedule)
-            for (n, values), (_, reference) in zip(streamed, full, strict=True):
-                assert values.tobytes() == mirror_upper(reference / n).tobytes()
+            for (n, values), (_, want, exact) in zip(streamed, expected, strict=True):
+                assert _same(values, mirror_upper(want), exact), n
                 assert Average(node, system, n).pairwise(sample).tobytes() == values.tobytes()
+                if fixed_point:
+                    assert values.tobytes() == node.pairwise(sample).tobytes()
             assert node.pairwise(sample).tobytes() == mirror_upper(full[0][1]).tobytes()
 
     def test_explicit_rows_stay_whole_rows(self, monkeypatch):
@@ -512,13 +536,71 @@ class TestTiles:
             sample = sample_points(system, 23, 4)
             _, reference = next(stepwise_orbit_sums(node, system, sample, rows, [6]))
             _, mean = next(_orbit_means(node, system, sample, rows, [6]))
-            assert mean.tobytes() == (reference / 6).tobytes()
+            assert _same(mean, reference / 6, not _arc_moved(system, node)), node.label()
             got = Average(node, system, 6).values(sample, rows)
             assert got.shape == (5, 23)
             assert got.tobytes() == mean.tobytes()
             assert np.count_nonzero(got[0, :22]), node.label()  # row 22 below the diagonal
             fixed = Average(node, Identity(), 6).values(sample, rows)
             assert fixed.tobytes() == node.values(sample, rows).tobytes(), node.label()
+
+
+class TestLinearPart:
+    """Arc nodes averaged along the linear part of an affine torus map.  CI
+    runs this class with one BLAS thread too: its bit-for-bit claims rest on
+    the exactness of ``_differences``."""
+
+    LINEAR = {"rotation": CircleRotation(), "torus": TorusTranslation(), "anzai": AnzaiSkew()}
+
+    def test_declared_by_the_coordinate_maps_alone(self):
+        declared = {cls for cls in SystemSpec.registry.values() if cls.shear is not None}
+        assert declared == {type(system) for system in self.LINEAR.values()}
+
+    @pytest.mark.parametrize("name", LINEAR)
+    def test_map_is_its_linear_part_plus_one_vector(self, name):
+        # T^k p - A^k p is the same vector, modulo 1, for every point p
+        system = self.LINEAR[name]
+        sample = sample_points(system, 64, 3)
+        for k in (1, 5, 40):
+            linear = sample.coords.copy()
+            for i, j in system.shear:
+                linear[:, i] += k * sample.coords[:, j]
+            offset = (advance_sample(sample, k, system).coords - linear) % 1.0
+            d = np.abs(offset - offset[0])
+            assert np.minimum(d, 1.0 - d).max() <= 1e-12, k
+
+    @pytest.mark.parametrize("name, node", [
+        ("rotation", CircleArc()), ("rotation", TorusArcL1()), ("torus", CircleArc()),
+        ("torus", TorusArcL1()), ("anzai", CircleArc()),
+    ])
+    def test_fixed_point_is_its_values_without_a_step(self, monkeypatch, name, node):
+        system = self.LINEAR[name]
+        sample = sample_points(system, 128, 6)
+        rows = np.array([100, 0, 7, 7, 127])
+        expected = node.pairwise(sample).tobytes(), node.values(sample, rows).tobytes()
+        monkeypatch.setattr(semimetric, "advance_sample", None)  # any step would fail
+        for n in (1, 2, 128):
+            assert Average(node, system, n).pairwise(sample).tobytes() == expected[0], n
+            assert Average(node, system, n).values(sample, rows).tobytes() == expected[1], n
+
+    def test_anzai_arc_steps_only_y_within_rounding(self, monkeypatch):
+        system, node = AnzaiSkew(), TorusArcL1()
+        sample = sample_points(system, 128, 6)
+        rows = np.array([100, 0, 7, 7, 127])
+        schedule = [1, 7, 1024]
+        reference = list(stepwise_orbit_sums(node, system, sample, rows, schedule))
+        monkeypatch.setattr(semimetric, "advance_sample", None)  # no full-map step
+        got = list(_orbit_means(node, system, sample, rows, schedule))
+        assert [n for n, _ in got] == schedule
+        for (n, mean), (_, sums) in zip(got, reference):
+            assert _same(mean, sums / n, n == 1), n
+
+    @pytest.mark.parametrize("system, node", [
+        (AnzaiSkew(), TorusArcL1()), (AnzaiSkew(), CircleArc()), (TorusTranslation(), CircleArc()),
+    ], ids=["anzai-moved", "anzai-fixed", "torus-fixed"])
+    def test_points_of_another_dimension_are_refused(self, system, node):
+        with pytest.raises(ParameterError, match="2-dimensional points"):
+            Average(node, system, 3).pairwise(pts(0.1, 0.4, 0.8))
 
 
 def _stacked_cases():
