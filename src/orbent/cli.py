@@ -96,6 +96,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if m < admit.MIN_BALL_MASS_POINTS:
         raise ConfigError("m", f"m must be >= {admit.MIN_BALL_MASS_POINTS}, the points "
                                "the ball-mass test needs")
+    # an estimate discards floor(eps * m) points; with one or none left, every cell reads 0 bits
+    if any(m - math.floor(e * m) < 2 for e in eps_grid):
+        raise ConfigError("eps_grid", "each eps must keep m - floor(eps * m) >= 2 points")
     need = WORKING_SET_MATRICES * 8 * m * m
     memory = _physical_memory()
     if memory is not None and need > memory:

@@ -92,7 +92,7 @@ class AtomicMeasure:
 def atomic_entropy(measure: AtomicMeasure) -> float:
     """Entropy -sum w log2 w in bits, with 0 log 0 = 0."""
     w = measure.weights
-    return float(-(w * np.log2(w)).sum())
+    return float(0.0 - (w * np.log2(w)).sum())  # +0.0, not -0.0, for one atom
 
 
 def kantorovich_distance(

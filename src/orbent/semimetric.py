@@ -15,13 +15,6 @@ pattern: ``{"kind": <snake_case name>, <field>: <value>, ...}``.
 dyadic boxes for :class:`DyadicIntervals` (on the first coordinate) and for
 the admissibility trace curve (on all coordinates).
 
-A cut (0 where two points' keys agree, 1 where they differ) subclasses
-:class:`_Cut` and implements ``keys(sample)``, one integer key per point,
-reading at most ``symbol_horizon()`` symbols; its ``symbols_read`` says so to
-callers that store only those.  On a shift its orbit average reads the keys
-of a chunk of steps from one sliding window and counts the differing steps by
-XOR and popcount; on other systems it steps like any other node.
-
 Symmetry is exact by construction: ``pairwise`` and the streamed orbit
 averages compute only the upper triangle of a value matrix, in row blocks of
 about ``_TILE`` values (rows a..b-1 against the tail sample of points a..m-1,
@@ -30,14 +23,7 @@ tail relies on a contract of ``values``: a node's value on a pair depends only
 on those two points, so it is the same on the tail as on the whole sample.
 Each block adds its orbit steps into its own C-contiguous accumulator, since
 adding into a strided view of the m x m matrix costs NumPy an iteration per
-row; at a schedule point ``_orbit_means`` divides the blocks into the matrix.
-At its fixed points it takes one step only, so the mean is the inner node's
-values bit for bit: at n = 1, under the identity map, and for an arc node
-(``CircleArc``, ``TorusArcL1``) under a map whose linear part fixes every
-coordinate the node reads, such as a rotation or a torus translation.  An arc
-node is a sum of per-coordinate arcs, which a translation of the torus leaves
-unchanged; under the Anzai skew it steps only the coordinate the linear part
-moves, y <- (y + x) mod 1, and matches full-map stepping up to rounding.
+row; each node's ``orbit_sums`` adds, and ``_orbit_means`` divides.
 
 The same contract lets a sample carry leading axes: ``PointSample`` points of
 shape (..., m, dim) or (..., m, width) stack independent samples, every node
@@ -255,6 +241,21 @@ class Semimetric(Tagged, ABC):
         """Leading symbols of ``width``-symbol windows that ``values`` may read."""
         return width
 
+    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+                   schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
+        """At each n of the ascending ``schedule``, add the next orbit steps into
+        the ``_tiles`` accumulators and yield the step count with the blocks to
+        divide by it.  The identity map is a fixed point: one step, for every n."""
+        state, steps = sample, 0
+        for n in schedule:
+            while steps < (1 if isinstance(system, Identity) else n):
+                if steps:
+                    state = advance_sample(state, 1, system)
+                for acc, a, rows in tiles:
+                    acc += self.values(_tail(state, a), rows)
+                steps += 1
+            yield steps, tiles
+
     def pairwise(self, sample: PointSample) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal,
         mirrored from its upper triangle, which is evaluated in row blocks;
@@ -306,6 +307,44 @@ class _Arc(Semimetric):
         c = _coords(sample)
         return _arc_sum(c, rows, self.coordinates(c.shape[-1]))
 
+    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+                   schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
+        """Under a declared linear part A (``SystemSpec.shear``), on points of the
+        system's dimension, step by A alone, which leaves every arc as T does, so
+        sums match full-map stepping up to rounding; where A fixes every coordinate
+        read, that is the identity map's fixed point.  Each pair (i, j) of A steps
+        p_i <- (p_i + p_j) mod 1; each coordinate A fixes adds base arc x steps."""
+        coords = sample.coords
+        linear = system.shear is not None and coords is not None and coords.shape[-1] == system.dim
+        read = self.coordinates(system.dim) if linear else ()
+        moved = [(i, j) for i, j in system.shear or () if i in read]
+        if not moved:
+            yield from super().orbit_sums(Identity() if linear else system, sample, tiles, schedule)
+            return
+        fixed = [j for j in read if j not in dict(moved)]
+        state = coords[..., [i for i, _ in moved]]
+        source = coords[..., [j for _, j in moved]]
+        scratch = np.empty(max((acc.size for acc, _, _ in tiles), default=0))
+
+        def with_fixed(steps: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+            # (base * steps + sum) / steps once divided, one block at a time
+            for acc, a, rows in tiles:
+                total = scratch[:acc.size].reshape(acc.shape)
+                _arc_sum(coords[..., a:, :], rows, fixed, out=total)
+                total *= steps
+                total += acc
+                yield total, a, rows
+
+        steps = 0
+        for n in schedule:
+            while steps < n:
+                if steps:
+                    np.remainder(np.add(state, source, out=state), 1.0, out=state)
+                for acc, a, rows in tiles:
+                    acc += _arc_sum(state[..., a:, :], rows, range(len(moved)))
+                steps += 1
+            yield steps, with_fixed(steps) if fixed else tiles
+
 
 @dataclass(frozen=True)
 class CircleArc(_Arc):
@@ -343,6 +382,21 @@ class _Cut(Semimetric):
 
     def symbols_read(self, width: int) -> int:
         return min(width, self.symbol_horizon())
+
+    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+                   schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
+        """On a shift, count each chunk of steps' differing keys, read from one
+        sliding window (``_window_keys``), by XOR and popcount; else step the map."""
+        if not (system.is_symbolic and sample.is_symbolic):
+            yield from super().orbit_sums(system, sample, tiles, schedule)
+            return
+        chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(sample.points.shape[:-1]), 1)), 1)
+        steps = 0
+        for n in schedule:
+            for start in range(steps, n, chunk):
+                _add_cut_counts(tiles, _window_keys(self, sample, start, min(start + chunk, n)))
+            steps = max(steps, n)
+            yield steps, tiles
 
 
 @dataclass(frozen=True)
@@ -586,79 +640,22 @@ def _orbit_means(
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, mean of the first n pull-backs of ``inner``) along an
-    ascending schedule, each in a fresh array.  Each block (``_tiles``) adds
-    into its own contiguous accumulator, divided by the steps taken into the
-    yielded array at a schedule point.  ``rows`` None averages the whole
-    matrix on and above the diagonal, block by block; below it only a block's
-    diagonal square is written, and the rest is left unset.
-
-    At a fixed point the pass takes one step for every n, so the mean is
-    ``inner``'s values bit for bit, as it is at n = 1.  The fixed points are
-    the identity map, and an arc node (``_Arc``) under a map whose linear
-    part (``SystemSpec.shear``) fixes every coordinate the node reads.  Under
-    any other declared linear part A an arc node steps by A alone: the
-    coordinates A moves are stepped from the sample, p_i <- (p_i + p_j) mod 1
-    for each of its pairs (i, j), and their arcs are accumulated; each
-    coordinate that A fixes adds n times its base arc, formed at each schedule
-    point in the yielded array, so a mean does not depend on the schedule.
-    Dropping the translation part of T^k leaves every arc as it is, so these
-    means match full-map stepping up to rounding.  A cut on a shift adds exact
-    integer counts of its differing steps, chunk by chunk, as adding its 0/1
-    matrices would."""
-    cut = isinstance(inner, _Cut) and system.is_symbolic and sample.is_symbolic
+    ascending schedule, each in a fresh array: the blocks ``inner.orbit_sums``
+    yields, divided by its step count.  ``rows`` None averages the whole matrix
+    on and above the diagonal; below it only each block's diagonal square is
+    written, and the rest is left unset."""
     lead, m = sample.points.shape[:-2], sample.m
-    tiles = _tiles(sample, rows)
-    state = sample
-    steps = 0
-    chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(lead) * m, 1)), 1)
-    single = isinstance(system, Identity)
-    moved, fixed = [], []
-    if (isinstance(inner, _Arc) and system.shear is not None
-            and sample.coords is not None and sample.coords.shape[-1] == system.dim):
-        read = inner.coordinates(system.dim)
-        moved = [(i, j) for i, j in system.shear if i in read]
-        single = not moved
-        if moved:
-            fixed = [j for j in read if j not in dict(moved)]
-            state = PointSample(coords=sample.coords[..., [i for i, _ in moved]])
-            source = sample.coords[..., [j for _, j in moved]]
-    for n in schedule:
-        end = 1 if single else n
-        if cut:
-            for start in range(steps, end, chunk):
-                _add_cut_counts(tiles, _window_keys(inner, sample, start, min(start + chunk, end)))
-            steps = max(steps, end)
-        while steps < end:
-            if steps and moved:
-                np.remainder(np.add(state.coords, source, out=state.coords), 1.0,
-                             out=state.coords)
-            elif steps:
-                state = advance_sample(state, 1, system)
-            for acc, a, tail_rows in tiles:
-                tail = _tail(state, a) if a else state
-                acc += (_arc_sum(tail.coords, tail_rows, range(len(moved))) if moved
-                        else inner.values(tail, tail_rows))
-            steps += 1
+    sums = inner.orbit_sums(system, sample, _tiles(sample, rows), schedule)
+    for n, (steps, blocks) in zip(schedule, sums):
         means = np.empty(lead + (m if rows is None else len(rows), m))
-        for acc, a, tail_rows in tiles:
-            mean = means[..., a:a + acc.shape[-2], a:]
-            if fixed:
-                _arc_sum(_tail(sample, a).coords, tail_rows, fixed, out=mean)
-                mean *= steps
-                mean += acc
-                mean /= steps
-            else:
-                np.divide(acc, steps, out=mean)
+        for total, a, _ in blocks:
+            np.divide(total, steps, out=means[..., a:a + total.shape[-2], a:])
         yield n, means
 
 
 @dataclass(frozen=True)
 class Average(Semimetric):
-    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit.
-    At the fixed points, n = 1, the identity map, and an arc node whose
-    coordinates the map's linear part fixes, it is ``inner``'s own values bit
-    for bit; an arc node whose coordinates it moves is stepped by the linear
-    part, and matches full-map stepping up to rounding (``_orbit_means``)."""
+    """Arithmetic mean of the first n pull-backs of ``inner`` along the orbit."""
 
     inner: Semimetric
     system: SystemSpec

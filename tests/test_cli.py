@@ -167,8 +167,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value", [
         ("m", 64.5), ("seeds", [1.9, 2, 3]), ("eps_grid", ["0.25", 0.1]),
         ("n_schedule", [True, 2, 4, 8]), ("m", 15), ("n_schedule", [16, 32, 64]),
+        ("eps_grid", [1.0, 0.1]), ("eps_grid", [0.25, 0.99]),
     ], ids=["m-float", "seeds-float", "eps-string", "schedule-bool", "m-below-ball-mass",
-            "schedule-below-growth-rows"])
+            "schedule-below-growth-rows", "eps-discards-all", "eps-keeps-one-point"])
     def test_bad_number_exits_2(self, tmp_path, key, value):
         raw = rotation_config(tmp_path / "out")
         raw[key] = value

@@ -53,6 +53,7 @@ class TestAtomicMeasure:
     def test_entropy_values(self):
         single = AtomicMeasure(np.array([3]), np.array([1.0]))
         assert atomic_entropy(single) == 0.0
+        assert math.copysign(1.0, atomic_entropy(single)) == 1.0  # +0.0, never -0.0
         uniform4 = AtomicMeasure.uniform(np.arange(4))
         assert atomic_entropy(uniform4) == pytest.approx(2.0, abs=1e-12)
         skewed = AtomicMeasure(np.arange(3), np.array([0.5, 0.25, 0.25]))

@@ -603,6 +603,47 @@ class TestLinearPart:
             Average(node, system, 3).pairwise(pts(0.1, 0.4, 0.8))
 
 
+class _Probe(Euclidean1D):
+    """``Euclidean1D`` that records each call of its orbit sums; the leading
+    underscore keeps it out of the JSON registry."""
+
+    calls = []
+
+    def orbit_sums(self, system, sample, tiles, schedule):
+        self.calls.append((system, list(schedule)))
+        yield from super().orbit_sums(system, sample, tiles, schedule)
+
+
+class TestOrbitSumsExtension:
+    """``orbit_sums`` is the one place a node changes how its orbit is summed."""
+
+    def test_an_override_is_reached_by_every_average(self):
+        assert "_Probe" not in Semimetric.registry
+        system, probe, plain = CircleRotation(), _Probe(), Euclidean1D()
+        sample = sample_points(system, 9, 3)
+        rows = np.array([4, 0, 8])
+        _Probe.calls.clear()
+        got = Average(probe, system, 5).values(sample, rows)
+        assert got.tobytes() == Average(plain, system, 5).values(sample, rows).tobytes()
+        assert _Probe.calls == [(system, [5])]
+        _Probe.calls.clear()
+        got = Average(probe, system, 5).pairwise(sample)
+        assert got.tobytes() == Average(plain, system, 5).pairwise(sample).tobytes()
+        assert _Probe.calls and all(call == (system, [5]) for call in _Probe.calls)
+        _Probe.calls.clear()
+        schedule = [1, 3, 8]
+        got = list(streamed_average_matrices(probe, system, sample, schedule))
+        want = list(streamed_average_matrices(plain, system, sample, schedule))
+        assert [(n, v.tobytes()) for n, v in got] == [(n, v.tobytes()) for n, v in want]
+        assert _Probe.calls == [(system, schedule)]
+
+    def test_every_override_has_bit_for_bit_cases(self):
+        overriding = {cls for cls in Semimetric.registry.values()
+                      if cls.orbit_sums is not Semimetric.orbit_sums}
+        assert overriding >= {CircleArc, TorusArcL1, FirstSymbolCut, Block}
+        assert overriding <= {type(case[-1]) for case in TILE_CASES + CUT_CASES}
+
+
 def _stacked_cases():
     shift = BernoulliShift([0.5, 0.5], horizon=90)
     extra = [("average_of_cut-shift", shift, Average(FirstSymbolCut(), shift, 70)),
