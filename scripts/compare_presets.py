@@ -13,8 +13,12 @@ checkouts at each worker count, and the w1 bundle must equal the w2 bundle in
 each checkout.  config.json is compared without its ``output_dir``.  One line
 per case names every differing file, and an indented line after it names
 the dotted keys that differ in each differing JSON file, for example
-``admissibility.json: base.pc_probability, base.verdict``; the exit code is 1
-when any file differs or any run fails, else 0.
+``admissibility.json: base.pc_probability, base.verdict``.  A differing
+verdict.json adds one more line with both sides' values, for example
+``verdict: DiscreteSpectrumEvidence -> Undetermined (0.25: Bounded ->
+Undetermined, 0.1: Bounded -> Undetermined)``, so the log lists every verdict
+a change moves.  The exit code is 1 when any file differs or any run fails,
+else 0.
 """
 from __future__ import annotations
 
@@ -108,7 +112,21 @@ def key_lines(dir_a: Path, dir_b: Path, names: list[str]) -> list[str]:
         except (TypeError, ValueError):  # missing from a bundle, or not JSON
             continue
         lines.append(f"  {name}: {', '.join(differing_keys(a, b)) or 'layout only'}")
+        if name == "verdict.json":
+            lines.append(verdict_line(a, b))
     return lines
+
+
+def verdict_line(a: dict, b: dict) -> str:
+    """The verdicts and per-eps growth classes of two verdict.json objects,
+    as ``  verdict: A -> B (0.25: Bounded -> Undetermined, ...)``; a value
+    missing from one side reads ``-``."""
+    def kind(verdict: dict, eps: str) -> str:
+        return verdict.get("per_eps", {}).get(eps, {}).get("kind", "-")
+
+    per_eps = list(dict.fromkeys([*a.get("per_eps", {}), *b.get("per_eps", {})]))
+    classes = ", ".join(f"{float(eps):g}: {kind(a, eps)} -> {kind(b, eps)}" for eps in per_eps)
+    return f"  verdict: {a.get('verdict', '-')} -> {b.get('verdict', '-')} ({classes})"
 
 
 def compare_case(work: Path, name: str) -> list[str]:

@@ -3,8 +3,13 @@
 Sample points from the invariant measure of a measure-preserving system,
 average a semimetric along orbits, estimate the eps-entropy of the resulting
 metric measure space, and classify how those entropies grow with the
-averaging length.  Bounded growth at every eps is reported as evidence of a
-purely discrete spectrum.
+averaging length n.  :mod:`orbent.scaling` reads the growth in bits per
+doubling of n, on the rows more than ``CENSOR_MARGIN_BITS`` (0.5) below the
+sample ceiling only: a last-three-increment sum of at most
+``BOUNDED_TAIL_BITS`` (0.5) with no row at the ceiling is Bounded, three
+positive increments summing to at least ``GROWING_TAIL_BITS`` (0.75) are
+Growing.  Bounded at every eps is reported as evidence of a purely discrete
+spectrum, Growing at some eps as evidence against.
 """
 
 from .dynsys import (

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import admit, scaling
 from .dynsys import BernoulliShift, PointSample, Record, SystemSpec, sample_points
-from .entropy import ESTIMATORS
+from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
@@ -97,7 +97,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("m", f"m must be >= {admit.MIN_BALL_MASS_POINTS}, the points "
                                "the ball-mass test needs")
     # an estimate discards floor(eps * m) points; with one or none left, every cell reads 0 bits
-    if any(m - math.floor(e * m) < 2 for e in eps_grid):
+    if any(ceiling_bits(e, m) < 1 for e in eps_grid):
         raise ConfigError("eps_grid", "each eps must keep m - floor(eps * m) >= 2 points")
     need = WORKING_SET_MATRICES * 8 * m * m
     memory = _physical_memory()
@@ -299,21 +299,15 @@ def compare_bundles(dir_a, dir_b) -> dict:
 
     profiles_a, verdict_a = load(dir_a)
     profiles_b, verdict_b = load(dir_b)
-    grid_a = sorted(p.eps for p in profiles_a)
-    grid_b = sorted(p.eps for p in profiles_b)
+    kinds_a = {p.eps: p.growth_class.kind for p in profiles_a}
+    kinds_b = {p.eps: p.growth_class.kind for p in profiles_b}
+    grid_a, grid_b = sorted(kinds_a), sorted(kinds_b)
     if grid_a != grid_b:
         raise ConfigError(
             "eps_grid", f"bundles have incompatible eps grids: {grid_a} vs {grid_b}"
         )
-    by_eps_a = {p.eps: p.growth_class for p in profiles_a}
-    by_eps_b = {p.eps: p.growth_class for p in profiles_b}
-    rows = []
-    for eps in grid_a:
-        cls_a, cls_b = by_eps_a[eps], by_eps_b[eps]
-        rows.append({
-            "eps": eps, "class_a": str(cls_a), "class_b": str(cls_b),
-            "differs": cls_a != cls_b,
-        })
+    rows = [{"eps": eps, "class_a": kinds_a[eps], "class_b": kinds_b[eps],
+             "differs": kinds_a[eps] != kinds_b[eps]} for eps in grid_a]
     return {
         "eps_grid": grid_a,
         "classes": rows,

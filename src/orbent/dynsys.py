@@ -14,10 +14,10 @@ value by the same rules, and a field that is None is left out when its
 default is None, so that an optional field left unset adds nothing, but is
 written as null when it has no default.  The decoders are strict: an ``int``
 field takes only a JSON integer, a ``float`` field only a JSON number, a
-``str`` field only a JSON string and a tuple field only a JSON array.  A bad
-field raises :class:`~orbent.errors.ConfigError`, which carries its name, and
-an error inside a nested object is raised again under the outer object's
-field.
+``str`` field only a JSON string, a ``bool`` entry only true or false, and a
+tuple or list field only a JSON array.  A bad field raises
+:class:`~orbent.errors.ConfigError`, which carries its name, and an error
+inside a nested object is raised again under the outer object's field.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
@@ -280,6 +280,13 @@ def _json_float(value) -> float:
     return float(value)
 
 
+def _json_bool(value) -> bool:
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _json_str(value) -> str:
     """A JSON string."""
     if not isinstance(value, str):
@@ -301,9 +308,10 @@ DECODE: dict[str, Callable] = {
     "int": _json_int,
     "str": _json_str,
     "Optional[int]": lambda value: None if value is None else _json_int(value),
-    "Optional[float]": lambda value: None if value is None else _json_float(value),
     "tuple[int, ...]": lambda values: tuple(_json_int(x) for x in _json_array(values)),
     "tuple[float, ...]": lambda values: tuple(_json_float(x) for x in _json_array(values)),
+    "list[float]": lambda values: [_json_float(x) for x in _json_array(values)],
+    "list[bool]": lambda values: [_json_bool(x) for x in _json_array(values)],
     "SystemSpec": SystemSpec.from_json,
 }
 

@@ -168,6 +168,11 @@ def _discard_budget(eps: float, m: int) -> int:
     return int(math.floor(eps * m))
 
 
+def ceiling_bits(eps: float, m: int) -> float:
+    """The most bits a cover at eps reads on m points, the sample ceiling."""
+    return math.log2(max(1, m - _discard_budget(eps, m)))
+
+
 def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntropyEstimate:
     """Greedy covering estimate of the eps-entropy of the sampled space.
 

@@ -1,31 +1,37 @@
 """Entropy growth profiles along orbit averages and the spectral verdict.
 
-A profile records the entropy of the n-step averaged metric over a geometric
-schedule of n, one row per schedule point (median over seeds).  The growth of
-the rows is classified into Bounded / Logarithmic / Polynomial / Linear /
-Undetermined, and boundedness at every tested eps is reported as evidence of
-a purely discrete spectrum.
+A profile records the entropy of the n-step averaged metric over a schedule
+of n, one row per schedule point (median over seeds).  One rule reads the
+rows in n order.  A row is *censored* when it lies within
+``CENSOR_MARGIN_BITS`` (0.5) of the sample ceiling log2(m - floor(eps*m)),
+where growth and saturation look alike, and only the rows before the first
+censored one count.  An *increment* is the rise between consecutive rows per
+doubling of n, (v2 - v1) / log2(n2 / n1).  Fewer than ``MIN_GROWTH_ROWS`` (4)
+counted rows is Undetermined.  No censored row and a sum of at most
+``BOUNDED_TAIL_BITS`` (0.5) over the last three increments is Bounded; three
+positive last increments summing to at least ``GROWING_TAIL_BITS`` (0.75) is
+Growing; anything else is Undetermined.  Bounded at every tested eps is
+evidence of a purely discrete spectrum, Growing at some eps evidence against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from . import admit
 from .dynsys import DECODE, Record, SystemSpec, sample_points
-from .entropy import EpsEntropyEstimate, estimate_from_matrix
+from .entropy import EpsEntropyEstimate, ceiling_bits, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
     Average, DistanceMatrix, Semimetric, streamed_average_matrices,
 )
 
-R2_THRESHOLD = 0.95
-BOUNDED_SLACK_BITS = 1.0
-TAU_THRESHOLD = 0.5
-# fewest profile rows the growth classification reads
+# the growth rule of the module docstring; bits, and bits per doubling of n
+CENSOR_MARGIN_BITS = 0.5
 MIN_GROWTH_ROWS = 4
+BOUNDED_TAIL_BITS = 0.5
+GROWING_TAIL_BITS = 0.75
 
 # separated-set draws of the limit check: points per draw and draws per seed
 LIMIT_PC_N = 32
@@ -35,17 +41,10 @@ LIMIT_PC_TRIALS = 20
 @dataclass(frozen=True)
 class GrowthClass(Record):
     kind: str
-    exponent: Optional[float] = None
-
-    def __str__(self) -> str:
-        if self.kind == "Polynomial":
-            return f"Polynomial({self.exponent:.3g})"
-        return self.kind
 
 
 BOUNDED = GrowthClass("Bounded")
-LINEAR = GrowthClass("Linear")
-LOGARITHMIC = GrowthClass("Logarithmic")
+GROWING = GrowthClass("Growing")
 UNDETERMINED = GrowthClass("Undetermined")
 
 
@@ -58,109 +57,6 @@ class ProfileRow(Record):
     seed: int
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    sxy = float(((x - xm) * (y - ym)).sum())
-    slope = 0.0 if sxx == 0.0 else sxy / sxx
-    intercept = ym - slope * xm
-    predicted = intercept + slope * x
-    ss_res = float(((y - predicted) ** 2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
-    r2 = 0.0 if ss_tot < 1e-24 else max(0.0, 1.0 - ss_res / ss_tot)
-    return {
-        "slope": slope, "intercept": intercept, "r2": r2,
-        "residuals": (y - predicted).tolist(),
-    }
-
-
-def _kendall_tau(y: Sequence[float]) -> float:
-    """Trend statistic against the (already increasing) n order.
-
-    Tied pairs count as no evidence of a trend: (concordant - discordant)
-    over all pairs.
-    """
-    y = list(y)
-    concordant = 0
-    discordant = 0
-    total = 0
-    for i in range(len(y)):
-        for j in range(i + 1, len(y)):
-            total += 1
-            if y[j] > y[i]:
-                concordant += 1
-            elif y[j] < y[i]:
-                discordant += 1
-    return (concordant - discordant) / total if total else 0.0
-
-
-def growth_diagnostics(rows: Sequence[ProfileRow]) -> dict:
-    rows = sorted(rows, key=lambda r: r.n)
-    ns = np.array([r.n for r in rows], dtype=float)
-    ys = np.array([r.value_bits for r in rows], dtype=float)
-    diagnostics = {
-        "bounded_diff_bits": float(ys[-1] - ys[1]),
-        "kendall_tau": _kendall_tau(ys),
-        "linear": _linear_fit(ns, ys),
-        "log2": _linear_fit(np.log2(ns), ys),
-    }
-    if np.all(ys > 0):
-        diagnostics["loglog"] = _linear_fit(np.log2(ns), np.log2(ys))
-    return diagnostics
-
-
-def classify_growth(rows: Sequence[ProfileRow]) -> GrowthClass:
-    """Classify profile rows into a growth class.
-
-    Bounded: within one bit of the second schedule point and no monotone
-    upward trend.  Otherwise the best of the linear / log / power fits that
-    clears R^2 >= 0.95 with positive slope, with the plain linear fit taking
-    precedence.
-    """
-    if len(rows) < MIN_GROWTH_ROWS:
-        raise ParameterError(f"growth classification needs at least {MIN_GROWTH_ROWS} rows")
-    ns = [r.n for r in sorted(rows, key=lambda r: r.n)]
-    if len(set(ns)) != len(ns):
-        raise ParameterError("profile rows must have distinct n")
-    diag = growth_diagnostics(rows)
-    if (
-        diag["bounded_diff_bits"] <= BOUNDED_SLACK_BITS + 1e-9
-        and diag["kendall_tau"] <= TAU_THRESHOLD + 1e-9
-    ):
-        return BOUNDED
-    lin = diag["linear"]
-    if lin["r2"] >= R2_THRESHOLD and lin["slope"] > 0:
-        return LINEAR
-    log = diag["log2"]
-    if log["r2"] >= R2_THRESHOLD and log["slope"] > 0 and log["r2"] > lin["r2"]:
-        return LOGARITHMIC
-    power = diag.get("loglog")
-    if power and power["r2"] >= R2_THRESHOLD and power["slope"] > 0 and power["r2"] > lin["r2"]:
-        return GrowthClass("Polynomial", exponent=power["slope"])
-    return UNDETERMINED
-
-
-@dataclass(frozen=True)
-class ScalingProfile(Record):
-    system: SystemSpec
-    metric: Semimetric
-    method: str
-    eps: float
-    rows: list[ProfileRow]
-    growth_class: GrowthClass
-    fit_diagnostics: dict
-
-
-DECODE.update({
-    "list[ProfileRow]": lambda rows: [ProfileRow.from_json(r) for r in rows],
-    "GrowthClass": GrowthClass.from_json,
-    "dict[str, GrowthClass]": lambda obj: {k: GrowthClass.from_json(v) for k, v in obj.items()},
-    "dict": dict,
-})
-
-
 def _validate_schedule(n_schedule: Sequence[int]) -> list[int]:
     schedule = [int(n) for n in n_schedule]
     if not schedule or any(n < 1 for n in schedule):
@@ -168,6 +64,56 @@ def _validate_schedule(n_schedule: Sequence[int]) -> list[int]:
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ParameterError("n schedule must be strictly increasing")
     return schedule
+
+
+def censored_rows(rows: Sequence[ProfileRow], eps: float) -> list[bool]:
+    """Whether each row lies within ``CENSOR_MARGIN_BITS`` of its ceiling."""
+    return [r.value_bits >= ceiling_bits(eps, r.sample_size) - CENSOR_MARGIN_BITS
+            for r in rows]
+
+
+def increments(rows: Sequence[ProfileRow]) -> list[float]:
+    """Bits per doubling of n between consecutive rows, in the given order."""
+    return [(b.value_bits - a.value_bits) / math.log2(b.n / a.n)
+            for a, b in zip(rows, rows[1:])]
+
+
+def classify_growth(rows: Sequence[ProfileRow], eps: float) -> GrowthClass:
+    """The growth class of profile rows at eps, by the rule of the module
+    docstring; the rows may come in any order."""
+    rows = sorted(rows, key=lambda r: r.n)
+    _validate_schedule([r.n for r in rows])
+    censored = censored_rows(rows, eps)
+    below = rows[:censored.index(True)] if any(censored) else rows
+    if len(below) < MIN_GROWTH_ROWS:
+        return UNDETERMINED
+    tail = increments(below)[-3:]
+    if len(below) == len(rows) and sum(tail) <= BOUNDED_TAIL_BITS:
+        return BOUNDED
+    if all(d > 0 for d in tail) and sum(tail) >= GROWING_TAIL_BITS:
+        return GROWING
+    return UNDETERMINED
+
+
+@dataclass(frozen=True)
+class ScalingProfile(Record):
+    """The rows of one eps in n order, and what the growth rule read of them."""
+
+    system: SystemSpec
+    metric: Semimetric
+    method: str
+    eps: float
+    rows: list[ProfileRow]
+    growth_class: GrowthClass
+    increments: list[float]
+    censored: list[bool]
+
+
+DECODE.update({
+    "list[ProfileRow]": lambda rows: [ProfileRow.from_json(r) for r in rows],
+    "GrowthClass": GrowthClass.from_json,
+    "dict[str, GrowthClass]": lambda obj: {k: GrowthClass.from_json(v) for k, v in obj.items()},
+})
 
 
 def profile_cells(
@@ -233,12 +179,13 @@ def assemble_profile(
     cells: dict[tuple[float, int, int], EpsEntropyEstimate],
 ) -> ScalingProfile:
     rows = []
-    for n in n_schedule:
-        per_seed = [cells[(float(eps), int(n), int(seed))] for seed in seeds]
-        rows.append(_median_row(int(n), per_seed, seeds))
+    for n in _validate_schedule(n_schedule):
+        per_seed = [cells[(float(eps), n, int(seed))] for seed in seeds]
+        rows.append(_median_row(n, per_seed, seeds))
     return ScalingProfile(
         system=system, metric=metric, method=method, eps=float(eps), rows=rows,
-        growth_class=classify_growth(rows), fit_diagnostics=growth_diagnostics(rows),
+        growth_class=classify_growth(rows, eps), increments=increments(rows),
+        censored=censored_rows(rows, eps),
     )
 
 
@@ -251,30 +198,31 @@ class SpectralVerdict(Record):
     basis: str
 
 
-GROWING_KINDS = ("Linear", "Polynomial", "Logarithmic")
-
-
 def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
     """Evidence verdict from one profile per eps.
 
-    Bounded growth at every eps is evidence of a purely discrete spectrum;
-    any growing class is evidence against; anything undetermined, or fewer
-    than two distinct eps, blocks a positive call.
+    Bounded at every eps is evidence of a purely discrete spectrum, Growing
+    at any eps evidence against.  Anything else, or fewer than two distinct
+    eps, is Undetermined; the basis then names the eps whose rows reach the
+    ceiling within ``MIN_GROWTH_ROWS`` rows, and those merely unclassified.
     """
-    if len({p.eps for p in profiles}) < 2:
-        return SpectralVerdict("Undetermined", {}, "needs >= 2 eps values")
     per_eps = {f"{p.eps:.17g}": p.growth_class for p in profiles}
-    kinds = {cls.kind for cls in per_eps.values()}
-    if kinds & set(GROWING_KINDS):
-        verdict = "NotDiscreteEvidence"
-        basis = "entropy of the averaged metric grows with n at some eps"
-    elif kinds == {"Bounded"}:
-        verdict = "DiscreteSpectrumEvidence"
-        basis = "entropy of the averaged metric stays bounded at every tested eps"
-    else:
-        verdict = "Undetermined"
-        basis = "at least one profile could not be classified; no positive call"
-    return SpectralVerdict(verdict, per_eps, basis)
+    if len(per_eps) < 2:
+        return SpectralVerdict("Undetermined", {}, "needs >= 2 eps values")
+    if GROWING in per_eps.values():
+        return SpectralVerdict("NotDiscreteEvidence", per_eps,
+                               "entropy of the averaged metric grows with n at some eps")
+    if set(per_eps.values()) == {BOUNDED}:
+        return SpectralVerdict("DiscreteSpectrumEvidence", per_eps,
+                               "entropy of the averaged metric stays bounded at every tested eps")
+    undetermined = [p for p in profiles if p.growth_class == UNDETERMINED]
+    saturated = [p for p in undetermined if True in p.censored[:MIN_GROWTH_ROWS]]
+    reasons = [(f"rows reach the sample ceiling within {MIN_GROWTH_ROWS} rows", saturated),
+               ("rows below the ceiling are neither Bounded nor Growing",
+                [p for p in undetermined if p not in saturated])]
+    basis = "; ".join(f"{why} at eps {', '.join(str(p.eps) for p in group)}"
+                      for why, group in reasons if group)
+    return SpectralVerdict("Undetermined", per_eps, f"{basis}; no positive call")
 
 
 @dataclass(frozen=True)

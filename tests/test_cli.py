@@ -554,6 +554,30 @@ class TestRunExperiment:
         assert result.stdout.splitlines()[-1] == "0 False"
 
 
+def preset_verdict(name, output_dir):
+    paths = run_experiment(parse_config(dict(PRESETS[name], output_dir=str(output_dir))))
+    with open(paths["verdict"]) as fh:
+        return json.load(fh)
+
+
+class TestKnownAnswers:
+    """Presets on systems whose spectrum is known."""
+
+    @pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("bernoulli-")))
+    def test_bernoulli_shift_is_never_bounded(self, tmp_path, name):
+        # Lebesgue spectrum: rows pinned at the sample ceiling must not read Bounded
+        verdict = preset_verdict(name, tmp_path)
+        assert verdict["per_eps"] and all(
+            cls["kind"] != "Bounded" for cls in verdict["per_eps"].values())
+
+    @pytest.mark.parametrize("name, expected", [
+        ("rotation-euclid1d", "DiscreteSpectrumEvidence"),
+        ("anzai-arc", "NotDiscreteEvidence"),
+    ])
+    def test_verdict(self, tmp_path, name, expected):
+        assert preset_verdict(name, tmp_path)["verdict"] == expected
+
+
 class TestLimitCheckInBundle:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_averaged_section_equals_recomputed_check(self, tmp_path, workers):

@@ -81,6 +81,38 @@ class TestDifferingKeys:
             "case: change/w1 vs change/w2: rows.csv",
         ]
 
+    def test_case_lines_show_moved_verdicts(self, tmp_path):
+        work = tmp_path / "work"
+        verdicts = {
+            "parent": {"verdict": "DiscreteSpectrumEvidence", "basis": "bounded",
+                       "per_eps": {"0.25": {"kind": "Bounded"},
+                                   "0.10000000000000001": {"kind": "Bounded"}}},
+            "change": {"verdict": "Undetermined", "basis": "no positive call",
+                       "per_eps": {"0.25": {"kind": "Undetermined"},
+                                   "0.10000000000000001": {"kind": "Bounded"}}},
+        }
+        for side in compare_presets.SIDES:
+            for workers in compare_presets.WORKERS:
+                bundle = work / side / "case" / f"w{workers}"
+                write_bundle(bundle)
+                (bundle / "verdict.json").write_text(json.dumps(verdicts[side]))
+        moved = ("  verdict: DiscreteSpectrumEvidence -> Undetermined "
+                 "(0.25: Bounded -> Undetermined, 0.1: Bounded -> Bounded)")
+        assert compare_presets.compare_case(work, "case") == [
+            "case: parent/w1 vs change/w1: verdict.json",
+            "  verdict.json: basis, per_eps.0.25.kind, verdict",
+            moved,
+            "case: parent/w2 vs change/w2: verdict.json",
+            "  verdict.json: basis, per_eps.0.25.kind, verdict",
+            moved,
+        ]
+
+    def test_verdict_line_marks_a_missing_eps(self):
+        a = {"verdict": "Undetermined", "per_eps": {}}
+        b = {"verdict": "NotDiscreteEvidence", "per_eps": {"0.5": {"kind": "Growing"}}}
+        assert compare_presets.verdict_line(a, b) == (
+            "  verdict: Undetermined -> NotDiscreteEvidence (0.5: - -> Growing)")
+
 
 class TestMain:
     def run_main(self, monkeypatch, tmp_path, rows_of):

@@ -183,6 +183,20 @@ class TestCoveringEntropy:
             est = eps_entropy_cover(d, float(rng.uniform(0.02, 1.0)))
             assert est.lower_bound_bits <= est.value_bits + 1e-12
 
+    @pytest.mark.parametrize("eps, m, kept", [
+        (0.25, 512, 384),
+        (0.1, 512, 461),
+        (0.25, 64, 48),  # eps * m is exactly 16
+        (0.1, 10, 9),  # 0.1 * 10 rounds to exactly 1.0
+        (0.3, 10, 7),  # 0.3 * 10 rounds to just above 3
+        (1.5, 8, 1),  # the discard budget takes every point
+    ])
+    def test_ceiling_bits(self, eps, m, kept):
+        assert entropy.ceiling_bits(eps, m) == math.log2(kept)
+        # points farther than eps apart each take a set of their own, so the
+        # cover reads exactly the ceiling
+        assert eps_entropy_cover(1.0 - np.eye(m), eps).value_bits == math.log2(kept)
+
     def test_input_validation(self):
         d = _metric_matrix([0.1, 0.4])
         with pytest.raises(ParameterError):

@@ -14,15 +14,17 @@ from orbent import (
     limit_metric_check,
     sample_points,
 )
+from orbent.entropy import ceiling_bits
 from orbent.scaling import (
     BOUNDED,
+    GROWING,
     GrowthClass,
-    LINEAR,
     UNDETERMINED,
     ProfileRow,
     ScalingProfile,
     SpectralVerdict,
-    growth_diagnostics,
+    censored_rows,
+    increments,
     profile_cells,
 )
 from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1
@@ -30,53 +32,100 @@ from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1
 from oracles import reference_limit_check, scaling_profile, standalone_limit_report
 
 
-def rows_from(pairs, seed=1):
+def rows_from(pairs, seed=1, sample_size=2 ** 16):
     return [ProfileRow(n=n, value_bits=v, lower_bound_bits=0.0,
-                       sample_size=128, seed=seed) for n, v in pairs]
+                       sample_size=sample_size, seed=seed) for n, v in pairs]
 
 
 SCHEDULE = [16, 32, 64, 128, 256, 512, 1024]
+# the ceiling of rows_from's default 2**16 points at EPS is about 15.85 bits,
+# above every row that is not built to meet a ceiling
+EPS = 0.1
+# the ceiling of 128 points at eps 0.25: log2(96), about 6.58 bits
+LOW_CEILING = ceiling_bits(0.25, 128)
 
 
 class TestClassifyGrowth:
+    @pytest.mark.parametrize("value", [
+        lambda n: 0.01 * n, lambda n: np.log2(n), lambda n: 0.5 * n ** 0.4,
+    ], ids=["linear", "log2", "power-0.4"])
+    def test_growth_below_the_ceiling_is_growing(self, value):
+        assert classify_growth(rows_from([(n, value(n)) for n in SCHEDULE]), EPS) == GROWING
+
     def test_constant_rows_bounded(self):
-        cls = classify_growth(rows_from([(n, 3.0) for n in SCHEDULE]))
+        cls = classify_growth(rows_from([(n, 3.0) for n in SCHEDULE]), EPS)
         assert cls == BOUNDED
-
-    def test_exact_linear(self):
-        cls = classify_growth(rows_from([(n, 0.5 * n) for n in SCHEDULE]))
-        assert cls == LINEAR
-
-    def test_exact_logarithmic(self):
-        cls = classify_growth(rows_from([(n, 3.0 * np.log2(n)) for n in SCHEDULE]))
-        assert cls.kind == "Logarithmic"
-
-    def test_power_law_is_polynomial(self):
-        # exponent low enough that the plain linear fit misses its gate
-        cls = classify_growth(rows_from([(n, 2.0 * n ** 0.4) for n in SCHEDULE]))
-        assert cls.kind == "Polynomial"
-        assert cls.exponent == pytest.approx(0.4, abs=0.01)
 
     def test_settling_staircase_is_bounded(self):
         # quantized estimates settling one step up must not read as growth
         values = [2.32, 2.32, 2.58, 2.58, 2.58, 2.58, 2.58]
-        cls = classify_growth(rows_from(list(zip(SCHEDULE, values))))
+        cls = classify_growth(rows_from(list(zip(SCHEDULE, values))), EPS)
         assert cls == BOUNDED
 
+    def test_rows_at_the_ceiling_from_the_second_row_are_undetermined(self):
+        # pinned at the ceiling the rows are flat, which must not read Bounded
+        values = [1.0] + [LOW_CEILING] * 6
+        rows = rows_from(list(zip(SCHEDULE, values)), sample_size=128)
+        assert classify_growth(rows, 0.25) == UNDETERMINED
+
+    def test_rows_within_the_margin_are_censored(self):
+        flat = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        below = rows_from(list(zip(SCHEDULE, flat + [LOW_CEILING - 0.51])), sample_size=128)
+        at = rows_from(list(zip(SCHEDULE, flat + [LOW_CEILING - 0.5])), sample_size=128)
+        assert censored_rows(below, 0.25) == [False] * 7
+        assert censored_rows(at, 0.25) == [False] * 6 + [True]
+        # flat rows below the ceiling, then a censored one: not Bounded
+        assert classify_growth(at, 0.25) == UNDETERMINED
+
+    def test_growth_read_before_the_ceiling(self):
+        # a rise over four rows, then the ceiling: the rise is read, not the plateau
+        values = [1.0, 2.0, 3.0, 4.0] + [LOW_CEILING] * 3
+        rows = rows_from(list(zip(SCHEDULE, values)), sample_size=128)
+        assert classify_growth(rows, 0.25) == GROWING
+        assert classify_growth(rows[:3] + rows[4:], 0.25) == UNDETERMINED
+
+    @pytest.mark.parametrize("tail, expected", [
+        ([0.25, 0.125, 0.125], BOUNDED),
+        ([0.25, 0.125, 0.125 + 2 ** -20], UNDETERMINED),
+        ([0.25, 0.25, 0.25], GROWING),
+        ([0.25, 0.25, 0.25 - 2 ** -20], UNDETERMINED),
+    ], ids=["sum-0.5", "above-0.5", "sum-0.75", "below-0.75"])
+    def test_tail_sum_thresholds(self, tail, expected):
+        values = list(np.cumsum([1.0, 0.0, 0.0, 0.0] + tail))
+        rows = rows_from(list(zip(SCHEDULE, values)))
+        assert increments(rows)[-3:] == tail
+        assert classify_growth(rows, EPS) == expected
+
+    def test_growing_needs_every_tail_increment_positive(self):
+        values = [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 4.0]
+        assert classify_growth(rows_from(list(zip(SCHEDULE, values))), EPS) == UNDETERMINED
+
+    @pytest.mark.parametrize("rate, expected", [(0.15, BOUNDED), (0.2, UNDETERMINED)])
+    def test_increments_are_per_doubling_of_n(self, rate, expected):
+        # per tripling of n the rows rise by rate * log2(3); only bits per
+        # doubling keep the tail at 3 * rate, inside Bounded or below Growing
+        rows = rows_from([(n, rate * np.log2(n)) for n in [1, 3, 9, 27, 81]])
+        assert increments(rows) == pytest.approx([rate] * 4, abs=1e-12)
+        assert classify_growth(rows, EPS) == expected
+
     def test_needs_four_rows(self):
+        assert classify_growth(rows_from([(n, 1.0) for n in SCHEDULE[:3]]), EPS) == UNDETERMINED
+        assert classify_growth(rows_from([(n, 1.0) for n in SCHEDULE[:4]]), EPS) == BOUNDED
+
+    def test_distinct_n(self):
         with pytest.raises(ParameterError):
-            classify_growth(rows_from([(16, 1.0), (32, 1.0), (64, 1.0)]))
+            classify_growth(rows_from([(16, 1.0), (32, 1.0), (32, 1.0), (64, 1.0)]), EPS)
 
-    def test_order_independent(self):
-        rows = rows_from([(n, 3.0 * np.log2(n)) for n in SCHEDULE])
+    @pytest.mark.parametrize("values, sample_size, eps, expected", [
+        ([np.log2(n) for n in SCHEDULE], 2 ** 16, EPS, GROWING),
+        ([1.0, 2.0, 3.0, 4.0] + [LOW_CEILING] * 3, 128, 0.25, GROWING),
+        ([1.0, 2.0, 3.0] + [LOW_CEILING] * 4, 128, 0.25, UNDETERMINED),
+        ([2.32, 2.32, 2.58, 2.58, 2.58, 2.58, 2.58], 2 ** 16, EPS, BOUNDED),
+    ], ids=["growing", "censored-growing", "censored-early", "bounded"])
+    def test_order_independent(self, values, sample_size, eps, expected):
+        rows = rows_from(list(zip(SCHEDULE, values)), sample_size=sample_size)
         shuffled = [rows[i] for i in (3, 0, 6, 1, 5, 2, 4)]
-        assert classify_growth(shuffled) == classify_growth(rows)
-
-    def test_diagnostics_fields(self):
-        diag = growth_diagnostics(rows_from([(n, 0.5 * n) for n in SCHEDULE]))
-        assert diag["linear"]["r2"] == pytest.approx(1.0, abs=1e-12)
-        assert diag["linear"]["slope"] == pytest.approx(0.5, abs=1e-12)
-        assert "kendall_tau" in diag and "bounded_diff_bits" in diag
+        assert classify_growth(shuffled, eps) == classify_growth(rows, eps) == expected
 
 
 class TestScalingProfile:
@@ -112,8 +161,9 @@ class TestScalingProfile:
         profile = scaling_profile(
             system, cut, 0.25, [2, 4, 8, 16], 512, [101, 202, 303],
         )
-        assert profile.growth_class.kind == "Linear"
-        assert profile.fit_diagnostics["linear"]["slope"] > 0
+        assert profile.growth_class == GROWING
+        assert profile.censored == [False] * 4
+        assert all(step > 0 for step in profile.increments)
 
     def test_profile_json_roundtrip(self, euclid, identity):
         # profiles decode by Record.from_json, as every record does
@@ -128,23 +178,22 @@ class TestScalingProfile:
         assert json.dumps(again.to_json()) == blob
 
     @pytest.mark.parametrize("growth, blob", [
-        (GrowthClass("Polynomial", exponent=1.5), '{"kind": "Polynomial", "exponent": 1.5}'),
         (BOUNDED, '{"kind": "Bounded"}'),
-    ], ids=["polynomial", "bounded"])
+        (GROWING, '{"kind": "Growing"}'),
+    ], ids=["bounded", "growing"])
     def test_growth_class_json_roundtrip(self, growth, blob):
-        # a None exponent is left out of the JSON, by the codec's own rule
         assert "from_json" not in vars(GrowthClass) and "to_json" not in vars(GrowthClass)
         assert json.dumps(growth.to_json()) == blob
         assert GrowthClass.from_json(json.loads(blob)) == growth
 
 
 class TestVerdict:
-    def _profile(self, eps, cls):
+    def _profile(self, eps, cls, censored=(False,) * 7):
         rows = rows_from([(n, 1.0) for n in SCHEDULE])
         return ScalingProfile(
             system=Identity(), metric=Euclidean1D(),
             method="Covering", eps=eps, rows=rows, growth_class=cls,
-            fit_diagnostics={},
+            increments=[0.0] * 6, censored=list(censored),
         )
 
     def test_all_bounded_is_discrete_evidence(self):
@@ -155,7 +204,7 @@ class TestVerdict:
 
     def test_any_growth_blocks_discreteness(self):
         verdict = discreteness_verdict(
-            [self._profile(0.25, BOUNDED), self._profile(0.1, LINEAR)]
+            [self._profile(0.25, BOUNDED), self._profile(0.1, GROWING)]
         )
         assert verdict.verdict == "NotDiscreteEvidence"
 
@@ -165,6 +214,24 @@ class TestVerdict:
         )
         assert verdict.verdict == "Undetermined"
 
+    def test_undetermined_basis_names_saturated_and_unclassified_eps(self):
+        # rows that reach the ceiling before four rows, apart from rows the
+        # rule reads and finds neither Bounded nor Growing
+        saturated = (False, False, True, True, True, True, True)
+        unclassified = (False,) * 5 + (True, True)
+        profiles = [self._profile(0.25, UNDETERMINED, saturated),
+                    self._profile(0.1, UNDETERMINED, unclassified),
+                    self._profile(0.05, UNDETERMINED, saturated),
+                    self._profile(0.01, BOUNDED)]
+        assert discreteness_verdict(profiles).basis == (
+            "rows reach the sample ceiling within 4 rows at eps 0.25, 0.05; "
+            "rows below the ceiling are neither Bounded nor Growing at eps 0.1; "
+            "no positive call"
+        )
+        assert discreteness_verdict(profiles[:1] + profiles[3:]).basis == (
+            "rows reach the sample ceiling within 4 rows at eps 0.25; no positive call"
+        )
+
     def test_one_eps_is_undetermined(self):
         verdict = discreteness_verdict([self._profile(0.25, BOUNDED)])
         assert verdict.to_json() == {
@@ -173,15 +240,14 @@ class TestVerdict:
 
     def test_verdict_json_keys_eps_by_17_digits(self):
         # the codec writes the verdict's dict of growth classes entry by entry
-        polynomial = GrowthClass("Polynomial", exponent=1.5)
         verdict = discreteness_verdict(
-            [self._profile(0.25, BOUNDED), self._profile(0.1, polynomial)]
+            [self._profile(0.25, BOUNDED), self._profile(0.1, GROWING)]
         )
         assert "to_json" not in vars(SpectralVerdict)
         assert verdict.to_json() == {
             "verdict": "NotDiscreteEvidence",
             "per_eps": {"0.25": {"kind": "Bounded"},
-                        "0.10000000000000001": {"kind": "Polynomial", "exponent": 1.5}},
+                        "0.10000000000000001": {"kind": "Growing"}},
             "basis": "entropy of the averaged metric grows with n at some eps",
         }
         assert SpectralVerdict.from_json(json.loads(json.dumps(verdict.to_json()))) == verdict
@@ -203,7 +269,7 @@ class TestLimitMetricCheck:
     def test_bernoulli_average_concentrates(self, cut):
         # averaged cut distances pile up near 1/2: empty balls at eps=0.1
         system = BernoulliShift([0.5, 0.5], horizon=300)
-        report = limit_check(system, cut, 256, 64, [1, 2, 3], profile_class=LINEAR)
+        report = limit_check(system, cut, 256, 64, [1, 2, 3], profile_class=GROWING)
         assert report.verdict == "NotAdmissibleEvidence"
         assert report.ball_mass_fraction <= 0.05
         assert report.consistent is True
