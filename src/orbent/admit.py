@@ -244,12 +244,12 @@ def matrix_report(
     values = as_values(matrix)
     off = ~np.eye(values.shape[0], dtype=bool)
     l1 = float(values[off].mean())
-    ball = ball_mass_test(values, eps)
+    ball = ball_mass_test(matrix, eps)
     pc = random_matrix_test(metric, system, SEPARATION_C, pc_n, pc_trials, seed)
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
     if sample.coords is not None:
-        curve = trace_from_matrix(values, sample, TRACE_SCHEDULE)
+        curve = trace_from_matrix(matrix, sample, TRACE_SCHEDULE)
         trace_ok = trace_evidence(curve, l1)
     return AdmissibilityReport(
         ball_mass_fraction=ball, pc_probability=pc, trace_curve=curve,

@@ -292,7 +292,7 @@ def compare_bundles(dir_a, dir_b) -> dict:
                     scaling.ScalingProfile.from_json(p) for p in json.load(fh)["profiles"]
                 ]
             with open(bundle_dir / "verdict.json") as fh:
-                verdict = json.load(fh)["verdict"]
+                verdict = scaling.SpectralVerdict.from_json(json.load(fh)).verdict
         except (OSError, ValueError, KeyError, TypeError, ParameterError) as exc:
             raise ConfigError("bundle", f"not a result bundle: {bundle_dir} ({exc})") from exc
         return profiles, verdict

@@ -6,18 +6,20 @@ partition is its class: a map of coordinates implements ``step``, and a system
 with a new draw of points its own ``sample(m, rng)``.  The package's one JSON
 codec lives here and writes and decodes every JSON object of the package,
 the ``orbent run`` config and the bundle records too: ``fields_json`` writes
-dataclass fields, ``from_fields_json`` reads them through ``DECODE``, one
-decoder per annotation, and :class:`Tagged` adds the tag that names a class,
-registered when the class is defined.  The writer has two rules beyond
-"each field by its own ``to_json``": a dict is written key by key with each
-value by the same rules, and a field that is None is left out when its
-default is None, so that an optional field left unset adds nothing, but is
-written as null when it has no default.  The decoders are strict: an ``int``
-field takes only a JSON integer, a ``float`` field only a JSON number, a
-``str`` field only a JSON string, a ``bool`` entry only true or false, and a
-tuple or list field only a JSON array.  A bad field raises
-:class:`~orbent.errors.ConfigError`, which carries its name, and an error
-inside a nested object is raised again under the outer object's field.
+dataclass fields, ``from_fields_json`` reads each by its resolved annotation,
+and :class:`Tagged` adds the tag that names a class, registered when the
+class is defined.  The writer has two rules beyond "each field by its own
+``to_json``": a dict is written key by key with each value by the same rules,
+and a field that is None is left out when its default is None, so that an
+optional field left unset adds nothing, but is written as null when it has no
+default.  The reader has one recursive rule: ``Optional[X]`` is null or X,
+``list[X]`` and ``tuple[X, ...]`` an array of X, ``dict[str, X]`` an object
+of X, and a class with a ``from_json`` (a :class:`Record` or a Tagged root)
+reads itself.  Its leaves are strict: an ``int`` is never a bool or a float, a
+``float`` is any number but a bool, and a ``str``, ``bool`` or bare ``list``
+is only itself.  A bad field, or one whose annotation the reader cannot read,
+raises :class:`~orbent.errors.ConfigError`, which carries its name, and an
+error inside a nested object is raised again under the outer object's field.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,38 +70,74 @@ def fields_json(obj) -> dict:
             if getattr(obj, f.name) is not None or f.default is not None}
 
 
-class Record:
-    """Mixin for dataclasses whose JSON is exactly their fields."""
+def _strict(tp: type, value):
+    """``value``, if it is JSON of the leaf type ``tp`` by the module docstring."""
+    if isinstance(value, bool) != (tp is bool) or \
+            not isinstance(value, (int, float) if tp is float else tp):
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
 
-    def to_json(self) -> dict:
-        return fields_json(self)
 
-    @classmethod
-    def from_json(cls, obj: dict):
-        return from_fields_json(cls, obj)
+def _decoder(tp) -> Callable:
+    """The decoder of a JSON value into the resolved annotation ``tp``, by the
+    rule of the module docstring; a TypeError if the rule cannot read ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if origin is list and len(args) == 1 or origin is tuple and args[1:] == (...,):
+        item = _decoder(args[0])
+        return lambda values: origin(item(x) for x in _strict(list, values))
+    if origin is dict and args[:1] == (str,):
+        item = _decoder(args[1])
+        return lambda obj: {k: item(x) for k, x in _strict(dict, obj).items()}
+    if tp in (int, float, bool, str, list):
+        return lambda value: _strict(tp, value)
+    if isinstance(tp, type) and hasattr(tp, "from_json"):
+        return tp.from_json
+    raise TypeError(f"the codec reads no {tp!r}")
+
+
+def field_decoders(cls) -> dict[str, Callable]:
+    """The decoder of each field of dataclass ``cls``; a :class:`ConfigError`
+    names a field whose annotation the codec cannot read."""
+    hints = get_type_hints(cls)
+    decoders = {}
+    for f in fields(cls):
+        try:
+            decoders[f.name] = _decoder(hints[f.name])
+        except TypeError as exc:
+            raise ConfigError(f.name, f"{cls.__name__} field {f.name!r}: {exc}") from exc
+    return decoders
 
 
 def from_fields_json(cls, obj: dict):
-    """Dataclass ``cls`` from a JSON object of its fields.  Only an ``Optional``
-    field may be missing, and takes its default; a :class:`ConfigError` names
-    the class and the field."""
+    """Dataclass ``cls`` from a JSON object of its fields, each read by its
+    annotation.  A missing field reads as null, which only an ``Optional``
+    field takes; a :class:`ConfigError` names the class and the field."""
     name = cls.__name__
     if not isinstance(obj, dict):
         raise ParameterError(f"{name} JSON must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    decoders = field_decoders(cls)
+    unknown = sorted(set(obj) - set(decoders))
     if unknown:
         raise ConfigError(unknown[0], f"{name} has no field {unknown[0]!r}")
     kwargs = {}
-    for f in fields(cls):
-        if f.name in obj:
-            decode = DECODE[f.type]
-            try:
-                kwargs[f.name] = decode(obj[f.name])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f.name, f"invalid {name} field {f.name!r}: {exc}") from exc
-        elif not f.type.startswith("Optional["):
-            raise ConfigError(f.name, f"{name} needs the field {f.name!r}")
+    for key, decode in decoders.items():
+        try:
+            kwargs[key] = decode(obj.get(key))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if key not in obj:
+                raise ConfigError(key, f"{name} needs the field {key!r}") from exc
+            raise ConfigError(key, f"invalid {name} field {key!r}: {exc}") from exc
     return cls(**kwargs)
+
+
+class Record:
+    """Mixin for dataclasses whose JSON is exactly their fields."""
+
+    to_json = fields_json
+    from_json = classmethod(from_fields_json)
 
 
 class Tagged:
@@ -152,13 +190,12 @@ class SystemSpec(Tagged):
         return self.json_tag()
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type != "float":
-                continue
-            value = float(getattr(self, f.name))
+        hints = get_type_hints(type(self))
+        for name in [f.name for f in fields(self) if hints[f.name] is float]:
+            value = float(getattr(self, name))
             if not np.isfinite(value) or value % 1.0 == 0.0:
-                raise ParameterError(f"{f.name} must be finite and not an integer, got {value!r}")
-            object.__setattr__(self, f.name, value)
+                raise ParameterError(f"{name} must be finite and not an integer, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def sample(self, m: int, rng: np.random.Generator) -> PointSample:
         """m points drawn i.i.d. from the invariant measure."""
@@ -264,56 +301,6 @@ class BernoulliShift(SystemSpec):
     def label(self) -> str:
         ws = ";".join(f"{w:.17g}" for w in self.weights)
         return f"BernoulliShift[weights={ws}]"
-
-
-def _json_int(value) -> int:
-    """A JSON integer; a bool or a non-integral number is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _json_float(value) -> float:
-    """A JSON number; a bool or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _json_bool(value) -> bool:
-    """A JSON true or false."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _json_str(value) -> str:
-    """A JSON string."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _json_array(values) -> list:
-    """A JSON array; a string or an object is refused, not read entry by entry."""
-    if not isinstance(values, list):
-        raise TypeError(f"expected an array, got {values!r}")
-    return values
-
-
-# field type annotation -> decoder of that field's JSON value; the modules
-# that define further field types add their decoders
-DECODE: dict[str, Callable] = {
-    "float": _json_float,
-    "int": _json_int,
-    "str": _json_str,
-    "Optional[int]": lambda value: None if value is None else _json_int(value),
-    "tuple[int, ...]": lambda values: tuple(_json_int(x) for x in _json_array(values)),
-    "tuple[float, ...]": lambda values: tuple(_json_float(x) for x in _json_array(values)),
-    "list[float]": lambda values: [_json_float(x) for x in _json_array(values)],
-    "list[bool]": lambda values: [_json_bool(x) for x in _json_array(values)],
-    "SystemSpec": SystemSpec.from_json,
-}
 
 
 @dataclass(frozen=True)

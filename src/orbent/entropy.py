@@ -181,7 +181,7 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
     minimal number of diameter-<eps sets.  The lower bound comes from a
     greedy eps-separated subset: each admissible set holds at most one
     separated point and the exceptional set can absorb at most the discard
-    budget of them.
+    budget of them.  ``as_values`` checks the entries of a plain array.
     """
     values = as_values(matrix)
     m = values.shape[0]
@@ -360,7 +360,7 @@ def eps_entropy_kantorovich(
     A plain-array ``matrix`` is checked as a ``DistanceMatrix`` is.
     """
     if not isinstance(matrix, DistanceMatrix):
-        matrix = DistanceMatrix(as_values(matrix))
+        matrix = DistanceMatrix(np.asarray(matrix, dtype=float))
     values = matrix.values
     m = values.shape[0]
     if m < 2:

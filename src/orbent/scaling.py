@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import admit
-from .dynsys import DECODE, Record, SystemSpec, sample_points
+from .dynsys import Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, ceiling_bits, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
@@ -107,13 +107,6 @@ class ScalingProfile(Record):
     growth_class: GrowthClass
     increments: list[float]
     censored: list[bool]
-
-
-DECODE.update({
-    "list[ProfileRow]": lambda rows: [ProfileRow.from_json(r) for r in rows],
-    "GrowthClass": GrowthClass.from_json,
-    "dict[str, GrowthClass]": lambda obj: {k: GrowthClass.from_json(v) for k, v in obj.items()},
-})
 
 
 def profile_cells(

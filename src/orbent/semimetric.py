@@ -7,10 +7,10 @@ pull-back, orbit average) are inner nodes.  A node's dataclass fields are its
 parameters, checked in ``__post_init__``; it implements ``values(sample,
 rows)`` and ``label()``, and ``symbol_horizon()`` if it reads symbols.  JSON
 is generic: ``{"type": <class name>, <field>: <value>, ...}``, by the codec of
-:mod:`dynsys`, which registers each node class when it is defined.  A new
-node, system or partition is its class, plus a ``DECODE`` entry only for a
-field type not yet there.  Partitions of :class:`Block` follow the same
-pattern: ``{"kind": <snake_case name>, <field>: <value>, ...}``.
+:mod:`dynsys`, which registers each node class when it is defined and reads
+each field by its annotation.  A new node, system or partition is its class.
+Partitions of :class:`Block` follow the same pattern: ``{"kind": <snake_case
+name>, <field>: <value>, ...}``.
 ``dyadic_cells`` is the one dyadic concept: it cuts the coordinate space into
 dyadic boxes for :class:`DyadicIntervals` (on the first coordinate) and for
 the admissibility trace curve (on all coordinates).
@@ -50,9 +50,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, U
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynsys import (
-    DECODE, Identity, PointSample, SystemSpec, Tagged, advance_sample,
-)
+from .dynsys import Identity, PointSample, SystemSpec, Tagged, advance_sample
 from .errors import HorizonError, MetricTypeError, ParameterError
 
 
@@ -676,9 +674,6 @@ class Average(Semimetric):
         return extra + self.inner.symbol_horizon()
 
 
-DECODE.update(Semimetric=Semimetric.from_json, Partition=Partition.from_json)
-
-
 # ---------------------------------------------------------------------------
 # distance matrices
 
@@ -690,13 +685,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ParameterError("distance matrix must be square")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("distance matrix entries must be finite")
-        if np.any(v < 0.0):
-            raise ParameterError("distance matrix entries must be nonnegative")
+        v = as_values(self.values)
         if not all(np.array_equal(v[a:b, c:d], v[c:d, a:b].T)
                    for a, b in _blocks(len(v)) for c, d in _blocks(b)):
             raise ParameterError("distance matrix must be exactly symmetric")
@@ -708,10 +697,18 @@ MatrixLike = Union[DistanceMatrix, np.ndarray]
 
 
 def as_values(matrix: MatrixLike) -> np.ndarray:
-    """The value array of a distance matrix or of a plain array."""
+    """The value array of a distance matrix, or a plain array checked as a
+    distance matrix checks its entries: square, finite and nonnegative."""
     if isinstance(matrix, DistanceMatrix):
         return matrix.values
-    return np.asarray(matrix, dtype=float)
+    values = np.asarray(matrix, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ParameterError("distance matrix must be square")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("distance matrix entries must be finite")
+    if np.any(values < 0.0):
+        raise ParameterError("distance matrix entries must be nonnegative")
+    return values
 
 
 def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:

@@ -16,7 +16,8 @@ from orbent.cli import (
     parse_config,
     run_experiment,
 )
-from orbent.scaling import GrowthClass
+from orbent.admit import AdmissibilityReport
+from orbent.scaling import GrowthClass, LimitMetricReport, ScalingProfile, SpectralVerdict
 
 from oracles import reference_limit_check
 
@@ -466,6 +467,30 @@ def bundles(tmp_path_factory):
 
 
 class TestRunExperiment:
+    def test_every_bundle_file_decodes_by_its_record(self, tmp_path):
+        config = parse_config({
+            "system": {"kind": "Identity"}, "metric": {"type": "Euclidean1D"},
+            "eps_grid": [0.25, 0.1], "n_schedule": [1, 2, 4, 8], "m": 64,
+            "seeds": [1, 2, 3], "method": "Covering", "output_dir": str(tmp_path),
+        })
+        paths = run_experiment(config)
+
+        def load(name):
+            with open(paths[name]) as fh:
+                return json.load(fh)
+
+        admissibility = load("admissibility")
+        decoded = [
+            (ExperimentConfig, load("config")),
+            *((ScalingProfile, p) for p in load("profile")["profiles"]),
+            (SpectralVerdict, load("verdict")),
+            (AdmissibilityReport, admissibility["base"]),
+            (LimitMetricReport, admissibility["averaged"]),
+        ]
+        assert len(decoded) == 4 + len(config.eps_grid)
+        for record, blob in decoded:
+            assert record.from_json(blob).to_json() == blob, record.__name__
+
     def test_writes_all_outputs(self, bundle):
         _, paths = bundle
         for name in ("rows", "profile", "verdict", "admissibility", "estimates"):
@@ -636,6 +661,17 @@ class TestCompare:
         error = json.loads(result.stderr)["error"]
         assert error["code"] == "invalid_config"
         assert error["field"] == "bundle"
+
+    def test_malformed_verdict_exits_2(self, bundles, tmp_path):
+        import shutil
+
+        rot_dir, _ = bundles
+        broken = tmp_path / "broken"
+        shutil.copytree(rot_dir, broken)
+        (broken / "verdict.json").write_text(json.dumps({"verdict": 3, "per_eps": "x"}))
+        result = run_cli("compare", str(rot_dir), str(broken))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"]["field"] == "bundle"
 
     def test_cli_compare_text_output(self, bundles):
         rot_dir, bern_dir = bundles

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import orbent.cli  # noqa: F401  defines ExperimentConfig, a record the walk must reach
 from orbent import (
     AnzaiSkew,
     BernoulliShift,
@@ -8,12 +11,15 @@ from orbent import (
     HorizonError,
     Identity,
     ParameterError,
+    Partition,
     PointSample,
+    Semimetric,
     SystemSpec,
     TorusTranslation,
     sample_points,
 )
-from orbent.dynsys import advance_sample
+from orbent.dynsys import Record, advance_sample, field_decoders, from_fields_json
+from orbent.errors import ConfigError
 
 from oracles import reference_sample
 
@@ -234,3 +240,39 @@ class TestSerialization:
         obj = BernoulliShift([0.5, 0.5], horizon=16).to_json()
         assert obj["kind"] == "BernoulliShift"
         assert obj["weights"] == [0.5, 0.5]
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+# every class the codec decodes: the tagged families and the records
+DECODED = [*SystemSpec.registry.values(), *Semimetric.registry.values(),
+           *Partition.registry.values(), *_records()]
+
+
+class TestCodecExtensionPoint:
+    """Every field of every class the codec decodes is one it reads, so a new
+    class with a field it cannot read fails here and not in a run."""
+
+    def test_walk_reaches_every_bundle_record(self):
+        names = {cls.__name__ for cls in DECODED}
+        assert names >= {"ExperimentConfig", "ScalingProfile", "ProfileRow", "GrowthClass",
+                         "SpectralVerdict", "AdmissibilityReport", "TracePoint",
+                         "LimitMetricReport", "Average", "Block", "BernoulliShift"}
+
+    @pytest.mark.parametrize("cls", DECODED, ids=lambda cls: cls.__name__)
+    def test_every_field_is_readable(self, cls):
+        assert set(field_decoders(cls)) == set(cls.__dataclass_fields__)
+
+    def test_unreadable_field_is_named(self):
+        @dataclass(frozen=True)
+        class Holder(Record):
+            count: int
+            values: np.ndarray
+
+        with pytest.raises(ConfigError) as err:
+            from_fields_json(Holder, {"count": 1, "values": [0.5]})
+        assert err.value.field == "values"

@@ -494,6 +494,16 @@ class TestEstimatePipeline:
         [kant] = estimate_from_matrix(d, [0.3], "Kantorovich")
         assert cover.method == "Covering"
         assert kant.method == "Kantorovich"
+        # a plain array with a NaN or a negative entry is refused by each
+        # estimator, called alone and through the dispatch
+        nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        negative = np.array([[0.0, -0.1], [-0.1, 0.0]])
+        for method in entropy.ESTIMATORS:
+            for bad in (nan, negative):
+                with pytest.raises(ParameterError):
+                    entropy.ESTIMATORS[method](bad, [0.5], 0)
+                with pytest.raises(ParameterError):
+                    estimate_from_matrix(bad, [0.5], method)
         with pytest.raises(ParameterError):
             estimate_from_matrix(d, [0.3], "annealing")
         # names are exact here; only parse_config canonicalizes them
