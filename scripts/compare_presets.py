@@ -17,8 +17,16 @@ the dotted keys that differ in each differing JSON file, for example
 verdict.json adds one more line with both sides' values, for example
 ``verdict: DiscreteSpectrumEvidence -> Undetermined (0.25: Bounded ->
 Undetermined, 0.1: Bounded -> Undetermined)``, so the log lists every verdict
-a change moves.  The exit code is 1 when any file differs or any run fails,
-else 0.
+a change moves.
+
+A scoreboard follows: one line per case and side with the verdict of its w1
+bundle beside the spectrum that the config's top-level system kind has
+(``SPECTRUM``), then per side the count of ok and wrong verdicts and how many
+of them are Undetermined.  The bundle check and the rule that marks a verdict
+ok on a spectrum are the benchmark's (``orbench/run.py``: ``read_bundle``
+and ``outcome``), so the repo has one definition of a correct verdict.  The
+exit code is 1 when any file differs or any run fails, else 0; the
+scoreboard does not change it.
 """
 from __future__ import annotations
 
@@ -31,12 +39,17 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-BUNDLE_FILES = (
-    "config.json", "rows.csv", "estimates.csv", "profile.json", "verdict.json",
-    "admissibility.json",
-)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "orbench"))
+import run as orbench  # noqa: E402
+
+BUNDLE_FILES = orbench.BUNDLE_FILES
 SIDES = ("parent", "change")
 WORKERS = (1, 2)
+# the spectrum of each top-level system kind, in the benchmark's labels
+SPECTRUM = {
+    "CircleRotation": "discrete", "TorusTranslation": "discrete", "Identity": "discrete",
+    "BernoulliShift": "lebesgue", "AnzaiSkew": "mixed",
+}
 
 
 def orbent(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -145,6 +158,32 @@ def compare_case(work: Path, name: str) -> list[str]:
     return lines
 
 
+def scoreboard(work: Path, names: list[str]) -> list[str]:
+    """One line per case and side with a readable w1 bundle, its verdict
+    beside the spectrum of its system kind and the benchmark's score, then
+    one tally per side."""
+    lines = []
+    for side in SIDES:
+        tally = dict.fromkeys(("ok", "wrong", "undetermined"), 0)
+        for name in names:
+            bundle = work / side / name / "w1"
+            try:
+                config = json.loads((bundle / "config.json").read_text())
+                kind = config["system"]["kind"]
+                result = orbench.outcome(orbench.read_bundle(bundle, config), config,
+                                         SPECTRUM[kind])
+            except (OSError, ValueError, KeyError, TypeError):
+                continue  # the run failed, and its case line says so
+            score = "ok" if result["verdict_ok"] else "wrong"
+            tally[score] += 1
+            tally["undetermined"] += result["verdict"] == "Undetermined"
+            lines.append(f"  {name} {side}: {result['verdict']} on {kind}"
+                         f" ({SPECTRUM[kind]} spectrum): {score}")
+        lines.append(f"{side}: {tally['ok']} ok, {tally['wrong']} wrong,"
+                     f" {tally['undetermined']} of them Undetermined")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -179,6 +218,7 @@ def main(argv=None) -> int:
         lines = [f"{name}: run failed: {e}" for e in errors] or compare_case(args.work, name)
         print("\n".join(lines) if lines else f"{name}: identical", flush=True)
         failed = failed or bool(lines)
+    print("\n".join(scoreboard(args.work, sorted(cases))))
     print(f"{len(cases)} cases, {'differences found' if failed else 'all identical'}")
     return 1 if failed else 0
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .dynsys import PointSample, Record, SystemSpec, derive_rng, sample_points
 from .errors import ParameterError, SizeError
-from .semimetric import (
-    MatrixLike, Semimetric, _coords, as_values, distance_matrix, dyadic_cells,
-)
+from .semimetric import DistanceMatrix, Semimetric, _coords, distance_matrix, dyadic_cells
 
 # verdict thresholds; finite-sample calibration, not sharp constants
 ADMISSIBLE_BALL_MASS = 0.9
@@ -52,7 +50,7 @@ class TracePoint(Record):
 
 
 def trace_from_matrix(
-    matrix: MatrixLike, sample: PointSample, n_schedule: Sequence[int],
+    matrix: DistanceMatrix, sample: PointSample, n_schedule: Sequence[int],
 ) -> list[TracePoint]:
     """Trace curve of a value matrix on ``sample`` over the dyadic boxes of
     each n of the schedule (a power of 2), cut by ``dyadic_cells``.
@@ -62,7 +60,7 @@ def trace_from_matrix(
     renormalized; a point is flagged when more than 10% of cells drop out.
     A curve decreasing toward zero is evidence of admissibility.
     """
-    values = as_values(matrix)
+    values = matrix.values
     coords = _coords(sample)
     curve = []
     for n in n_schedule:
@@ -98,9 +96,9 @@ def trace_from_matrix(
 # ball-mass test
 
 
-def ball_mass_test(matrix: MatrixLike, eps: float) -> float:
+def ball_mass_test(matrix: DistanceMatrix, eps: float) -> float:
     """Fraction of points whose closed eps-ball captures another sample point."""
-    values = as_values(matrix)
+    values = matrix.values
     m = values.shape[0]
     if m < MIN_BALL_MASS_POINTS:
         raise ParameterError(
@@ -230,7 +228,7 @@ def matrix_report(
     system: SystemSpec,
     metric: Semimetric,
     sample: PointSample,
-    matrix: MatrixLike,
+    matrix: DistanceMatrix,
     *,
     seed: int,
     eps: float,
@@ -241,7 +239,7 @@ def matrix_report(
     matrix under ``metric``, at separation level ``SEPARATION_C`` and over the
     ``TRACE_SCHEDULE`` boxes; the separated-set test draws its own points from
     ``seed``, so only that test evaluates ``metric``."""
-    values = as_values(matrix)
+    values = matrix.values
     off = ~np.eye(values.shape[0], dtype=bool)
     l1 = float(values[off].mean())
     ball = ball_mass_test(matrix, eps)

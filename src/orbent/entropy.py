@@ -42,9 +42,7 @@ import numpy as np
 from .admit import greedy_separated_size
 from .dynsys import SystemSpec, derive_rng, sample_points
 from .errors import InfeasibleError, ParameterError, SizeError
-from .semimetric import (
-    Average, DistanceMatrix, MatrixLike, Semimetric, as_values, distance_matrix,
-)
+from .semimetric import Average, DistanceMatrix, Semimetric, distance_matrix
 
 _REL_TOL = 1e-12
 MAX_TRANSPORT_SUPPORT = 4096
@@ -96,7 +94,7 @@ def atomic_entropy(measure: AtomicMeasure) -> float:
 
 
 def kantorovich_distance(
-    mu1: AtomicMeasure, mu2: AtomicMeasure, ground: MatrixLike,
+    mu1: AtomicMeasure, mu2: AtomicMeasure, ground: DistanceMatrix,
 ) -> float:
     """Exact optimal transport cost between two atomic measures.
 
@@ -109,9 +107,7 @@ def kantorovich_distance(
         raise SizeError(
             f"combined support {mu1.size + mu2.size} exceeds {MAX_TRANSPORT_SUPPORT}"
         )
-    cost = as_values(ground)[np.ix_(mu1.atom_indices, mu2.atom_indices)]
-    if np.any(cost < 0.0):
-        raise ParameterError("transport needs nonnegative distances")
+    cost = ground.values[np.ix_(mu1.atom_indices, mu2.atom_indices)]
     return _transport_cost(cost, mu1.weights, mu2.weights)
 
 
@@ -173,7 +169,7 @@ def ceiling_bits(eps: float, m: int) -> float:
     return math.log2(max(1, m - _discard_budget(eps, m)))
 
 
-def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntropyEstimate:
+def eps_entropy_cover(matrix: DistanceMatrix, eps: float, seed: int = 0) -> EpsEntropyEstimate:
     """Greedy covering estimate of the eps-entropy of the sampled space.
 
     Greedy max-coverage with closed balls of radius eps/2 until all but
@@ -181,9 +177,9 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
     minimal number of diameter-<eps sets.  The lower bound comes from a
     greedy eps-separated subset: each admissible set holds at most one
     separated point and the exceptional set can absorb at most the discard
-    budget of them.  ``as_values`` checks the entries of a plain array.
+    budget of them.
     """
-    values = as_values(matrix)
+    values = matrix.values
     m = values.shape[0]
     if m < 2:
         raise SizeError("covering entropy needs at least two points")
@@ -211,7 +207,9 @@ def eps_entropy_cover(matrix: MatrixLike, eps: float, seed: int = 0) -> EpsEntro
                 break
             new = balls[best] & ~covered
             covered |= new
-            gains -= balls[:, new].sum(axis=1)
+            # balls is exactly symmetric, so the rows of the new points,
+            # contiguous, stand for their columns
+            gains -= balls[new].sum(axis=0)
             n_covered += gain
             k += 1
 
@@ -333,7 +331,7 @@ def _medoid_measure(
 
 
 def eps_entropy_kantorovich(
-    matrix: MatrixLike, eps_values: Sequence[float], seed: int = 0
+    matrix: DistanceMatrix, eps_values: Sequence[float], seed: int = 0
 ) -> list[EpsEntropyEstimate]:
     """Least atomic-measure entropy within transport distance eps of the
     sample, one estimate per eps of ``eps_values``.
@@ -356,11 +354,7 @@ def eps_entropy_kantorovich(
       sum_ij pi_ij d(i, c_j) >= sum_i mu_i min_j d(i, c_j);
     - sending each point to its nearest medoid is a coupling with exactly
       the marginals (mu, nu), and it attains that bound.
-
-    A plain-array ``matrix`` is checked as a ``DistanceMatrix`` is.
     """
-    if not isinstance(matrix, DistanceMatrix):
-        matrix = DistanceMatrix(np.asarray(matrix, dtype=float))
     values = matrix.values
     m = values.shape[0]
     if m < 2:
@@ -430,7 +424,7 @@ def entropy_estimate(
 
 
 def estimate_from_matrix(
-    matrix: MatrixLike, eps_values: Sequence[float], method: str, seed: int = 0
+    matrix: DistanceMatrix, eps_values: Sequence[float], method: str, seed: int = 0
 ) -> list[EpsEntropyEstimate]:
     """One estimate per eps of ``eps_values``, in order."""
     if method not in ESTIMATORS:

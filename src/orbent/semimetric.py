@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -439,19 +439,27 @@ class Zero(Semimetric):
         return np.zeros(sample.points.shape[:-2] + (len(rows), sample.m))
 
 
-def _closed_form_mean_rotated_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+# Each closed form takes the first coordinates u of the rows and v of all
+# points and returns its values on the pairs (u_r, v_c).
+
+def _closed_form_mean_rotated_abs_diff(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Average of |{x+t} - {y+t}| over a full turn: 2*d*(1-d) with d = |x-y|.
-    d = np.abs(a - b)
+    d = np.abs(u[..., :, None] - v[..., None, :])
     return 2.0 * d * (1.0 - d)
 
 
-def _closed_form_abs_plus_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) + np.abs(a * a - b * b)
+def _closed_form_abs_plus_square(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # |x - y| + |x*x - y*y| from two exact difference products, equal to the
+    # broadcast expression bit for bit: abs drops the sign of a zero, and no
+    # square is -0.0
+    d = _differences(u, v)
+    squares = _differences(u * u, v * v)
+    return np.add(np.abs(d, out=d), np.abs(squares, out=squares), out=d)
 
 
-def _closed_form_squared_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _closed_form_squared_abs_diff(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Violates the triangle inequality; shipped as a negative control.
-    return (a - b) ** 2
+    return (u[..., :, None] - v[..., None, :]) ** 2
 
 
 CLOSED_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
@@ -475,7 +483,7 @@ class ClosedForm(Semimetric):
 
     def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)[..., 0]
-        return CLOSED_FORMS[self.tag](c[..., rows, None], c[..., None, :])
+        return CLOSED_FORMS[self.tag](c[..., rows], c)
 
     def label(self) -> str:
         return f"ClosedForm[{self.tag}]"
@@ -680,35 +688,30 @@ class Average(Semimetric):
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative value matrix of a semimetric on a point sample."""
+    """The value matrix of a semimetric on a point sample, checked once here.
+
+    The values are a square array that is finite, nonnegative and exactly
+    symmetric, with an exactly zero diagonal.  Every estimator and diagnostic
+    takes its matrix as this type and reads ``values``; no other matrix type
+    crosses a layer.  A float64 array is kept without a copy.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = as_values(self.values)
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", v)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ParameterError("distance matrix must be square")
+        if not np.all(np.isfinite(v)):
+            raise ParameterError("distance matrix entries must be finite")
+        if np.any(v < 0.0):
+            raise ParameterError("distance matrix entries must be nonnegative")
         if not all(np.array_equal(v[a:b, c:d], v[c:d, a:b].T)
                    for a, b in _blocks(len(v)) for c, d in _blocks(b)):
             raise ParameterError("distance matrix must be exactly symmetric")
         if np.any(np.diagonal(v) != 0.0):
             raise ParameterError("distance matrix diagonal must be exactly zero")
-
-
-MatrixLike = Union[DistanceMatrix, np.ndarray]
-
-
-def as_values(matrix: MatrixLike) -> np.ndarray:
-    """The value array of a distance matrix, or a plain array checked as a
-    distance matrix checks its entries: square, finite and nonnegative."""
-    if isinstance(matrix, DistanceMatrix):
-        return matrix.values
-    values = np.asarray(matrix, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ParameterError("distance matrix must be square")
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("distance matrix entries must be finite")
-    if np.any(values < 0.0):
-        raise ParameterError("distance matrix entries must be nonnegative")
-    return values
 
 
 def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:

@@ -28,8 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from orbent import (
-    AtomicMeasure, Average, ParameterError, admissibility_report, atomic_entropy,
-    kantorovich_distance,
+    AtomicMeasure, Average, DistanceMatrix, ParameterError, admissibility_report,
+    atomic_entropy, kantorovich_distance,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
 from orbent.dynsys import PointSample, advance_sample, derive_rng
@@ -210,13 +210,14 @@ def kantorovich_entropy_by_lp(values, eps, seed=0):
     doubling-then-bisection k schedule as ``eps_entropy_kantorovich``.
     """
     m = values.shape[0]
+    ground = DistanceMatrix(values)
     empirical = AtomicMeasure.uniform(np.arange(m))
     slack = eps * (1.0 + 1e-12)
     feasible = {}
 
     def try_k(k):
         nu, _ = reference_medoid_measure(values, k, seed)
-        ok = kantorovich_distance(empirical, nu, values) < slack
+        ok = kantorovich_distance(empirical, nu, ground) < slack
         if ok:
             feasible[k] = (atomic_entropy(nu), nu.size)
         return ok

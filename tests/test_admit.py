@@ -17,8 +17,8 @@ from orbent.admit import SEPARATION_C, greedy_separated_size
 from orbent.dynsys import GOLDEN_FRAC, AnzaiSkew, CircleRotation
 from orbent.scaling import LIMIT_PC_N, LIMIT_PC_TRIALS
 from orbent.semimetric import (
-    Average, Block, CircleArc, Discrete, Euclidean1D, FirstSymbolCut, FirstSymbols, Mix,
-    OneBlock, Semimetric, TorusArcL1, Zero,
+    Average, Block, CircleArc, Discrete, DistanceMatrix, Euclidean1D, FirstSymbolCut,
+    FirstSymbols, Mix, OneBlock, Semimetric, TorusArcL1, Zero,
 )
 
 from conftest import coords_sample
@@ -49,7 +49,7 @@ def _workload_tests():
 
 
 def trace(metric, sample, n_schedule):
-    return trace_from_matrix(metric.pairwise(sample), sample, n_schedule)
+    return trace_from_matrix(distance_matrix(metric, sample), sample, n_schedule)
 
 
 class TestTraceTest:
@@ -84,7 +84,7 @@ class TestTraceTest:
         for metric in (Euclidean1D(), CircleArc()):
             values = metric.pairwise(sample)
             l1 = float(values[off].mean())
-            for point in trace_from_matrix(values, sample, [2, 4, 8, 16]):
+            for point in trace_from_matrix(DistanceMatrix(values), sample, [2, 4, 8, 16]):
                 assert point.trace_over_n <= 2.0 * l1 + 5 * point.stderr
 
     def test_skipped_cells_flagged(self, euclid):
@@ -114,7 +114,7 @@ class TestTraceTest:
         values = TorusArcL1().pairwise(sample)
         schedule = [2, 4, 8, 16, 32]
         grids = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
-        got = [p.trace_over_n for p in trace_from_matrix(values, sample, schedule)]
+        got = [p.trace_over_n for p in trace_from_matrix(DistanceMatrix(values), sample, schedule)]
         expected = reference_trace_curve(values, sample.coords, grids)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 

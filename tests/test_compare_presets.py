@@ -114,6 +114,56 @@ class TestDifferingKeys:
             "  verdict: Undetermined -> NotDiscreteEvidence (0.5: - -> Growing)")
 
 
+def write_scored_bundle(directory: Path, kind: str, verdict: str, per_eps_kind: str):
+    """A bundle of one cell that the benchmark's bundle check accepts."""
+    write_bundle(directory, rows="eps,n,seed,value_bits\n0.25,1,1,2.5\n")
+    config = {"m": 64, "eps_grid": [0.25], "n_schedule": [1], "seeds": [1],
+              "system": {"kind": kind}}
+    (directory / "config.json").write_text(json.dumps(config))
+    (directory / "estimates.csv").write_text("eps,n,seed\n0.25,1,1\n")
+    for name in ("profile.json", "admissibility.json"):
+        (directory / name).write_text("{}")
+    (directory / "verdict.json").write_text(
+        json.dumps({"verdict": verdict, "per_eps": {"0.25": {"kind": per_eps_kind}}}))
+
+
+class TestScoreboard:
+    def test_verdicts_scored_by_the_benchmark_rule(self, tmp_path):
+        work = tmp_path / "work"
+        verdicts = {
+            ("anzai", "parent"): ("DiscreteSpectrumEvidence", "Bounded"),
+            ("anzai", "change"): ("NotDiscreteEvidence", "Growing"),
+            ("rotation", "parent"): ("DiscreteSpectrumEvidence", "Bounded"),
+            ("rotation", "change"): ("Undetermined", "Undetermined"),
+            ("shift", "parent"): ("DiscreteSpectrumEvidence", "Bounded"),
+            ("shift", "change"): ("Undetermined", "Undetermined"),
+        }
+        kinds = {"anzai": "AnzaiSkew", "rotation": "CircleRotation", "shift": "BernoulliShift"}
+        for (name, side), (verdict, per_eps_kind) in verdicts.items():
+            write_scored_bundle(work / side / name / "w1", kinds[name], verdict, per_eps_kind)
+        # a case whose runs failed writes no bundle and gets no line
+        assert compare_presets.scoreboard(work, ["anzai", "failed", "rotation", "shift"]) == [
+            "  anzai parent: DiscreteSpectrumEvidence on AnzaiSkew (mixed spectrum): wrong",
+            "  rotation parent: DiscreteSpectrumEvidence on CircleRotation"
+            " (discrete spectrum): ok",
+            "  shift parent: DiscreteSpectrumEvidence on BernoulliShift"
+            " (lebesgue spectrum): wrong",
+            "parent: 1 ok, 2 wrong, 0 of them Undetermined",
+            "  anzai change: NotDiscreteEvidence on AnzaiSkew (mixed spectrum): ok",
+            "  rotation change: Undetermined on CircleRotation (discrete spectrum): ok",
+            "  shift change: Undetermined on BernoulliShift (lebesgue spectrum): ok",
+            "change: 3 ok, 0 wrong, 2 of them Undetermined",
+        ]
+
+    def test_every_system_kind_has_a_benchmark_spectrum(self):
+        from orbent.dynsys import SystemSpec
+
+        assert set(compare_presets.SPECTRUM) == set(SystemSpec.registry)
+        assert set(compare_presets.SPECTRUM.values()) == {
+            compare_presets.orbench.workloads.spectrum(name)
+            for name in compare_presets.orbench.workloads.NAMES}
+
+
 class TestMain:
     def run_main(self, monkeypatch, tmp_path, rows_of):
         """main() over two presets, with each run writing the bundle that
@@ -144,6 +194,8 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "alpha: identical" in out and "beta: identical" in out
+        # the fake bundles hold no verdict, so the scoreboard counts none
+        assert "parent: 0 ok, 0 wrong, 0 of them Undetermined" in out
 
     def test_change_differs_from_parent(self, monkeypatch, tmp_path, capsys):
         def rows(side, name, workers):

@@ -26,7 +26,7 @@ from orbent import (
 )
 from orbent import entropy
 from orbent.entropy import _medoid_measure, estimate_from_matrix
-from orbent.semimetric import Average, Euclidean1D, FirstSymbolCut, TorusArcL1
+from orbent.semimetric import Average, DistanceMatrix, Euclidean1D, FirstSymbolCut, TorusArcL1
 
 from conftest import matrix_from_points
 from oracles import (
@@ -89,14 +89,15 @@ class TestKantorovich:
         for _ in range(40):
             n1, n2 = rng.integers(1, 5, size=2)
             pts = rng.random(n1 + n2)
-            d = _metric_matrix(pts).values
+            ground = _metric_matrix(pts)
+            d = ground.values
             w1 = rng.random(n1)
             w1 /= w1.sum()
             w2 = rng.random(n2)
             w2 /= w2.sum()
             mu1 = AtomicMeasure(np.arange(n1), w1)
             mu2 = AtomicMeasure(np.arange(n1, n1 + n2), w2)
-            got = kantorovich_distance(mu1, mu2, d)
+            got = kantorovich_distance(mu1, mu2, ground)
             cost = d[np.ix_(np.arange(n1), np.arange(n1, n1 + n2))]
             expected = transport_cost_by_vertex_enumeration(cost, w1, w2)
             assert got == pytest.approx(expected, abs=1e-9)
@@ -121,18 +122,17 @@ class TestKantorovich:
             assert ac <= ab + bc + 1e-9
 
     def test_support_cap(self):
-        d = np.zeros((5000, 5000))
+        d = DistanceMatrix(np.zeros((5000, 5000)))
         mu = AtomicMeasure.uniform(np.arange(3000))
         nu = AtomicMeasure.uniform(np.arange(3000, 5000))
         with pytest.raises(SizeError):
             kantorovich_distance(mu, nu, d)
 
     def test_negative_distance_rejected(self):
-        d = np.array([[0.0, -0.1], [-0.1, 0.0]])
         mu = AtomicMeasure(np.array([0]), np.array([1.0]))
         nu = AtomicMeasure(np.array([1]), np.array([1.0]))
         with pytest.raises(ParameterError):
-            kantorovich_distance(mu, nu, d)
+            kantorovich_distance(mu, nu, DistanceMatrix(np.array([[0.0, -0.1], [-0.1, 0.0]])))
 
 
 class TestCoveringEntropy:
@@ -195,14 +195,15 @@ class TestCoveringEntropy:
         assert entropy.ceiling_bits(eps, m) == math.log2(kept)
         # points farther than eps apart each take a set of their own, so the
         # cover reads exactly the ceiling
-        assert eps_entropy_cover(1.0 - np.eye(m), eps).value_bits == math.log2(kept)
+        cover = eps_entropy_cover(DistanceMatrix(1.0 - np.eye(m)), eps)
+        assert cover.value_bits == math.log2(kept)
 
     def test_input_validation(self):
         d = _metric_matrix([0.1, 0.4])
         with pytest.raises(ParameterError):
             eps_entropy_cover(d, 0.0)
         with pytest.raises(SizeError):
-            eps_entropy_cover(np.zeros((1, 1)), 0.5)
+            eps_entropy_cover(DistanceMatrix(np.zeros((1, 1))), 0.5)
 
     def test_stability_in_sample_size(self, euclid, arc, rotation):
         # admissible metrics: the estimate stabilizes as m grows
@@ -235,7 +236,7 @@ class TestKantorovichEntropy:
         values = np.full((40, 40), 1.7e308)
         np.fill_diagonal(values, 0.0)
         with np.errstate(over="ignore"):
-            estimates = eps_entropy_kantorovich(values, [0.1, 1e300])
+            estimates = eps_entropy_kantorovich(DistanceMatrix(values), [0.1, 1e300])
         full = atomic_entropy(AtomicMeasure.uniform(range(40)))
         assert [(e.k, e.value_bits) for e in estimates] == [(40, full)] * 2
 
@@ -366,7 +367,7 @@ class TestMedoidTable:
 
     @pytest.mark.parametrize("name", GROUNDS)
     def test_estimate_independent_of_grid(self, name):
-        values = GROUNDS[name]()
+        values = DistanceMatrix(GROUNDS[name]())
         alone = {eps: eps_entropy_kantorovich(values, [eps], seed=11)[0]
                  for eps in (0.1, 0.25, 0.5)}
         for grid in ([0.25, 0.1], [0.1, 0.25], [0.1, 0.1, 0.5]):
@@ -376,7 +377,7 @@ class TestMedoidTable:
     @pytest.mark.parametrize("grid", [[0.0], [0.25, 0.0], [0.1, -0.5, 0.25]])
     def test_nonpositive_eps_in_grid_rejected(self, grid):
         with pytest.raises(ParameterError):
-            eps_entropy_kantorovich(_two_cluster_matrix(), grid)
+            eps_entropy_kantorovich(DistanceMatrix(_two_cluster_matrix()), grid)
 
 
 class TestIncrementalCover:
@@ -385,14 +386,15 @@ class TestIncrementalCover:
 
     @staticmethod
     def assert_matches(values, eps_values):
+        matrix = DistanceMatrix(values)
         for eps in eps_values:
             k, lower_bits = reference_cover(values, eps)
             if lower_bits > np.log2(k) + 1e-12:
                 # off a metric the packing may exceed the cover: both refuse
                 with pytest.raises(ParameterError):
-                    eps_entropy_cover(values, eps)
+                    eps_entropy_cover(matrix, eps)
                 continue
-            est = eps_entropy_cover(values, eps)
+            est = eps_entropy_cover(matrix, eps)
             assert (est.k, est.lower_bound_bits) == (k, lower_bits), eps
 
     @pytest.mark.parametrize("name", [*GROUNDS, "anzai-torus"])
@@ -406,11 +408,13 @@ class TestIncrementalCover:
             upper = np.triu(rng.integers(0, 10, (m, m)), 1) / 10
             self.assert_matches(upper + upper.T, (0.1, 0.2, 0.25, 0.3, 0.5))
 
-    def test_non_symmetric_plain_array(self):
-        rng = np.random.default_rng(14)
-        for m in (2, 5, 33, 80):
-            self.assert_matches(rng.random((m, m)), (0.1, 0.3, 0.6, 1.2))
-            self.assert_matches(rng.integers(0, 10, (m, m)) / 10, (0.1, 0.2, 0.3, 0.5))
+    def test_symmetric_off_metric(self):
+        # a semimetric that breaks the triangle inequality: at eps 0.25 the
+        # packing exceeds the cover, and both refuse
+        values = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]])
+        k, lower_bits = reference_cover(values, 0.25)
+        assert lower_bits > np.log2(k)
+        self.assert_matches(values, (0.1, 0.25, 0.5, 1.5))
 
 
 class TestClosedFormTransport:
@@ -423,13 +427,14 @@ class TestClosedFormTransport:
         empirical = AtomicMeasure.uniform(range(m))
         for k in (1, 2, 3, 5, m):
             nu, cost = _medoid_measure(values, k, 11, {})
-            assert cost == pytest.approx(kantorovich_distance(empirical, nu, values), abs=1e-12)
+            assert cost == pytest.approx(
+                kantorovich_distance(empirical, nu, DistanceMatrix(values)), abs=1e-12)
 
     @pytest.mark.parametrize("name", GROUNDS)
     def test_estimate_equals_lp_estimate(self, name):
         values = GROUNDS[name]()
         for eps in (0.05, 0.1, 0.25, 0.5):
-            [est] = eps_entropy_kantorovich(values, [eps], seed=11)
+            [est] = eps_entropy_kantorovich(DistanceMatrix(values), [eps], seed=11)
             assert (est.value_bits, est.k) == kantorovich_entropy_by_lp(values, eps, seed=11)
 
     def test_no_support_cap(self, monkeypatch):
@@ -442,14 +447,12 @@ class TestClosedFormTransport:
             kantorovich_distance(uniform, uniform, d)
 
     def test_negative_entry_rejected(self):
-        d = np.array([[0.0, -0.1], [-0.1, 0.0]])
         with pytest.raises(ParameterError):
-            eps_entropy_kantorovich(d, [0.5])
+            eps_entropy_kantorovich(DistanceMatrix(np.array([[0.0, -0.1], [-0.1, 0.0]])), [0.5])
 
     def test_nonzero_diagonal_rejected(self):
-        d = np.array([[0.1, 0.5], [0.5, 0.0]])
         with pytest.raises(ParameterError):
-            eps_entropy_kantorovich(d, [0.5])
+            eps_entropy_kantorovich(DistanceMatrix(np.array([[0.1, 0.5], [0.5, 0.0]])), [0.5])
 
     def test_cli_import_loads_no_scipy(self):
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -494,16 +497,16 @@ class TestEstimatePipeline:
         [kant] = estimate_from_matrix(d, [0.3], "Kantorovich")
         assert cover.method == "Covering"
         assert kant.method == "Kantorovich"
-        # a plain array with a NaN or a negative entry is refused by each
-        # estimator, called alone and through the dispatch
+        # a matrix with a NaN or a negative entry is refused where it is
+        # built, before either estimator or the dispatch reads it
         nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
         negative = np.array([[0.0, -0.1], [-0.1, 0.0]])
         for method in entropy.ESTIMATORS:
             for bad in (nan, negative):
                 with pytest.raises(ParameterError):
-                    entropy.ESTIMATORS[method](bad, [0.5], 0)
+                    entropy.ESTIMATORS[method](DistanceMatrix(bad), [0.5], 0)
                 with pytest.raises(ParameterError):
-                    estimate_from_matrix(bad, [0.5], method)
+                    estimate_from_matrix(DistanceMatrix(bad), [0.5], method)
         with pytest.raises(ParameterError):
             estimate_from_matrix(d, [0.3], "annealing")
         # names are exact here; only parse_config canonicalizes them

@@ -25,8 +25,11 @@ from orbent import (
     Semimetric,
     SystemSpec,
     TorusTranslation,
+    ball_mass_test,
     distance_matrix,
+    eps_entropy_cover,
     sample_points,
+    trace_from_matrix,
 )
 
 from orbent import semimetric
@@ -266,6 +269,11 @@ def _difference_inputs():
 
 
 DIFFERENCE_INPUTS = _difference_inputs()
+ABS_PLUS_SQUARE_INPUTS = {
+    **DIFFERENCE_INPUTS,
+    "signed_zero": np.array([-0.0, 0.0, 0.5, -0.0]),
+    "block_64x512": np.random.default_rng(9).random(512),
+}
 
 
 class TestDifferences:
@@ -304,6 +312,19 @@ class TestDifferences:
         # large enough that a threaded BLAS may split the product
         rng = np.random.default_rng(8)
         self.assert_exact(rng.random(300), rng.random(700) ** 3)
+
+    @pytest.mark.parametrize("name", ABS_PLUS_SQUARE_INPUTS)
+    def test_abs_plus_square_matches_broadcast(self, name):
+        # |du| + |d(u*u)| through two difference products; a square is never
+        # -0.0, so a -0.0 coordinate changes nothing
+        u = ABS_PLUS_SQUARE_INPUTS[name]
+        rows = np.arange(min(64, u.size))[::-1]
+        for coords in (u, np.stack([u, u[::-1]])):
+            a, b = coords[..., rows, None], coords[..., None, :]
+            want = np.abs(a - b) + np.abs(a * a - b * b)
+            got = ClosedForm("abs_plus_square").values(PointSample(coords=coords[..., None]), rows)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 SHIFTS = {
@@ -770,7 +791,51 @@ class TestCheckAxioms:
         assert report.triangle_defect <= 1e-12
 
 
+def _asymmetric_by_one_ulp():
+    values = mirror_upper(np.random.default_rng(3).random((5, 5)))
+    values[3, 1] = np.nextafter(values[3, 1], 2.0)
+    return values
+
+
+REFUSED = {
+    "not_square": (np.zeros((2, 3)), "square"),
+    "not_a_matrix": (np.zeros(4), "square"),
+    "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+    "inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+    "negative": (np.array([[0.0, -0.1], [-0.1, 0.0]]), "nonnegative"),
+    "asymmetric_one_ulp": (_asymmetric_by_one_ulp(), "symmetric"),
+    "nonzero_diagonal": (np.array([[0.1, 0.5], [0.5, 0.0]]), "diagonal"),
+}
+
+
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refused(self, name):
+        values, reason = REFUSED[name]
+        with pytest.raises(ParameterError, match=reason):
+            DistanceMatrix(values)
+
+    def test_float64_values_are_not_copied(self):
+        values = mirror_upper(np.random.default_rng(4).random((70, 70)))
+        assert DistanceMatrix(values).values is values
+        assert DistanceMatrix([[0, 1], [1, 0]]).values.dtype == np.float64
+
+    def test_arrays_that_are_no_semimetric_never_reach_a_consumer(self):
+        # a consumer takes only a DistanceMatrix, so an asymmetric array or a
+        # nonzero diagonal ends in the construction error, not in an answer
+        rng = np.random.default_rng(6)
+        sample = sample_points(Identity(), 16, 6)
+        probes = [
+            (lambda d: eps_entropy_cover(d, 0.5),
+             np.array([[0.0, 1, 1], [0, 0, 1], [0, 0, 0]]), "symmetric"),
+            (lambda d: ball_mass_test(d, 0.1), np.full((16, 16), 0.05), "diagonal"),
+            (lambda d: trace_from_matrix(d, sample, [2, 4]),
+             rng.random((16, 16)) * (1 - np.eye(16)), "symmetric"),
+        ]
+        for consume, values, reason in probes:
+            with pytest.raises(ParameterError, match=reason):
+                consume(DistanceMatrix(values))
+
     def test_single_point(self, euclid):
         sample = coords_sample([0.4])
         assert distance_matrix(euclid, sample).values.shape == (1, 1)
