@@ -216,34 +216,26 @@ def admissibility_report(
     pc_n: int = PC_N,
     pc_trials: int = PC_TRIALS,
 ) -> AdmissibilityReport:
-    """Run all three diagnostics on one (system, metric) pair."""
+    """Run all three diagnostics on one (system, metric) pair.  The
+    separated-set draw runs before the value matrix is formed, so the two are
+    never held at once."""
     sample = sample_points(system, m, seed)
-    return matrix_report(
-        system, metric, sample, distance_matrix(metric, sample), seed=seed, eps=eps,
-        pc_n=pc_n, pc_trials=pc_trials,
-    )
+    pc = random_matrix_test(metric, system, SEPARATION_C, pc_n, pc_trials, seed)
+    return matrix_report(sample, distance_matrix(metric, sample), eps=eps, pc=pc)
 
 
 def matrix_report(
-    system: SystemSpec,
-    metric: Semimetric,
-    sample: PointSample,
-    matrix: DistanceMatrix,
-    *,
-    seed: int,
-    eps: float,
-    pc_n: int,
-    pc_trials: int,
+    sample: PointSample, matrix: DistanceMatrix, *, eps: float, pc: float,
 ) -> AdmissibilityReport:
     """The diagnostics of ``admissibility_report`` on a sample and its value
-    matrix under ``metric``, at separation level ``SEPARATION_C`` and over the
-    ``TRACE_SCHEDULE`` boxes; the separated-set test draws its own points from
-    ``seed``, so only that test evaluates ``metric``."""
+    matrix, at separation level ``SEPARATION_C`` and over the
+    ``TRACE_SCHEDULE`` boxes, with ``pc`` the separated-set frequency that
+    ``random_matrix_test`` gave at that level.  The diagonal is exactly zero,
+    so the sum over all entries is the sum off it."""
     values = matrix.values
-    off = ~np.eye(values.shape[0], dtype=bool)
-    l1 = float(values[off].mean())
     ball = ball_mass_test(matrix, eps)
-    pc = random_matrix_test(metric, system, SEPARATION_C, pc_n, pc_trials, seed)
+    m = values.shape[0]
+    l1 = float(values.sum() / (m * (m - 1)))
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
     if sample.coords is not None:

@@ -34,10 +34,10 @@ from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric
 
-# m-by-m float64 matrices one run may hold at once, with headroom: peak RSS of
-# a one-worker run grows by about 3.2 of them at m = 1024 and 2.6 at m = 2048
-# with covering (orbit-sum blocks of about half a matrix, this and the last
-# step's matrix, estimator masks) and by about 4.2 and 3.7 with Kantorovich
+# m-by-m float64 matrices one seed pass may hold at once, with headroom: peak
+# RSS of a one-worker run grows by about 1.5 of them at m = 1024 and 1.7 at
+# m = 2048 with covering (orbit-sum blocks of about half a matrix, the step's
+# matrix, estimator masks) and by about 1.7 and 1.9 with Kantorovich
 WORKING_SET_MATRICES = 8
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
@@ -65,6 +65,20 @@ def _physical_memory() -> Optional[int]:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _matrix_bytes(m: int, passes: int, memory: Optional[int]) -> int:
+    """Bytes of the matrices that ``passes`` seed passes at once hold at m;
+    refused, with field m, when more than ``memory``."""
+    need = passes * WORKING_SET_MATRICES * 8 * m * m
+    if memory is not None and need > memory:
+        raise ConfigError(
+            "m", f"m={m} needs about {need / 2 ** 30:.3g} GiB for "
+                 f"{passes * WORKING_SET_MATRICES} m-by-m float64 matrices "
+                 f"({WORKING_SET_MATRICES} per seed pass, {passes} at once), more than "
+                 f"the {memory / 2 ** 30:.3g} GiB of physical memory",
+        )
+    return need
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -99,14 +113,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # an estimate discards floor(eps * m) points; with one or none left, every cell reads 0 bits
     if any(ceiling_bits(e, m) < 1 for e in eps_grid):
         raise ConfigError("eps_grid", "each eps must keep m - floor(eps * m) >= 2 points")
-    need = WORKING_SET_MATRICES * 8 * m * m
     memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ConfigError(
-            "m", f"m={m} needs about {need / 2 ** 30:.3g} GiB for "
-                 f"{WORKING_SET_MATRICES} m-by-m float64 matrices, more than the "
-                 f"{memory / 2 ** 30:.3g} GiB of physical memory",
-        )
+    need = _matrix_bytes(m, 1, memory)
 
     # the sampler reads a seed modulo 2**64, so a seed outside [0, 2**64)
     # would draw the samples of another; a repeated seed would run twice and
@@ -185,14 +193,17 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     """Run the full pipeline and write the result bundle to output_dir.
 
     Returns a dict of written paths.  Outputs are byte-identical for
-    identical configs regardless of the worker count.
+    identical configs regardless of the worker count.  ``parse_config``
+    priced one seed pass; the passes that run at once are priced here, before
+    anything is written.
     """
+    workers = workers or 1
+    _matrix_bytes(config.m, min(workers, len(config.seeds)), _physical_memory())
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path through one
         raise ConfigError("output_dir", f"cannot create {out}: {exc.strerror}") from exc
-    workers = workers or 1
 
     def seed_job(seed: int):
         return scaling.profile_cells(

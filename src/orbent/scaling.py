@@ -122,29 +122,33 @@ def profile_cells(
     report of every seed.
 
     One orbit pass per seed; each cell equals the standalone
-    ``entropy_estimate`` pipeline bit-for-bit.  When the pass reaches the
-    largest n of the schedule, the admissibility diagnostics run on that live
-    matrix at the smallest eps with the ``LIMIT_PC_*`` draws, so a seed's
-    report equals ``admissibility_report`` of ``Average(metric, system,
-    max(n_schedule))`` on the same m and seed.  No matrix outlives its step.
+    ``entropy_estimate`` pipeline bit-for-bit.  No matrix outlives its step:
+    each is let go of before the pass forms the next.  Once the pass has ended
+    and its accumulators are freed, the admissibility diagnostics run on the
+    largest n's matrix at the smallest eps with the ``LIMIT_PC_*`` draws, so a
+    seed's report equals ``admissibility_report`` of ``Average(metric, system,
+    max(n_schedule))`` on the same m and seed.
     """
     schedule = _validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
     if not grid:
         raise ParameterError("the eps grid must be nonempty")
+    limit = Average(metric, system, schedule[-1])
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
     reports: dict[int, admit.AdmissibilityReport] = {}
-    for seed in seeds:
-        sample = sample_points(system, m, int(seed))
+    for seed in map(int, seeds):
+        sample = sample_points(system, m, seed)
         for n, values in streamed_average_matrices(metric, system, sample, schedule):
-            dist = DistanceMatrix(values)
-            for est in estimate_from_matrix(dist, grid, method, seed=int(seed)):
-                cells[(est.eps, n, int(seed))] = est
-            if n == schedule[-1]:
-                reports[int(seed)] = admit.matrix_report(
-                    system, Average(metric, system, n), sample, dist, seed=int(seed),
-                    eps=min(grid), pc_n=LIMIT_PC_N, pc_trials=LIMIT_PC_TRIALS,
-                )
+            last = DistanceMatrix(values)
+            for est in estimate_from_matrix(last, grid, method, seed=seed):
+                cells[(est.eps, n, seed)] = est
+            if n < schedule[-1]:
+                del values, last  # before the pass forms step n + 1's matrix
+        # the pass has ended and freed its accumulators; ``last`` is the largest n's
+        pc = admit.random_matrix_test(limit, system, admit.SEPARATION_C,
+                                      LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
+        reports[seed] = admit.matrix_report(sample, last, eps=min(grid), pc=pc)
+        del values, last
     return cells, reports
 
 

@@ -649,7 +649,8 @@ def _orbit_means(
     ascending schedule, each in a fresh array: the blocks ``inner.orbit_sums``
     yields, divided by its step count.  ``rows`` None averages the whole matrix
     on and above the diagonal; below it only each block's diagonal square is
-    written, and the rest is left unset."""
+    written, and the rest is left unset.  The generator lets go of each array
+    when it resumes, before the next steps are added."""
     lead, m = sample.points.shape[:-2], sample.m
     sums = inner.orbit_sums(system, sample, _tiles(sample, rows), schedule)
     for n, (steps, blocks) in zip(schedule, sums):
@@ -657,6 +658,7 @@ def _orbit_means(
         for total, a, _ in blocks:
             np.divide(total, steps, out=means[..., a:a + total.shape[-2], a:])
         yield n, means
+        del means
 
 
 @dataclass(frozen=True)
@@ -728,9 +730,12 @@ def streamed_average_matrices(
 
     Accumulation order matches ``Average(metric, system, n)`` exactly,
     so the yielded matrices are bit-identical to the one-shot computation.
+    Each is a distinct array, which the generator lets go of when it resumes:
+    a caller that drops it too holds one matrix at a time.
     """
     schedule = sorted(set(int(n) for n in n_values))
     if not schedule or schedule[0] < 1:
         raise ParameterError("average lengths must be >= 1")
     for n, means in _orbit_means(metric, system, sample, None, schedule):
         yield n, _symmetrize(means)
+        del means

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from orbent import cli
+from orbent import admit, cli
 from orbent.cli import (
     PRESETS,
     ConfigError,
@@ -410,6 +410,22 @@ class TestMalformedInput:
             assert parse_config(raw).system.horizon == 2 ** 20 + 2
 
 
+    def test_concurrent_seed_passes_count_in_memory_budget(self, monkeypatch, tmp_path,
+                                                           capsys):
+        # room for two passes' matrices: one worker runs, four run all three
+        # seeds' passes at once
+        raw = rotation_config(tmp_path / "out")
+        one_pass = cli.WORKING_SET_MATRICES * 8 * raw["m"] ** 2
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * one_pass)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--workers", "4"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "m"
+        assert not (tmp_path / "out").exists()
+        assert main(["run", str(path), "--workers", "1"]) == 0
+        assert (tmp_path / "out" / "verdict.json").is_file()
+
+
 class TestPresets:
     def test_list_names(self):
         result = run_cli("presets", "list")
@@ -620,6 +636,23 @@ class TestLimitCheckInBundle:
         with open(paths["admissibility"]) as fh:
             averaged = json.load(fh)["averaged"]
         assert averaged == json.loads(json.dumps(expected.to_json()))
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_separated_set_draw_goes_through_admit(self, monkeypatch, tmp_path, workers):
+        # a draw made through any other name than the module attribute would
+        # be missing from the traced benchmark's admit.random_matrix span
+        calls = []
+        draw = admit.random_matrix_test
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(admit, "random_matrix_test", counting)
+        config = parse_config(rotation_config(tmp_path / "out"))
+        run_experiment(config, workers=workers)
+        assert len(calls) == len(config.seeds) + 1
 
 
 class TestCompare:

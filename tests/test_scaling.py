@@ -9,11 +9,13 @@ from orbent import (
     CircleRotation,
     Identity,
     ParameterError,
+    admissibility_report,
     classify_growth,
     discreteness_verdict,
     limit_metric_check,
     sample_points,
 )
+from orbent.admit import matrix_report
 from orbent.entropy import ceiling_bits
 from orbent.scaling import (
     BOUNDED,
@@ -27,7 +29,7 @@ from orbent.scaling import (
     increments,
     profile_cells,
 )
-from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1
+from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1, distance_matrix
 
 from oracles import reference_limit_check, scaling_profile, standalone_limit_report
 
@@ -338,3 +340,49 @@ class TestLimitReportsFromThePass:
     def test_needs_a_positive_length(self):
         with pytest.raises(ParameterError):
             limit_metric_check(0, [1], {})
+
+
+
+WORKING_SET_M = 256
+# (run at m, tracemalloc peak bound in m-by-m float64 matrices above the
+# start): a pass holds one matrix beside its accumulators of about half a
+# matrix, and a base report's 50 x 64-point separated-set draw, about five
+# matrices at m = 256 with its own accumulators, ends before its matrix is formed
+WORKING_SET_CASES = {
+    "covering-anzai-arc": (lambda m: profile_cells(
+        AnzaiSkew(), TorusArcL1(), [1, 2, 4, 8], m, [1], [0.25, 0.1], "Covering"), 3.4),
+    "kantorovich-rotation-euclid": (lambda m: profile_cells(
+        CircleRotation(), Euclidean1D(), [1, 2, 4, 8], m, [1], [0.25, 0.1], "Kantorovich"), 2.5),
+    "admissibility-anzai-arc": (lambda m: admissibility_report(
+        AnzaiSkew(), TorusArcL1(), m=m, seed=1, eps=0.1), 5.9),
+}
+
+
+def traced_peak(run) -> int:
+    """Bytes of the tracemalloc peak of ``run()`` above its starting level."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("case", sorted(WORKING_SET_CASES))
+    def test_one_matrix_at_a_time(self, case):
+        run, bound = WORKING_SET_CASES[case]
+        run(32)  # the lazy imports and caches of a first run are not the working set
+        peak = traced_peak(lambda: run(WORKING_SET_M))
+        assert peak < bound * 8 * WORKING_SET_M ** 2
+
+    def test_report_copies_no_matrix(self):
+        # the trace curve's within-box gathers are its largest temporaries,
+        # about 0.7 of the matrix; a copy of the off-diagonal entries adds one
+        sample = sample_points(AnzaiSkew(), WORKING_SET_M, 1)
+        matrix = distance_matrix(TorusArcL1(), sample)
+        peak = traced_peak(lambda: matrix_report(sample, matrix, eps=0.1, pc=0.0))
+        assert peak < 1.0 * 8 * WORKING_SET_M ** 2
