@@ -11,7 +11,8 @@ objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
 :mod:`orbent.dynsys`: numbers and strings are strict, an unknown key is
 refused, and an error's ``field`` is the top-level field at fault.  A shift's
 ``horizon`` is widened to cover the schedule, and a metric that cannot run on
-the system's points is refused.
+the system's points is refused.  A run that would not fit in physical memory
+is refused before its output directory is created.
 """
 from __future__ import annotations
 
@@ -32,12 +33,14 @@ from . import admit, scaling
 from .dynsys import BernoulliShift, PointSample, Record, SystemSpec, sample_points
 from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
-from .semimetric import Semimetric
+from .semimetric import Semimetric, validate_schedule
 
 # m-by-m float64 matrices one seed pass may hold at once, with headroom: peak
 # RSS of a one-worker run grows by about 1.5 of them at m = 1024 and 1.7 at
 # m = 2048 with covering (orbit-sum blocks of about half a matrix, the step's
-# matrix, estimator masks) and by about 1.7 and 1.9 with Kantorovich
+# matrix, estimator masks) and by about 1.7 and 1.9 with Kantorovich.  A pass
+# is priced as these matrices plus, on a shift, its symbol windows, times the
+# passes that run at once (``_check_memory``).
 WORKING_SET_MATRICES = 8
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
@@ -67,23 +70,37 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def _matrix_bytes(m: int, passes: int, memory: Optional[int]) -> int:
-    """Bytes of the matrices that ``passes`` seed passes at once hold at m;
-    refused, with field m, when more than ``memory``."""
-    need = passes * WORKING_SET_MATRICES * 8 * m * m
-    if memory is not None and need > memory:
-        raise ConfigError(
-            "m", f"m={m} needs about {need / 2 ** 30:.3g} GiB for "
-                 f"{passes * WORKING_SET_MATRICES} m-by-m float64 matrices "
-                 f"({WORKING_SET_MATRICES} per seed pass, {passes} at once), more than "
-                 f"the {memory / 2 ** 30:.3g} GiB of physical memory",
-        )
-    return need
+def _check_memory(config: ExperimentConfig, passes: int) -> None:
+    """Refuse a run whose ``passes`` seed passes at once need more than the
+    physical memory.  The error names m when the matrices alone do not fit,
+    else the field that set a shift's horizon."""
+    memory = _physical_memory()
+    system, metric, m = config.system, config.metric, config.m
+    matrices, windows = WORKING_SET_MATRICES * 8 * m * m, 0
+    if system.is_symbolic:
+        # int8 windows a pass holds at once: the sample's, the larger test's
+        # stacked separated-set trials (a base report draws the symbols its
+        # metric reads, a limit report whole windows) and the sampler's float64 row
+        h = system.horizon
+        windows = m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
+                                      scaling.LIMIT_PC_TRIALS * scaling.LIMIT_PC_N * h)
+    need = passes * (matrices + windows)
+    if memory is None or need <= memory:
+        return
+    field = "m"
+    if passes * matrices <= memory:  # the windows tip it over
+        widened = h == max(config.n_schedule) + metric.symbol_horizon() + 1
+        field = "n_schedule" if widened else "system"
+    raise ConfigError(field, f"{passes} seed passes at once need about {need / 2 ** 30:.3g} GiB, "
+                             f"each {WORKING_SET_MATRICES} m-by-m float64 matrices at m={m}"
+                             f"{f' and {h}-symbol windows' if windows else ''}, more than the "
+                             f"{memory / 2 ** 30:.3g} GiB of physical memory")
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
     """Decode a raw config object, then make the checks that span fields or
-    that no field's decoder makes; errors name the offending field."""
+    that no field's decoder makes; errors name the offending field.  What a
+    run needs of memory is priced by ``run_experiment``, not here."""
     if not isinstance(obj, dict):
         raise ConfigError("config", "config must be a JSON object")
     config = ExperimentConfig.from_json(obj)
@@ -99,10 +116,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("eps_grid", "eps_grid must not repeat a value")
 
     schedule = config.n_schedule
-    if any(n < 1 for n in schedule):
-        raise ConfigError("n_schedule", "n_schedule entries must be >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("n_schedule", "n_schedule must be strictly increasing")
+    try:
+        validate_schedule(schedule)
+    except ParameterError as exc:
+        raise ConfigError("n_schedule", str(exc)) from exc
     if len(schedule) < scaling.MIN_GROWTH_ROWS:
         raise ConfigError("n_schedule", f"n_schedule needs at least {scaling.MIN_GROWTH_ROWS} "
                                         "points to classify growth")
@@ -113,8 +130,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # an estimate discards floor(eps * m) points; with one or none left, every cell reads 0 bits
     if any(ceiling_bits(e, m) < 1 for e in eps_grid):
         raise ConfigError("eps_grid", "each eps must keep m - floor(eps * m) >= 2 points")
-    memory = _physical_memory()
-    need = _matrix_bytes(m, 1, memory)
 
     # the sampler reads a seed modulo 2**64, so a seed outside [0, 2**64)
     # would draw the samples of another; a repeated seed would run twice and
@@ -136,23 +151,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
         needed = max(schedule) + metric.symbol_horizon() + 1
         if system.horizon < needed:
             system = replace(system, horizon=needed)
-        # int8 windows held at once: the sample's, the larger test's stacked
-        # separated-set trials (a base report draws the symbols its metric
-        # reads, a limit report whole windows) and the sampler's float64 row
-        h = system.horizon
-        need += m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
-                                    scaling.LIMIT_PC_TRIALS * scaling.LIMIT_PC_N * h)
-        if memory is not None and need > memory:
-            raise ConfigError("n_schedule" if h == needed else "system",
-                              f"{h}-symbol windows at m={m} need about {need / 2 ** 30:.3g} GiB "
-                              f"with the matrices, more than the {memory / 2 ** 30:.3g} GiB "
-                              "of physical memory")
 
     # the metric must run on the system's points; two sampled points need not
     # show every symbol, so a shift's probe is its first and last symbol held
-    # constant along the window
+    # constant along the symbols the metric reads, not the whole window, whose
+    # memory is not priced yet
     if isinstance(system, BernoulliShift):
-        probe = PointSample(symbols=np.full((2, system.horizon),
+        probe = PointSample(symbols=np.full((2, metric.symbol_horizon() + 1),
                                             [[0], [len(system.weights) - 1]], dtype=np.int8))
     else:
         probe = sample_points(system, 2, 0)
@@ -193,12 +198,12 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     """Run the full pipeline and write the result bundle to output_dir.
 
     Returns a dict of written paths.  Outputs are byte-identical for
-    identical configs regardless of the worker count.  ``parse_config``
-    priced one seed pass; the passes that run at once are priced here, before
-    anything is written.
+    identical configs regardless of the worker count.  Each seed runs one
+    ``scaling.profile_cells`` pass, ``workers`` of them at once; the memory of
+    the passes that run at once is priced before anything is written.
     """
     workers = workers or 1
-    _matrix_bytes(config.m, min(workers, len(config.seeds)), _physical_memory())
+    _check_memory(config, min(workers, len(config.seeds)))
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -207,20 +212,16 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
 
     def seed_job(seed: int):
         return scaling.profile_cells(
-            config.system, config.metric, config.n_schedule, config.m, [seed],
+            config.system, config.metric, config.n_schedule, config.m, seed,
             config.eps_grid, config.method,
         )
 
-    cells: dict = {}
-    limit_reports: dict = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(seed_job, config.seeds))
-    else:
-        parts = [seed_job(seed) for seed in config.seeds]
-    for part_cells, part_reports in parts:
-        cells.update(part_cells)
-        limit_reports.update(part_reports)
+            passes = list(pool.map(seed_job, config.seeds))
+    else:  # on this thread: a one-thread pool's thread adds 4.4-5.4 MiB of peak RSS
+        passes = [seed_job(seed) for seed in config.seeds]
+    cells = {key: est for part, _ in passes for key, est in part.items()}
 
     profiles = [
         scaling.assemble_profile(
@@ -239,8 +240,8 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     )
     min_eps_profile = min(profiles, key=lambda p: p.eps)
     limit_report = scaling.limit_metric_check(
-        max(config.n_schedule), config.seeds, limit_reports,
-        profile_class=min_eps_profile.growth_class,
+        max(config.n_schedule), config.seeds, [report for _, report in passes],
+        min_eps_profile.growth_class,
     )
 
     paths = {

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import admit
 from .dynsys import Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, ceiling_bits, estimate_from_matrix
 from .errors import ParameterError
 from .semimetric import (
-    Average, DistanceMatrix, Semimetric, streamed_average_matrices,
+    Average, DistanceMatrix, Semimetric, streamed_average_matrices, validate_schedule,
 )
 
 # the growth rule of the module docstring; bits, and bits per doubling of n
@@ -57,15 +57,6 @@ class ProfileRow(Record):
     seed: int
 
 
-def _validate_schedule(n_schedule: Sequence[int]) -> list[int]:
-    schedule = [int(n) for n in n_schedule]
-    if not schedule or any(n < 1 for n in schedule):
-        raise ParameterError("n schedule must be nonempty with entries >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("n schedule must be strictly increasing")
-    return schedule
-
-
 def censored_rows(rows: Sequence[ProfileRow], eps: float) -> list[bool]:
     """Whether each row lies within ``CENSOR_MARGIN_BITS`` of its ceiling."""
     return [r.value_bits >= ceiling_bits(eps, r.sample_size) - CENSOR_MARGIN_BITS
@@ -82,7 +73,7 @@ def classify_growth(rows: Sequence[ProfileRow], eps: float) -> GrowthClass:
     """The growth class of profile rows at eps, by the rule of the module
     docstring; the rows may come in any order."""
     rows = sorted(rows, key=lambda r: r.n)
-    _validate_schedule([r.n for r in rows])
+    validate_schedule([r.n for r in rows])
     censored = censored_rows(rows, eps)
     below = rows[:censored.index(True)] if any(censored) else rows
     if len(below) < MIN_GROWTH_ROWS:
@@ -114,42 +105,39 @@ def profile_cells(
     metric: Semimetric,
     n_schedule: Sequence[int],
     m: int,
-    seeds: Sequence[int],
+    seed: int,
     eps_values: Sequence[float],
     method: str = "Covering",
-) -> tuple[dict[tuple[float, int, int], EpsEntropyEstimate], dict[int, admit.AdmissibilityReport]]:
-    """Entropy estimates for every (eps, n, seed) cell, and the limit-check
-    report of every seed.
+) -> tuple[dict[tuple[float, int, int], EpsEntropyEstimate], admit.AdmissibilityReport]:
+    """The orbit pass of one seed: entropy estimates keyed by (eps, n, seed)
+    for every eps and n, and the seed's limit-check report.
 
-    One orbit pass per seed; each cell equals the standalone
-    ``entropy_estimate`` pipeline bit-for-bit.  No matrix outlives its step:
-    each is let go of before the pass forms the next.  Once the pass has ended
-    and its accumulators are freed, the admissibility diagnostics run on the
-    largest n's matrix at the smallest eps with the ``LIMIT_PC_*`` draws, so a
-    seed's report equals ``admissibility_report`` of ``Average(metric, system,
-    max(n_schedule))`` on the same m and seed.
+    Each cell equals the standalone ``entropy_estimate`` pipeline bit for bit.
+    The limit check's separated-set draws on ``Average(metric, system,
+    max(n_schedule))`` (``LIMIT_PC_*``) come first, before the sample is drawn.
+    Then no matrix outlives its step: each is let go of before the pass forms
+    the next.  Once the pass has ended and its accumulators are freed, the
+    admissibility diagnostics run on the largest n's matrix at the smallest
+    eps, so the report equals ``admissibility_report`` of that average on the
+    same m and seed.
     """
-    schedule = _validate_schedule(n_schedule)
+    schedule = validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
     if not grid:
         raise ParameterError("the eps grid must be nonempty")
-    limit = Average(metric, system, schedule[-1])
+    seed = int(seed)
+    pc = admit.random_matrix_test(Average(metric, system, schedule[-1]), system,
+                                  admit.SEPARATION_C, LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
+    sample = sample_points(system, m, seed)
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
-    reports: dict[int, admit.AdmissibilityReport] = {}
-    for seed in map(int, seeds):
-        sample = sample_points(system, m, seed)
-        for n, values in streamed_average_matrices(metric, system, sample, schedule):
-            last = DistanceMatrix(values)
-            for est in estimate_from_matrix(last, grid, method, seed=seed):
-                cells[(est.eps, n, seed)] = est
-            if n < schedule[-1]:
-                del values, last  # before the pass forms step n + 1's matrix
-        # the pass has ended and freed its accumulators; ``last`` is the largest n's
-        pc = admit.random_matrix_test(limit, system, admit.SEPARATION_C,
-                                      LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
-        reports[seed] = admit.matrix_report(sample, last, eps=min(grid), pc=pc)
-        del values, last
-    return cells, reports
+    for n, values in streamed_average_matrices(metric, system, sample, schedule):
+        last = DistanceMatrix(values)
+        for est in estimate_from_matrix(last, grid, method, seed=seed):
+            cells[(est.eps, n, seed)] = est
+        if n < schedule[-1]:
+            del values, last  # before the pass forms step n + 1's matrix
+    # the pass has ended and freed its accumulators; ``last`` is the largest n's
+    return cells, admit.matrix_report(sample, last, eps=min(grid), pc=pc)
 
 
 def _median_row(
@@ -176,7 +164,7 @@ def assemble_profile(
     cells: dict[tuple[float, int, int], EpsEntropyEstimate],
 ) -> ScalingProfile:
     rows = []
-    for n in _validate_schedule(n_schedule):
+    for n in validate_schedule(n_schedule):
         per_seed = [cells[(float(eps), n, int(seed))] for seed in seeds]
         rows.append(_median_row(n, per_seed, seeds))
     return ScalingProfile(
@@ -232,8 +220,8 @@ class LimitMetricReport(Record):
     trace_curve: list
     trace_ok: Optional[bool]
     verdict: str
-    profile_class: Optional[GrowthClass]
-    consistent: Optional[bool]
+    profile_class: GrowthClass
+    consistent: bool
     per_seed: list
 
 
@@ -250,40 +238,35 @@ def _median(values: Sequence[float]) -> float:
 def limit_metric_check(
     n_big: int,
     seeds: Sequence[int],
-    reports: Mapping[int, admit.AdmissibilityReport],
-    profile_class: Optional[GrowthClass] = None,
+    reports: Sequence[admit.AdmissibilityReport],
+    profile_class: GrowthClass,
 ) -> LimitMetricReport:
     """The limit-check reports of ``seeds``, combined.
 
-    ``reports`` maps each seed to its report from the orbit pass of
-    ``profile_cells`` whose schedule ends at n_big.  The seeds are read in
-    order, so a repeated seed counts again, and the trace curve is the first
-    seed's, each point as its ``n``, ``trace_over_n`` and ``stderr``.  A
-    Bounded profile should come with admissible evidence here and a growing
-    one with degenerate evidence; ``consistent`` records that cross-check
-    when a profile class is supplied.
+    ``reports`` holds the report of each seed's ``profile_cells`` pass, whose
+    schedule ends at n_big, in the order of ``seeds``.  A repeated seed counts
+    again, and the trace curve is the first seed's, each point as its ``n``,
+    ``trace_over_n`` and ``stderr``.  A Bounded profile should come with
+    admissible evidence here and a growing one with degenerate evidence;
+    ``consistent`` records that cross-check against ``profile_class``.
     """
     if n_big < 1:
         raise ParameterError("n_big must be >= 1")
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
-    per_seed = [reports[int(seed)] for seed in seeds]
-    ball_med = _median([r.ball_mass_fraction for r in per_seed])
-    pc_med = _median([r.pc_probability for r in per_seed])
-    first = per_seed[0]
+    ball_med = _median([r.ball_mass_fraction for r in reports])
+    pc_med = _median([r.pc_probability for r in reports])
+    first = reports[0]
     verdict = admit.combine_verdict(ball_med, pc_med, first.trace_ok)
-    consistent = None
-    if profile_class is not None:
-        consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
         n_big=int(n_big), ball_mass_fraction=ball_med, pc_probability=pc_med,
         trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
                      for p in first.trace_curve],
         trace_ok=first.trace_ok, verdict=verdict, profile_class=profile_class,
-        consistent=consistent,
+        consistent=(profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence"),
         per_seed=[
             {"seed": int(seed), "ball_mass_fraction": r.ball_mass_fraction,
              "pc_probability": r.pc_probability}
-            for seed, r in zip(seeds, per_seed)
+            for seed, r in zip(seeds, reports, strict=True)
         ],
     )

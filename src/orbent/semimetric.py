@@ -723,19 +723,29 @@ def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:
     return DistanceMatrix(metric.pairwise(sample))
 
 
+def validate_schedule(n_schedule: Iterable[int]) -> list[int]:
+    """The schedule of averaging lengths as a list of ints; refused unless it
+    is nonempty, each entry is >= 1 and the entries strictly increase."""
+    schedule = [int(n) for n in n_schedule]
+    if not schedule or any(n < 1 for n in schedule):
+        raise ParameterError("n schedule must be nonempty with entries >= 1")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ParameterError("n schedule must be strictly increasing")
+    return schedule
+
+
 def streamed_average_matrices(
-    metric: Semimetric, system: SystemSpec, sample: PointSample, n_values: Iterable[int]
+    metric: Semimetric, system: SystemSpec, sample: PointSample, n_schedule: Iterable[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, pairwise matrix of the n-step orbit average) in one orbit pass.
+    """Yield (n, pairwise matrix of the n-step orbit average) at each n of the
+    schedule, in one orbit pass; the schedule must pass ``validate_schedule``.
 
     Accumulation order matches ``Average(metric, system, n)`` exactly,
     so the yielded matrices are bit-identical to the one-shot computation.
     Each is a distinct array, which the generator lets go of when it resumes:
     a caller that drops it too holds one matrix at a time.
     """
-    schedule = sorted(set(int(n) for n in n_values))
-    if not schedule or schedule[0] < 1:
-        raise ParameterError("average lengths must be >= 1")
+    schedule = validate_schedule(n_schedule)
     for n, means in _orbit_means(metric, system, sample, None, schedule):
         yield n, _symmetrize(means)
         del means

@@ -243,7 +243,9 @@ def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"
     """Entropy-vs-n profile at one eps, rows are medians over >= 3 seeds."""
     if len(seeds) < 3:
         raise ParameterError("a profile needs at least 3 seeds")
-    cells, _ = profile_cells(system, metric, n_schedule, m, seeds, [eps], method)
+    cells = {}
+    for seed in seeds:
+        cells.update(profile_cells(system, metric, n_schedule, m, seed, [eps], method)[0])
     return assemble_profile(system, metric, method, eps, n_schedule, seeds, cells)
 
 
@@ -255,15 +257,13 @@ def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
     )
 
 
-def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_class=None):
+def reference_limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
     """The limit check as a recompute per seed, combined in seed order."""
     reports = [standalone_limit_report(system, metric, n_big, m, s, eps) for s in seeds]
     ball = float(np.median([r.ball_mass_fraction for r in reports]))
     pc = float(np.median([r.pc_probability for r in reports]))
     verdict = combine_verdict(ball, pc, reports[0].trace_ok)
-    consistent = None
-    if profile_class is not None:
-        consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
+    consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
         n_big=n_big, ball_mass_fraction=ball, pc_probability=pc,
         trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}

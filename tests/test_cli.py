@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from orbent import admit, cli
+from orbent import admit, cli, scaling
 from orbent.cli import (
     PRESETS,
     ConfigError,
@@ -46,6 +46,10 @@ def bernoulli_config(output_dir):
         "method": "Covering",
         "output_dir": str(output_dir),
     }
+
+
+class PassStarted(Exception):
+    """Raised in place of a seed pass, once the run is past its checks."""
 
 
 def run_cli(*args):
@@ -96,6 +100,22 @@ class TestConfigParsing:
         raw = bernoulli_config(tmp_path)
         config = parse_config(raw)
         assert config.system.horizon >= max(raw["n_schedule"]) + 1
+
+    def test_metric_probe_holds_no_whole_window(self, monkeypatch, tmp_path):
+        # memory is priced by the run, after parsing, so the probe of a long
+        # shift window reads only the symbols its metric reads
+        import tracemalloc
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: None)
+        raw = bernoulli_config(tmp_path)
+        raw["system"]["horizon"] = 2 ** 22
+        tracemalloc.start()
+        try:
+            assert parse_config(raw).system.horizon == 2 ** 22
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -379,13 +399,14 @@ class TestMalformedInput:
         raw["m"] = 16
         raw["n_schedule"] = [1, 2, 3, 1_000_000_000]
         with pytest.raises(ConfigError) as err:
-            parse_config(raw)
+            run_experiment(parse_config(raw))
         assert err.value.field == "n_schedule"
         raw["n_schedule"] = [1, 2, 3, 4]
         raw["system"]["horizon"] = 1_000_000_000
         with pytest.raises(ConfigError) as err:
-            parse_config(raw)
+            run_experiment(parse_config(raw))
         assert err.value.field == "system"
+        assert not (tmp_path / "out").exists()
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         result = run_cli("run", str(path))
@@ -393,22 +414,44 @@ class TestMalformedInput:
         assert json.loads(result.stderr)["error"]["field"] == "system"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mib, refused", [(600, True), (800, False)])
-    def test_separated_set_trials_count_in_memory_budget(self, monkeypatch, tmp_path,
-                                                         mib, refused):
-        # 2**20-symbol windows: 16 sample points, 20 x 32 stacked limit-report
-        # trials and one sampler row hold about 664 MiB; without the trials, 24
+    @staticmethod
+    def long_window_run(monkeypatch, tmp_path, mib):
+        """A run of 2**20-symbol windows at m = 16 under ``mib`` MiB of
+        physical memory, whose first seed pass raises ``PassStarted``: 16
+        sample points, 20 x 32 stacked limit-report trials and one sampler row
+        hold about 664 MiB a pass; without the trials, 24."""
+        def start(*args):
+            raise PassStarted
+
         monkeypatch.setattr(cli, "_physical_memory", lambda: mib * 2 ** 20)
+        monkeypatch.setattr(scaling, "profile_cells", start)
         raw = bernoulli_config(tmp_path / "out")
         raw["m"] = 16
         raw["n_schedule"] = [1, 2, 3, 2 ** 20]
-        if refused:
-            with pytest.raises(ConfigError) as err:
-                parse_config(raw)
-            assert err.value.field == "n_schedule"
-        else:
-            assert parse_config(raw).system.horizon == 2 ** 20 + 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        return path
 
+    @pytest.mark.parametrize("mib, refused", [(600, True), (800, False)])
+    def test_separated_set_trials_count_in_memory_budget(self, monkeypatch, tmp_path, capsys,
+                                                         mib, refused):
+        path = self.long_window_run(monkeypatch, tmp_path, mib)
+        assert load_config(path).system.horizon == 2 ** 20 + 2
+        if refused:
+            assert main(["run", str(path)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"]["field"] == "n_schedule"
+            assert not (tmp_path / "out").exists()
+        else:
+            with pytest.raises(PassStarted):
+                main(["run", str(path)])
+
+    def test_concurrent_seed_passes_windows_count_in_memory_budget(self, monkeypatch,
+                                                                   tmp_path, capsys):
+        # one pass's windows fit in 1000 MiB, three passes' do not
+        path = self.long_window_run(monkeypatch, tmp_path, 1000)
+        assert main(["run", str(path), "--workers", "3"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "n_schedule"
+        assert not (tmp_path / "out").exists()
 
     def test_concurrent_seed_passes_count_in_memory_budget(self, monkeypatch, tmp_path,
                                                            capsys):
@@ -450,8 +493,9 @@ class TestPresets:
         raw = rotation_config(tmp_path / "out")
         raw["m"] = 200_000
         with pytest.raises(ConfigError) as err:
-            parse_config(raw)
+            run_experiment(parse_config(raw))
         assert err.value.field == "m"
+        assert not (tmp_path / "out").exists()
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         result = run_cli("run", str(path))
@@ -549,14 +593,35 @@ class TestRunExperiment:
         assert not (tmp_path / "ignored").exists()
 
     def test_worker_count_does_not_change_outputs(self, bundle, tmp_path):
+        # every bundle file, the per-seed limit reports in admissibility.json too
         config, paths = bundle
         threaded = parse_config(rotation_config(tmp_path / "c"))
         paths_c = run_experiment(threaded, workers=3)
-        assert open(paths["rows"], "rb").read() == open(paths_c["rows"], "rb").read()
-        assert (
-            json.load(open(paths["verdict"]))
-            == json.load(open(paths_c["verdict"]))
-        )
+        assert sorted(paths) == sorted(paths_c) and len(paths) == 6
+        for name in paths:
+            if name == "config":
+                continue
+            with open(paths[name], "rb") as a, open(paths_c[name], "rb") as c:
+                assert a.read() == c.read(), name
+        with open(paths["config"]) as a, open(paths_c["config"]) as c:
+            one, three = json.load(a), json.load(c)
+        assert one.pop("output_dir") != three.pop("output_dir")
+        assert one == three
+
+    def test_one_worker_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
+        import threading
+
+        threads = []
+        seed_pass = scaling.profile_cells
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return seed_pass(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "profile_cells", recording)
+        config = parse_config(rotation_config(tmp_path / "out"))
+        run_experiment(config, workers=1)
+        assert threads == [threading.get_ident()] * len(config.seeds)
 
     def test_rotation_arc_is_bounded_everywhere(self, bundle):
         # the arc metric is invariant under rotation, so profiles are flat

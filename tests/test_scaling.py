@@ -255,11 +255,11 @@ class TestVerdict:
         assert SpectralVerdict.from_json(json.loads(json.dumps(verdict.to_json()))) == verdict
 
 
-def limit_check(system, metric, n_big, m, seeds, eps=0.1, profile_class=None):
+def limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
     """The limit check as the CLI makes it: each seed's orbit pass ends at
     n_big, and the reports are combined in seed order."""
-    _, reports = profile_cells(system, metric, [n_big], m, seeds, [eps])
-    return limit_metric_check(n_big, seeds, reports, profile_class=profile_class)
+    reports = [profile_cells(system, metric, [n_big], m, seed, [eps])[1] for seed in seeds]
+    return limit_metric_check(n_big, seeds, reports, profile_class)
 
 
 class TestLimitMetricCheck:
@@ -279,7 +279,7 @@ class TestLimitMetricCheck:
     def test_identity_matches_base_diagnostics(self, euclid, identity):
         from orbent import admissibility_report
 
-        report = limit_check(identity, euclid, 64, 128, [5])
+        report = limit_check(identity, euclid, 64, 128, [5], UNDETERMINED)
         base = admissibility_report(
             identity, euclid, m=128, seed=5, eps=0.1, pc_n=32, pc_trials=20,
         )
@@ -289,11 +289,11 @@ class TestLimitMetricCheck:
     def test_shift_reports_write_none_as_null(self, cut):
         # these fields have no default, so a None is written as null, not left out
         system = BernoulliShift([0.5, 0.5], horizon=40)
-        _, reports = profile_cells(system, cut, [8], 48, [1], [0.1])
-        assert '"trace_ok": null' in json.dumps(reports[1].to_json())
-        combined = limit_metric_check(8, [1], reports).to_json()
+        _, report = profile_cells(system, cut, [8], 48, 1, [0.1])
+        assert '"trace_ok": null' in json.dumps(report.to_json())
+        combined = limit_metric_check(8, [1], [report], UNDETERMINED).to_json()
         assert {key: value for key, value in combined.items() if value is None} == {
-            "trace_ok": None, "profile_class": None, "consistent": None,
+            "trace_ok": None,
         }
 
 
@@ -314,15 +314,36 @@ class TestLimitReportsFromThePass:
     @pytest.mark.parametrize("schedule", [[1], [1, 3, 8]], ids=["n1", "n8"])
     def test_seed_report_equals_standalone(self, case, schedule):
         system, metric = LIMIT_CASES[case]
-        cells, reports = profile_cells(system, metric, schedule, 48, [4, 9], [0.25, 0.15])
-        assert len(cells) == 2 * len(schedule) * 2
         for seed in (4, 9):
+            cells, report = profile_cells(system, metric, schedule, 48, seed, [0.25, 0.15])
+            assert sorted(cells) == sorted((eps, n, seed)
+                                           for eps in (0.25, 0.15) for n in schedule)
             expected = standalone_limit_report(system, metric, schedule[-1], 48, seed, 0.15)
-            assert as_json_text(reports[seed]) == as_json_text(expected)
+            assert as_json_text(report) == as_json_text(expected)
+
+    def test_limit_draw_comes_before_the_pass(self, monkeypatch):
+        # the draw reads no matrix, so its trials must not sit on the last one
+        from orbent import admit, scaling
+
+        calls = []
+        draw, stream = admit.random_matrix_test, scaling.streamed_average_matrices
+
+        def drawing(*args, **kwargs):
+            calls.append("draw")
+            return draw(*args, **kwargs)
+
+        def streaming(*args, **kwargs):
+            calls.append("pass")
+            return stream(*args, **kwargs)
+
+        monkeypatch.setattr(admit, "random_matrix_test", drawing)
+        monkeypatch.setattr(scaling, "streamed_average_matrices", streaming)
+        profile_cells(CircleRotation(), Euclidean1D(), [1, 2], 32, 1, [0.25])
+        assert calls == ["draw", "pass"]
 
     def test_needs_an_eps(self, euclid, rotation):
         with pytest.raises(ParameterError):
-            profile_cells(rotation, euclid, [1, 2], 32, [1], [])
+            profile_cells(rotation, euclid, [1, 2], 32, 1, [])
 
     @pytest.mark.parametrize("case", sorted(LIMIT_CASES))
     def test_repeated_seed_counts_again(self, case):
@@ -335,11 +356,11 @@ class TestLimitReportsFromThePass:
 
     def test_needs_a_seed(self):
         with pytest.raises(ParameterError):
-            limit_metric_check(8, [], {})
+            limit_metric_check(8, [], [], BOUNDED)
 
     def test_needs_a_positive_length(self):
         with pytest.raises(ParameterError):
-            limit_metric_check(0, [1], {})
+            limit_metric_check(0, [1], [], BOUNDED)
 
 
 
@@ -350,9 +371,9 @@ WORKING_SET_M = 256
 # matrices at m = 256 with its own accumulators, ends before its matrix is formed
 WORKING_SET_CASES = {
     "covering-anzai-arc": (lambda m: profile_cells(
-        AnzaiSkew(), TorusArcL1(), [1, 2, 4, 8], m, [1], [0.25, 0.1], "Covering"), 3.4),
+        AnzaiSkew(), TorusArcL1(), [1, 2, 4, 8], m, 1, [0.25, 0.1], "Covering"), 3.4),
     "kantorovich-rotation-euclid": (lambda m: profile_cells(
-        CircleRotation(), Euclidean1D(), [1, 2, 4, 8], m, [1], [0.25, 0.1], "Kantorovich"), 2.5),
+        CircleRotation(), Euclidean1D(), [1, 2, 4, 8], m, 1, [0.25, 0.1], "Kantorovich"), 2.5),
     "admissibility-anzai-arc": (lambda m: admissibility_report(
         AnzaiSkew(), TorusArcL1(), m=m, seed=1, eps=0.1), 5.9),
 }

@@ -229,6 +229,14 @@ class TestAverage:
             direct = Average(euclid, rotation, n).pairwise(sample)
             assert np.array_equal(values, direct)
 
+    @pytest.mark.parametrize("schedule", [[], [0, 4], [4, 1], [1, 4, 4]],
+                             ids=["empty", "zero", "descending", "repeated"])
+    def test_streamed_matrices_refuse_a_bad_schedule(self, euclid, rotation, schedule):
+        # the one schedule rule: nonempty, entries >= 1, strictly increasing
+        sample = sample_points(rotation, 8, 8)
+        with pytest.raises(ParameterError, match="n schedule"):
+            next(streamed_average_matrices(euclid, rotation, sample, schedule))
+
 
 class TestCoordinateKernels:
     """The buffered kernels against the plain broadcast expressions, bit for bit."""
