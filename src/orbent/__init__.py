@@ -19,7 +19,6 @@ from .dynsys import (
     BernoulliShift,
     CircleRotation,
     Identity,
-    PointSample,
     SystemSpec,
     TorusTranslation,
     sample_points,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import PointSample, Record, SystemSpec, derive_rng, sample_points
+from .dynsys import Record, SystemSpec, derive_rng, holds_symbols, sample_points
 from .errors import ParameterError, SizeError
 from .semimetric import DistanceMatrix, Semimetric, _coords, distance_matrix, dyadic_cells
 
@@ -50,7 +50,7 @@ class TracePoint(Record):
 
 
 def trace_from_matrix(
-    matrix: DistanceMatrix, sample: PointSample, n_schedule: Sequence[int],
+    matrix: DistanceMatrix, sample: np.ndarray, n_schedule: Sequence[int],
 ) -> list[TracePoint]:
     """Trace curve of a value matrix on ``sample`` over the dyadic boxes of
     each n of the schedule (a power of 2), cut by ``dyadic_cells``.
@@ -58,7 +58,10 @@ def trace_from_matrix(
     A point is the mass-weighted mean of the within-cell pair means.  Cells
     with fewer than two points are skipped and the remaining masses
     renormalized; a point is flagged when more than 10% of cells drop out.
-    A curve decreasing toward zero is evidence of admissibility.
+    The curve ends before the first n at which no cell holds two points: the
+    boxes of a larger n refine those of a smaller one, so on an ascending
+    schedule no later n keeps a cell either.  A curve decreasing toward zero
+    is evidence of admissibility.
     """
     values = matrix.values
     coords = _coords(sample)
@@ -73,8 +76,10 @@ def trace_from_matrix(
         kept = [i for i in range(n) if sizes[i] >= 2]
         skipped = n - len(kept)
         if not kept:
-            raise SizeError(f"all {n} cells have fewer than two points")
-        masses = sizes[kept] / sample.m
+            if not curve:
+                raise SizeError(f"all {n} cells have fewer than two points")
+            break
+        masses = sizes[kept] / sample.shape[-2]
         weights = masses / masses.sum()
         trace = 0.0
         var_sum = 0.0
@@ -161,9 +166,7 @@ def random_matrix_test(
     if system.is_symbolic:  # a shift stores one symbol at least
         system = replace(system, horizon=max(1, metric.symbols_read(system.horizon)))
     drawn = system.sample(trials * n, derive_rng(seed, 977))
-    points = drawn.points.reshape(trials, n, -1)
-    stacked = PointSample(symbols=points) if drawn.is_symbolic else PointSample(coords=points)
-    separated = metric.pairwise(stacked) >= c
+    separated = metric.pairwise(drawn.reshape(trials, n, -1)) >= c
     hits = sum(greedy_separated_size(trial) >= required for trial in separated)
     return hits / trials
 
@@ -225,7 +228,7 @@ def admissibility_report(
 
 
 def matrix_report(
-    sample: PointSample, matrix: DistanceMatrix, *, eps: float, pc: float,
+    sample: np.ndarray, matrix: DistanceMatrix, *, eps: float, pc: float,
 ) -> AdmissibilityReport:
     """The diagnostics of ``admissibility_report`` on a sample and its value
     matrix, at separation level ``SEPARATION_C`` and over the
@@ -238,7 +241,7 @@ def matrix_report(
     l1 = float(values.sum() / (m * (m - 1)))
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
-    if sample.coords is not None:
+    if not holds_symbols(sample):
         curve = trace_from_matrix(matrix, sample, TRACE_SCHEDULE)
         trace_ok = trace_evidence(curve, l1)
     return AdmissibilityReport(

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import admit, scaling
-from .dynsys import BernoulliShift, PointSample, Record, SystemSpec, sample_points
+from .dynsys import BernoulliShift, Record, SystemSpec, sample_points
 from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric, validate_schedule
@@ -157,8 +157,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # constant along the symbols the metric reads, not the whole window, whose
     # memory is not priced yet
     if isinstance(system, BernoulliShift):
-        probe = PointSample(symbols=np.full((2, metric.symbol_horizon() + 1),
-                                            [[0], [len(system.weights) - 1]], dtype=np.int8))
+        probe = np.full((2, metric.symbol_horizon() + 1), [[0], [len(system.weights) - 1]],
+                        dtype=np.int8)
     else:
         probe = sample_points(system, 2, 0)
     try:

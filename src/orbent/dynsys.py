@@ -21,6 +21,11 @@ is only itself.  A bad field, or one whose annotation the reader cannot read,
 raises :class:`~orbent.errors.ConfigError`, which carries its name, and an
 error inside a nested object is raised again under the outer object's field.
 
+A sample of m points is an array, float coordinates of shape (..., m, dim) or
+integer symbol windows of shape (..., m, width) whose column j is the symbol j
+shift steps along the orbit; ``holds_symbols`` reads which from the dtype.
+Leading axes stack independent samples, and every operation acts on each alone.
+
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==
 advance_sample(x, j + k, s)`` holds bit-for-bit.  Shift systems store a finite
@@ -197,9 +202,9 @@ class SystemSpec(Tagged):
                 raise ParameterError(f"{name} must be finite and not an integer, got {value!r}")
             object.__setattr__(self, name, value)
 
-    def sample(self, m: int, rng: np.random.Generator) -> PointSample:
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m points drawn i.i.d. from the invariant measure."""
-        return PointSample(coords=rng.random((m, self.dim)))
+        return rng.random((m, self.dim))
 
     def label(self) -> str:
         """Compact CSV-safe identifier: ``kind[field=value;...]``."""
@@ -279,7 +284,7 @@ class BernoulliShift(SystemSpec):
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "horizon", horizon)
 
-    def sample(self, m: int, rng: np.random.Generator) -> PointSample:
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m symbol windows of ``horizon`` i.i.d. symbols, drawn in row blocks
         of about ``_SAMPLE_BLOCK`` symbols, equal to one
         ``rng.choice(len(weights), (m, horizon), p=weights)``.  That call
@@ -296,35 +301,16 @@ class BernoulliShift(SystemSpec):
             block[...] = 0
             for threshold in cdf[:-1]:
                 block += u >= threshold
-        return PointSample(symbols=symbols)
+        return symbols
 
     def label(self) -> str:
         ws = ";".join(f"{w:.17g}" for w in self.weights)
         return f"BernoulliShift[weights={ws}]"
 
 
-@dataclass(frozen=True)
-class PointSample:
-    """m points: coordinates of shape (..., m, dim), or symbol windows of
-    shape (..., m, width) whose column j is the symbol j shift steps along the
-    orbit.  Leading axes stack independent samples of m points each; every
-    operation acts on each of them alone."""
-
-    coords: Optional[np.ndarray] = None
-    symbols: Optional[np.ndarray] = None
-
-    @property
-    def points(self) -> np.ndarray:
-        """``coords`` or ``symbols``, whichever the sample holds."""
-        return self.coords if self.coords is not None else self.symbols
-
-    @property
-    def m(self) -> int:
-        return int(self.points.shape[-2])
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.symbols is not None
+def holds_symbols(sample: np.ndarray) -> bool:
+    """Whether the sample holds symbol windows (an integer dtype), not coordinates."""
+    return sample.dtype.kind in "iu"
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -333,14 +319,14 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def sample_points(system: SystemSpec, m: int, seed: int) -> PointSample:
+def sample_points(system: SystemSpec, m: int, seed: int) -> np.ndarray:
     """Draw m i.i.d. points from the invariant measure, reproducibly from seed."""
     if m < 1:
         raise ParameterError(f"sample size must be >= 1, got {m}")
     return system.sample(m, derive_rng(seed))
 
 
-def advance_sample(sample: PointSample, steps: int, system: SystemSpec) -> PointSample:
+def advance_sample(sample: np.ndarray, steps: int, system: SystemSpec) -> np.ndarray:
     """Apply ``system`` ``steps`` times to every point of the sample.  The
     identity returns the sample; a shift returns a view of the windows
     without their first ``steps`` symbols."""
@@ -348,21 +334,18 @@ def advance_sample(sample: PointSample, steps: int, system: SystemSpec) -> Point
         raise ParameterError("cannot iterate a transformation backwards here")
     if steps == 0 or isinstance(system, Identity):
         return sample
+    if holds_symbols(sample) != system.is_symbolic:
+        kind = "symbolic" if system.is_symbolic else "coordinate"
+        raise ParameterError(f"{system.kind} acts on {kind} samples")
     if system.is_symbolic:
-        if not sample.is_symbolic:
-            raise ParameterError("shift systems act on symbolic samples")
-        width = sample.symbols.shape[-1]
-        if steps >= width:
-            raise HorizonError(f"orbit step {steps} exceeds the symbol window {width}")
-        return PointSample(symbols=sample.symbols[..., steps:])
-    if sample.coords is None:
-        raise ParameterError(f"{system.kind} acts on coordinate samples")
-    if system.dim != sample.coords.shape[-1]:
+        if steps >= sample.shape[-1]:
+            raise HorizonError(f"orbit step {steps} exceeds the symbol window {sample.shape[-1]}")
+        return sample[..., steps:]
+    if system.dim != sample.shape[-1]:
         raise ParameterError(
             f"{system.kind} acts on {system.dim}-dimensional points, "
-            f"the sample has {sample.coords.shape[-1]} coordinates"
+            f"the sample has {sample.shape[-1]} coordinates"
         )
-    coords = sample.coords
     for _ in range(steps):
-        coords = system.step(coords)
-    return PointSample(coords=coords)
+        sample = system.step(sample)
+    return sample

@@ -193,7 +193,7 @@ def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
     """
     per_eps = {f"{p.eps:.17g}": p.growth_class for p in profiles}
     if len(per_eps) < 2:
-        return SpectralVerdict("Undetermined", {}, "needs >= 2 eps values")
+        return SpectralVerdict("Undetermined", per_eps, "needs >= 2 eps values")
     if GROWING in per_eps.values():
         return SpectralVerdict("NotDiscreteEvidence", per_eps,
                                "entropy of the averaged metric grows with n at some eps")

@@ -25,12 +25,13 @@ Each block adds its orbit steps into its own C-contiguous accumulator, since
 adding into a strided view of the m x m matrix costs NumPy an iteration per
 row; each node's ``orbit_sums`` adds, and ``_orbit_means`` divides.
 
-The same contract lets a sample carry leading axes: ``PointSample`` points of
-shape (..., m, dim) or (..., m, width) stack independent samples, every node
-indexes points as ``[..., rows, None]`` and coordinates as ``[..., j]``, and
-value blocks have shape (..., len(rows), m).  ``pairwise`` of a stacked sample
-is the stack of each sample's own matrix, bit for bit, from one pass whose
-blocks count values across the leading axes.
+A sample is its points array: float coordinates of shape (..., m, dim) or
+integer symbol windows of shape (..., m, width), told apart by the dtype
+(``holds_symbols``).  The same contract lets leading axes stack independent
+samples: every node indexes points as ``[..., rows, None]`` and coordinates
+as ``[..., j]``, and value blocks have shape (..., len(rows), m).
+``pairwise`` of a stacked sample is the stack of each sample's own matrix,
+bit for bit, from one pass whose blocks count values across the leading axes.
 
 The coordinate leaves form differences u_r - v_c with ``_differences``, one
 matrix product of the columns [u, 1] by the rows [1, -v].  It is exact: both
@@ -50,7 +51,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynsys import Identity, PointSample, SystemSpec, Tagged, advance_sample
+from .dynsys import Identity, SystemSpec, Tagged, advance_sample, holds_symbols
 from .errors import HorizonError, MetricTypeError, ParameterError
 
 
@@ -72,7 +73,7 @@ class Partition(Tagged, ABC):
         return cls.kind
 
     @abstractmethod
-    def assign_indices(self, sample: PointSample) -> np.ndarray:
+    def assign_indices(self, sample: np.ndarray) -> np.ndarray:
         """Block index of every point, shape (..., m)."""
 
     def label(self) -> str:
@@ -92,7 +93,7 @@ class DyadicIntervals(Partition):
         if not 0 <= self.level <= 53:
             raise ParameterError("dyadic level must lie in [0, 53]: coordinates carry 53 bits")
 
-    def assign_indices(self, sample: PointSample) -> np.ndarray:
+    def assign_indices(self, sample: np.ndarray) -> np.ndarray:
         return dyadic_cells(_coords(sample)[..., :1], self.level)
 
 
@@ -113,7 +114,7 @@ class FirstSymbols(Partition):
     def symbol_need(self) -> int:
         return self.count
 
-    def assign_indices(self, sample: PointSample) -> np.ndarray:
+    def assign_indices(self, sample: np.ndarray) -> np.ndarray:
         window = _window(sample, self.count)[..., :self.count]
         if window.size and not 0 <= window.min() <= window.max() < self.alphabet:
             raise ParameterError(f"first_symbols reads symbols in [0, {self.alphabet}), "
@@ -130,8 +131,8 @@ class OneBlock(Partition):
 
     kind = "one_block"
 
-    def assign_indices(self, sample: PointSample) -> np.ndarray:
-        return np.zeros(sample.points.shape[:-1], dtype=int)
+    def assign_indices(self, sample: np.ndarray) -> np.ndarray:
+        return np.zeros(sample.shape[:-1], dtype=int)
 
     def label(self) -> str:
         return "one_block;blocks=1"
@@ -141,10 +142,10 @@ class OneBlock(Partition):
 # evaluation helpers
 
 
-def _coords(sample: PointSample) -> np.ndarray:
-    if sample.coords is None:
+def _coords(sample: np.ndarray) -> np.ndarray:
+    if holds_symbols(sample):
         raise MetricTypeError("this semimetric needs coordinate points")
-    return sample.coords
+    return sample
 
 
 def dyadic_cells(coords: np.ndarray, level: int) -> np.ndarray:
@@ -164,15 +165,14 @@ def dyadic_cells(coords: np.ndarray, level: int) -> np.ndarray:
     return cells
 
 
-def _window(sample: PointSample, need: int) -> np.ndarray:
-    window = sample.symbols
-    if window is None:
+def _window(sample: np.ndarray, need: int) -> np.ndarray:
+    if not holds_symbols(sample):
         raise MetricTypeError("this semimetric needs symbolic points")
-    if window.shape[-1] < need:
+    if sample.shape[-1] < need:
         raise HorizonError(
-            f"evaluation needs {need} symbols, window has {window.shape[-1]}"
+            f"evaluation needs {need} symbols, window has {sample.shape[-1]}"
         )
-    return window
+    return sample
 
 
 def _differences(u: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -224,7 +224,7 @@ class Semimetric(Tagged, ABC):
     standard_tag: ClassVar[Optional[str]] = None
 
     @abstractmethod
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Values rho(p_r, p_c) for r in rows and all c, shape (..., len(rows), m)."""
 
     def label(self) -> str:
@@ -239,7 +239,7 @@ class Semimetric(Tagged, ABC):
         """Leading symbols of ``width``-symbol windows that ``values`` may read."""
         return width
 
-    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+    def orbit_sums(self, system: SystemSpec, sample: np.ndarray, tiles: list,
                    schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
         """At each n of the ascending ``schedule``, add the next orbit steps into
         the ``_tiles`` accumulators and yield the step count with the blocks to
@@ -250,11 +250,11 @@ class Semimetric(Tagged, ABC):
                 if steps:
                     state = advance_sample(state, 1, system)
                 for acc, a, rows in tiles:
-                    acc += self.values(_tail(state, a), rows)
+                    acc += self.values(state[..., a:, :], rows)
                 steps += 1
             yield steps, tiles
 
-    def pairwise(self, sample: PointSample) -> np.ndarray:
+    def pairwise(self, sample: np.ndarray) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal,
         mirrored from its upper triangle, which is evaluated in row blocks;
         shape (..., m, m) for a sample with leading axes."""
@@ -271,7 +271,7 @@ class Euclidean1D(Semimetric):
 
     standard_tag = "euclidean_1d"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)[..., 0]
         d = _differences(c[..., rows], c)
         return np.abs(d, out=d)
@@ -301,34 +301,34 @@ class _Arc(Semimetric):
     def coordinates(self, dim: int) -> Sequence[int]:
         """The coordinates of ``dim``-dimensional points that it reads."""
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)
         return _arc_sum(c, rows, self.coordinates(c.shape[-1]))
 
-    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+    def orbit_sums(self, system: SystemSpec, sample: np.ndarray, tiles: list,
                    schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
         """Under a declared linear part A (``SystemSpec.shear``), on points of the
         system's dimension, step by A alone, which leaves every arc as T does, so
         sums match full-map stepping up to rounding; where A fixes every coordinate
         read, that is the identity map's fixed point.  Each pair (i, j) of A steps
         p_i <- (p_i + p_j) mod 1; each coordinate A fixes adds base arc x steps."""
-        coords = sample.coords
-        linear = system.shear is not None and coords is not None and coords.shape[-1] == system.dim
+        linear = system.shear is not None and sample.shape[-1] == system.dim \
+            and not holds_symbols(sample)
         read = self.coordinates(system.dim) if linear else ()
         moved = [(i, j) for i, j in system.shear or () if i in read]
         if not moved:
             yield from super().orbit_sums(Identity() if linear else system, sample, tiles, schedule)
             return
         fixed = [j for j in read if j not in dict(moved)]
-        state = coords[..., [i for i, _ in moved]]
-        source = coords[..., [j for _, j in moved]]
+        state = sample[..., [i for i, _ in moved]]
+        source = sample[..., [j for _, j in moved]]
         scratch = np.empty(max((acc.size for acc, _, _ in tiles), default=0))
 
         def with_fixed(steps: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
             # (base * steps + sum) / steps once divided, one block at a time
             for acc, a, rows in tiles:
                 total = scratch[:acc.size].reshape(acc.shape)
-                _arc_sum(coords[..., a:, :], rows, fixed, out=total)
+                _arc_sum(sample[..., a:, :], rows, fixed, out=total)
                 total *= steps
                 total += acc
                 yield total, a, rows
@@ -372,23 +372,23 @@ class _Cut(Semimetric):
     """0 if two points have the same integer key, else 1."""
 
     @abstractmethod
-    def keys(self, sample: PointSample) -> np.ndarray:
+    def keys(self, sample: np.ndarray) -> np.ndarray:
         """One integer key per point, shape (..., m)."""
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _differ(self.keys(sample), rows)
 
     def symbols_read(self, width: int) -> int:
         return min(width, self.symbol_horizon())
 
-    def orbit_sums(self, system: SystemSpec, sample: PointSample, tiles: list,
+    def orbit_sums(self, system: SystemSpec, sample: np.ndarray, tiles: list,
                    schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
         """On a shift, count each chunk of steps' differing keys, read from one
         sliding window (``_window_keys``), by XOR and popcount; else step the map."""
-        if not (system.is_symbolic and sample.is_symbolic):
+        if not (system.is_symbolic and holds_symbols(sample)):
             yield from super().orbit_sums(system, sample, tiles, schedule)
             return
-        chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(sample.points.shape[:-1]), 1)), 1)
+        chunk = 64 * max(_CUT_KEYS // (64 * max(math.prod(sample.shape[:-1]), 1)), 1)
         steps = 0
         for n in schedule:
             for start in range(steps, n, chunk):
@@ -403,7 +403,7 @@ class FirstSymbolCut(_Cut):
 
     standard_tag = "first_symbol_cut"
 
-    def keys(self, sample: PointSample) -> np.ndarray:
+    def keys(self, sample: np.ndarray) -> np.ndarray:
         return _window(sample, 1)[..., 0]
 
     def symbol_horizon(self) -> int:
@@ -417,10 +417,10 @@ class Discrete(Semimetric):
 
     standard_tag = "discrete"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        if sample.coords is not None:
-            c = sample.coords
-            return np.any(c[..., rows, None, :] != c[..., None, :, :], axis=-1).astype(float)
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if not holds_symbols(sample):
+            return np.any(sample[..., rows, None, :] != sample[..., None, :, :],
+                          axis=-1).astype(float)
         window = _window(sample, 1)
         _, keys = np.unique(window.reshape(-1, window.shape[-1]), axis=0, return_inverse=True)
         return _differ(keys.reshape(window.shape[:-1]), rows)
@@ -435,8 +435,8 @@ class Zero(Semimetric):
 
     standard_tag = "zero"
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
-        return np.zeros(sample.points.shape[:-2] + (len(rows), sample.m))
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.zeros(sample.shape[:-2] + (len(rows), sample.shape[-2]))
 
 
 # Each closed form takes the first coordinates u of the rows and v of all
@@ -444,7 +444,8 @@ class Zero(Semimetric):
 
 def _closed_form_mean_rotated_abs_diff(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Average of |{x+t} - {y+t}| over a full turn: 2*d*(1-d) with d = |x-y|.
-    d = np.abs(u[..., :, None] - v[..., None, :])
+    d = _differences(u, v)
+    np.abs(d, out=d)
     return 2.0 * d * (1.0 - d)
 
 
@@ -459,7 +460,8 @@ def _closed_form_abs_plus_square(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _closed_form_squared_abs_diff(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Violates the triangle inequality; shipped as a negative control.
-    return (u[..., :, None] - v[..., None, :]) ** 2
+    d = _differences(u, v)
+    return np.square(d, out=d)
 
 
 CLOSED_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
@@ -481,7 +483,7 @@ class ClosedForm(Semimetric):
                 f"unknown closed-form tag {self.tag!r}; known: {sorted(CLOSED_FORMS)}"
             )
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         c = _coords(sample)[..., 0]
         return CLOSED_FORMS[self.tag](c[..., rows], c)
 
@@ -495,7 +497,7 @@ class Block(_Cut):
 
     partition: Partition
 
-    def keys(self, sample: PointSample) -> np.ndarray:
+    def keys(self, sample: np.ndarray) -> np.ndarray:
         return self.partition.assign_indices(sample)
 
     def label(self) -> str:
@@ -520,7 +522,7 @@ class Cutoff(Semimetric):
         if not (0 < self.level < math.inf):
             raise ParameterError("cut-off level must be positive and finite")
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.minimum(self.inner.values(sample, rows), self.level)
 
     def label(self) -> str:
@@ -542,7 +544,7 @@ class Mix(Semimetric):
         if not (0.0 <= self.t <= 1.0):
             raise ParameterError("mixing weight must lie in [0, 1]")
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return self.t * self.a.values(sample, rows) \
             + (1.0 - self.t) * self.b.values(sample, rows)
 
@@ -565,7 +567,7 @@ class PullBack(Semimetric):
         if self.k < 0:
             raise ParameterError("pull-back count must be >= 0")
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return self.inner.values(advance_sample(sample, self.k, self.system), rows)
 
     def label(self) -> str:
@@ -581,13 +583,13 @@ _TILE = 1 << 15  # values per row block of a whole matrix, so step temporaries s
 _MIRROR_BLOCK = 64  # side of the square blocks of a mirror or a symmetry check
 
 
-def _tiles(sample: PointSample, rows: Optional[np.ndarray]) -> list:
+def _tiles(sample: np.ndarray, rows: Optional[np.ndarray]) -> list:
     """(zeroed C-contiguous accumulator, a, rows of the tail a..m-1) of each
     block a pass adds into: one for explicit ``rows``, of shape
     (..., len(rows), m); for ``rows`` None, rows a..b-1 of the whole matrix
     against points a..m-1, about ``_TILE`` values each across the leading
     axes."""
-    lead, m = sample.points.shape[:-2], sample.m
+    lead, m = sample.shape[:-2], sample.shape[-2]
     if rows is not None:
         return [(np.zeros(lead + (len(rows), m)), 0, rows)]
     tiles, a, stack = [], 0, math.prod(lead)
@@ -598,22 +600,14 @@ def _tiles(sample: PointSample, rows: Optional[np.ndarray]) -> list:
     return tiles
 
 
-def _tail(sample: PointSample, start: int) -> PointSample:
-    """Points start..m-1 of ``sample``."""
-    if sample.coords is not None:
-        return PointSample(coords=sample.coords[..., start:, :])
-    return PointSample(symbols=sample.symbols[..., start:, :])
-
-
-def _window_keys(cut: _Cut, sample: PointSample, start: int, stop: int) -> np.ndarray:
+def _window_keys(cut: _Cut, sample: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Keys of shift steps start .. stop-1, shape (..., m, stop - start),
     without stepping: step k's key reads only symbols k .. k + horizon - 1."""
     width = max(cut.symbol_horizon(), 1)
-    window = sample.symbols
-    if window.shape[-1] < stop - 1 + width:
-        raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {window.shape[-1]}")
-    steps = sliding_window_view(window, width, axis=-1)[..., start:stop, :]
-    keys = cut.keys(PointSample(symbols=steps.reshape(-1, width)))
+    if sample.shape[-1] < stop - 1 + width:
+        raise HorizonError(f"orbit step {stop - 1} exceeds symbol window {sample.shape[-1]}")
+    steps = sliding_window_view(sample, width, axis=-1)[..., start:stop, :]
+    keys = cut.keys(steps.reshape(-1, width))
     return keys.reshape(steps.shape[:-1])
 
 
@@ -642,7 +636,7 @@ def _add_cut_counts(tiles: list, keys: np.ndarray) -> None:
 
 
 def _orbit_means(
-    inner: Semimetric, system: SystemSpec, sample: PointSample, rows: Optional[np.ndarray],
+    inner: Semimetric, system: SystemSpec, sample: np.ndarray, rows: Optional[np.ndarray],
     schedule: Sequence[int],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, mean of the first n pull-backs of ``inner``) along an
@@ -651,7 +645,7 @@ def _orbit_means(
     on and above the diagonal; below it only each block's diagonal square is
     written, and the rest is left unset.  The generator lets go of each array
     when it resumes, before the next steps are added."""
-    lead, m = sample.points.shape[:-2], sample.m
+    lead, m = sample.shape[:-2], sample.shape[-2]
     sums = inner.orbit_sums(system, sample, _tiles(sample, rows), schedule)
     for n, (steps, blocks) in zip(schedule, sums):
         means = np.empty(lead + (m if rows is None else len(rows), m))
@@ -673,7 +667,7 @@ class Average(Semimetric):
         if self.n < 1:
             raise ParameterError("averaging length must be >= 1")
 
-    def values(self, sample: PointSample, rows: np.ndarray) -> np.ndarray:
+    def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return next(_orbit_means(self.inner, self.system, sample, rows, [self.n]))[1]
 
     def label(self) -> str:
@@ -716,9 +710,9 @@ class DistanceMatrix:
             raise ParameterError("distance matrix diagonal must be exactly zero")
 
 
-def distance_matrix(metric: Semimetric, sample: PointSample) -> DistanceMatrix:
+def distance_matrix(metric: Semimetric, sample: np.ndarray) -> DistanceMatrix:
     """Pairwise matrix of ``metric`` on the sample (symmetric, zero diagonal)."""
-    if sample.m < 1:
+    if sample.shape[-2] < 1:
         raise ParameterError("distance matrix needs at least one point")
     return DistanceMatrix(metric.pairwise(sample))
 
@@ -735,7 +729,7 @@ def validate_schedule(n_schedule: Iterable[int]) -> list[int]:
 
 
 def streamed_average_matrices(
-    metric: Semimetric, system: SystemSpec, sample: PointSample, n_schedule: Iterable[int]
+    metric: Semimetric, system: SystemSpec, sample: np.ndarray, n_schedule: Iterable[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, pairwise matrix of the n-step orbit average) at each n of the
     schedule, in one orbit pass; the schedule must pass ``validate_schedule``.

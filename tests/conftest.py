@@ -5,7 +5,6 @@ from orbent import (
     BernoulliShift,
     CircleRotation,
     Identity,
-    PointSample,
 )
 from orbent.semimetric import CircleArc, DistanceMatrix, Euclidean1D, FirstSymbolCut
 
@@ -40,10 +39,9 @@ def cut():
     return FirstSymbolCut()
 
 
-def coords_sample(values) -> PointSample:
+def coords_sample(values) -> np.ndarray:
     """Hand-built 1-D coordinate sample (bypasses the seeded sampler)."""
-    coords = np.asarray(values, dtype=float).reshape(-1, 1)
-    return PointSample(coords=coords)
+    return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
 def matrix_from_points(values) -> DistanceMatrix:

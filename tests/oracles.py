@@ -32,7 +32,7 @@ from orbent import (
     atomic_entropy, kantorovich_distance,
 )
 from orbent.admit import combine_verdict, greedy_separated_size
-from orbent.dynsys import PointSample, advance_sample, derive_rng
+from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
 
@@ -328,9 +328,8 @@ def reference_sample(system, m, seed):
     rng = derive_rng(seed)
     if system.is_symbolic:
         w = np.asarray(system.weights, dtype=float)
-        symbols = rng.choice(len(w), size=(m, system.horizon), p=w).astype(np.int8)
-        return PointSample(symbols=symbols)
-    return PointSample(coords=rng.random((m, system.dim)))
+        return rng.choice(len(w), size=(m, system.horizon), p=w).astype(np.int8)
+    return rng.random((m, system.dim))
 
 
 def reference_random_matrix_test(metric, system, c, n, trials, seed):
@@ -344,10 +343,9 @@ def reference_random_matrix_test(metric, system, c, n, trials, seed):
     if system.is_symbolic:
         w = np.asarray(system.weights, dtype=float)
         width = metric.symbols_read(system.horizon)
-        draws = rng.choice(len(w), size=(trials, n, width), p=w).astype(np.int8)
-        samples = [PointSample(symbols=points) for points in draws]
+        samples = rng.choice(len(w), size=(trials, n, width), p=w).astype(np.int8)
     else:
-        samples = [PointSample(coords=points) for points in rng.random((trials, n, system.dim))]
+        samples = rng.random((trials, n, system.dim))
     hits = sum(greedy_separated_size(metric.pairwise(sample) >= c) >= required
                for sample in samples)
     return hits / trials
@@ -355,8 +353,7 @@ def reference_random_matrix_test(metric, system, c, n, trials, seed):
 
 def discrete_by_broadcast(sample, rows):
     """``Discrete`` values as an m x m x width comparison of whole points."""
-    points = sample.coords if sample.coords is not None else sample.symbols
-    return np.any(points[rows, None, :] != points[None, :, :], axis=2).astype(float)
+    return np.any(sample[rows, None, :] != sample[None, :, :], axis=2).astype(float)
 
 
 def exact_separated_size(values, c):
@@ -438,7 +435,7 @@ def check_axioms(metric, sample, tol=1e-9, seed=0, max_triples=100_000):
     All m^3 triples are scanned when affordable, otherwise a seeded random
     subset of ``max_triples``.
     """
-    m = sample.m
+    m = sample.shape[-2]
     if m < 3:
         raise ParameterError("axiom check needs at least three points")
     matrix = metric.pairwise(sample)

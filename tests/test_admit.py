@@ -80,7 +80,7 @@ class TestTraceTest:
     def test_trace_at_most_twice_l1(self, identity):
         # mass-weighted within-cell means never exceed twice the global mean
         sample = sample_points(identity, 1024, 19)
-        off = ~np.eye(sample.m, dtype=bool)
+        off = ~np.eye(len(sample), dtype=bool)
         for metric in (Euclidean1D(), CircleArc()):
             values = metric.pairwise(sample)
             l1 = float(values[off].mean())
@@ -115,7 +115,7 @@ class TestTraceTest:
         schedule = [2, 4, 8, 16, 32]
         grids = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
         got = [p.trace_over_n for p in trace_from_matrix(DistanceMatrix(values), sample, schedule)]
-        expected = reference_trace_curve(values, sample.coords, grids)
+        expected = reference_trace_curve(values, sample, grids)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
@@ -209,7 +209,7 @@ class TestSeparatedSets:
 
         def recorded(self, m, rng):
             drawn = sample(self, m, rng)
-            draws.append(drawn.symbols.shape)
+            draws.append(drawn.shape)
             return drawn
 
         monkeypatch.setattr(BernoulliShift, "sample", recorded)

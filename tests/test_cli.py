@@ -608,6 +608,21 @@ class TestRunExperiment:
         assert one.pop("output_dir") != three.pop("output_dir")
         assert one == three
 
+    def test_smallest_m_runs_when_fine_trace_boxes_hold_one_point(self, tmp_path):
+        # seed 87 at m = 16 leaves every one of the 32 finest trace boxes with
+        # at most one point; the curve ends before that level instead
+        raw = rotation_config(tmp_path / "out", {"type": "Euclidean1D"})
+        raw.update(m=16, n_schedule=[1, 2, 4, 8], seeds=[87, 1, 2])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "admissibility.json", "config.json", "estimates.csv", "profile.json",
+            "rows.csv", "verdict.json",
+        ]
+        with open(tmp_path / "out" / "admissibility.json") as fh:
+            assert [p["n"] for p in json.load(fh)["base"]["trace_curve"]] == [2, 4, 8, 16]
+
     def test_one_worker_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
         import threading
 
@@ -630,12 +645,14 @@ class TestRunExperiment:
         assert verdict["verdict"] == "DiscreteSpectrumEvidence"
 
     def test_one_eps_is_undetermined(self, tmp_path):
+        # the verdict stays Undetermined but still lists the one eps's class
         raw = rotation_config(tmp_path / "out")
         raw["eps_grid"] = [0.25]
         paths = run_experiment(parse_config(raw))
         with open(paths["verdict"]) as fh:
             assert json.load(fh) == {
-                "verdict": "Undetermined", "per_eps": {}, "basis": "needs >= 2 eps values",
+                "verdict": "Undetermined", "per_eps": {"0.25": {"kind": "Bounded"}},
+                "basis": "needs >= 2 eps values",
             }
         with open(paths["admissibility"]) as fh:
             assert json.load(fh)["averaged"]["n_big"] == 16

@@ -12,13 +12,12 @@ from orbent import (
     Identity,
     ParameterError,
     Partition,
-    PointSample,
     Semimetric,
     SystemSpec,
     TorusTranslation,
     sample_points,
 )
-from orbent.dynsys import Record, advance_sample, field_decoders, from_fields_json
+from orbent.dynsys import Record, advance_sample, field_decoders, from_fields_json, holds_symbols
 from orbent.errors import ConfigError
 
 from oracles import reference_sample
@@ -45,7 +44,7 @@ SAMPLED.append(pytest.param(BernoulliShift([0.5, 0.5], horizon=40000), 3, id="fa
 
 def one_point(coords):
     """Sample of one coordinate point, drawn from no system."""
-    return PointSample(coords=np.asarray(coords, dtype=float).reshape(1, -1))
+    return np.asarray(coords, dtype=float).reshape(1, -1)
 
 
 def moved(system, sample, k):
@@ -56,41 +55,46 @@ def moved(system, sample, k):
 class TestSampling:
     def test_identity_sample_shape(self, identity):
         sample = sample_points(identity, 3, 7)
-        assert sample.coords.shape == (3, 1)
-        assert np.all((sample.coords >= 0.0) & (sample.coords < 1.0))
+        assert sample.shape == (3, 1)
+        assert np.all((sample >= 0.0) & (sample < 1.0))
 
     def test_seed_determinism(self, identity):
         a = sample_points(identity, 100, 7)
         b = sample_points(identity, 100, 7)
-        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a, b)
         c = sample_points(identity, 100, 8)
-        assert not np.array_equal(a.coords, c.coords)
+        assert not np.array_equal(a, c)
 
     def test_bernoulli_sample_shape(self):
         system = BernoulliShift([0.5, 0.5], horizon=50)
         sample = sample_points(system, 1, 1)
-        assert sample.symbols.shape == (1, 50)
-        assert set(np.unique(sample.symbols)) <= {0, 1}
+        assert sample.shape == (1, 50)
+        assert set(np.unique(sample)) <= {0, 1}
 
     def test_bernoulli_determinism(self, fair_shift):
         a = sample_points(fair_shift, 64, 3)
         b = sample_points(fair_shift, 64, 3)
-        assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(a, b)
 
     def test_uniform_mean(self, identity):
         # law of large numbers on the first coordinate
         sample = sample_points(identity, 100_000, 11)
-        assert abs(sample.coords[:, 0].mean() - 0.5) <= 0.01
+        assert abs(sample[:, 0].mean() - 0.5) <= 0.01
 
     @pytest.mark.parametrize("system, m", SAMPLED)
     def test_sample_equals_one_draw(self, system, m):
         got, want = sample_points(system, m, 17), reference_sample(system, m, 17)
-        for name in ("coords", "symbols"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cls", list(SystemSpec.registry.values()),
+                             ids=list(SystemSpec.registry))
+    def test_dtype_says_coordinates_or_symbols(self, cls):
+        # a sample is its points array, so the dtype alone must say which kind it holds
+        system = cls((0.3, 0.7)) if cls is BernoulliShift else cls()
+        sample = sample_points(system, 8, 0)
+        assert holds_symbols(sample) == system.is_symbolic
+        assert advance_sample(sample, 2, system).dtype == sample.dtype
 
     def test_more_than_128_symbols_are_refused(self):
         # symbols are stored as int8, where symbol 128 would wrap to -128
@@ -139,21 +143,21 @@ class TestApply:
         system = CircleRotation(0.2)
         q = moved(system, one_point([0.25]), 2)
         expected = ((0.25 + 0.2) % 1.0 + 0.2) % 1.0
-        assert q.coords[0, 0] == expected
+        assert q[0, 0] == expected
 
     def test_anzai_one_step(self):
         system = AnzaiSkew(0.3)
         q = moved(system, one_point([0.7, 0.9]), 1)
-        assert q.coords[0, 0] == pytest.approx((0.7 + 0.3) % 1.0, abs=1e-15)
-        assert q.coords[0, 1] == pytest.approx((0.9 + 0.7) % 1.0, abs=1e-15)
+        assert q[0, 0] == pytest.approx((0.7 + 0.3) % 1.0, abs=1e-15)
+        assert q[0, 1] == pytest.approx((0.9 + 0.7) % 1.0, abs=1e-15)
 
     def test_shift_drops_symbols(self, fair_shift):
         p = sample_points(fair_shift, 1, 5)
         q = moved(fair_shift, p, 1)
-        assert np.array_equal(q.symbols, p.symbols[:, 1:])
+        assert np.array_equal(q, p[:, 1:])
 
     def test_identity_fixed(self, identity):
-        assert moved(identity, one_point([0.42]), 9).coords[0, 0] == 0.42
+        assert moved(identity, one_point([0.42]), 9)[0, 0] == 0.42
 
     @pytest.mark.parametrize("system", [
         CircleRotation(), TorusTranslation(), AnzaiSkew(), Identity(),
@@ -165,7 +169,7 @@ class TestApply:
             j, k = rng.integers(0, 40, size=2)
             via_composition = moved(system, moved(system, p, int(j)), int(k))
             direct = moved(system, p, int(j + k))
-            assert np.array_equal(via_composition.coords, direct.coords)
+            assert np.array_equal(via_composition, direct)
 
     def test_shift_horizon_error(self):
         system = BernoulliShift([0.5, 0.5], horizon=10)
@@ -175,6 +179,12 @@ class TestApply:
         sample = sample_points(system, 4, 2)
         with pytest.raises(HorizonError):
             advance_sample(sample, 10, system)
+
+    def test_sample_of_the_other_kind_rejected(self, fair_shift, rotation):
+        with pytest.raises(ParameterError, match="symbolic"):
+            advance_sample(sample_points(rotation, 4, 2), 1, fair_shift)
+        with pytest.raises(ParameterError, match="coordinate"):
+            advance_sample(sample_points(fair_shift, 4, 2), 1, rotation)
 
     @pytest.mark.parametrize("acting, drawn", [
         (AnzaiSkew(), CircleRotation()),
@@ -186,9 +196,9 @@ class TestApply:
         with pytest.raises(ParameterError):
             advance_sample(sample, 1, acting)
         with pytest.raises(ParameterError):
-            moved(acting, one_point(sample.coords[0]), 1)
+            moved(acting, one_point(sample[0]), 1)
         # the identity leaves points of any dimension alone
-        assert advance_sample(sample, 3, Identity()).coords.shape == sample.coords.shape
+        assert advance_sample(sample, 3, Identity()).shape == sample.shape
 
 
 class TestMeasurePreservation:
@@ -222,7 +232,7 @@ class TestMeasurePreservation:
 
         bound = 3.0 * (1.0 / m) ** 0.5
         for box in boxes:
-            assert abs(freq(sample.coords, box) - freq(pushed.coords, box)) <= bound
+            assert abs(freq(sample, box) - freq(pushed, box)) <= bound
 
 
 class TestSerialization:

@@ -164,11 +164,9 @@ def test_advance_sample_is_a_semigroup(system, j, k, seed):
     twice = advance_sample(advance_sample(sample, j, system), k, system)
     once = advance_sample(sample, j + k, system)
     if system.is_symbolic:
-        assert np.array_equal(twice.symbols, sample.symbols[:, j + k:])
-        assert np.shares_memory(twice.symbols, sample.symbols)
-        assert twice.symbols.tobytes() == once.symbols.tobytes()
-    else:
-        assert twice.coords.tobytes() == once.coords.tobytes()
+        assert np.array_equal(twice, sample[:, j + k:])
+        assert np.shares_memory(twice, sample)
+    assert twice.tobytes() == once.tobytes()
 
 
 def _inner():

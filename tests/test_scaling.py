@@ -235,9 +235,11 @@ class TestVerdict:
         )
 
     def test_one_eps_is_undetermined(self):
+        # the verdict stays Undetermined but still lists the one eps's class
         verdict = discreteness_verdict([self._profile(0.25, BOUNDED)])
         assert verdict.to_json() == {
-            "verdict": "Undetermined", "per_eps": {}, "basis": "needs >= 2 eps values",
+            "verdict": "Undetermined", "per_eps": {"0.25": {"kind": "Bounded"}},
+            "basis": "needs >= 2 eps values",
         }
 
     def test_verdict_json_keys_eps_by_17_digits(self):

@@ -20,7 +20,6 @@ from orbent import (
     OneBlock,
     ParameterError,
     Partition,
-    PointSample,
     PullBack,
     Semimetric,
     SystemSpec,
@@ -64,8 +63,7 @@ def pts(*xs):
 
 def syms(*words):
     """Sample of the symbol windows spelled by equal-length 0/1 words."""
-    symbols = np.array([[int(b) for b in word] for word in words], dtype=np.int8)
-    return PointSample(symbols=symbols)
+    return np.array([[int(b) for b in word] for word in words], dtype=np.int8)
 
 
 def rho(metric, sample):
@@ -175,7 +173,7 @@ class TestAverage:
         averaged = Average(euclid, rotation, 4096)
         sample = sample_points(rotation, 64, 9)
         values = averaged.pairwise(sample)
-        x = sample.coords[:, 0]
+        x = sample[:, 0]
         delta = np.abs(x[:, None] - x[None, :])
         limit = 2.0 * delta * (1.0 - delta)
         np.fill_diagonal(limit, 0.0)
@@ -243,11 +241,10 @@ class TestCoordinateKernels:
 
     @pytest.mark.parametrize("rows", [None, [17, 0, 5, 5, 39]], ids=["all", "subset"])
     def test_match_broadcast_expressions(self, rows):
-        sample = sample_points(AnzaiSkew(), 40, 11)
-        c = sample.coords
-        rows = np.arange(sample.m) if rows is None else np.array(rows)
+        c = sample_points(AnzaiSkew(), 40, 11)
+        rows = np.arange(len(c)) if rows is None else np.array(rows)
         first = np.abs(c[rows, None, 0] - c[None, :, 0])
-        torus = np.zeros((len(rows), sample.m))
+        torus = np.zeros((len(rows), len(c)))
         for j in range(c.shape[1]):
             d = np.abs(c[rows, None, j] - c[None, :, j])
             torus += np.minimum(d, 1.0 - d)
@@ -257,7 +254,7 @@ class TestCoordinateKernels:
             TorusArcL1(): torus,
         }
         for metric, reference in expected.items():
-            got = metric.values(sample, rows)
+            got = metric.values(c, rows)
             assert got.shape == reference.shape
             assert got.tobytes() == reference.tobytes(), metric.label()
 
@@ -277,10 +274,23 @@ def _difference_inputs():
 
 
 DIFFERENCE_INPUTS = _difference_inputs()
-ABS_PLUS_SQUARE_INPUTS = {
+CLOSED_FORM_INPUTS = {
     **DIFFERENCE_INPUTS,
     "signed_zero": np.array([-0.0, 0.0, 0.5, -0.0]),
     "block_64x512": np.random.default_rng(9).random(512),
+}
+
+
+def _mean_rotated_abs_diff(a, b):
+    d = np.abs(a - b)
+    return 2.0 * d * (1.0 - d)
+
+
+# each closed form's values on the pairs (a, b) as a plain broadcast expression
+BROADCAST_CLOSED_FORMS = {
+    "mean_rotated_abs_diff": _mean_rotated_abs_diff,
+    "abs_plus_square": lambda a, b: np.abs(a - b) + np.abs(a * a - b * b),
+    "squared_abs_diff": lambda a, b: (a - b) ** 2,
 }
 
 
@@ -321,16 +331,16 @@ class TestDifferences:
         rng = np.random.default_rng(8)
         self.assert_exact(rng.random(300), rng.random(700) ** 3)
 
-    @pytest.mark.parametrize("name", ABS_PLUS_SQUARE_INPUTS)
-    def test_abs_plus_square_matches_broadcast(self, name):
-        # |du| + |d(u*u)| through two difference products; a square is never
-        # -0.0, so a -0.0 coordinate changes nothing
-        u = ABS_PLUS_SQUARE_INPUTS[name]
+    @pytest.mark.parametrize("tag", CLOSED_FORMS)
+    @pytest.mark.parametrize("name", CLOSED_FORM_INPUTS)
+    def test_closed_form_matches_broadcast(self, tag, name):
+        # each closed form reads differences from the exact products; abs and
+        # squares drop the sign of a zero, so a -0.0 coordinate changes nothing
+        u = CLOSED_FORM_INPUTS[name]
         rows = np.arange(min(64, u.size))[::-1]
         for coords in (u, np.stack([u, u[::-1]])):
-            a, b = coords[..., rows, None], coords[..., None, :]
-            want = np.abs(a - b) + np.abs(a * a - b * b)
-            got = ClosedForm("abs_plus_square").values(PointSample(coords=coords[..., None]), rows)
+            want = BROADCAST_CLOSED_FORMS[tag](coords[..., rows, None], coords[..., None, :])
+            got = ClosedForm(tag).values(coords[..., None], rows)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -424,32 +434,32 @@ class TestCutGuards:
         b[::3] = a[::3]
         a[1], b[1] = symbols[0], symbols[-1]  # 2**64 - 1 apart in the full range
         n = 40
-        pair = PointSample(symbols=np.stack([a, b]))
+        pair = np.stack([a, b])
         _, reference = next(stepwise_orbit_sums(
             FirstSymbolCut(), system, pair, np.array([0]), [n]))
         assert rho(Average(FirstSymbolCut(), system, n), pair) == reference[0, 1] / n
 
     def test_float_symbols_are_refused(self):
-        # the popcount path counts integer keys; a float symbol has no such key
+        # a float array is a coordinate sample, which a cut of symbols cannot read
         system = BernoulliShift([0.5, 0.5], horizon=64)
-        pair = PointSample(symbols=np.array([[-0.75, 0.5] * 35, [-0.5, 0.5] * 35]))
-        with pytest.raises(MetricTypeError, match="integer"):
+        pair = np.array([[-0.75, 0.5] * 35, [-0.5, 0.5] * 35])
+        with pytest.raises(MetricTypeError, match="symbolic"):
             rho(Average(FirstSymbolCut(), system, 40), pair)
 
     @pytest.mark.parametrize("bad", [[0, 2], [-1, 0]], ids=["past-alphabet", "negative"])
     def test_first_symbols_refuses_symbols_outside_the_alphabet(self, bad):
         # with alphabet 2, the words [0, 2] and [1, 0] would both be block 2
         partition = FirstSymbols(2, alphabet=2)
-        sample = PointSample(symbols=np.array([bad, [1, 0]], dtype=np.int8))
+        sample = np.array([bad, [1, 0]], dtype=np.int8)
         with pytest.raises(ParameterError, match=r"\[0, 2\)"):
             partition.assign_indices(sample)
         # symbols past the first ``count`` are not read
-        unread = PointSample(symbols=np.array([[0, 1, 5], [1, 0, -3]], dtype=np.int8))
+        unread = np.array([[0, 1, 5], [1, 0, -3]], dtype=np.int8)
         assert partition.assign_indices(unread).tolist() == [1, 2]
 
     def test_empty_sample(self):
         system = BernoulliShift([0.5, 0.5], horizon=20)
-        empty = PointSample(symbols=np.zeros((0, 20), dtype=np.int8))
+        empty = np.zeros((0, 20), dtype=np.int8)
         assert Average(FirstSymbolCut(), system, 8).pairwise(empty).shape == (0, 0)
 
     def test_long_increment_memory_is_chunked(self):
@@ -466,7 +476,7 @@ class TestCutGuards:
             tracemalloc.stop()
         # one int64 key per point and step would need 8 * m * n bytes
         assert peak < m * n
-        s = sample.symbols[:, :n]
+        s = sample[:, :n]
         counts = np.array([np.count_nonzero(s[i] != s, axis=1) for i in range(m)])
         assert mean.tobytes() == (counts / n).tobytes()
 
@@ -591,10 +601,10 @@ class TestLinearPart:
         system = self.LINEAR[name]
         sample = sample_points(system, 64, 3)
         for k in (1, 5, 40):
-            linear = sample.coords.copy()
+            linear = sample.copy()
             for i, j in system.shear:
-                linear[:, i] += k * sample.coords[:, j]
-            offset = (advance_sample(sample, k, system).coords - linear) % 1.0
+                linear[:, i] += k * sample[:, j]
+            offset = (advance_sample(sample, k, system) - linear) % 1.0
             d = np.abs(offset - offset[0])
             assert np.minimum(d, 1.0 - d).max() <= 1e-12, k
 
@@ -691,10 +701,7 @@ class TestStackedSamples:
         samples = [sample_points(system, 9, seed) for seed in (1, 2, 3, 4)]
         own = np.stack([node.pairwise(sample) for sample in samples])
         for lead in ((4,), (2, 2)):
-            points = np.stack([sample.points for sample in samples]).reshape(
-                lead + samples[0].points.shape)
-            stacked = (PointSample(symbols=points) if system.is_symbolic
-                       else PointSample(coords=points))
+            stacked = np.stack(samples).reshape(lead + samples[0].shape)
             got = node.pairwise(stacked)
             assert got.shape == lead + (9, 9)
             assert got.tobytes() == own.tobytes()
@@ -726,7 +733,7 @@ class TestDiscrete:
         coords = sample_points(AnzaiSkew(), 40, 3)
         shift = BernoulliShift([0.5, 0.5], horizon=6)
         symbols = sample_points(shift, 40, 3)
-        repeated = PointSample(symbols=symbols.symbols[np.arange(40) % 13])
+        repeated = symbols[np.arange(40) % 13]
         rows = np.arange(40) if rows is None else np.array(rows)
         for sample in (coords, symbols, repeated, advance_sample(repeated, 2, shift)):
             got = Discrete().values(sample, rows)
@@ -859,7 +866,7 @@ class TestDistanceMatrix:
         sample = sample_points(system, 6, 10)
         n = 24
         values = distance_matrix(Average(cut, system, n), sample).values
-        window = sample.symbols[:, :n]
+        window = sample[:, :n]
         for i in range(6):
             for j in range(6):
                 expected = np.mean(window[i] != window[j])
@@ -967,7 +974,7 @@ class TestRegistries:
         assert set(partitions) == set(Partition.registry.values())
         system = BernoulliShift([0.2, 0.3, 0.5], horizon=8)
         sample = sample_points(system, 9, 5)
-        stacked = PointSample(symbols=np.stack([sample.symbols, sample.symbols[::-1]]))
+        stacked = np.stack([sample, sample[::-1]])
         symbolic = []
         for partition in partitions.values():
             try:
@@ -982,4 +989,4 @@ class TestRegistries:
             for points in (sample, stacked):
                 keys = cut.keys(points)
                 assert keys.dtype.kind in "iu", cut.label()
-                assert keys.shape == points.symbols.shape[:-1]
+                assert keys.shape == points.shape[:-1]
