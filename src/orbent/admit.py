@@ -25,11 +25,13 @@ ADMISSIBLE_PC = 0.1
 DEGENERATE_PC = 0.9
 TRACE_DROP_FACTOR = 0.5
 TRACE_L1_FACTOR = 0.1
-# separated-set level and trace-curve box counts of every report
+# separated-set level and trace-curve box counts (powers of 2) of every report
 SEPARATION_C = 0.4
 TRACE_SCHEDULE = (2, 4, 8, 16, 32)
-# points per separated-set trial and trials of a base report
+# points per separated-set trial and trials: of a base report, and of each
+# seed's limit report on the largest-n average
 PC_N, PC_TRIALS = 64, 50
+LIMIT_PC_N, LIMIT_PC_TRIALS = 32, 20
 # fewest points the ball-mass test reads
 MIN_BALL_MASS_POINTS = 16
 
@@ -49,29 +51,22 @@ class TracePoint(Record):
     flagged: bool
 
 
-def trace_from_matrix(
-    matrix: DistanceMatrix, sample: np.ndarray, n_schedule: Sequence[int],
-) -> list[TracePoint]:
+def trace_from_matrix(matrix: DistanceMatrix, sample: np.ndarray) -> list[TracePoint]:
     """Trace curve of a value matrix on ``sample`` over the dyadic boxes of
-    each n of the schedule (a power of 2), cut by ``dyadic_cells``.
+    each n of ``TRACE_SCHEDULE``, cut by ``dyadic_cells``.
 
     A point is the mass-weighted mean of the within-cell pair means.  Cells
     with fewer than two points are skipped and the remaining masses
     renormalized; a point is flagged when more than 10% of cells drop out.
     The curve ends before the first n at which no cell holds two points: the
-    boxes of a larger n refine those of a smaller one, so on an ascending
-    schedule no later n keeps a cell either.  A curve decreasing toward zero
-    is evidence of admissibility.
+    boxes of a larger n refine those of a smaller one, so no later n keeps a
+    cell either.  A curve decreasing toward zero is evidence of admissibility.
     """
     values = matrix.values
     coords = _coords(sample)
     curve = []
-    for n in n_schedule:
-        n = int(n)
-        level = n.bit_length() - 1
-        if n < 1 or 2 ** level != n:
-            raise ParameterError(f"dyadic partitioning needs a power of 2, got {n}")
-        cells = dyadic_cells(coords, level)
+    for n in TRACE_SCHEDULE:
+        cells = dyadic_cells(coords, n.bit_length() - 1)
         sizes = np.bincount(cells, minlength=n)
         kept = [i for i in range(n) if sizes[i] >= 2]
         skipped = n - len(kept)
@@ -136,11 +131,11 @@ def greedy_separated_size(separated: np.ndarray) -> int:
 
 
 def random_matrix_test(
-    metric: Semimetric, system: SystemSpec, c: float, n: int, trials: int, seed: int,
+    metric: Semimetric, system: SystemSpec, n: int, trials: int, seed: int,
 ) -> float:
     """Frequency over ``trials`` draws of n i.i.d. points that the first-fit
     separated set (``greedy_separated_size``) holds ceil(c*n) indices pairwise
-    at distance >= c.
+    at distance >= c, with c = ``SEPARATION_C``.
 
     One ``system.sample`` call on ``derive_rng(seed, 977)`` draws the points
     of every trial, trials * n of them, reshaped to (trials, n, ...), and one
@@ -154,19 +149,17 @@ def random_matrix_test(
     the frequency is a lower bound on the probability of the event.  When
     c*n <= 1 the event is vacuous and the frequency is 1.
     """
-    if not (0.0 < c < 1.0):
-        raise ParameterError("separation level c must lie in (0, 1)")
     if n < 2:
         raise ParameterError("need at least two points per trial")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    required = max(1, math.ceil(c * n))
+    required = max(1, math.ceil(SEPARATION_C * n))
     if required <= 1:
         return 1.0
     if system.is_symbolic:  # a shift stores one symbol at least
         system = replace(system, horizon=max(1, metric.symbols_read(system.horizon)))
     drawn = system.sample(trials * n, derive_rng(seed, 977))
-    separated = metric.pairwise(drawn.reshape(trials, n, -1)) >= c
+    separated = metric.pairwise(drawn.reshape(trials, n, -1)) >= SEPARATION_C
     hits = sum(greedy_separated_size(trial) >= required for trial in separated)
     return hits / trials
 
@@ -210,20 +203,13 @@ def trace_evidence(points: Sequence[TracePoint], l1_norm: float) -> bool:
 
 
 def admissibility_report(
-    system: SystemSpec,
-    metric: Semimetric,
-    *,
-    m: int = 1024,
-    seed: int = 0,
-    eps: float = 0.1,
-    pc_n: int = PC_N,
-    pc_trials: int = PC_TRIALS,
+    system: SystemSpec, metric: Semimetric, *, m: int, seed: int, eps: float,
 ) -> AdmissibilityReport:
-    """Run all three diagnostics on one (system, metric) pair.  The
-    separated-set draw runs before the value matrix is formed, so the two are
-    never held at once."""
+    """Run all three diagnostics on one (system, metric) pair, with ``PC_TRIALS``
+    separated-set trials of ``PC_N`` points.  The separated-set draw runs
+    before the value matrix is formed, so the two are never held at once."""
     sample = sample_points(system, m, seed)
-    pc = random_matrix_test(metric, system, SEPARATION_C, pc_n, pc_trials, seed)
+    pc = random_matrix_test(metric, system, PC_N, PC_TRIALS, seed)
     return matrix_report(sample, distance_matrix(metric, sample), eps=eps, pc=pc)
 
 
@@ -231,10 +217,9 @@ def matrix_report(
     sample: np.ndarray, matrix: DistanceMatrix, *, eps: float, pc: float,
 ) -> AdmissibilityReport:
     """The diagnostics of ``admissibility_report`` on a sample and its value
-    matrix, at separation level ``SEPARATION_C`` and over the
-    ``TRACE_SCHEDULE`` boxes, with ``pc`` the separated-set frequency that
-    ``random_matrix_test`` gave at that level.  The diagonal is exactly zero,
-    so the sum over all entries is the sum off it."""
+    matrix, with ``pc`` the separated-set frequency that ``random_matrix_test``
+    gave.  The diagonal is exactly zero, so the sum over all entries is the
+    sum off it."""
     values = matrix.values
     ball = ball_mass_test(matrix, eps)
     m = values.shape[0]
@@ -242,7 +227,7 @@ def matrix_report(
     curve: list[TracePoint] = []
     trace_ok: Optional[bool] = None
     if not holds_symbols(sample):
-        curve = trace_from_matrix(matrix, sample, TRACE_SCHEDULE)
+        curve = trace_from_matrix(matrix, sample)
         trace_ok = trace_evidence(curve, l1)
     return AdmissibilityReport(
         ball_mass_fraction=ball, pc_probability=pc, trace_curve=curve,

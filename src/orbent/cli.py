@@ -2,7 +2,9 @@
 
 Verbs: ``run <config.json>``, ``compare <dirA> <dirB>``, ``presets list``,
 ``presets emit <name>``.  Exit codes: 0 success, 2 invalid config (with a
-machine-readable error object on stderr), 3 numerical infeasibility.
+machine-readable error object on stderr), 3 numerical infeasibility (an
+``InfeasibleError``: only ``entropy.kantorovich_distance`` raises one, when
+its transport LP fails, and no estimator of a run calls it).
 
 A config is a JSON object of eight fields: ``system`` and ``metric`` (tagged
 objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
@@ -35,13 +37,18 @@ from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
 from .semimetric import Semimetric, validate_schedule
 
-# m-by-m float64 matrices one seed pass may hold at once, with headroom: peak
-# RSS of a one-worker run grows by about 1.5 of them at m = 1024 and 1.7 at
-# m = 2048 with covering (orbit-sum blocks of about half a matrix, the step's
-# matrix, estimator masks) and by about 1.7 and 1.9 with Kantorovich.  A pass
-# is priced as these matrices plus, on a shift, its symbol windows, times the
-# passes that run at once (``_check_memory``).
-WORKING_SET_MATRICES = 8
+# m-by-m float64 matrices one seed pass may hold at once: twice the largest
+# growth measured, rounded up.  Peak RSS (ru_maxrss by os.wait4) of a
+# one-seed, one-worker run on n_schedule [1, 2, 3, 4], less the same run at
+# m = 64, median of 3 on a 2-vCPU, 8 GiB Linux machine, grows at m = 1024
+# and 2048 by 1.56 and 1.74 of them with covering and 2.20 and 1.92 with
+# Kantorovich on the Anzai skew with TorusArcL1, and by 1.46 and 1.68 with
+# covering and 2.28 and 2.54 with Kantorovich on the fair shift with
+# FirstSymbolCut (orbit-sum blocks of about half a matrix, the step's matrix,
+# estimator masks and tables).  A pass is priced as these matrices plus, on a
+# shift, its symbol windows, times the passes that run at once
+# (``_check_memory``).
+WORKING_SET_MATRICES = 6
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
 ESTIMATES_CSV_HEADER = (
@@ -70,6 +77,11 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
+def _shift_horizon(n_schedule: Sequence[int], metric: Semimetric) -> int:
+    """The symbols a shift's window needs to cover the whole schedule."""
+    return max(n_schedule) + metric.symbol_horizon() + 1
+
+
 def _check_memory(config: ExperimentConfig, passes: int) -> None:
     """Refuse a run whose ``passes`` seed passes at once need more than the
     physical memory.  The error names m when the matrices alone do not fit,
@@ -83,14 +95,13 @@ def _check_memory(config: ExperimentConfig, passes: int) -> None:
         # metric reads, a limit report whole windows) and the sampler's float64 row
         h = system.horizon
         windows = m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
-                                      scaling.LIMIT_PC_TRIALS * scaling.LIMIT_PC_N * h)
+                                      admit.LIMIT_PC_TRIALS * admit.LIMIT_PC_N * h)
     need = passes * (matrices + windows)
     if memory is None or need <= memory:
         return
     field = "m"
     if passes * matrices <= memory:  # the windows tip it over
-        widened = h == max(config.n_schedule) + metric.symbol_horizon() + 1
-        field = "n_schedule" if widened else "system"
+        field = "n_schedule" if h == _shift_horizon(config.n_schedule, metric) else "system"
     raise ConfigError(field, f"{passes} seed passes at once need about {need / 2 ** 30:.3g} GiB, "
                              f"each {WORKING_SET_MATRICES} m-by-m float64 matrices at m={m}"
                              f"{f' and {h}-symbol windows' if windows else ''}, more than the "
@@ -148,9 +159,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     # shift systems: make the symbol window cover the whole schedule
     if system.is_symbolic:
-        needed = max(schedule) + metric.symbol_horizon() + 1
-        if system.horizon < needed:
-            system = replace(system, horizon=needed)
+        system = replace(system, horizon=max(system.horizon, _shift_horizon(schedule, metric)))
 
     # the metric must run on the system's points; two sampled points need not
     # show every symbol, so a shift's probe is its first and last symbol held
@@ -194,7 +203,7 @@ def _dump_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> dict:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """Run the full pipeline and write the result bundle to output_dir.
 
     Returns a dict of written paths.  Outputs are byte-identical for
@@ -202,7 +211,6 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> d
     ``scaling.profile_cells`` pass, ``workers`` of them at once; the memory of
     the passes that run at once is priced before anything is written.
     """
-    workers = workers or 1
     _check_memory(config, min(workers, len(config.seeds)))
     out = Path(config.output_dir)
     try:

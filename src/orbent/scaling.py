@@ -23,19 +23,13 @@ from . import admit
 from .dynsys import Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, ceiling_bits, estimate_from_matrix
 from .errors import ParameterError
-from .semimetric import (
-    Average, DistanceMatrix, Semimetric, streamed_average_matrices, validate_schedule,
-)
+from .semimetric import Average, Semimetric, streamed_average_matrices, validate_schedule
 
 # the growth rule of the module docstring; bits, and bits per doubling of n
 CENSOR_MARGIN_BITS = 0.5
 MIN_GROWTH_ROWS = 4
 BOUNDED_TAIL_BITS = 0.5
 GROWING_TAIL_BITS = 0.75
-
-# separated-set draws of the limit check: points per draw and draws per seed
-LIMIT_PC_N = 32
-LIMIT_PC_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -113,13 +107,13 @@ def profile_cells(
     for every eps and n, and the seed's limit-check report.
 
     Each cell equals the standalone ``entropy_estimate`` pipeline bit for bit.
-    The limit check's separated-set draws on ``Average(metric, system,
-    max(n_schedule))`` (``LIMIT_PC_*``) come first, before the sample is drawn.
-    Then no matrix outlives its step: each is let go of before the pass forms
-    the next.  Once the pass has ended and its accumulators are freed, the
-    admissibility diagnostics run on the largest n's matrix at the smallest
-    eps, so the report equals ``admissibility_report`` of that average on the
-    same m and seed.
+    The limit check's separated-set draw, ``admit.LIMIT_PC_TRIALS`` trials of
+    ``admit.LIMIT_PC_N`` points on ``Average(metric, system, max(n_schedule))``,
+    comes first, before the sample is drawn.  Then no matrix outlives its
+    step: each is let go of before the pass forms the next.  Once the pass has
+    ended and its accumulators are freed, ``admit.matrix_report`` runs on the
+    largest n's matrix at the smallest eps, so the report equals the one on
+    that average's own ``distance_matrix`` of the same m and seed.
     """
     schedule = validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
@@ -127,30 +121,26 @@ def profile_cells(
         raise ParameterError("the eps grid must be nonempty")
     seed = int(seed)
     pc = admit.random_matrix_test(Average(metric, system, schedule[-1]), system,
-                                  admit.SEPARATION_C, LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
+                                  admit.LIMIT_PC_N, admit.LIMIT_PC_TRIALS, seed)
     sample = sample_points(system, m, seed)
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
-    for n, values in streamed_average_matrices(metric, system, sample, schedule):
-        last = DistanceMatrix(values)
+    for n, last in streamed_average_matrices(metric, system, sample, schedule):
         for est in estimate_from_matrix(last, grid, method, seed=seed):
             cells[(est.eps, n, seed)] = est
         if n < schedule[-1]:
-            del values, last  # before the pass forms step n + 1's matrix
+            del last  # before the pass forms step n + 1's matrix
     # the pass has ended and freed its accumulators; ``last`` is the largest n's
     return cells, admit.matrix_report(sample, last, eps=min(grid), pc=pc)
 
 
-def _median_row(
-    n: int, per_seed: list[EpsEntropyEstimate], seeds: Sequence[int]
-) -> ProfileRow:
+def _median_row(n: int, per_seed: list[EpsEntropyEstimate]) -> ProfileRow:
     # median over seeds; lower middle for even counts, so the row keeps the
     # provenance of one actually computed cell
     order = sorted(range(len(per_seed)), key=lambda i: (per_seed[i].value_bits, i))
-    mid = order[(len(order) - 1) // 2]
-    est = per_seed[mid]
+    est = per_seed[order[(len(order) - 1) // 2]]
     return ProfileRow(
         n=n, value_bits=est.value_bits, lower_bound_bits=est.lower_bound_bits,
-        sample_size=est.sample_size, seed=int(seeds[mid]),
+        sample_size=est.sample_size, seed=est.seed,
     )
 
 
@@ -166,7 +156,7 @@ def assemble_profile(
     rows = []
     for n in validate_schedule(n_schedule):
         per_seed = [cells[(float(eps), n, int(seed))] for seed in seeds]
-        rows.append(_median_row(n, per_seed, seeds))
+        rows.append(_median_row(n, per_seed))
     return ScalingProfile(
         system=system, metric=metric, method=method, eps=float(eps), rows=rows,
         growth_class=classify_growth(rows, eps), increments=increments(rows),

@@ -730,16 +730,16 @@ def validate_schedule(n_schedule: Iterable[int]) -> list[int]:
 
 def streamed_average_matrices(
     metric: Semimetric, system: SystemSpec, sample: np.ndarray, n_schedule: Iterable[int]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, pairwise matrix of the n-step orbit average) at each n of the
+) -> Iterator[tuple[int, DistanceMatrix]]:
+    """Yield (n, distance matrix of the n-step orbit average) at each n of the
     schedule, in one orbit pass; the schedule must pass ``validate_schedule``.
 
     Accumulation order matches ``Average(metric, system, n)`` exactly,
-    so the yielded matrices are bit-identical to the one-shot computation.
+    so the yielded values are bit-identical to the one-shot computation.
     Each is a distinct array, which the generator lets go of when it resumes:
     a caller that drops it too holds one matrix at a time.
     """
     schedule = validate_schedule(n_schedule)
     for n, means in _orbit_means(metric, system, sample, None, schedule):
-        yield n, _symmetrize(means)
+        yield n, DistanceMatrix(_symmetrize(means))
         del means

@@ -28,10 +28,13 @@ from itertools import combinations
 import numpy as np
 
 from orbent import (
-    AtomicMeasure, Average, DistanceMatrix, ParameterError, admissibility_report,
-    atomic_entropy, kantorovich_distance,
+    AtomicMeasure, Average, DistanceMatrix, ParameterError, atomic_entropy, distance_matrix,
+    kantorovich_distance, random_matrix_test, sample_points,
 )
-from orbent.admit import combine_verdict, greedy_separated_size
+from orbent.admit import (
+    LIMIT_PC_N, LIMIT_PC_TRIALS, SEPARATION_C, combine_verdict, greedy_separated_size,
+    matrix_report,
+)
 from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
@@ -250,11 +253,13 @@ def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"
 
 
 def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
-    """One seed's limit-check diagnostics with the n_big average recomputed."""
-    return admissibility_report(
-        system, Average(metric, system, n_big), m=m, seed=seed, eps=eps,
-        pc_n=32, pc_trials=20,
-    )
+    """One seed's limit-check diagnostics with the n_big average recomputed,
+    from the limit draw's separated-set frequency and the average's own
+    distance matrix."""
+    average = Average(metric, system, n_big)
+    pc = random_matrix_test(average, system, LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
+    sample = sample_points(system, m, seed)
+    return matrix_report(sample, distance_matrix(average, sample), eps=eps, pc=pc)
 
 
 def reference_limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
@@ -332,10 +337,11 @@ def reference_sample(system, m, seed):
     return rng.random((m, system.dim))
 
 
-def reference_random_matrix_test(metric, system, c, n, trials, seed):
+def reference_random_matrix_test(metric, system, n, trials, seed):
     """``random_matrix_test`` with the trials drawn in one call, like
     ``reference_sample`` but over the symbols the metric reads, and one
     ``pairwise`` call per trial, on that trial's own points."""
+    c = SEPARATION_C
     required = max(1, math.ceil(c * n))
     if required <= 1:
         return 1.0

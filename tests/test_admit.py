@@ -13,9 +13,11 @@ from orbent import (
     sample_points,
     trace_from_matrix,
 )
-from orbent.admit import SEPARATION_C, greedy_separated_size
+from orbent.admit import (
+    LIMIT_PC_N, LIMIT_PC_TRIALS, PC_N, PC_TRIALS, SEPARATION_C, TRACE_SCHEDULE,
+    greedy_separated_size,
+)
 from orbent.dynsys import GOLDEN_FRAC, AnzaiSkew, CircleRotation
-from orbent.scaling import LIMIT_PC_N, LIMIT_PC_TRIALS
 from orbent.semimetric import (
     Average, Block, CircleArc, Discrete, DistanceMatrix, Euclidean1D, FirstSymbolCut,
     FirstSymbols, Mix, OneBlock, Semimetric, TorusArcL1, Zero,
@@ -27,8 +29,8 @@ from oracles import exact_separated_size, reference_random_matrix_test, referenc
 
 def _workload_tests():
     """(metric, system, n, trials) of the separated-set tests that a run of
-    each benchmark workload makes: on the base metric with the report's
-    defaults, and on the average at the schedule's largest n."""
+    each benchmark workload makes: on the base metric with the base report's
+    draw shape, and on the average at the schedule's largest n."""
     workloads = {
         "anzai-orbit": (AnzaiSkew(GOLDEN_FRAC), TorusArcL1(), 128),
         "shift-cut": (BernoulliShift([0.5, 0.5], horizon=1026), FirstSymbolCut(), 1024),
@@ -36,7 +38,7 @@ def _workload_tests():
     }
     cases = []
     for name, (system, metric, n_big) in workloads.items():
-        cases.append(pytest.param(metric, system, 64, 50, id=f"{name}-base"))
+        cases.append(pytest.param(metric, system, PC_N, PC_TRIALS, id=f"{name}-base"))
         cases.append(pytest.param(Average(metric, system, n_big), system, LIMIT_PC_N,
                                   LIMIT_PC_TRIALS, id=f"{name}-limit"))
     # a cut's trials keep only the symbols it reads; Discrete reads them all
@@ -48,32 +50,32 @@ def _workload_tests():
     return cases
 
 
-def trace(metric, sample, n_schedule):
-    return trace_from_matrix(distance_matrix(metric, sample), sample, n_schedule)
+def trace(metric, sample):
+    return trace_from_matrix(distance_matrix(metric, sample), sample)
 
 
 class TestTraceTest:
     def test_euclidean_analytic(self, euclid, identity):
         # within-cell mean of |x-y| on an interval of length 1/n is 1/(3n)
         sample = sample_points(identity, 4096, 13)
-        for point in trace(euclid, sample, [2, 4, 8, 16]):
+        for point in trace(euclid, sample):
             expected = 1.0 / (3.0 * point.n)
             assert abs(point.trace_over_n - expected) <= 0.15 * expected
 
     def test_discrete_metric_stays_at_one(self, identity):
         sample = sample_points(identity, 2048, 3)
         disc = Discrete()
-        for point in trace(disc, sample, [2, 4, 8]):
+        for point in trace(disc, sample):
             assert abs(point.trace_over_n - 1.0) <= 0.02
 
     def test_zero_metric_is_zero(self, identity):
         sample = sample_points(identity, 512, 5)
-        for point in trace(Zero(), sample, [2, 4, 8]):
+        for point in trace(Zero(), sample):
             assert point.trace_over_n == 0.0
 
     def test_decreasing_for_euclidean(self, euclid, identity):
         sample = sample_points(identity, 4096, 17)
-        points = trace(euclid, sample, [2, 4, 8, 16, 32])
+        points = trace(euclid, sample)
         for a, b in zip(points, points[1:]):
             assert b.trace_over_n <= a.trace_over_n + 2 * (a.stderr + b.stderr)
 
@@ -84,37 +86,31 @@ class TestTraceTest:
         for metric in (Euclidean1D(), CircleArc()):
             values = metric.pairwise(sample)
             l1 = float(values[off].mean())
-            for point in trace_from_matrix(DistanceMatrix(values), sample, [2, 4, 8, 16]):
+            for point in trace_from_matrix(DistanceMatrix(values), sample):
                 assert point.trace_over_n <= 2.0 * l1 + 5 * point.stderr
 
     def test_skipped_cells_flagged(self, euclid):
         # everything in [0, 0.2): most dyadic cells at n=16 are empty
         rng = np.random.default_rng(0)
         sample = coords_sample(rng.random(64) * 0.2)
-        point = trace(euclid, sample, [16])[0]
+        (point,) = [p for p in trace(euclid, sample) if p.n == 16]
         assert point.cells_skipped >= 12
         assert point.flagged
-
-    def test_requires_power_of_two(self, euclid, identity):
-        sample = sample_points(identity, 128, 1)
-        for n in (3, 0, -4):
-            with pytest.raises(ParameterError):
-                trace(euclid, sample, [n])
 
     def test_symbolic_points_rejected(self, cut):
         system = BernoulliShift([0.5, 0.5], horizon=8)
         sample = sample_points(system, 64, 2)
         with pytest.raises(MetricTypeError):
-            trace(cut, sample, [2])
+            trace(cut, sample)
 
     def test_torus_grid_matches_box_oracle(self):
         # level j cuts the square into 2^ceil(j/2) x 2^floor(j/2) boxes
         system = TorusTranslation()
         sample = sample_points(system, 512, 29)
         values = TorusArcL1().pairwise(sample)
-        schedule = [2, 4, 8, 16, 32]
+        assert TRACE_SCHEDULE == (2, 4, 8, 16, 32)
         grids = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]
-        got = [p.trace_over_n for p in trace_from_matrix(DistanceMatrix(values), sample, schedule)]
+        got = [p.trace_over_n for p in trace_from_matrix(DistanceMatrix(values), sample)]
         expected = reference_trace_curve(values, sample, grids)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
@@ -140,16 +136,19 @@ class TestBallMass:
 class TestSeparatedSets:
     def test_discrete_always_succeeds(self, identity):
         disc = Discrete()
-        assert random_matrix_test(disc, identity, 0.5, 16, 25, 3) == 1.0
+        assert random_matrix_test(disc, identity, 16, 25, 3) == 1.0
 
     def test_euclidean_rarely_succeeds(self, euclid, identity):
         # at most 3 points of [0,1) can be pairwise 0.4 apart, far below 26
-        assert random_matrix_test(euclid, identity, 0.4, 64, 50, 3) <= 0.05
+        assert random_matrix_test(euclid, identity, 64, 50, 3) <= 0.05
 
-    def test_pair_case_matches_direct_mass(self, euclid, identity):
-        # n=2, c=0.6: the event is exactly {|x-y| >= 0.6}, which has mass 0.16
-        freq = random_matrix_test(euclid, identity, 0.6, 2, 400, 11)
-        assert abs(freq - 0.16) <= 0.08
+    def test_three_point_case_matches_direct_mass(self, euclid, identity):
+        # n=3 at c=0.4 needs two indices: first fit takes x1 or x2 beside x0
+        # exactly when one of them lies 0.4 or more from x0, so the event has
+        # mass 1 - E[L(x0)^2], with L(x) = |[x - 0.4, x + 0.4] & [0, 1]|, = 43/75
+        assert SEPARATION_C == 0.4
+        freq = random_matrix_test(euclid, identity, 3, 400, 11)
+        assert abs(freq - 43 / 75) <= 0.08
 
     def test_greedy_is_sound_and_exact_confirms(self, identity):
         rng = np.random.default_rng(13)
@@ -193,10 +192,10 @@ class TestSeparatedSets:
             return values
 
         monkeypatch.setattr(Semimetric, "pairwise", recorded)
-        got = random_matrix_test(metric, system, SEPARATION_C, n, trials, 7)
+        got = random_matrix_test(metric, system, n, trials, 7)
         (stacked,) = matrices
         matrices.clear()
-        assert got == reference_random_matrix_test(metric, system, SEPARATION_C, n, trials, 7)
+        assert got == reference_random_matrix_test(metric, system, n, trials, 7)
         assert stacked.shape == (trials, n, n)
         assert stacked.tobytes() == np.stack(matrices).tobytes()
 
@@ -214,28 +213,24 @@ class TestSeparatedSets:
 
         monkeypatch.setattr(BernoulliShift, "sample", recorded)
         system = BernoulliShift([0.5, 0.5], horizon=1026)
-        random_matrix_test(metric, system, SEPARATION_C, 64, 50, 7)
-        assert draws == [(50 * 64, width)]
+        random_matrix_test(metric, system, PC_N, PC_TRIALS, 7)
+        assert draws == [(PC_TRIALS * PC_N, width)]
 
     def test_frequency_does_not_depend_on_stored_window(self):
         metric = Block(FirstSymbols(7, alphabet=2))
         freqs = {horizon: random_matrix_test(metric, BernoulliShift([0.8, 0.2], horizon=horizon),
-                                             SEPARATION_C, 64, 50, 1)
+                                             PC_N, PC_TRIALS, 1)
                  for horizon in (7, 16, 128, 1026)}
         assert len(set(freqs.values())) == 1, freqs
 
     def test_validation(self, euclid, identity):
         with pytest.raises(ParameterError):
-            random_matrix_test(euclid, identity, 1.5, 8, 2, 0)
-        with pytest.raises(ParameterError):
-            random_matrix_test(euclid, identity, 0.5, 1, 2, 0)
+            random_matrix_test(euclid, identity, 1, 2, 0)
 
 
 class TestAdmissibilityReport:
     def test_euclidean_is_admissible(self, euclid, identity):
-        report = admissibility_report(
-            identity, euclid, m=512, seed=1, eps=0.1, pc_n=64, pc_trials=30,
-        )
+        report = admissibility_report(identity, euclid, m=512, seed=1, eps=0.1)
         assert report.verdict == "AdmissibleEvidence"
         assert report.ball_mass_fraction >= 0.99
         assert report.pc_probability <= 0.05
@@ -243,9 +238,7 @@ class TestAdmissibilityReport:
 
     def test_discrete_is_not_admissible(self, identity):
         disc = Discrete()
-        report = admissibility_report(
-            identity, disc, m=256, seed=1, eps=0.25, pc_n=16, pc_trials=20,
-        )
+        report = admissibility_report(identity, disc, m=256, seed=1, eps=0.25)
         assert report.verdict == "NotAdmissibleEvidence"
         assert report.ball_mass_fraction == 0.0
         assert report.pc_probability == 1.0
@@ -253,16 +246,12 @@ class TestAdmissibilityReport:
     def test_cut_metric_on_shift_is_admissible(self, cut):
         # no trace curve for symbolic points; ball mass and separation decide
         system = BernoulliShift([0.5, 0.5], horizon=16)
-        report = admissibility_report(
-            system, cut, m=256, seed=3, eps=0.1, pc_n=32, pc_trials=20,
-        )
+        report = admissibility_report(system, cut, m=256, seed=3, eps=0.1)
         assert report.trace_curve == []
         assert report.verdict == "AdmissibleEvidence"
 
     def test_json_roundtrip_fields(self, euclid, identity):
-        report = admissibility_report(
-            identity, euclid, m=128, seed=2, eps=0.2, pc_n=16, pc_trials=5,
-        )
+        report = admissibility_report(identity, euclid, m=128, seed=2, eps=0.2)
         blob = report.to_json()
         assert set(blob) >= {
             "ball_mass_fraction", "pc_probability", "trace_curve", "verdict",

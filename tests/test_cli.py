@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from orbent import admit, cli, scaling
+from orbent import InfeasibleError, admit, cli, entropy, scaling
 from orbent.cli import (
     PRESETS,
     ConfigError,
@@ -413,6 +413,20 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "system"
         assert not (tmp_path / "out").exists()
+
+    def test_infeasible_estimate_exits_3(self, monkeypatch, tmp_path, capsys):
+        # ESTIMATORS looks the estimator up when it runs, so the swap reaches the run
+        def infeasible(*args):
+            raise InfeasibleError("transport LP failed")
+
+        monkeypatch.setattr(entropy, "eps_entropy_kantorovich", infeasible)
+        raw = rotation_config(tmp_path / "out")
+        raw["method"] = "Kantorovich"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"code": "infeasible", "message": "transport LP failed"}}
 
     @staticmethod
     def long_window_run(monkeypatch, tmp_path, mib):

@@ -282,9 +282,7 @@ class TestLimitMetricCheck:
         from orbent import admissibility_report
 
         report = limit_check(identity, euclid, 64, 128, [5], UNDETERMINED)
-        base = admissibility_report(
-            identity, euclid, m=128, seed=5, eps=0.1, pc_n=32, pc_trials=20,
-        )
+        base = admissibility_report(identity, euclid, m=128, seed=5, eps=0.1)
         assert report.verdict == base.verdict
         assert report.ball_mass_fraction == base.ball_mass_fraction
 
