@@ -1,20 +1,21 @@
 """Admissibility diagnostics for semimetrics on sampled measure spaces.
 
-Three independent signals: the trace curve, within-cell means of the value
-matrix over finer and finer dyadic boxes (``dyadic_cells``); the fraction of
-points whose eps-ball captures sample mass; and the frequency with which n
-random points contain a large mutually separated index set.  A report
-aggregates them into a verdict.
+Three independent signals, each read off the one value matrix of a sample:
+the trace curve, within-cell means of the matrix over finer and finer dyadic
+boxes (``dyadic_cells``); the fraction of points whose eps-ball captures
+sample mass; and the share of disjoint blocks of n sample points that
+contain a large mutually separated index set.  A report aggregates them into
+a verdict.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Record, SystemSpec, derive_rng, holds_symbols, sample_points
+from .dynsys import Record, SystemSpec, holds_symbols, sample_points
 from .errors import ParameterError, SizeError
 from .semimetric import DistanceMatrix, Semimetric, _coords, distance_matrix, dyadic_cells
 
@@ -28,10 +29,8 @@ TRACE_L1_FACTOR = 0.1
 # separated-set level and trace-curve box counts (powers of 2) of every report
 SEPARATION_C = 0.4
 TRACE_SCHEDULE = (2, 4, 8, 16, 32)
-# points per separated-set trial and trials: of a base report, and of each
-# seed's limit report on the largest-n average
-PC_N, PC_TRIALS = 64, 50
-LIMIT_PC_N, LIMIT_PC_TRIALS = 32, 20
+# points per block of the separated-set test
+PC_N = 32
 # fewest points the ball-mass test reads
 MIN_BALL_MASS_POINTS = 16
 
@@ -117,8 +116,8 @@ def greedy_separated_size(separated: np.ndarray) -> int:
     """Size of the first-fit maximal index set whose pairs are all ``separated``.
 
     Index i joins when it is separated from every index chosen before it.
-    ``separated`` must be exactly symmetric, as ``values > eps`` of a
-    :class:`~orbent.semimetric.DistanceMatrix` or ``pairwise >= c`` is: a
+    ``separated`` must be exactly symmetric, as ``values > eps`` or
+    ``values >= c`` of a :class:`~orbent.semimetric.DistanceMatrix` is: a
     joining index's row, contiguous in C order, stands for its column.
     """
     candidates = np.ones(separated.shape[0], dtype=bool)
@@ -130,38 +129,31 @@ def greedy_separated_size(separated: np.ndarray) -> int:
     return size
 
 
-def random_matrix_test(
-    metric: Semimetric, system: SystemSpec, n: int, trials: int, seed: int,
-) -> float:
-    """Frequency over ``trials`` draws of n i.i.d. points that the first-fit
-    separated set (``greedy_separated_size``) holds ceil(c*n) indices pairwise
-    at distance >= c, with c = ``SEPARATION_C``.
+def random_matrix_test(matrix: DistanceMatrix, n: int) -> float:
+    """Share of blocks of n sample points whose first-fit separated set
+    (``greedy_separated_size``) holds ceil(c*n) indices pairwise at distance
+    >= c, with c = ``SEPARATION_C``.
 
-    One ``system.sample`` call on ``derive_rng(seed, 977)`` draws the points
-    of every trial, trials * n of them, reshaped to (trials, n, ...), and one
-    ``metric.pairwise`` call, one orbit pass for an average, evaluates every
-    trial; a value depends only on its pair, so each trial's matrix is the
-    one its own points would give.  On a shift the draw's windows hold only
-    the ``metric.symbols_read(horizon)`` symbols the metric can read, so the
-    frequency does not depend on how many symbols the system stores.
-
-    The largest separated set is at least as large as the first-fit one, so
-    the frequency is a lower bound on the probability of the event.  When
-    c*n <= 1 the event is vacuous and the frequency is 1.
+    The blocks are the first floor(m/n) disjoint runs of n consecutive points
+    of the matrix's m-point sample, and the points left over are not read;
+    when m < n, n is m and the one block is the whole sample.  Sample points
+    are i.i.d., so each block's matrix, a diagonal block of ``matrix``, is
+    that of an independent n-point draw.  The largest separated set is at
+    least the first-fit one, so the share is a lower bound on the
+    probability of the event.  When c*n <= 1 the event is vacuous: share 1.
     """
     if n < 2:
-        raise ParameterError("need at least two points per trial")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    required = max(1, math.ceil(SEPARATION_C * n))
+        raise ParameterError("need at least two points per block")
+    values = matrix.values
+    n = min(n, len(values))
+    required = math.ceil(SEPARATION_C * n)
     if required <= 1:
         return 1.0
-    if system.is_symbolic:  # a shift stores one symbol at least
-        system = replace(system, horizon=max(1, metric.symbols_read(system.horizon)))
-    drawn = system.sample(trials * n, derive_rng(seed, 977))
-    separated = metric.pairwise(drawn.reshape(trials, n, -1)) >= SEPARATION_C
-    hits = sum(greedy_separated_size(trial) >= required for trial in separated)
-    return hits / trials
+    starts = range(0, len(values) - n + 1, n)
+    hits = sum(greedy_separated_size(values[a:a + n, a:a + n] >= SEPARATION_C) >= required
+               for a in starts)
+    return hits / len(starts)
+
 
 # ---------------------------------------------------------------------------
 # aggregate report
@@ -205,23 +197,20 @@ def trace_evidence(points: Sequence[TracePoint], l1_norm: float) -> bool:
 def admissibility_report(
     system: SystemSpec, metric: Semimetric, *, m: int, seed: int, eps: float,
 ) -> AdmissibilityReport:
-    """Run all three diagnostics on one (system, metric) pair, with ``PC_TRIALS``
-    separated-set trials of ``PC_N`` points.  The separated-set draw runs
-    before the value matrix is formed, so the two are never held at once."""
+    """Run all three diagnostics on one (system, metric) pair, on the value
+    matrix of its m-point sample."""
     sample = sample_points(system, m, seed)
-    pc = random_matrix_test(metric, system, PC_N, PC_TRIALS, seed)
-    return matrix_report(sample, distance_matrix(metric, sample), eps=eps, pc=pc)
+    return matrix_report(sample, distance_matrix(metric, sample), eps=eps)
 
 
-def matrix_report(
-    sample: np.ndarray, matrix: DistanceMatrix, *, eps: float, pc: float,
-) -> AdmissibilityReport:
+def matrix_report(sample: np.ndarray, matrix: DistanceMatrix, *,
+                  eps: float) -> AdmissibilityReport:
     """The diagnostics of ``admissibility_report`` on a sample and its value
-    matrix, with ``pc`` the separated-set frequency that ``random_matrix_test``
-    gave.  The diagonal is exactly zero, so the sum over all entries is the
-    sum off it."""
+    matrix, the separated-set test on blocks of ``PC_N`` points.  The
+    diagonal is exactly zero, so the sum over all entries is the sum off it."""
     values = matrix.values
     ball = ball_mass_test(matrix, eps)
+    pc = random_matrix_test(matrix, PC_N)
     m = values.shape[0]
     l1 = float(values.sum() / (m * (m - 1)))
     curve: list[TracePoint] = []

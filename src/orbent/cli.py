@@ -90,12 +90,10 @@ def _check_memory(config: ExperimentConfig, passes: int) -> None:
     system, metric, m = config.system, config.metric, config.m
     matrices, windows = WORKING_SET_MATRICES * 8 * m * m, 0
     if system.is_symbolic:
-        # int8 windows a pass holds at once: the sample's, the larger test's
-        # stacked separated-set trials (a base report draws the symbols its
-        # metric reads, a limit report whole windows) and the sampler's float64 row
+        # a pass holds the sample's int8 windows and the sampler's float64
+        # row; the separated-set test reads the pass's matrix, not a draw
         h = system.horizon
-        windows = m * h + 8 * h + max(admit.PC_TRIALS * admit.PC_N * metric.symbols_read(h),
-                                      admit.LIMIT_PC_TRIALS * admit.LIMIT_PC_N * h)
+        windows = (m + 8) * h
     need = passes * (matrices + windows)
     if memory is None or need <= memory:
         return

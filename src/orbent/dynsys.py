@@ -21,10 +21,9 @@ is only itself.  A bad field, or one whose annotation the reader cannot read,
 raises :class:`~orbent.errors.ConfigError`, which carries its name, and an
 error inside a nested object is raised again under the outer object's field.
 
-A sample of m points is an array, float coordinates of shape (..., m, dim) or
-integer symbol windows of shape (..., m, width) whose column j is the symbol j
+A sample of m points is an array, float coordinates of shape (m, dim) or
+integer symbol windows of shape (m, width) whose column j is the symbol j
 shift steps along the orbit; ``holds_symbols`` reads which from the dtype.
-Leading axes stack independent samples, and every operation acts on each alone.
 
 Torus systems keep coordinates reduced into [0,1) after every step, so the
 semigroup law ``advance_sample(advance_sample(x, j, s), k, s) ==

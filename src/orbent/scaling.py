@@ -23,7 +23,7 @@ from . import admit
 from .dynsys import Record, SystemSpec, sample_points
 from .entropy import EpsEntropyEstimate, ceiling_bits, estimate_from_matrix
 from .errors import ParameterError
-from .semimetric import Average, Semimetric, streamed_average_matrices, validate_schedule
+from .semimetric import Semimetric, streamed_average_matrices, validate_schedule
 
 # the growth rule of the module docstring; bits, and bits per doubling of n
 CENSOR_MARGIN_BITS = 0.5
@@ -107,21 +107,19 @@ def profile_cells(
     for every eps and n, and the seed's limit-check report.
 
     Each cell equals the standalone ``entropy_estimate`` pipeline bit for bit.
-    The limit check's separated-set draw, ``admit.LIMIT_PC_TRIALS`` trials of
-    ``admit.LIMIT_PC_N`` points on ``Average(metric, system, max(n_schedule))``,
-    comes first, before the sample is drawn.  Then no matrix outlives its
-    step: each is let go of before the pass forms the next.  Once the pass has
-    ended and its accumulators are freed, ``admit.matrix_report`` runs on the
-    largest n's matrix at the smallest eps, so the report equals the one on
-    that average's own ``distance_matrix`` of the same m and seed.
+    No matrix outlives its step: each is let go of before the pass forms the
+    next.  Once the pass has ended and its accumulators are freed,
+    ``admit.matrix_report`` runs on the largest n's matrix at the smallest
+    eps, its separated-set test on blocks of that matrix too, so the report
+    equals the one on ``Average(metric, system, max(n_schedule))``'s own
+    ``distance_matrix`` of the same m and seed, and the check costs no orbit
+    step of its own.
     """
     schedule = validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
     if not grid:
         raise ParameterError("the eps grid must be nonempty")
     seed = int(seed)
-    pc = admit.random_matrix_test(Average(metric, system, schedule[-1]), system,
-                                  admit.LIMIT_PC_N, admit.LIMIT_PC_TRIALS, seed)
     sample = sample_points(system, m, seed)
     cells: dict[tuple[float, int, int], EpsEntropyEstimate] = {}
     for n, last in streamed_average_matrices(metric, system, sample, schedule):
@@ -130,7 +128,7 @@ def profile_cells(
         if n < schedule[-1]:
             del last  # before the pass forms step n + 1's matrix
     # the pass has ended and freed its accumulators; ``last`` is the largest n's
-    return cells, admit.matrix_report(sample, last, eps=min(grid), pc=pc)
+    return cells, admit.matrix_report(sample, last, eps=min(grid))
 
 
 def _median_row(n: int, per_seed: list[EpsEntropyEstimate]) -> ProfileRow:

@@ -25,13 +25,8 @@ Each block adds its orbit steps into its own C-contiguous accumulator, since
 adding into a strided view of the m x m matrix costs NumPy an iteration per
 row; each node's ``orbit_sums`` adds, and ``_orbit_means`` divides.
 
-A sample is its points array: float coordinates of shape (..., m, dim) or
-integer symbol windows of shape (..., m, width), told apart by the dtype
-(``holds_symbols``).  The same contract lets leading axes stack independent
-samples: every node indexes points as ``[..., rows, None]`` and coordinates
-as ``[..., j]``, and value blocks have shape (..., len(rows), m).
-``pairwise`` of a stacked sample is the stack of each sample's own matrix,
-bit for bit, from one pass whose blocks count values across the leading axes.
+A sample is its points array: float coordinates of shape (m, dim) or integer
+symbol windows of shape (m, width), told apart by the dtype (``holds_symbols``).
 
 The coordinate leaves form differences u_r - v_c with ``_differences``, one
 matrix product of the columns [u, 1] by the rows [1, -v].  It is exact: both
@@ -235,10 +230,6 @@ class Semimetric(Tagged, ABC):
         """Symbols needed past the orbit start to evaluate this semimetric."""
         return 0
 
-    def symbols_read(self, width: int) -> int:
-        """Leading symbols of ``width``-symbol windows that ``values`` may read."""
-        return width
-
     def orbit_sums(self, system: SystemSpec, sample: np.ndarray, tiles: list,
                    schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
         """At each n of the ascending ``schedule``, add the next orbit steps into
@@ -256,8 +247,7 @@ class Semimetric(Tagged, ABC):
 
     def pairwise(self, sample: np.ndarray) -> np.ndarray:
         """Full m-by-m value matrix with exact symmetry and zero diagonal,
-        mirrored from its upper triangle, which is evaluated in row blocks;
-        shape (..., m, m) for a sample with leading axes."""
+        mirrored from its upper triangle, which is evaluated in row blocks."""
         return _symmetrize(next(_orbit_means(self, Identity(), sample, None, [1]))[1])
 
 
@@ -377,9 +367,6 @@ class _Cut(Semimetric):
 
     def values(self, sample: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _differ(self.keys(sample), rows)
-
-    def symbols_read(self, width: int) -> int:
-        return min(width, self.symbol_horizon())
 
     def orbit_sums(self, system: SystemSpec, sample: np.ndarray, tiles: list,
                    schedule: Sequence[int]) -> Iterator[tuple[int, Iterable]]:
@@ -586,16 +573,15 @@ _MIRROR_BLOCK = 64  # side of the square blocks of a mirror or a symmetry check
 def _tiles(sample: np.ndarray, rows: Optional[np.ndarray]) -> list:
     """(zeroed C-contiguous accumulator, a, rows of the tail a..m-1) of each
     block a pass adds into: one for explicit ``rows``, of shape
-    (..., len(rows), m); for ``rows`` None, rows a..b-1 of the whole matrix
-    against points a..m-1, about ``_TILE`` values each across the leading
-    axes."""
-    lead, m = sample.shape[:-2], sample.shape[-2]
+    (len(rows), m); for ``rows`` None, rows a..b-1 of the whole matrix
+    against points a..m-1, about ``_TILE`` values each."""
+    m = len(sample)
     if rows is not None:
-        return [(np.zeros(lead + (len(rows), m)), 0, rows)]
-    tiles, a, stack = [], 0, math.prod(lead)
+        return [(np.zeros((len(rows), m)), 0, rows)]
+    tiles, a = [], 0
     while a < m:
-        b = min(m, a + max(1, _TILE // (stack * (m - a))))
-        tiles.append((np.zeros(lead + (b - a, m - a)), a, np.arange(b - a)))
+        b = min(m, a + max(1, _TILE // (m - a)))
+        tiles.append((np.zeros((b - a, m - a)), a, np.arange(b - a)))
         a = b
     return tiles
 
@@ -645,12 +631,12 @@ def _orbit_means(
     on and above the diagonal; below it only each block's diagonal square is
     written, and the rest is left unset.  The generator lets go of each array
     when it resumes, before the next steps are added."""
-    lead, m = sample.shape[:-2], sample.shape[-2]
+    m = len(sample)
     sums = inner.orbit_sums(system, sample, _tiles(sample, rows), schedule)
     for n, (steps, blocks) in zip(schedule, sums):
-        means = np.empty(lead + (m if rows is None else len(rows), m))
+        means = np.empty((m if rows is None else len(rows), m))
         for total, a, _ in blocks:
-            np.divide(total, steps, out=means[..., a:a + total.shape[-2], a:])
+            np.divide(total, steps, out=means[a:a + len(total), a:])
         yield n, means
         del means
 

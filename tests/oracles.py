@@ -4,22 +4,21 @@ These deliberately avoid the library's solver paths: transport costs come
 from enumerating transportation-polytope vertices (spanning trees of the
 complete bipartite support graph), covering counts and separated sets from
 exhaustive search.  The limit-check reference recomputes the large-n average
-from scratch for every seed.  The orbit-sum reference adds one value matrix
-per orbit step over whole rows, and ``mirror_upper`` builds a symmetric
-matrix by adding the transpose of its strict upper triangle.  The
-``Discrete`` reference compares every pair of points symbol by symbol.  The
-trace reference builds each box of an explicit grid as a mask and loops over
-its pairs, and the axiom checker scans triples of a value matrix for triangle
-defects.  The Kantorovich reference prices every k-medoid candidate with the
-transport LP instead of the closed form, and its candidates come from a
-k-medoid search that recomputes every cluster medoid (no medoid table).  The
-covering reference recounts the uncovered points of every ball in every
-greedy round.  The profile reference is the one-eps profile built from the
-library's cells.  The sampler reference draws a whole sample in one call:
+from scratch for every seed and reports on its own ``distance_matrix``.  The
+orbit-sum reference adds one value matrix per orbit step over whole rows,
+and ``mirror_upper`` builds a symmetric matrix by adding the transpose of
+its strict upper triangle.  The ``Discrete`` reference compares every pair
+of points symbol by symbol.  The trace reference builds each box of an
+explicit grid as a mask and loops over its pairs, and the axiom checker
+scans triples of a value matrix for triangle defects.  The Kantorovich
+reference prices every k-medoid candidate with the transport LP instead of
+the closed form, and its candidates come from a k-medoid search that
+recomputes every cluster medoid (no medoid table).  The covering reference
+recounts the uncovered points of every ball in every greedy round.  The
+profile reference is the one-eps profile built from the library's cells.  The sampler reference draws a whole sample in one call:
 ``rng.random`` for coordinates, ``rng.choice`` over every symbol of a shift.
-The separated-set reference draws every trial in one such call, over the
-symbols its metric reads, and evaluates each trial with its own ``pairwise``
-call instead of one call on the stacked trials.
+The separated-set reference copies each block of n points out of the value
+matrix and grows its first-fit set with a Python loop over index pairs.
 """
 import math
 from dataclasses import dataclass
@@ -29,12 +28,9 @@ import numpy as np
 
 from orbent import (
     AtomicMeasure, Average, DistanceMatrix, ParameterError, atomic_entropy, distance_matrix,
-    kantorovich_distance, random_matrix_test, sample_points,
+    kantorovich_distance, sample_points,
 )
-from orbent.admit import (
-    LIMIT_PC_N, LIMIT_PC_TRIALS, SEPARATION_C, combine_verdict, greedy_separated_size,
-    matrix_report,
-)
+from orbent.admit import SEPARATION_C, combine_verdict, greedy_separated_size, matrix_report
 from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
@@ -253,13 +249,11 @@ def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"
 
 
 def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
-    """One seed's limit-check diagnostics with the n_big average recomputed,
-    from the limit draw's separated-set frequency and the average's own
-    distance matrix."""
+    """One seed's limit-check diagnostics with the n_big average recomputed:
+    ``matrix_report`` on the average's own distance matrix."""
     average = Average(metric, system, n_big)
-    pc = random_matrix_test(average, system, LIMIT_PC_N, LIMIT_PC_TRIALS, seed)
     sample = sample_points(system, m, seed)
-    return matrix_report(sample, distance_matrix(average, sample), eps=eps, pc=pc)
+    return matrix_report(sample, distance_matrix(average, sample), eps=eps)
 
 
 def reference_limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
@@ -337,24 +331,25 @@ def reference_sample(system, m, seed):
     return rng.random((m, system.dim))
 
 
-def reference_random_matrix_test(metric, system, n, trials, seed):
-    """``random_matrix_test`` with the trials drawn in one call, like
-    ``reference_sample`` but over the symbols the metric reads, and one
-    ``pairwise`` call per trial, on that trial's own points."""
-    c = SEPARATION_C
-    required = max(1, math.ceil(c * n))
+def reference_random_matrix_test(values, n):
+    """``random_matrix_test`` on a value matrix: each of the floor(m/n)
+    disjoint blocks of n consecutive points (one block of all m when m < n)
+    is copied out, and its first-fit set grows by index, taking i when i is
+    at least ``SEPARATION_C`` from every index taken before it."""
+    m = len(values)
+    n = min(n, m)
+    required = math.ceil(SEPARATION_C * n)
     if required <= 1:
         return 1.0
-    rng = derive_rng(seed, 977)
-    if system.is_symbolic:
-        w = np.asarray(system.weights, dtype=float)
-        width = metric.symbols_read(system.horizon)
-        samples = rng.choice(len(w), size=(trials, n, width), p=w).astype(np.int8)
-    else:
-        samples = rng.random((trials, n, system.dim))
-    hits = sum(greedy_separated_size(metric.pairwise(sample) >= c) >= required
-               for sample in samples)
-    return hits / trials
+    hits = 0
+    for block in range(m // n):
+        points = values[block * n:(block + 1) * n, block * n:(block + 1) * n].copy()
+        chosen = []
+        for i in range(n):
+            if all(points[j, i] >= SEPARATION_C for j in chosen):
+                chosen.append(i)
+        hits += len(chosen) >= required
+    return hits / (m // n)
 
 
 def discrete_by_broadcast(sample, rows):

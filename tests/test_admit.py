@@ -13,24 +13,22 @@ from orbent import (
     sample_points,
     trace_from_matrix,
 )
-from orbent.admit import (
-    LIMIT_PC_N, LIMIT_PC_TRIALS, PC_N, PC_TRIALS, SEPARATION_C, TRACE_SCHEDULE,
-    greedy_separated_size,
-)
+from orbent.admit import PC_N, SEPARATION_C, TRACE_SCHEDULE, greedy_separated_size
 from orbent.dynsys import GOLDEN_FRAC, AnzaiSkew, CircleRotation
 from orbent.semimetric import (
     Average, Block, CircleArc, Discrete, DistanceMatrix, Euclidean1D, FirstSymbolCut,
-    FirstSymbols, Mix, OneBlock, Semimetric, TorusArcL1, Zero,
+    FirstSymbols, Mix, OneBlock, TorusArcL1, Zero,
 )
 
-from conftest import coords_sample
+from conftest import coords_sample, matrix_from_points
 from oracles import exact_separated_size, reference_random_matrix_test, reference_trace_curve
 
 
-def _workload_tests():
-    """(metric, system, n, trials) of the separated-set tests that a run of
-    each benchmark workload makes: on the base metric with the base report's
-    draw shape, and on the average at the schedule's largest n."""
+def _workload_matrices():
+    """(metric, system, m) of the matrices whose separated-set test a run of
+    each benchmark workload reads: the base metric and the average at the
+    schedule's largest n; a biased shift's cut whose share lies strictly
+    between 0 and 1; and four symbolic metrics on a fair shift."""
     workloads = {
         "anzai-orbit": (AnzaiSkew(GOLDEN_FRAC), TorusArcL1(), 128),
         "shift-cut": (BernoulliShift([0.5, 0.5], horizon=1026), FirstSymbolCut(), 1024),
@@ -38,15 +36,16 @@ def _workload_tests():
     }
     cases = []
     for name, (system, metric, n_big) in workloads.items():
-        cases.append(pytest.param(metric, system, PC_N, PC_TRIALS, id=f"{name}-base"))
-        cases.append(pytest.param(Average(metric, system, n_big), system, LIMIT_PC_N,
-                                  LIMIT_PC_TRIALS, id=f"{name}-limit"))
-    # a cut's trials keep only the symbols it reads; Discrete reads them all
+        cases.append(pytest.param(metric, system, 96, id=f"{name}-base"))
+        cases.append(pytest.param(Average(metric, system, n_big), system, 96,
+                                  id=f"{name}-limit"))
+    biased = BernoulliShift([0.8, 0.2], horizon=8)
+    cases.append(pytest.param(Block(FirstSymbols(5)), biased, 256, id="biased-block5"))
     shift = BernoulliShift([0.5, 0.5], horizon=40)
     for name, metric in (("discrete", Discrete()), ("first_symbols", Block(FirstSymbols(3))),
                          ("one_block", Block(OneBlock())),
                          ("mix", Mix(Discrete(), FirstSymbolCut(), 0.3))):
-        cases.append(pytest.param(metric, shift, 16, 10, id=f"shift-{name}"))
+        cases.append(pytest.param(metric, shift, 160, id=f"shift-{name}"))
     return cases
 
 
@@ -135,20 +134,34 @@ class TestBallMass:
 
 class TestSeparatedSets:
     def test_discrete_always_succeeds(self, identity):
-        disc = Discrete()
-        assert random_matrix_test(disc, identity, 16, 25, 3) == 1.0
+        matrix = distance_matrix(Discrete(), sample_points(identity, 64, 3))
+        assert random_matrix_test(matrix, 16) == 1.0
 
-    def test_euclidean_rarely_succeeds(self, euclid, identity):
-        # at most 3 points of [0,1) can be pairwise 0.4 apart, far below 26
-        assert random_matrix_test(euclid, identity, 64, 50, 3) <= 0.05
+    def test_euclidean_never_succeeds(self, euclid, identity):
+        # at most 3 points of [0,1) can be pairwise 0.4 apart, far below 13
+        matrix = distance_matrix(euclid, sample_points(identity, 256, 3))
+        assert random_matrix_test(matrix, PC_N) == 0.0
 
     def test_three_point_case_matches_direct_mass(self, euclid, identity):
         # n=3 at c=0.4 needs two indices: first fit takes x1 or x2 beside x0
         # exactly when one of them lies 0.4 or more from x0, so the event has
-        # mass 1 - E[L(x0)^2], with L(x) = |[x - 0.4, x + 0.4] & [0, 1]|, = 43/75
+        # mass 1 - E[L(x0)^2], with L(x) = |[x - 0.4, x + 0.4] & [0, 1]|, = 43/75;
+        # 400 blocks of a 1200-point sample
         assert SEPARATION_C == 0.4
-        freq = random_matrix_test(euclid, identity, 3, 400, 11)
+        freq = random_matrix_test(distance_matrix(euclid, sample_points(identity, 1200, 11)), 3)
         assert abs(freq - 43 / 75) <= 0.08
+
+    def test_fewer_points_than_n_make_one_block(self):
+        # n is m = 5, so two indices are needed; only the last point is 0.4
+        # from the first, so the one block must hold all five
+        matrix = matrix_from_points([0.0, 0.1, 0.2, 0.3, 0.9])
+        assert random_matrix_test(matrix, PC_N) == 1.0
+        assert random_matrix_test(matrix_from_points([0.0, 0.1, 0.2, 0.3, 0.35]), PC_N) == 0.0
+
+    def test_leftover_points_are_not_read(self):
+        # blocks [0, 0.5, 0.1] and [0, 0.1, 0.2]; the seventh point is left over
+        matrix = matrix_from_points([0.0, 0.5, 0.1, 0.0, 0.1, 0.2, 0.9])
+        assert random_matrix_test(matrix, 3) == 0.5
 
     def test_greedy_is_sound_and_exact_confirms(self, identity):
         rng = np.random.default_rng(13)
@@ -181,51 +194,24 @@ class TestSeparatedSets:
             assert 1 < len(chosen) < len(separated)
             assert greedy_separated_size(separated) == len(chosen)
 
-    @pytest.mark.parametrize("metric, system, n, trials", _workload_tests())
-    def test_stacked_trials_match_per_trial_loop(self, monkeypatch, metric, system, n, trials):
-        matrices = []
-        pairwise = Semimetric.pairwise
+    @pytest.mark.parametrize("metric, system, m", _workload_matrices())
+    def test_matches_per_block_reference(self, metric, system, m):
+        values = distance_matrix(metric, sample_points(system, m, 7)).values
+        for n in (PC_N, 5, 2 * m):
+            assert random_matrix_test(DistanceMatrix(values), n) == \
+                reference_random_matrix_test(values, n)
 
-        def recorded(self, sample):
-            values = pairwise(self, sample)
-            matrices.append(values.copy())
-            return values
-
-        monkeypatch.setattr(Semimetric, "pairwise", recorded)
-        got = random_matrix_test(metric, system, n, trials, 7)
-        (stacked,) = matrices
-        matrices.clear()
-        assert got == reference_random_matrix_test(metric, system, n, trials, 7)
-        assert stacked.shape == (trials, n, n)
-        assert stacked.tobytes() == np.stack(matrices).tobytes()
-
-    @pytest.mark.parametrize("metric, width", [
-        (FirstSymbolCut(), 1), (Block(FirstSymbols(2, alphabet=2)), 2),
-    ], ids=["first_symbol_cut", "first_symbols2"])
-    def test_cut_draws_once_only_the_symbols_it_reads(self, monkeypatch, metric, width):
-        draws = []
-        sample = BernoulliShift.sample
-
-        def recorded(self, m, rng):
-            drawn = sample(self, m, rng)
-            draws.append(drawn.shape)
-            return drawn
-
-        monkeypatch.setattr(BernoulliShift, "sample", recorded)
-        system = BernoulliShift([0.5, 0.5], horizon=1026)
-        random_matrix_test(metric, system, PC_N, PC_TRIALS, 7)
-        assert draws == [(PC_TRIALS * PC_N, width)]
-
-    def test_frequency_does_not_depend_on_stored_window(self):
-        metric = Block(FirstSymbols(7, alphabet=2))
-        freqs = {horizon: random_matrix_test(metric, BernoulliShift([0.8, 0.2], horizon=horizon),
-                                             PC_N, PC_TRIALS, 1)
-                 for horizon in (7, 16, 128, 1026)}
-        assert len(set(freqs.values())) == 1, freqs
+    def test_share_strictly_between_zero_and_one(self):
+        # so the biased-block5 reference case can show a change to the test
+        system = BernoulliShift([0.8, 0.2], horizon=8)
+        matrix = distance_matrix(Block(FirstSymbols(5)), sample_points(system, 256, 7))
+        assert 0.0 < random_matrix_test(matrix, PC_N) < 1.0
 
     def test_validation(self, euclid, identity):
-        with pytest.raises(ParameterError):
-            random_matrix_test(euclid, identity, 1, 2, 0)
+        matrix = distance_matrix(euclid, sample_points(identity, 16, 0))
+        for n in (1, 0, -3):
+            with pytest.raises(ParameterError):
+                random_matrix_test(matrix, n)
 
 
 class TestAdmissibilityReport:

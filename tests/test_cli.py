@@ -397,12 +397,12 @@ class TestMalformedInput:
     def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
         raw = bernoulli_config(tmp_path / "out")
         raw["m"] = 16
-        raw["n_schedule"] = [1, 2, 3, 1_000_000_000]
+        raw["n_schedule"] = [1, 2, 3, 10 ** 12]
         with pytest.raises(ConfigError) as err:
             run_experiment(parse_config(raw))
         assert err.value.field == "n_schedule"
         raw["n_schedule"] = [1, 2, 3, 4]
-        raw["system"]["horizon"] = 1_000_000_000
+        raw["system"]["horizon"] = 10 ** 12
         with pytest.raises(ConfigError) as err:
             run_experiment(parse_config(raw))
         assert err.value.field == "system"
@@ -432,8 +432,7 @@ class TestMalformedInput:
     def long_window_run(monkeypatch, tmp_path, mib):
         """A run of 2**20-symbol windows at m = 16 under ``mib`` MiB of
         physical memory, whose first seed pass raises ``PassStarted``: 16
-        sample points, 20 x 32 stacked limit-report trials and one sampler row
-        hold about 664 MiB a pass; without the trials, 24."""
+        sample points and one float64 sampler row hold about 24 MiB a pass."""
         def start(*args):
             raise PassStarted
 
@@ -446,9 +445,9 @@ class TestMalformedInput:
         path.write_text(json.dumps(raw))
         return path
 
-    @pytest.mark.parametrize("mib, refused", [(600, True), (800, False)])
-    def test_separated_set_trials_count_in_memory_budget(self, monkeypatch, tmp_path, capsys,
-                                                         mib, refused):
+    @pytest.mark.parametrize("mib, refused", [(23, True), (25, False)])
+    def test_sample_windows_count_in_memory_budget(self, monkeypatch, tmp_path, capsys,
+                                                   mib, refused):
         path = self.long_window_run(monkeypatch, tmp_path, mib)
         assert load_config(path).system.horizon == 2 ** 20 + 2
         if refused:
@@ -461,8 +460,8 @@ class TestMalformedInput:
 
     def test_concurrent_seed_passes_windows_count_in_memory_budget(self, monkeypatch,
                                                                    tmp_path, capsys):
-        # one pass's windows fit in 1000 MiB, three passes' do not
-        path = self.long_window_run(monkeypatch, tmp_path, 1000)
+        # one pass's windows fit in 50 MiB, three passes' do not
+        path = self.long_window_run(monkeypatch, tmp_path, 50)
         assert main(["run", str(path), "--workers", "3"]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["field"] == "n_schedule"
         assert not (tmp_path / "out").exists()
@@ -624,7 +623,9 @@ class TestRunExperiment:
 
     def test_smallest_m_runs_when_fine_trace_boxes_hold_one_point(self, tmp_path):
         # seed 87 at m = 16 leaves every one of the 32 finest trace boxes with
-        # at most one point; the curve ends before that level instead
+        # at most one point; the curve ends before that level instead.  With
+        # fewer points than admit.PC_N the separated-set test reads one block
+        # of all 16, in which at most 3 points of [0, 1) are 0.4 apart
         raw = rotation_config(tmp_path / "out", {"type": "Euclidean1D"})
         raw.update(m=16, n_schedule=[1, 2, 4, 8], seeds=[87, 1, 2])
         path = tmp_path / "config.json"
@@ -635,7 +636,10 @@ class TestRunExperiment:
             "rows.csv", "verdict.json",
         ]
         with open(tmp_path / "out" / "admissibility.json") as fh:
-            assert [p["n"] for p in json.load(fh)["base"]["trace_curve"]] == [2, 4, 8, 16]
+            reports = json.load(fh)
+        assert [p["n"] for p in reports["base"]["trace_curve"]] == [2, 4, 8, 16]
+        assert reports["base"]["pc_probability"] == 0.0
+        assert [r["pc_probability"] for r in reports["averaged"]["per_seed"]] == [0.0] * 3
 
     def test_one_worker_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
         import threading

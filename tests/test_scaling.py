@@ -321,26 +321,6 @@ class TestLimitReportsFromThePass:
             expected = standalone_limit_report(system, metric, schedule[-1], 48, seed, 0.15)
             assert as_json_text(report) == as_json_text(expected)
 
-    def test_limit_draw_comes_before_the_pass(self, monkeypatch):
-        # the draw reads no matrix, so its trials must not sit on the last one
-        from orbent import admit, scaling
-
-        calls = []
-        draw, stream = admit.random_matrix_test, scaling.streamed_average_matrices
-
-        def drawing(*args, **kwargs):
-            calls.append("draw")
-            return draw(*args, **kwargs)
-
-        def streaming(*args, **kwargs):
-            calls.append("pass")
-            return stream(*args, **kwargs)
-
-        monkeypatch.setattr(admit, "random_matrix_test", drawing)
-        monkeypatch.setattr(scaling, "streamed_average_matrices", streaming)
-        profile_cells(CircleRotation(), Euclidean1D(), [1, 2], 32, 1, [0.25])
-        assert calls == ["draw", "pass"]
-
     def test_needs_an_eps(self, euclid, rotation):
         with pytest.raises(ParameterError):
             profile_cells(rotation, euclid, [1, 2], 32, 1, [])
@@ -405,5 +385,5 @@ class TestWorkingSet:
         # about 0.7 of the matrix; a copy of the off-diagonal entries adds one
         sample = sample_points(AnzaiSkew(), WORKING_SET_M, 1)
         matrix = distance_matrix(TorusArcL1(), sample)
-        peak = traced_peak(lambda: matrix_report(sample, matrix, eps=0.1, pc=0.0))
+        peak = traced_peak(lambda: matrix_report(sample, matrix, eps=0.1))
         assert peak < 1.0 * 8 * WORKING_SET_M ** 2

@@ -685,28 +685,28 @@ class TestOrbitSumsExtension:
         assert overriding <= {type(case[-1]) for case in TILE_CASES + CUT_CASES}
 
 
-def _stacked_cases():
+def _block_cases():
     shift = BernoulliShift([0.5, 0.5], horizon=90)
     extra = [("average_of_cut-shift", shift, Average(FirstSymbolCut(), shift, 70)),
              ("average_of_block-shift", shift, Average(Block(FirstSymbols(2)), shift, 5))]
     return TILE_CASES + extra
 
 
-class TestStackedSamples:
-    """A sample with leading axes against each of its samples alone, bit for bit."""
+class TestConsecutiveBlocks:
+    """A block of consecutive points of one sample's matrix is that block's
+    own matrix, bit for bit, as the separated-set test reads it."""
 
     @pytest.mark.parametrize("tile", [4, 64])
-    @pytest.mark.parametrize("system, node", [case[1:] for case in _stacked_cases()],
-                             ids=[case[0] for case in _stacked_cases()])
-    def test_pairwise_of_stack_is_each_samples_own(self, monkeypatch, tile, system, node):
+    @pytest.mark.parametrize("system, node", [case[1:] for case in _block_cases()],
+                             ids=[case[0] for case in _block_cases()])
+    def test_block_of_pairwise_is_the_blocks_own(self, monkeypatch, tile, system, node):
         monkeypatch.setattr(semimetric, "_TILE", tile)
-        samples = [sample_points(system, 9, seed) for seed in (1, 2, 3, 4)]
-        own = np.stack([node.pairwise(sample) for sample in samples])
-        for lead in ((4,), (2, 2)):
-            stacked = np.stack(samples).reshape(lead + samples[0].shape)
-            got = node.pairwise(stacked)
-            assert got.shape == lead + (9, 9)
-            assert got.tobytes() == own.tobytes()
+        blocks = [sample_points(system, 9, seed) for seed in (1, 2, 3, 4)]
+        whole = node.pairwise(np.concatenate(blocks))
+        assert whole.shape == (36, 36)
+        for k, block in enumerate(blocks):
+            own = whole[9 * k:9 * (k + 1), 9 * k:9 * (k + 1)]
+            assert own.tobytes() == node.pairwise(block).tobytes(), k
 
 
 class TestMirror:
@@ -976,7 +976,6 @@ class TestRegistries:
         assert set(partitions) == set(Partition.registry.values())
         system = BernoulliShift([0.2, 0.3, 0.5], horizon=8)
         sample = sample_points(system, 9, 5)
-        stacked = np.stack([sample, sample[::-1]])
         symbolic = []
         for partition in partitions.values():
             try:
@@ -988,7 +987,6 @@ class TestRegistries:
         cuts = {FirstSymbolCut: [FirstSymbolCut()], Block: symbolic}
         assert set(cuts) == {cls for cls in Semimetric.registry.values() if issubclass(cls, _Cut)}
         for cut in (cut for group in cuts.values() for cut in group):
-            for points in (sample, stacked):
-                keys = cut.keys(points)
-                assert keys.dtype.kind in "iu", cut.label()
-                assert keys.shape == points.shape[:-1]
+            keys = cut.keys(sample)
+            assert keys.dtype.kind in "iu", cut.label()
+            assert keys.shape == sample.shape[:-1]
