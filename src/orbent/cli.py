@@ -353,7 +353,7 @@ def format_compare(diff: dict) -> str:
 # presets
 
 
-_ROTATION_GRID = {
+_PRESET_GRID = {
     "eps_grid": [0.25, 0.1],
     "n_schedule": [16, 32, 64, 128, 256, 512, 1024],
     "m": 512,
@@ -363,9 +363,7 @@ _ROTATION_GRID = {
 
 
 def _preset(system: dict, metric: dict, name: str) -> dict:
-    config = {"system": system, "metric": metric, "output_dir": f"results/{name}"}
-    config.update(_ROTATION_GRID)
-    return config
+    return {"system": system, "metric": metric, "output_dir": f"results/{name}", **_PRESET_GRID}
 
 
 def _presets() -> dict[str, dict]:

@@ -173,11 +173,11 @@ def eps_entropy_cover(matrix: DistanceMatrix, eps: float, seed: int = 0) -> EpsE
     """Greedy covering estimate of the eps-entropy of the sampled space.
 
     Greedy max-coverage with closed balls of radius eps/2 until all but
-    floor(eps*m) points are covered; the count is an upper bound on the
-    minimal number of diameter-<eps sets.  The lower bound comes from a
-    greedy eps-separated subset: each admissible set holds at most one
-    separated point and the exceptional set can absorb at most the discard
-    budget of them.
+    floor(eps*m) points are covered; under the triangle inequality the count
+    bounds the minimal number of diameter-<eps sets from above.  The lower
+    bound comes from a greedy eps-separated subset: each admissible set holds
+    at most one separated point and the exceptional set can absorb at most
+    the discard budget of them; a lower bound above the count is refused.
     """
     values = matrix.values
     m = values.shape[0]
@@ -215,6 +215,9 @@ def eps_entropy_cover(matrix: DistanceMatrix, eps: float, seed: int = 0) -> EpsE
 
     packing = greedy_separated_size(values > eps * (1.0 + _REL_TOL))
     lower_k = max(1, packing - discard)
+    if lower_k > k:
+        raise ParameterError(f"at eps {eps:g} the packing bound {lower_k} exceeds the ball cover "
+                             f"{k}, so the semimetric breaks the triangle inequality")
 
     return EpsEntropyEstimate(
         eps=float(eps), method="Covering",

@@ -18,12 +18,12 @@ the admissibility trace curve (on all coordinates).
 Symmetry is exact by construction: ``pairwise`` and the streamed orbit
 averages compute only the upper triangle of a value matrix, in row blocks of
 about ``_TILE`` values (rows a..b-1 against the tail sample of points a..m-1,
-so step temporaries stay block-sized), and mirror it into the lower one.  The
-tail relies on a contract of ``values``: a node's value on a pair depends only
-on those two points, so it is the same on the tail as on the whole sample.
-Each block adds its orbit steps into its own C-contiguous accumulator, since
-adding into a strided view of the m x m matrix costs NumPy an iteration per
-row; each node's ``orbit_sums`` adds, and ``_orbit_means`` divides.
+so step temporaries stay block-sized).  The tail relies on a contract of
+``values``: a node's value on a pair depends only on those two points, so it
+is the same on the tail as on the whole sample.  Each block adds its orbit
+steps into its own C-contiguous accumulator, since adding into a strided view
+of the m x m matrix costs NumPy an iteration per row.  ``orbit_sums`` adds;
+``_orbit_means`` divides, then mirrors the upper triangle into the lower.
 
 A sample is its points array: float coordinates of shape (m, dim) or integer
 symbol windows of shape (m, width), told apart by the dtype (``holds_symbols``).
@@ -189,20 +189,6 @@ def _blocks(m: int) -> Iterator[tuple[int, int]]:
         yield a, min(m, a + _MIRROR_BLOCK)
 
 
-def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle of each trailing square into the lower one,
-    one square block at a time so that the transposed reads stay in cache,
-    and zero the diagonal."""
-    for a, b in _blocks(matrix.shape[-1]):
-        for c, d in _blocks(a):
-            matrix[..., a:b, c:d] = matrix[..., c:d, a:b].swapaxes(-1, -2)
-        for i in range(a + 1, b):
-            matrix[..., i, a:i] = matrix[..., a:i, i]
-    diagonal = np.arange(matrix.shape[-1])
-    matrix[..., diagonal, diagonal] = 0.0
-    return matrix
-
-
 # ---------------------------------------------------------------------------
 # the node base class
 
@@ -246,9 +232,9 @@ class Semimetric(Tagged, ABC):
             yield steps, tiles
 
     def pairwise(self, sample: np.ndarray) -> np.ndarray:
-        """Full m-by-m value matrix with exact symmetry and zero diagonal,
-        mirrored from its upper triangle, which is evaluated in row blocks."""
-        return _symmetrize(next(_orbit_means(self, Identity(), sample, None, [1]))[1])
+        """Full m-by-m value matrix with exact symmetry and zero diagonal, as
+        ``_orbit_means`` finishes it from its upper triangle."""
+        return next(_orbit_means(self, Identity(), sample, None, [1]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +553,7 @@ class PullBack(Semimetric):
 
 _CUT_KEYS = 1 << 15  # keys per popcount chunk, so its temporaries stay small for any m and n
 _TILE = 1 << 15  # values per row block of a whole matrix, so step temporaries stay block-sized
-_MIRROR_BLOCK = 64  # side of the square blocks of a mirror or a symmetry check
+_MIRROR_BLOCK = 64  # side of the squares a mirror or symmetry check transposes within cache
 
 
 def _tiles(sample: np.ndarray, rows: Optional[np.ndarray]) -> list:
@@ -627,16 +613,23 @@ def _orbit_means(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, mean of the first n pull-backs of ``inner``) along an
     ascending schedule, each in a fresh array: the blocks ``inner.orbit_sums``
-    yields, divided by its step count.  ``rows`` None averages the whole matrix
-    on and above the diagonal; below it only each block's diagonal square is
-    written, and the rest is left unset.  The generator lets go of each array
-    when it resumes, before the next steps are added."""
+    yields, divided by its step count.  ``rows`` None averages the matrix on
+    and above the diagonal and mirrors it below, one ``_MIRROR_BLOCK`` square
+    at a time, with a zero diagonal.  The generator lets go of each array when
+    it resumes, before the next steps are added."""
     m = len(sample)
     sums = inner.orbit_sums(system, sample, _tiles(sample, rows), schedule)
     for n, (steps, blocks) in zip(schedule, sums):
         means = np.empty((m if rows is None else len(rows), m))
         for total, a, _ in blocks:
             np.divide(total, steps, out=means[a:a + len(total), a:])
+        if rows is None:
+            for a, b in _blocks(m):
+                for c, d in _blocks(a):
+                    means[a:b, c:d] = means[c:d, a:b].T
+                lower = np.tri(b - a, k=-1, dtype=bool)  # a named view would outlive del means
+                means[a:b, a:b][lower] = means[a:b, a:b].T[lower]
+            np.fill_diagonal(means, 0.0)
         yield n, means
         del means
 
@@ -727,5 +720,5 @@ def streamed_average_matrices(
     """
     schedule = validate_schedule(n_schedule)
     for n, means in _orbit_means(metric, system, sample, None, schedule):
-        yield n, DistanceMatrix(_symmetrize(means))
+        yield n, DistanceMatrix(means)
         del means

@@ -47,7 +47,6 @@ from orbent.semimetric import (
     _Cut,
     _differences,
     _orbit_means,
-    _symmetrize,
     _window_keys,
     streamed_average_matrices,
 )
@@ -386,7 +385,7 @@ class TestCutPopcount:
             streamed = streamed_average_matrices(cut, system, sample, schedule)
             full = stepwise_orbit_sums(cut, system, sample, np.arange(m), schedule)
             for (n, matrix), (_, reference) in zip(streamed, full, strict=True):
-                assert matrix.values.tobytes() == _symmetrize(reference / n).tobytes()
+                assert matrix.values.tobytes() == mirror_upper(reference / n).tobytes()
 
     @pytest.mark.parametrize("keys_per_chunk", [1, 13 * 192], ids=["64_steps", "192_steps"])
     def test_chunk_edges(self, monkeypatch, keys_per_chunk):
@@ -709,15 +708,28 @@ class TestConsecutiveBlocks:
             assert own.tobytes() == node.pairwise(block).tobytes(), k
 
 
+class _Lopsided(Semimetric):
+    """1 + x + 2y on the first coordinates: neither symmetric nor zero on the
+    diagonal, so a finished matrix shows where each of its entries came from;
+    the leading underscore keeps it out of the JSON registry."""
+
+    def values(self, sample, rows):
+        c = sample[:, 0]
+        return 1.0 + c[rows, None] + 2.0 * c[None, :]
+
+
 class TestMirror:
     """Blocked mirror and symmetry check against whole-matrix expressions."""
 
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 130])
-    def test_symmetrize_matches_mirror_upper(self, m):
-        values = np.random.default_rng(m).random((2, m, m))
-        got = _symmetrize(values.copy())
-        for matrix, original in zip(got, values):
-            assert matrix.tobytes() == mirror_upper(original).tobytes()
+    def test_pairwise_matches_mirror_upper(self, monkeypatch, m):
+        # row blocks of about 100 values leave most of the lower triangle
+        # unset before the mirror; one default tile writes all of it at m <= 181
+        sample = coords_sample(np.random.default_rng(m).random(m))
+        expected = mirror_upper(_Lopsided().values(sample, np.arange(m)))
+        for tile in (100, semimetric._TILE):
+            monkeypatch.setattr(semimetric, "_TILE", tile)
+            assert _Lopsided().pairwise(sample).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [64, 130])
     @pytest.mark.parametrize("pair", [(-1, -2), (-1, -3), (-1, 0), (0, -1)])
