@@ -13,7 +13,7 @@ checkouts at each worker count, and the w1 bundle must equal the w2 bundle in
 each checkout.  config.json is compared without its ``output_dir``.  One line
 per case names every differing file, and an indented line after it names
 the dotted keys that differ in each differing JSON file, for example
-``admissibility.json: base.pc_probability, base.verdict``.  A differing
+``admissibility.json: base.ball_mass_fraction, base.pc_probability``.  A differing
 verdict.json adds one more line with both sides' values, for example
 ``verdict: DiscreteSpectrumEvidence -> Undetermined (0.25: Bounded ->
 Undetermined, 0.1: Bounded -> Undetermined)``, so the log lists every verdict

@@ -4,14 +4,13 @@ Three independent signals, each read off the one value matrix of a sample:
 the trace curve, within-cell means of the matrix over finer and finer dyadic
 boxes (``dyadic_cells``); the fraction of points whose eps-ball captures
 sample mass; and the share of disjoint blocks of n sample points that
-contain a large mutually separated index set.  A report aggregates them into
-a verdict.
+contain a large mutually separated index set.  A report records them, and
+no verdict reads them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,13 +18,6 @@ from .dynsys import Record, SystemSpec, holds_symbols, sample_points
 from .errors import ParameterError, SizeError
 from .semimetric import DistanceMatrix, Semimetric, _coords, distance_matrix, dyadic_cells
 
-# verdict thresholds; finite-sample calibration, not sharp constants
-ADMISSIBLE_BALL_MASS = 0.9
-DEGENERATE_BALL_MASS = 0.1
-ADMISSIBLE_PC = 0.1
-DEGENERATE_PC = 0.9
-TRACE_DROP_FACTOR = 0.5
-TRACE_L1_FACTOR = 0.1
 # separated-set level and trace-curve box counts (powers of 2) of every report
 SEPARATION_C = 0.4
 TRACE_SCHEDULE = (2, 4, 8, 16, 32)
@@ -161,37 +153,15 @@ def random_matrix_test(matrix: DistanceMatrix, n: int) -> float:
 
 @dataclass(frozen=True)
 class AdmissibilityReport(Record):
-    """Aggregated diagnostics with a calibrated three-way verdict."""
+    """The three diagnostics of one value matrix at eps and separation level
+    c, and its mean off-diagonal value; no trace curve on symbol windows."""
 
     ball_mass_fraction: float
     pc_probability: float
     trace_curve: list[TracePoint]
-    trace_ok: Optional[bool]
     empirical_l1: float
     eps: float
     c: float
-    verdict: str
-
-
-def combine_verdict(
-    ball_mass: float, pc_probability: float, trace_ok: Optional[bool]
-) -> str:
-    if ball_mass <= DEGENERATE_BALL_MASS or pc_probability >= DEGENERATE_PC:
-        return "NotAdmissibleEvidence"
-    if (
-        ball_mass >= ADMISSIBLE_BALL_MASS
-        and pc_probability <= ADMISSIBLE_PC
-        and trace_ok is not False
-    ):
-        return "AdmissibleEvidence"
-    return "Inconclusive"
-
-
-def trace_evidence(points: Sequence[TracePoint], l1_norm: float) -> bool:
-    """Curve dropped below half its start and below a tenth of the L1 norm."""
-    first = points[0].trace_over_n
-    last = points[-1].trace_over_n
-    return last < TRACE_DROP_FACTOR * first and last < TRACE_L1_FACTOR * l1_norm
 
 
 def admissibility_report(
@@ -213,13 +183,8 @@ def matrix_report(sample: np.ndarray, matrix: DistanceMatrix, *,
     pc = random_matrix_test(matrix, PC_N)
     m = values.shape[0]
     l1 = float(values.sum() / (m * (m - 1)))
-    curve: list[TracePoint] = []
-    trace_ok: Optional[bool] = None
-    if not holds_symbols(sample):
-        curve = trace_from_matrix(matrix, sample)
-        trace_ok = trace_evidence(curve, l1)
+    curve = [] if holds_symbols(sample) else trace_from_matrix(matrix, sample)
     return AdmissibilityReport(
         ball_mass_fraction=ball, pc_probability=pc, trace_curve=curve,
-        trace_ok=trace_ok, empirical_l1=l1, eps=eps, c=SEPARATION_C,
-        verdict=combine_verdict(ball, pc, trace_ok),
+        empirical_l1=l1, eps=eps, c=SEPARATION_C,
     )

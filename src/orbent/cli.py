@@ -212,6 +212,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     _check_memory(config, min(workers, len(config.seeds)))
     out = Path(config.output_dir)
     try:
+        made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path through one
         raise ConfigError("output_dir", f"cannot create {out}: {exc.strerror}") from exc
@@ -222,33 +223,36 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
             config.eps_grid, config.method,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passes = list(pool.map(seed_job, config.seeds))
-    else:  # on this thread: a one-thread pool's thread adds 4.4-5.4 MiB of peak RSS
-        passes = [seed_job(seed) for seed in config.seeds]
-    cells = {key: est for part, _ in passes for key, est in part.items()}
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                passes = list(pool.map(seed_job, config.seeds))
+        else:  # on this thread: a one-thread pool's thread adds 4.4-5.4 MiB of peak RSS
+            passes = [seed_job(seed) for seed in config.seeds]
+        cells = {key: est for part, _ in passes for key, est in part.items()}
 
-    profiles = [
-        scaling.assemble_profile(
-            config.system, config.metric, config.method, eps,
-            config.n_schedule, config.seeds, cells,
+        profiles = [
+            scaling.assemble_profile(
+                config.system, config.metric, config.method, eps,
+                config.n_schedule, config.seeds, cells,
+            )
+            for eps in config.eps_grid
+        ]
+        verdict = scaling.discreteness_verdict(profiles)
+
+        # admissibility diagnostics of the base metric, and of the largest-n
+        # average from each seed's pass
+        base_report = admit.admissibility_report(
+            config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
+            eps=min(config.eps_grid),
         )
-        for eps in config.eps_grid
-    ]
-    verdict = scaling.discreteness_verdict(profiles)
-
-    # admissibility diagnostics of the base metric, and of the largest-n
-    # average from each seed's pass
-    base_report = admit.admissibility_report(
-        config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
-        eps=min(config.eps_grid),
-    )
-    min_eps_profile = min(profiles, key=lambda p: p.eps)
-    limit_report = scaling.limit_metric_check(
-        max(config.n_schedule), config.seeds, [report for _, report in passes],
-        min_eps_profile.growth_class,
-    )
+        limit_report = scaling.limit_metric_check(
+            max(config.n_schedule), config.seeds, [report for _, report in passes],
+        )
+    except BaseException:
+        for path in made:  # empty until the bundle is written: a refusal leaves none
+            path.rmdir()
+        raise
 
     paths = {
         "config": out / "config.json",

@@ -10,9 +10,8 @@ dataclass fields, ``from_fields_json`` reads each by its resolved annotation,
 and :class:`Tagged` adds the tag that names a class, registered when the
 class is defined.  The writer has two rules beyond "each field by its own
 ``to_json``": a dict is written key by key with each value by the same rules,
-and a field that is None is left out when its default is None, so that an
-optional field left unset adds nothing, but is written as null when it has no
-default.  The reader has one recursive rule: ``Optional[X]`` is null or X,
+and a field that is None is left out, so that an optional field left unset
+adds nothing.  The reader has one recursive rule: ``Optional[X]`` is null or X,
 ``list[X]`` and ``tuple[X, ...]`` an array of X, ``dict[str, X]`` an object
 of X, and a class with a ``from_json`` (a :class:`Record` or a Tagged root)
 reads itself.  Its leaves are strict: an ``int`` is never a bool or a float, a
@@ -71,7 +70,7 @@ def fields_json(obj) -> dict:
     """The dataclass fields of ``obj`` as JSON, by the rules of the module
     docstring: nested values by their own ``to_json``, tuples as lists."""
     return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)
-            if getattr(obj, f.name) is not None or f.default is not None}
+            if getattr(obj, f.name) is not None}
 
 
 def _strict(tp: type, value):

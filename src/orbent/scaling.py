@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import admit
 from .dynsys import Record, SystemSpec, sample_points
@@ -206,10 +206,6 @@ class LimitMetricReport(Record):
     ball_mass_fraction: float
     pc_probability: float
     trace_curve: list
-    trace_ok: Optional[bool]
-    verdict: str
-    profile_class: GrowthClass
-    consistent: bool
     per_seed: list
 
 
@@ -227,31 +223,23 @@ def limit_metric_check(
     n_big: int,
     seeds: Sequence[int],
     reports: Sequence[admit.AdmissibilityReport],
-    profile_class: GrowthClass,
 ) -> LimitMetricReport:
     """The limit-check reports of ``seeds``, combined.
 
     ``reports`` holds the report of each seed's ``profile_cells`` pass, whose
     schedule ends at n_big, in the order of ``seeds``.  A repeated seed counts
     again, and the trace curve is the first seed's, each point as its ``n``,
-    ``trace_over_n`` and ``stderr``.  A Bounded profile should come with
-    admissible evidence here and a growing one with degenerate evidence;
-    ``consistent`` records that cross-check against ``profile_class``.
+    ``trace_over_n`` and ``stderr``.
     """
     if n_big < 1:
         raise ParameterError("n_big must be >= 1")
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
-    ball_med = _median([r.ball_mass_fraction for r in reports])
-    pc_med = _median([r.pc_probability for r in reports])
-    first = reports[0]
-    verdict = admit.combine_verdict(ball_med, pc_med, first.trace_ok)
     return LimitMetricReport(
-        n_big=int(n_big), ball_mass_fraction=ball_med, pc_probability=pc_med,
+        n_big=int(n_big), ball_mass_fraction=_median([r.ball_mass_fraction for r in reports]),
+        pc_probability=_median([r.pc_probability for r in reports]),
         trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
-                     for p in first.trace_curve],
-        trace_ok=first.trace_ok, verdict=verdict, profile_class=profile_class,
-        consistent=(profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence"),
+                     for p in reports[0].trace_curve],
         per_seed=[
             {"seed": int(seed), "ball_mass_fraction": r.ball_mass_fraction,
              "pc_probability": r.pc_probability}

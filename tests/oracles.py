@@ -30,7 +30,7 @@ from orbent import (
     AtomicMeasure, Average, DistanceMatrix, ParameterError, atomic_entropy, distance_matrix,
     kantorovich_distance, sample_points,
 )
-from orbent.admit import SEPARATION_C, combine_verdict, greedy_separated_size, matrix_report
+from orbent.admit import SEPARATION_C, greedy_separated_size, matrix_report
 from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
@@ -256,19 +256,15 @@ def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
     return matrix_report(sample, distance_matrix(average, sample), eps=eps)
 
 
-def reference_limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
+def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1):
     """The limit check as a recompute per seed, combined in seed order."""
     reports = [standalone_limit_report(system, metric, n_big, m, s, eps) for s in seeds]
-    ball = float(np.median([r.ball_mass_fraction for r in reports]))
-    pc = float(np.median([r.pc_probability for r in reports]))
-    verdict = combine_verdict(ball, pc, reports[0].trace_ok)
-    consistent = (profile_class.kind == "Bounded") == (verdict == "AdmissibleEvidence")
     return LimitMetricReport(
-        n_big=n_big, ball_mass_fraction=ball, pc_probability=pc,
+        n_big=n_big,
+        ball_mass_fraction=float(np.median([r.ball_mass_fraction for r in reports])),
+        pc_probability=float(np.median([r.pc_probability for r in reports])),
         trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
                      for p in reports[0].trace_curve],
-        trace_ok=reports[0].trace_ok,
-        verdict=verdict, profile_class=profile_class, consistent=consistent,
         per_seed=[{"seed": s, "ball_mass_fraction": r.ball_mass_fraction,
                    "pc_probability": r.pc_probability} for s, r in zip(seeds, reports)],
     )

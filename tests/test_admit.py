@@ -217,15 +217,15 @@ class TestSeparatedSets:
 class TestAdmissibilityReport:
     def test_euclidean_is_admissible(self, euclid, identity):
         report = admissibility_report(identity, euclid, m=512, seed=1, eps=0.1)
-        assert report.verdict == "AdmissibleEvidence"
         assert report.ball_mass_fraction >= 0.99
         assert report.pc_probability <= 0.05
-        assert report.trace_ok
+        first, last = report.trace_curve[0].trace_over_n, report.trace_curve[-1].trace_over_n
+        assert last < 0.5 * first
+        assert last < 0.1 * report.empirical_l1
 
     def test_discrete_is_not_admissible(self, identity):
         disc = Discrete()
         report = admissibility_report(identity, disc, m=256, seed=1, eps=0.25)
-        assert report.verdict == "NotAdmissibleEvidence"
         assert report.ball_mass_fraction == 0.0
         assert report.pc_probability == 1.0
 
@@ -234,11 +234,11 @@ class TestAdmissibilityReport:
         system = BernoulliShift([0.5, 0.5], horizon=16)
         report = admissibility_report(system, cut, m=256, seed=3, eps=0.1)
         assert report.trace_curve == []
-        assert report.verdict == "AdmissibleEvidence"
+        assert report.ball_mass_fraction >= 0.9
+        assert report.pc_probability <= 0.1
 
-    def test_json_roundtrip_fields(self, euclid, identity):
+    def test_json_fields(self, euclid, identity):
         report = admissibility_report(identity, euclid, m=128, seed=2, eps=0.2)
-        blob = report.to_json()
-        assert set(blob) >= {
-            "ball_mass_fraction", "pc_probability", "trace_curve", "verdict",
+        assert set(report.to_json()) == {
+            "ball_mass_fraction", "pc_probability", "trace_curve", "empirical_l1", "eps", "c",
         }

@@ -18,7 +18,7 @@ from orbent.cli import (
     run_experiment,
 )
 from orbent.admit import AdmissibilityReport
-from orbent.scaling import GrowthClass, LimitMetricReport, ScalingProfile, SpectralVerdict
+from orbent.scaling import LimitMetricReport, ScalingProfile, SpectralVerdict
 
 from oracles import reference_limit_check
 
@@ -429,19 +429,50 @@ class TestMalformedInput:
         assert json.loads(capsys.readouterr().err) == {
             "error": {"code": "infeasible", "message": "transport LP failed"}}
 
-    def test_triangle_inequality_break_exits_2(self, tmp_path):
-        # squared differences break the triangle inequality: at eps 0.05 this
-        # sample holds more separated points than radius-eps/2 balls cover it with
-        raw = rotation_config(tmp_path / "out", {"type": "ClosedForm", "tag": "squared_abs_diff"})
-        raw.update(m=16, seeds=[15], eps_grid=[0.25, 0.05], n_schedule=[1, 2, 3, 4])
+    @staticmethod
+    def triangle_break_config(tmp_path, method="Covering"):
+        """Squared differences break the triangle inequality: at eps 0.05 this
+        sample holds more separated points than radius-eps/2 balls cover it
+        with.  The output directory is two levels below ``tmp_path``."""
+        raw = rotation_config(tmp_path / "out" / "run",
+                              {"type": "ClosedForm", "tag": "squared_abs_diff"})
+        raw.update(m=16, seeds=[15], eps_grid=[0.25, 0.05], n_schedule=[1, 2, 3, 4],
+                   method=method)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        result = run_cli("run", str(path))
+        return path
+
+    def test_triangle_inequality_break_exits_2(self, tmp_path):
+        result = run_cli("run", str(self.triangle_break_config(tmp_path)))
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"] == {
             "code": "invalid_config",
             "message": "at eps 0.05 the packing bound 4 exceeds the ball cover 3, "
                        "so the semimetric breaks the triangle inequality"}
+        # refused inside the seed pass: neither directory the run made is left
+        assert not (tmp_path / "out").exists()
+
+    def test_uncreatable_output_dir_is_refused_before_a_pass(self, monkeypatch, tmp_path):
+        def start(*args):
+            raise PassStarted
+
+        monkeypatch.setattr(scaling, "profile_cells", start)
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(parse_config(rotation_config(afile / "out")))
+        assert err.value.field == "output_dir"
+
+    def test_refused_run_removes_only_the_directory_it_made(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        assert main(["run", str(self.triangle_break_config(tmp_path))]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "only the covering estimator refuses a semimetric that breaks the triangle "
+        "inequality; under Kantorovich the run writes an Undetermined bundle (ROADMAP D4)"))
+    def test_triangle_inequality_break_exits_2_under_kantorovich(self, tmp_path):
+        assert main(["run", str(self.triangle_break_config(tmp_path, "Kantorovich"))]) == 2
 
     @staticmethod
     def long_window_run(monkeypatch, tmp_path, mib):
@@ -758,13 +789,7 @@ class TestLimitCheckInBundle:
         raw.update(n_schedule=[1, 2, 4, 8], seeds=[7, 3, 5])
         config = parse_config(raw)
         paths = run_experiment(config, workers=workers)
-        with open(paths["profile"]) as fh:
-            profiles = json.load(fh)["profiles"]
-        min_eps = min(profiles, key=lambda p: p["eps"])
-        expected = reference_limit_check(
-            config.system, config.metric, 8, 64, [7, 3, 5], eps=0.1,
-            profile_class=GrowthClass.from_json(min_eps["growth_class"]),
-        )
+        expected = reference_limit_check(config.system, config.metric, 8, 64, [7, 3, 5], eps=0.1)
         with open(paths["admissibility"]) as fh:
             averaged = json.load(fh)["averaged"]
         assert averaged == json.loads(json.dumps(expected.to_json()))

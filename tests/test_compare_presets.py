@@ -49,15 +49,15 @@ class TestDifferingFiles:
 
 class TestDifferingKeys:
     def test_dotted_paths(self):
-        a = {"base": {"pc_probability": 0.84, "verdict": "Inconclusive", "c": 0.4},
+        a = {"base": {"pc_probability": 0.84, "ball_mass_fraction": 0.5, "c": 0.4},
              "averaged": {"per_seed": [{"seed": 1}, {"seed": 2}], "trace_curve": [1, 2]},
              "only_a": 1, "count": 1}
-        b = {"base": {"pc_probability": 0.96, "verdict": "NotAdmissibleEvidence", "c": 0.4},
+        b = {"base": {"pc_probability": 0.96, "ball_mass_fraction": 0.25, "c": 0.4},
              "averaged": {"per_seed": [{"seed": 1}, {"seed": 3}], "trace_curve": [1]},
              "count": 1.0}
         assert compare_presets.differing_keys(a, b) == [
-            "averaged.per_seed.1.seed", "averaged.trace_curve", "base.pc_probability",
-            "base.verdict", "count", "only_a",
+            "averaged.per_seed.1.seed", "averaged.trace_curve", "base.ball_mass_fraction",
+            "base.pc_probability", "count", "only_a",
         ]
         assert compare_presets.differing_keys(a, a) == []
         assert compare_presets.differing_keys([1], [2]) == ["0"]
@@ -66,17 +66,17 @@ class TestDifferingKeys:
     def test_case_lines_name_the_keys_of_json_files(self, tmp_path):
         work = tmp_path / "work"
         for side in compare_presets.SIDES:
-            pc, verdict = (0.84, "Inconclusive") if side == "parent" else (0.96, "Admissible")
+            pc, ball = (0.84, 0.5) if side == "parent" else (0.96, 0.25)
             for workers in compare_presets.WORKERS:
                 bundle = work / side / "case" / f"w{workers}"
                 write_bundle(bundle, rows=f"n,value_bits\n1,{workers}\n")
                 (bundle / "admissibility.json").write_text(json.dumps(
-                    {"base": {"c": 0.4, "pc_probability": pc, "verdict": verdict}}))
+                    {"base": {"c": 0.4, "pc_probability": pc, "ball_mass_fraction": ball}}))
         assert compare_presets.compare_case(work, "case") == [
             "case: parent/w1 vs change/w1: admissibility.json",
-            "  admissibility.json: base.pc_probability, base.verdict",
+            "  admissibility.json: base.ball_mass_fraction, base.pc_probability",
             "case: parent/w2 vs change/w2: admissibility.json",
-            "  admissibility.json: base.pc_probability, base.verdict",
+            "  admissibility.json: base.ball_mass_fraction, base.pc_probability",
             "case: parent/w1 vs parent/w2: rows.csv",
             "case: change/w1 vs change/w2: rows.csv",
         ]

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ class TestSerialization:
         obj = BernoulliShift([0.5, 0.5], horizon=16).to_json()
         assert obj["kind"] == "BernoulliShift"
         assert obj["weights"] == [0.5, 0.5]
+
+    def test_none_fields_are_left_out(self):
+        # with a None default or none at all, an unset optional field adds nothing
+        @dataclass(frozen=True)
+        class Holder(Record):
+            count: Optional[int]
+            label: Optional[str] = None
+
+        assert Holder(None).to_json() == {}
+        assert Holder.from_json({}) == Holder(None)
 
 
 def _records(cls=Record):

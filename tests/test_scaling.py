@@ -257,44 +257,32 @@ class TestVerdict:
         assert SpectralVerdict.from_json(json.loads(json.dumps(verdict.to_json()))) == verdict
 
 
-def limit_check(system, metric, n_big, m, seeds, profile_class, eps=0.1):
+def limit_check(system, metric, n_big, m, seeds, eps=0.1):
     """The limit check as the CLI makes it: each seed's orbit pass ends at
     n_big, and the reports are combined in seed order."""
     reports = [profile_cells(system, metric, [n_big], m, seed, [eps])[1] for seed in seeds]
-    return limit_metric_check(n_big, seeds, reports, profile_class)
+    return limit_metric_check(n_big, seeds, reports)
 
 
 class TestLimitMetricCheck:
     def test_rotation_average_is_admissible(self, euclid, rotation):
-        report = limit_check(rotation, euclid, 1024, 128, [1, 2, 3], profile_class=BOUNDED)
-        assert report.verdict == "AdmissibleEvidence"
-        assert report.consistent is True
+        report = limit_check(rotation, euclid, 1024, 128, [1, 2, 3])
+        assert report.ball_mass_fraction >= 0.9
+        assert report.pc_probability <= 0.1
+        curve = report.trace_curve
+        assert curve[-1]["trace_over_n"] < 0.5 * curve[0]["trace_over_n"]
 
     def test_bernoulli_average_concentrates(self, cut):
         # averaged cut distances pile up near 1/2: empty balls at eps=0.1
         system = BernoulliShift([0.5, 0.5], horizon=300)
-        report = limit_check(system, cut, 256, 64, [1, 2, 3], profile_class=GROWING)
-        assert report.verdict == "NotAdmissibleEvidence"
+        report = limit_check(system, cut, 256, 64, [1, 2, 3])
         assert report.ball_mass_fraction <= 0.05
-        assert report.consistent is True
 
     def test_identity_matches_base_diagnostics(self, euclid, identity):
-        from orbent import admissibility_report
-
-        report = limit_check(identity, euclid, 64, 128, [5], UNDETERMINED)
+        report = limit_check(identity, euclid, 64, 128, [5])
         base = admissibility_report(identity, euclid, m=128, seed=5, eps=0.1)
-        assert report.verdict == base.verdict
         assert report.ball_mass_fraction == base.ball_mass_fraction
-
-    def test_shift_reports_write_none_as_null(self, cut):
-        # these fields have no default, so a None is written as null, not left out
-        system = BernoulliShift([0.5, 0.5], horizon=40)
-        _, report = profile_cells(system, cut, [8], 48, 1, [0.1])
-        assert '"trace_ok": null' in json.dumps(report.to_json())
-        combined = limit_metric_check(8, [1], [report], UNDETERMINED).to_json()
-        assert {key: value for key, value in combined.items() if value is None} == {
-            "trace_ok": None,
-        }
+        assert report.pc_probability == base.pc_probability
 
 
 def as_json_text(report):
@@ -329,18 +317,18 @@ class TestLimitReportsFromThePass:
     def test_repeated_seed_counts_again(self, case):
         system, metric = LIMIT_CASES[case]
         seeds = [6, 2, 6]
-        report = limit_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
+        report = limit_check(system, metric, 8, 48, seeds)
         assert [row["seed"] for row in report.per_seed] == seeds
-        expected = reference_limit_check(system, metric, 8, 48, seeds, profile_class=BOUNDED)
+        expected = reference_limit_check(system, metric, 8, 48, seeds)
         assert as_json_text(report) == as_json_text(expected)
 
     def test_needs_a_seed(self):
         with pytest.raises(ParameterError):
-            limit_metric_check(8, [], [], BOUNDED)
+            limit_metric_check(8, [], [])
 
     def test_needs_a_positive_length(self):
         with pytest.raises(ParameterError):
-            limit_metric_check(0, [1], [], BOUNDED)
+            limit_metric_check(0, [1], [])
 
 
 
