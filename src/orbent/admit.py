@@ -4,8 +4,8 @@ Three independent signals, each read off the one value matrix of a sample:
 the trace curve, within-cell means of the matrix over finer and finer dyadic
 boxes (``dyadic_cells``); the fraction of points whose eps-ball captures
 sample mass; and the share of disjoint blocks of n sample points that
-contain a large mutually separated index set.  A report records them, and
-no verdict reads them.
+contain a large mutually separated index set.  ``admissibility_report``
+records them on its caller's sample and matrix; no verdict reads them.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import Record, SystemSpec, holds_symbols, sample_points
+from .dynsys import Record, holds_symbols
 from .errors import ParameterError, SizeError
-from .semimetric import DistanceMatrix, Semimetric, _coords, distance_matrix, dyadic_cells
+from .semimetric import DistanceMatrix, _coords, dyadic_cells
 
 # separated-set level and trace-curve box counts (powers of 2) of every report
 SEPARATION_C = 0.4
@@ -164,19 +164,10 @@ class AdmissibilityReport(Record):
     c: float
 
 
-def admissibility_report(
-    system: SystemSpec, metric: Semimetric, *, m: int, seed: int, eps: float,
-) -> AdmissibilityReport:
-    """Run all three diagnostics on one (system, metric) pair, on the value
-    matrix of its m-point sample."""
-    sample = sample_points(system, m, seed)
-    return matrix_report(sample, distance_matrix(metric, sample), eps=eps)
-
-
-def matrix_report(sample: np.ndarray, matrix: DistanceMatrix, *,
-                  eps: float) -> AdmissibilityReport:
-    """The diagnostics of ``admissibility_report`` on a sample and its value
-    matrix, the separated-set test on blocks of ``PC_N`` points.  The
+def admissibility_report(sample: np.ndarray, matrix: DistanceMatrix, *,
+                         eps: float) -> AdmissibilityReport:
+    """All three diagnostics of a sample's value matrix, the ball mass at
+    eps and the separated-set test on blocks of ``PC_N`` points.  The
     diagonal is exactly zero, so the sum over all entries is the sum off it."""
     values = matrix.values
     ball = ball_mass_test(matrix, eps)

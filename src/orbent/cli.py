@@ -35,7 +35,7 @@ from . import admit, scaling
 from .dynsys import BernoulliShift, Record, SystemSpec, sample_points
 from .entropy import ESTIMATORS, ceiling_bits
 from .errors import ConfigError, InfeasibleError, OrbentError, ParameterError
-from .semimetric import Semimetric, validate_schedule
+from .semimetric import Semimetric, distance_matrix, validate_schedule
 
 # m-by-m float64 matrices one seed pass may hold at once: twice the largest
 # growth measured, rounded up.  Peak RSS (ru_maxrss by os.wait4) of a
@@ -242,10 +242,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
         # admissibility diagnostics of the base metric, and of the largest-n
         # average from each seed's pass
+        sample = sample_points(config.system, config.m, config.seeds[0])
         base_report = admit.admissibility_report(
-            config.system, config.metric, m=min(config.m, 1024), seed=config.seeds[0],
-            eps=min(config.eps_grid),
-        )
+            sample, distance_matrix(config.metric, sample), eps=min(config.eps_grid))
         limit_report = scaling.limit_metric_check(
             max(config.n_schedule), config.seeds, [report for _, report in passes],
         )

@@ -183,8 +183,8 @@ def eps_entropy_cover(matrix: DistanceMatrix, eps: float, seed: int = 0) -> EpsE
     m = values.shape[0]
     if m < 2:
         raise SizeError("covering entropy needs at least two points")
-    if not (eps > 0):
-        raise ParameterError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise ParameterError("eps must be positive and finite")
     discard = _discard_budget(eps, m)
     target = max(1, m - discard)
 
@@ -362,8 +362,8 @@ def eps_entropy_kantorovich(
     m = values.shape[0]
     if m < 2:
         raise SizeError("quantization entropy needs at least two points")
-    if not all(eps > 0 for eps in eps_values):
-        raise ParameterError("eps must be positive")
+    if not all(0 < eps < math.inf for eps in eps_values):
+        raise ParameterError("eps must be positive and finite")
 
     medoid_of: dict[bytes, int] = {}
     candidates: dict[int, tuple[float, int, float]] = {}  # k -> (entropy, size, cost)

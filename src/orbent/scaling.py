@@ -109,11 +109,10 @@ def profile_cells(
     Each cell equals the standalone ``entropy_estimate`` pipeline bit for bit.
     No matrix outlives its step: each is let go of before the pass forms the
     next.  Once the pass has ended and its accumulators are freed,
-    ``admit.matrix_report`` runs on the largest n's matrix at the smallest
-    eps, its separated-set test on blocks of that matrix too, so the report
-    equals the one on ``Average(metric, system, max(n_schedule))``'s own
-    ``distance_matrix`` of the same m and seed, and the check costs no orbit
-    step of its own.
+    ``admit.admissibility_report`` runs on the largest n's matrix at the
+    smallest eps, so the report equals the one on ``Average(metric, system,
+    max(n_schedule))``'s own ``distance_matrix`` of the same m and seed, and
+    the check costs no orbit step of its own.
     """
     schedule = validate_schedule(n_schedule)
     grid = [float(eps) for eps in eps_values]
@@ -128,7 +127,7 @@ def profile_cells(
         if n < schedule[-1]:
             del last  # before the pass forms step n + 1's matrix
     # the pass has ended and freed its accumulators; ``last`` is the largest n's
-    return cells, admit.matrix_report(sample, last, eps=min(grid))
+    return cells, admit.admissibility_report(sample, last, eps=min(grid))
 
 
 def _median_row(n: int, per_seed: list[EpsEntropyEstimate]) -> ProfileRow:
@@ -200,23 +199,11 @@ def discreteness_verdict(profiles: Sequence[ScalingProfile]) -> SpectralVerdict:
 
 @dataclass(frozen=True)
 class LimitMetricReport(Record):
-    """Admissibility diagnostics of the large-n averaged metric."""
+    """Admissibility reports of the large-n averaged metric, one per seed."""
 
     n_big: int
-    ball_mass_fraction: float
-    pc_probability: float
-    trace_curve: list
-    per_seed: list
-
-
-def _median(values: Sequence[float]) -> float:
-    # np.median's value, (a + b) / 2 of the two middles for an even count,
-    # without importing numpy.ma (np.median) or statistics on the run path
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2)
+    seeds: list[int]
+    per_seed: list[admit.AdmissibilityReport]
 
 
 def limit_metric_check(
@@ -224,25 +211,15 @@ def limit_metric_check(
     seeds: Sequence[int],
     reports: Sequence[admit.AdmissibilityReport],
 ) -> LimitMetricReport:
-    """The limit-check reports of ``seeds``, combined.
-
-    ``reports`` holds the report of each seed's ``profile_cells`` pass, whose
-    schedule ends at n_big, in the order of ``seeds``.  A repeated seed counts
-    again, and the trace curve is the first seed's, each point as its ``n``,
-    ``trace_over_n`` and ``stderr``.
-    """
+    """The report of each seed's ``profile_cells`` pass, whose schedule ends
+    at n_big, kept as measured in the order of ``seeds``; a repeated seed
+    counts again."""
     if n_big < 1:
         raise ParameterError("n_big must be >= 1")
     if not seeds:
         raise ParameterError("the limit check needs at least one seed")
+    if len(reports) != len(seeds):
+        raise ParameterError(f"{len(seeds)} seeds need as many reports, got {len(reports)}")
     return LimitMetricReport(
-        n_big=int(n_big), ball_mass_fraction=_median([r.ball_mass_fraction for r in reports]),
-        pc_probability=_median([r.pc_probability for r in reports]),
-        trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
-                     for p in reports[0].trace_curve],
-        per_seed=[
-            {"seed": int(seed), "ball_mass_fraction": r.ball_mass_fraction,
-             "pc_probability": r.pc_probability}
-            for seed, r in zip(seeds, reports, strict=True)
-        ],
+        n_big=int(n_big), seeds=[int(seed) for seed in seeds], per_seed=list(reports),
     )

@@ -5,8 +5,10 @@ from orbent import (
     BernoulliShift,
     CircleRotation,
     Identity,
+    admissibility_report,
+    sample_points,
 )
-from orbent.semimetric import CircleArc, DistanceMatrix, Euclidean1D, FirstSymbolCut
+from orbent.semimetric import CircleArc, DistanceMatrix, Euclidean1D, FirstSymbolCut, distance_matrix
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +52,10 @@ def matrix_from_points(values) -> DistanceMatrix:
     d = np.abs(pts[:, None] - pts[None, :])
     d = np.triu(d, 1)
     return DistanceMatrix(d + d.T)
+
+
+def sample_report(system, metric, m, seed, eps=0.1):
+    """``admissibility_report`` on the m-point sample of ``seed`` and its
+    matrix under ``metric``, as a run makes its base report."""
+    sample = sample_points(system, m, seed)
+    return admissibility_report(sample, distance_matrix(metric, sample), eps=eps)

@@ -30,7 +30,7 @@ from orbent import (
     AtomicMeasure, Average, DistanceMatrix, ParameterError, atomic_entropy, distance_matrix,
     kantorovich_distance, sample_points,
 )
-from orbent.admit import SEPARATION_C, greedy_separated_size, matrix_report
+from orbent.admit import SEPARATION_C, admissibility_report, greedy_separated_size
 from orbent.dynsys import advance_sample, derive_rng
 from orbent.entropy import MEDOID_RESTARTS
 from orbent.scaling import LimitMetricReport, assemble_profile, profile_cells
@@ -250,24 +250,16 @@ def scaling_profile(system, metric, eps, n_schedule, m, seeds, method="Covering"
 
 def standalone_limit_report(system, metric, n_big, m, seed, eps=0.1):
     """One seed's limit-check diagnostics with the n_big average recomputed:
-    ``matrix_report`` on the average's own distance matrix."""
+    ``admissibility_report`` on the average's own distance matrix."""
     average = Average(metric, system, n_big)
     sample = sample_points(system, m, seed)
-    return matrix_report(sample, distance_matrix(average, sample), eps=eps)
+    return admissibility_report(sample, distance_matrix(average, sample), eps=eps)
 
 
 def reference_limit_check(system, metric, n_big, m, seeds, eps=0.1):
-    """The limit check as a recompute per seed, combined in seed order."""
+    """The limit check as a recompute per seed, in seed order."""
     reports = [standalone_limit_report(system, metric, n_big, m, s, eps) for s in seeds]
-    return LimitMetricReport(
-        n_big=n_big,
-        ball_mass_fraction=float(np.median([r.ball_mass_fraction for r in reports])),
-        pc_probability=float(np.median([r.pc_probability for r in reports])),
-        trace_curve=[{"n": p.n, "trace_over_n": p.trace_over_n, "stderr": p.stderr}
-                     for p in reports[0].trace_curve],
-        per_seed=[{"seed": s, "ball_mass_fraction": r.ball_mass_fraction,
-                   "pc_probability": r.pc_probability} for s, r in zip(seeds, reports)],
-    )
+    return LimitMetricReport(n_big=n_big, seeds=list(seeds), per_seed=reports)
 
 
 def stepwise_orbit_sums(inner, system, sample, rows, schedule):

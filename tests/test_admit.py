@@ -6,7 +6,6 @@ from orbent import (
     MetricTypeError,
     ParameterError,
     TorusTranslation,
-    admissibility_report,
     ball_mass_test,
     distance_matrix,
     random_matrix_test,
@@ -20,7 +19,7 @@ from orbent.semimetric import (
     FirstSymbols, Mix, OneBlock, TorusArcL1, Zero,
 )
 
-from conftest import coords_sample, matrix_from_points
+from conftest import coords_sample, matrix_from_points, sample_report
 from oracles import exact_separated_size, reference_random_matrix_test, reference_trace_curve
 
 
@@ -216,7 +215,7 @@ class TestSeparatedSets:
 
 class TestAdmissibilityReport:
     def test_euclidean_is_admissible(self, euclid, identity):
-        report = admissibility_report(identity, euclid, m=512, seed=1, eps=0.1)
+        report = sample_report(identity, euclid, 512, 1)
         assert report.ball_mass_fraction >= 0.99
         assert report.pc_probability <= 0.05
         first, last = report.trace_curve[0].trace_over_n, report.trace_curve[-1].trace_over_n
@@ -225,20 +224,20 @@ class TestAdmissibilityReport:
 
     def test_discrete_is_not_admissible(self, identity):
         disc = Discrete()
-        report = admissibility_report(identity, disc, m=256, seed=1, eps=0.25)
+        report = sample_report(identity, disc, 256, 1, eps=0.25)
         assert report.ball_mass_fraction == 0.0
         assert report.pc_probability == 1.0
 
     def test_cut_metric_on_shift_is_admissible(self, cut):
         # no trace curve for symbolic points; ball mass and separation decide
         system = BernoulliShift([0.5, 0.5], horizon=16)
-        report = admissibility_report(system, cut, m=256, seed=3, eps=0.1)
+        report = sample_report(system, cut, 256, 3)
         assert report.trace_curve == []
         assert report.ball_mass_fraction >= 0.9
         assert report.pc_probability <= 0.1
 
     def test_json_fields(self, euclid, identity):
-        report = admissibility_report(identity, euclid, m=128, seed=2, eps=0.2)
+        report = sample_report(identity, euclid, 128, 2, eps=0.2)
         assert set(report.to_json()) == {
             "ball_mass_fraction", "pc_probability", "trace_curve", "empirical_l1", "eps", "c",
         }

@@ -20,6 +20,7 @@ from orbent.cli import (
 from orbent.admit import AdmissibilityReport
 from orbent.scaling import LimitMetricReport, ScalingProfile, SpectralVerdict
 
+from conftest import sample_report
 from oracles import reference_limit_check
 
 
@@ -794,6 +795,17 @@ class TestLimitCheckInBundle:
             averaged = json.load(fh)["averaged"]
         assert averaged == json.loads(json.dumps(expected.to_json()))
 
+    def test_base_section_reads_every_sample_point(self, tmp_path):
+        # above 1024 points too: the base report reads the run's m, as each
+        # seed's report does
+        raw = rotation_config(tmp_path / "out", {"type": "Euclidean1D"})
+        raw.update(m=1040, n_schedule=[1, 2, 3, 4], seeds=[5])
+        config = parse_config(raw)
+        paths = run_experiment(config)
+        expected = sample_report(config.system, config.metric, 1040, 5)
+        with open(paths["admissibility"]) as fh:
+            base = json.load(fh)["base"]
+        assert base == json.loads(json.dumps(expected.to_json()))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_separated_set_draw_goes_through_admit(self, monkeypatch, tmp_path, workers):

@@ -512,3 +512,11 @@ class TestEstimatePipeline:
         # names are exact here; only parse_config canonicalizes them
         with pytest.raises(ParameterError):
             estimate_from_matrix(d, [0.3], "kantorovich")
+
+    @pytest.mark.parametrize("method", sorted(entropy.ESTIMATORS))
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+    def test_eps_outside_the_open_half_line_rejected(self, method, eps):
+        # the rule parse_config applies to eps_grid; an infinite eps has no
+        # discard budget floor(eps * m), and no cover or quantization reads it
+        with pytest.raises(ParameterError):
+            entropy.ESTIMATORS[method](DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]), [eps], 0)

@@ -15,7 +15,6 @@ from orbent import (
     limit_metric_check,
     sample_points,
 )
-from orbent.admit import matrix_report
 from orbent.entropy import ceiling_bits
 from orbent.scaling import (
     BOUNDED,
@@ -31,6 +30,7 @@ from orbent.scaling import (
 )
 from orbent.semimetric import Euclidean1D, FirstSymbolCut, TorusArcL1, distance_matrix
 
+from conftest import sample_report
 from oracles import reference_limit_check, scaling_profile, standalone_limit_report
 
 
@@ -267,22 +267,21 @@ def limit_check(system, metric, n_big, m, seeds, eps=0.1):
 class TestLimitMetricCheck:
     def test_rotation_average_is_admissible(self, euclid, rotation):
         report = limit_check(rotation, euclid, 1024, 128, [1, 2, 3])
-        assert report.ball_mass_fraction >= 0.9
-        assert report.pc_probability <= 0.1
-        curve = report.trace_curve
-        assert curve[-1]["trace_over_n"] < 0.5 * curve[0]["trace_over_n"]
+        for seed_report in report.per_seed:
+            assert seed_report.ball_mass_fraction >= 0.9
+            assert seed_report.pc_probability <= 0.1
+            curve = seed_report.trace_curve
+            assert curve[-1].trace_over_n < 0.5 * curve[0].trace_over_n
 
     def test_bernoulli_average_concentrates(self, cut):
         # averaged cut distances pile up near 1/2: empty balls at eps=0.1
         system = BernoulliShift([0.5, 0.5], horizon=300)
         report = limit_check(system, cut, 256, 64, [1, 2, 3])
-        assert report.ball_mass_fraction <= 0.05
+        assert all(r.ball_mass_fraction <= 0.05 for r in report.per_seed)
 
     def test_identity_matches_base_diagnostics(self, euclid, identity):
         report = limit_check(identity, euclid, 64, 128, [5])
-        base = admissibility_report(identity, euclid, m=128, seed=5, eps=0.1)
-        assert report.ball_mass_fraction == base.ball_mass_fraction
-        assert report.pc_probability == base.pc_probability
+        assert report.per_seed == [sample_report(identity, euclid, 128, 5)]
 
 
 def as_json_text(report):
@@ -318,7 +317,7 @@ class TestLimitReportsFromThePass:
         system, metric = LIMIT_CASES[case]
         seeds = [6, 2, 6]
         report = limit_check(system, metric, 8, 48, seeds)
-        assert [row["seed"] for row in report.per_seed] == seeds
+        assert report.seeds == seeds
         expected = reference_limit_check(system, metric, 8, 48, seeds)
         assert as_json_text(report) == as_json_text(expected)
 
@@ -330,20 +329,25 @@ class TestLimitReportsFromThePass:
         with pytest.raises(ParameterError):
             limit_metric_check(0, [1], [])
 
+    @pytest.mark.parametrize("seeds, count", [([1], 0), ([1, 2], 1), ([1], 2)])
+    def test_needs_one_report_per_seed(self, euclid, identity, seeds, count):
+        report = sample_report(identity, euclid, 16, 1)
+        with pytest.raises(ParameterError):
+            limit_metric_check(8, seeds, [report] * count)
+
 
 
 WORKING_SET_M = 256
 # (run at m, tracemalloc peak bound in m-by-m float64 matrices above the
 # start): a pass holds one matrix beside its accumulators of about half a
-# matrix, and a base report's 50 x 64-point separated-set draw, about five
-# matrices at m = 256 with its own accumulators, ends before its matrix is formed
+# matrix, and a base report holds its sample's matrix beside the trace
+# curve's within-box gathers, 2.27 matrices at m = 256
 WORKING_SET_CASES = {
     "covering-anzai-arc": (lambda m: profile_cells(
         AnzaiSkew(), TorusArcL1(), [1, 2, 4, 8], m, 1, [0.25, 0.1], "Covering"), 3.4),
     "kantorovich-rotation-euclid": (lambda m: profile_cells(
         CircleRotation(), Euclidean1D(), [1, 2, 4, 8], m, 1, [0.25, 0.1], "Kantorovich"), 2.5),
-    "admissibility-anzai-arc": (lambda m: admissibility_report(
-        AnzaiSkew(), TorusArcL1(), m=m, seed=1, eps=0.1), 5.9),
+    "admissibility-anzai-arc": (lambda m: sample_report(AnzaiSkew(), TorusArcL1(), m, 1), 3.0),
 }
 
 
@@ -373,5 +377,5 @@ class TestWorkingSet:
         # about 0.7 of the matrix; a copy of the off-diagonal entries adds one
         sample = sample_points(AnzaiSkew(), WORKING_SET_M, 1)
         matrix = distance_matrix(TorusArcL1(), sample)
-        peak = traced_peak(lambda: matrix_report(sample, matrix, eps=0.1))
+        peak = traced_peak(lambda: admissibility_report(sample, matrix, eps=0.1))
         assert peak < 1.0 * 8 * WORKING_SET_M ** 2
