@@ -5,19 +5,22 @@ Run from anywhere, with two checkouts (the parent commit and the change):
     python3 scripts/compare_presets.py --parent <dir> --change <dir> \
         --work <dir> [--config extra.json ...]
 
-Every preset of each checkout (``orbent presets emit``) and every extra config
-runs through ``orbent run`` at ``--workers`` 1 and 2 in both checkouts, with
-its bundle in ``<work>/<side>/<name>/w<workers>``; an extra config is named by
-its file stem.  The six bundle files must be byte-identical between the
-checkouts at each worker count, and the w1 bundle must equal the w2 bundle in
-each checkout.  config.json is compared without its ``output_dir``.  One line
-per case names every differing file, and an indented line after it names
-the dotted keys that differ in each differing JSON file, for example
-``admissibility.json: base.ball_mass_fraction, base.pc_probability``.  A differing
-verdict.json adds one more line with both sides' values, for example
-``verdict: DiscreteSpectrumEvidence -> Undetermined (0.25: Bounded ->
-Undetermined, 0.1: Bounded -> Undetermined)``, so the log lists every verdict
-a change moves.
+The cases are every preset of each checkout (``orbent presets emit``), the
+benchmark's workload configs at seed ``WORKLOAD_SEED`` (``make_config`` of each
+name in ``orbench/workloads.py``'s ``NAMES``) and the controls of ``CONTROLS``,
+configs that reach the fallback paths and known wrongs no preset reaches; each
+``--config`` adds one more case, named by its file stem.  Each case runs
+through ``orbent run`` at ``--workers`` 1 and 2 in both checkouts, with its
+bundle in ``<work>/<side>/<name>/w<workers>``.  The six bundle files must be
+byte-identical between the checkouts at each worker count, and the w1 bundle
+must equal the w2 bundle in each checkout.  config.json is compared without
+its ``output_dir``.  One line per case names every differing file, and an
+indented line after it names the dotted keys that differ in each differing
+JSON file, for example ``admissibility.json: base.ball_mass_fraction,
+base.pc_probability``.  A differing verdict.json adds one more line with both
+sides' values, for example ``verdict: DiscreteSpectrumEvidence -> Undetermined
+(0.25: Bounded -> Undetermined, 0.1: Bounded -> Undetermined)``, so the log
+lists every verdict a change moves.
 
 A scoreboard follows: one line per case and side with the verdict of its w1
 bundle beside the spectrum that the config's top-level system kind has
@@ -45,11 +48,71 @@ import run as orbench  # noqa: E402
 BUNDLE_FILES = orbench.BUNDLE_FILES
 SIDES = ("parent", "change")
 WORKERS = (1, 2)
+WORKLOAD_SEED = 7
 # the spectrum of each top-level system kind, in the benchmark's labels
 SPECTRUM = {
     "CircleRotation": "discrete", "TorusTranslation": "discrete", "Identity": "discrete",
     "BernoulliShift": "lebesgue", "AnzaiSkew": "mixed",
 }
+
+_CONTROL_GRID = {"eps_grid": [0.25, 0.1], "n_schedule": [1, 2, 4, 8], "m": 64,
+                 "seeds": [1, 2, 3], "method": "Covering"}
+_ROTATION = {"kind": "CircleRotation", "alpha": orbench.workloads.GOLDEN}
+_ANZAI = {"kind": "AnzaiSkew", "alpha": orbench.workloads.GOLDEN}
+_SHIFT_73 = {"kind": "BernoulliShift", "weights": [0.7, 0.3]}
+# the control configs, each a case on the grid above unless it says otherwise
+CONTROLS = {name: {**_CONTROL_GRID, **fields, "output_dir": name} for name, fields in {
+    # an Identity system, whose averages are fixed points
+    "identity-euclid1d": {"system": {"kind": "Identity"}, "metric": {"type": "Euclidean1D"}},
+    # the separated-set test reads blocks of 32 points, so at m = 64 a share
+    # is 0, 1/2 or 1; here the first seed, 2, reads a base share of 0.25 of
+    # four blocks, where seed 1 would read 1
+    "biased-block5": {
+        "system": {"kind": "BernoulliShift", "weights": [0.8, 0.2]},
+        "metric": {"type": "Block",
+                   "partition": {"kind": "first_symbols", "count": 5, "alphabet": 2}},
+        "m": 128, "seeds": [2, 1, 3]},
+    # a cut off a shift steps the whole map: the cut's fallback path; reads
+    # NotDiscreteEvidence on a rotation (ROADMAP D1)
+    "rotation-dyadic-cut": {
+        "system": _ROTATION,
+        "metric": {"type": "Block", "partition": {"kind": "dyadic_intervals", "level": 3}}},
+    # an arc node whose coordinate the skew's linear part fixes is a fixed
+    # point while the map moves another coordinate: the arc's fallback path
+    "anzai-circle-arc": {"system": _ANZAI, "metric": {"type": "CircleArc"}},
+    # a limit report of one seed, and more workers than seeds at --workers 2
+    "rotation-one-seed": {"system": _ROTATION, "metric": {"type": "Euclidean1D"}, "seeds": [5]},
+    # every cone operation: an explicit Optional horizon and systems nested
+    # inside nodes, which no preset decodes
+    "nested-cone": {
+        "system": {**_SHIFT_73, "horizon": 40},
+        "metric": {"type": "Mix", "t": 0.25,
+                   "a": {"type": "Cutoff", "level": 0.5, "inner": {"type": "FirstSymbolCut"}},
+                   "b": {"type": "PullBack", "k": 2, "system": _SHIFT_73,
+                         "inner": {"type": "Average", "n": 3, "system": _SHIFT_73,
+                                   "inner": {"type": "Block", "partition": {
+                                       "kind": "first_symbols", "count": 2, "alphabet": 2}}}}}},
+    # Discrete is the one node that reads whole symbol windows, so its
+    # sample-kind branch and the window stepping of advance_sample run
+    "shift-mix-discrete": {
+        "system": {"kind": "BernoulliShift", "weights": [0.6, 0.4]},
+        "metric": {"type": "Mix", "t": 0.5,
+                   "a": {"type": "Discrete"}, "b": {"type": "FirstSymbolCut"}}},
+    # a closed form other than the presets' abs_plus_square, under Kantorovich
+    "rotation-rotated-kantorovich": {
+        "system": _ROTATION, "metric": {"type": "ClosedForm", "tag": "mean_rotated_abs_diff"},
+        "method": "Kantorovich"},
+    # Average.values runs from a parent node on coordinates, so the
+    # explicit-rows tile path under the arc's linear part runs
+    "anzai-skew-mix": {
+        "system": _ANZAI,
+        "metric": {"type": "Mix", "t": 0.5,
+                   "a": {"type": "Cutoff", "level": 0.4,
+                         "inner": {"type": "Average", "n": 5, "system": _ANZAI,
+                                   "inner": {"type": "TorusArcL1"}}},
+                   "b": {"type": "Average", "n": 3, "system": _ANZAI,
+                         "inner": {"type": "Euclidean1D"}}}},
+}.items()}
 
 
 def orbent(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -58,15 +121,28 @@ def orbent(tree: Path, *args: str) -> subprocess.CompletedProcess:
                           cwd=tree, env=env, capture_output=True, text=True)
 
 
+def write_configs(texts: dict[str, str], dest: Path) -> dict[str, Path]:
+    """Write each config text to ``dest/<name>.json``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    paths = {name: dest / f"{name}.json" for name in texts}
+    for name, path in paths.items():
+        path.write_text(texts[name])
+    return paths
+
+
 def preset_configs(tree: Path, dest: Path) -> dict[str, Path]:
     """Write each preset of the checkout ``tree`` to ``dest/<name>.json``."""
-    dest.mkdir(parents=True, exist_ok=True)
-    configs = {}
-    for name in orbent(tree, "presets", "list").stdout.split():
-        path = dest / f"{name}.json"
-        path.write_text(orbent(tree, "presets", "emit", name).stdout)
-        configs[name] = path
-    return configs
+    names = orbent(tree, "presets", "list").stdout.split()
+    return write_configs({name: orbent(tree, "presets", "emit", name).stdout
+                          for name in names}, dest)
+
+
+def default_configs() -> dict[str, dict]:
+    """The cases every run compares beside the presets: the benchmark's
+    workload configs at ``WORKLOAD_SEED``, then ``CONTROLS``."""
+    workloads = orbench.workloads
+    return {**{name: workloads.make_config(name, WORKLOAD_SEED) for name in workloads.NAMES},
+            **CONTROLS}
 
 
 def run_bundle(tree: Path, config: Path, out: Path, workers: int) -> Optional[str]:
@@ -190,7 +266,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--work", type=Path, required=True)
     parser.add_argument("--config", type=Path, action="append", default=[],
-                        help="an extra experiment config; may repeat")
+                        help="one more experiment config; may repeat")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -198,10 +274,12 @@ def main(argv=None) -> int:
     for side in SIDES:
         for name, path in preset_configs(trees[side], args.work / side / "configs").items():
             cases.setdefault(name, {})[side] = path
-    for path in args.config:
-        if path.stem in cases:
-            parser.error(f"config name {path.stem!r} is already a case")
-        cases[path.stem] = {side: path for side in SIDES}
+    extra = write_configs({name: json.dumps(config) for name, config in default_configs().items()},
+                          args.work / "configs")
+    for name, path in [*extra.items(), *((path.stem, path) for path in args.config)]:
+        if name in cases:
+            parser.error(f"config name {name!r} is already a case")
+        cases[name] = {side: path for side in SIDES}
 
     failed = False
     for name, configs in sorted(cases.items()):

@@ -112,7 +112,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     run needs of memory is priced by ``run_experiment``, not here."""
     if not isinstance(obj, dict):
         raise ConfigError("config", "config must be a JSON object")
-    config = ExperimentConfig.from_json(obj)
+    try:  # the codec recurses once per nested node
+        config = ExperimentConfig.from_json(obj)
+    except RecursionError as exc:
+        raise ConfigError("config", "config is nested too deeply to decode") from exc
     system, metric, m = config.system, config.metric, config.m
     for key in ("eps_grid", "n_schedule", "seeds"):
         if not getattr(config, key):
@@ -152,8 +155,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if method not in ESTIMATORS:
         raise ConfigError("method", f"method must be one of {tuple(ESTIMATORS)}")
 
-    if not config.output_dir:
-        raise ConfigError("output_dir", "output_dir must be a nonempty path")
+    if not config.output_dir or "\0" in config.output_dir:
+        raise ConfigError("output_dir", "output_dir must be a nonempty path with no NUL byte")
 
     # shift systems: make the symbol window cover the whole schedule
     if system.is_symbolic:
@@ -186,6 +189,8 @@ def load_config(path, output_dir: Optional[str] = None) -> ExperimentConfig:
         raise ConfigError("config", f"cannot read config {path}: {exc.strerror}") from exc
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config", "config is nested too deeply to decode") from exc
     if output_dir is not None and isinstance(obj, dict):
         obj = {**obj, "output_dir": output_dir}
     return parse_config(obj)
@@ -195,10 +200,8 @@ def load_config(path, output_dir: Optional[str] = None) -> ExperimentConfig:
 # experiment runner
 
 
-def _dump_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
@@ -209,6 +212,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     ``scaling.profile_cells`` pass, ``workers`` of them at once; the memory of
     the passes that run at once is priced before anything is written.
     """
+    try:  # encoded before any pass: the codec recurses once per nested node
+        config_text = _json_text(config.to_json())
+    except RecursionError as exc:
+        raise ConfigError("config", "config is nested too deeply to encode") from exc
     _check_memory(config, min(workers, len(config.seeds)))
     out = Path(config.output_dir)
     try:
@@ -263,7 +270,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     }
 
     try:  # a bundle file that cannot be written, e.g. a directory by its name
-        _dump_json(paths["config"], config.to_json())
+        paths["config"].write_text(config_text)
 
         system_label = config.system.label()
         metric_label = config.metric.label()
@@ -287,12 +294,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
                             f"{est.value_bits:.17g}", f"{est.lower_bound_bits:.17g}",
                         ])
 
-        _dump_json(paths["profile"], {"profiles": [p.to_json() for p in profiles]})
-        _dump_json(paths["verdict"], verdict.to_json())
-        _dump_json(paths["admissibility"], {
+        paths["profile"].write_text(_json_text({"profiles": [p.to_json() for p in profiles]}))
+        paths["verdict"].write_text(_json_text(verdict.to_json()))
+        paths["admissibility"].write_text(_json_text({
             "base": base_report.to_json(),
             "averaged": limit_report.to_json(),
-        })
+        }))
     except OSError as exc:
         raise ConfigError("output_dir", f"cannot write {exc.filename}: {exc.strerror}") from exc
     return {name: str(path) for name, path in paths.items()}

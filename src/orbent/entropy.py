@@ -160,8 +160,9 @@ class EpsEntropyEstimate:
 
 
 def _discard_budget(eps: float, m: int) -> int:
-    # empirical mirror of the mass-<eps exceptional set
-    return int(math.floor(eps * m))
+    # empirical mirror of the mass-<eps exceptional set; at most all m points,
+    # so an eps whose eps * m overflows converts no inf
+    return int(math.floor(min(eps, 1.0) * m))
 
 
 def ceiling_bits(eps: float, m: int) -> float:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,3 +62,12 @@ def sample_report(system, metric, m, seed, eps=0.1):
     matrix under ``metric``, as a run makes its base report."""
     sample = sample_points(system, m, seed)
     return admissibility_report(sample, distance_matrix(metric, sample), eps=eps)
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``; the scripts are no package."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

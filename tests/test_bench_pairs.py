@@ -1,16 +1,13 @@
 """The pair summary of scripts/bench_pairs.py on synthetic pairs; no
 benchmark process is started."""
-import importlib.util
 import json
 import subprocess
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+from conftest import load_script
+
+bench_pairs = load_script("bench_pairs")
 
 BOUNDS = {"wall_s": 0.25, "peak_rss_mb": 0.05, "setup_s": 0.25, "ceiling_share": 0.2}
 

@@ -20,7 +20,7 @@ from orbent.cli import (
 from orbent.admit import AdmissibilityReport
 from orbent.scaling import LimitMetricReport, ScalingProfile, SpectralVerdict
 
-from conftest import sample_report
+from conftest import load_script, sample_report
 from oracles import reference_limit_check
 
 
@@ -190,9 +190,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value", [
         ("m", 64.5), ("seeds", [1.9, 2, 3]), ("eps_grid", ["0.25", 0.1]),
         ("n_schedule", [True, 2, 4, 8]), ("m", 15), ("n_schedule", [16, 32, 64]),
-        ("eps_grid", [1.0, 0.1]), ("eps_grid", [0.25, 0.99]),
+        ("eps_grid", [1.0, 0.1]), ("eps_grid", [0.25, 0.99]), ("eps_grid", [0.25, 1e308]),
     ], ids=["m-float", "seeds-float", "eps-string", "schedule-bool", "m-below-ball-mass",
-            "schedule-below-growth-rows", "eps-discards-all", "eps-keeps-one-point"])
+            "schedule-below-growth-rows", "eps-discards-all", "eps-keeps-one-point",
+            "eps-times-m-overflows"])
     def test_bad_number_exits_2(self, tmp_path, key, value):
         raw = rotation_config(tmp_path / "out")
         raw[key] = value
@@ -395,6 +396,41 @@ class TestMalformedInput:
         error = json.loads(result.stderr)["error"]
         assert error["code"] == "invalid_config"
         assert error["field"] == "output_dir"
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_nul_byte_in_output_dir_exits_2(self, monkeypatch, tmp_path, capsys, via):
+        def start(*args):
+            raise PassStarted
+
+        monkeypatch.setattr(scaling, "profile_cells", start)
+        bad = str(tmp_path / "out" / "a\0b")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(rotation_config(bad if via == "config" else tmp_path / "out")))
+        # an argument of a process cannot hold a NUL byte, so main runs here
+        flag = ["--output-dir", bad] if via == "flag" else []
+        assert main(["run", str(path), *flag]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "output_dir"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, depth, stage", [
+        ("metric", 300, "encode"), ("metric", 600, "decode"), ("arrays", 100000, "decode")])
+    def test_config_nested_too_deep_exits_2(self, tmp_path, kind, depth, stage):
+        # the codec decodes 300 nested metric nodes but cannot encode them for
+        # config.json, and cannot decode 600; json.load stops near 1000 levels
+        path = tmp_path / "config.json"
+        if kind == "metric":
+            metric = {"type": "Euclidean1D"}
+            for _ in range(depth):
+                metric = {"type": "Cutoff", "level": 0.5, "inner": metric}
+            path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
+        else:
+            path.write_text("[" * depth + "]" * depth)
+        result = run_cli("run", str(path))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"] == {
+            "code": "invalid_config", "field": "config",
+            "message": f"config is nested too deeply to {stage}"}
+        assert not (tmp_path / "out").exists()
 
     def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
         raw = bernoulli_config(tmp_path / "out")
@@ -775,9 +811,9 @@ class TestKnownAnswers:
         "the rotation's dyadic cut averages approach their limit slowly, so at m = 64 "
         "the eps 0.1 rows rise up to n = 8 (ROADMAP D1)"))
     def test_rotation_dyadic_cut_is_not_read_as_not_discrete(self, tmp_path):
-        cut = {"type": "Block", "partition": {"kind": "dyadic_intervals", "level": 3}}
-        raw = rotation_config(tmp_path / "out", cut)
-        raw["n_schedule"] = [1, 2, 4, 8]
+        # the control of that name in scripts/compare_presets.py
+        raw = {**load_script("compare_presets").CONTROLS["rotation-dyadic-cut"],
+               "output_dir": str(tmp_path / "out")}
         paths = run_experiment(parse_config(raw))
         verdict = json.loads(Path(paths["verdict"]).read_text())
         assert verdict["verdict"] != "NotDiscreteEvidence"

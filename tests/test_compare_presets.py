@@ -1,13 +1,16 @@
 """The bundle comparison of scripts/compare_presets.py on synthetic bundle
 directories; no experiment is run."""
-import importlib.util
 import json
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_presets.py"
-_SPEC = importlib.util.spec_from_file_location("compare_presets", _PATH)
-compare_presets = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_presets)
+import pytest
+
+from orbent import cli
+
+from conftest import load_script
+
+compare_presets = load_script("compare_presets")
+WORKLOADS = compare_presets.orbench.workloads
 
 
 def write_bundle(directory: Path, rows="n,value_bits\n1,2.5\n", output_dir=None):
@@ -160,14 +163,27 @@ class TestScoreboard:
 
         assert set(compare_presets.SPECTRUM) == set(SystemSpec.registry)
         assert set(compare_presets.SPECTRUM.values()) == {
-            compare_presets.orbench.workloads.spectrum(name)
-            for name in compare_presets.orbench.workloads.NAMES}
+            WORKLOADS.spectrum(name) for name in WORKLOADS.NAMES}
+
+
+class TestDefaultCases:
+    @pytest.mark.parametrize("name", sorted(compare_presets.default_configs()))
+    def test_every_case_parses(self, name):
+        cli.parse_config(compare_presets.default_configs()[name])
+
+    def test_no_control_is_named_as_a_preset_or_workload(self):
+        assert not set(compare_presets.CONTROLS) & {*cli.PRESETS, *WORKLOADS.NAMES}
+
+    def test_every_case_is_scored(self):
+        # the scoreboard skips a case whose system kind has no spectrum label
+        for config in compare_presets.default_configs().values():
+            assert config["system"]["kind"] in compare_presets.SPECTRUM
 
 
 class TestMain:
-    def run_main(self, monkeypatch, tmp_path, rows_of):
-        """main() over two presets, with each run writing the bundle that
-        ``rows_of(side, name, workers)`` describes."""
+    def run_main(self, monkeypatch, tmp_path, rows_of, *extra):
+        """main() over two presets and the default cases, with each run
+        writing the bundle that ``rows_of(side, name, workers)`` describes."""
         trees = {side: tmp_path / side for side in compare_presets.SIDES}
 
         def fake_presets(tree, dest):
@@ -186,7 +202,7 @@ class TestMain:
         monkeypatch.setattr(compare_presets, "run_bundle", fake_run)
         return compare_presets.main([
             "--parent", str(trees["parent"]), "--change", str(trees["change"]),
-            "--work", str(tmp_path / "work"),
+            "--work", str(tmp_path / "work"), *extra,
         ])
 
     def test_identical_bundles_pass(self, monkeypatch, tmp_path, capsys):
@@ -194,8 +210,29 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "alpha: identical" in out and "beta: identical" in out
+        for name in compare_presets.default_configs():
+            assert f"{name}: identical" in out
+        assert f"{2 + len(compare_presets.default_configs())} cases, all identical" in out
         # the fake bundles hold no verdict, so the scoreboard counts none
         assert "parent: 0 ok, 0 wrong, 0 of them Undetermined" in out
+
+    def test_config_adds_a_case(self, monkeypatch, tmp_path, capsys):
+        extra = tmp_path / "extra.json"
+        extra.write_text("{}")
+        code = self.run_main(monkeypatch, tmp_path, lambda side, name, w: f"{name}\n",
+                             "--config", str(extra))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "extra: identical" in out
+        assert f"{3 + len(compare_presets.default_configs())} cases, all identical" in out
+
+    def test_config_named_as_a_case_is_refused(self, monkeypatch, tmp_path):
+        extra = tmp_path / "identity-euclid1d.json"
+        extra.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            self.run_main(monkeypatch, tmp_path, lambda side, name, w: "same\n",
+                          "--config", str(extra))
+        assert exc.value.code == 2
 
     def test_change_differs_from_parent(self, monkeypatch, tmp_path, capsys):
         def rows(side, name, workers):

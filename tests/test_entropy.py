@@ -190,6 +190,7 @@ class TestCoveringEntropy:
         (0.1, 10, 9),  # 0.1 * 10 rounds to exactly 1.0
         (0.3, 10, 7),  # 0.3 * 10 rounds to just above 3
         (1.5, 8, 1),  # the discard budget takes every point
+        (1e308, 8, 1),  # eps * m overflows, and the budget still stops at m
     ])
     def test_ceiling_bits(self, eps, m, kept):
         assert entropy.ceiling_bits(eps, m) == math.log2(kept)
