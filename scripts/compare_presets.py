@@ -24,8 +24,9 @@ lists every verdict a change moves.
 
 A scoreboard follows: one line per case and side with the verdict of its w1
 bundle beside the spectrum that the config's top-level system kind has
-(``SPECTRUM``), then per side the count of ok and wrong verdicts and how many
-of them are Undetermined.  The bundle check and the rule that marks a verdict
+(``SPECTRUM``), then per side the count of ok and wrong verdicts, how many
+of them are Undetermined, and how many ok verdicts are not: the right
+positive calls.  The bundle check and the rule that marks a verdict
 ok on a spectrum are the benchmark's (``orbench/run.py``: ``read_bundle``
 and ``outcome``), so the repo has one definition of a correct verdict.  The
 exit code is 1 when any file differs or any run fails, else 0; the
@@ -240,7 +241,7 @@ def scoreboard(work: Path, names: list[str]) -> list[str]:
     one tally per side."""
     lines = []
     for side in SIDES:
-        tally = dict.fromkeys(("ok", "wrong", "undetermined"), 0)
+        tally = dict.fromkeys(("ok", "wrong", "undetermined", "positive"), 0)
         for name in names:
             bundle = work / side / name / "w1"
             try:
@@ -253,10 +254,12 @@ def scoreboard(work: Path, names: list[str]) -> list[str]:
             score = "ok" if result["verdict_ok"] else "wrong"
             tally[score] += 1
             tally["undetermined"] += result["verdict"] == "Undetermined"
+            tally["positive"] += result["verdict_ok"] and result["verdict"] != "Undetermined"
             lines.append(f"  {name} {side}: {result['verdict']} on {kind}"
                          f" ({SPECTRUM[kind]} spectrum): {score}")
         lines.append(f"{side}: {tally['ok']} ok, {tally['wrong']} wrong,"
-                     f" {tally['undetermined']} of them Undetermined")
+                     f" {tally['undetermined']} of them Undetermined,"
+                     f" {tally['positive']} right positive calls")
     return lines
 
 

@@ -15,6 +15,12 @@ refused, and an error's ``field`` is the top-level field at fault.  A shift's
 ``horizon`` is widened to cover the schedule, and a metric that cannot run on
 the system's points is refused.  A run that would not fit in physical memory
 is refused before its output directory is created.
+
+A config nests at most ``MAX_CONFIG_DEPTH`` levels of objects and arrays, the
+top-level object being the first, so every accepted config decodes and encodes
+far inside the interpreter's recursion limit.  A run also refuses, with field
+``metric``, a base metric whose matrix on the leading ``TRIANGLE_POINTS``
+points of the first seed's sample breaks the triangle inequality.
 """
 from __future__ import annotations
 
@@ -24,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +54,9 @@ from .semimetric import Semimetric, distance_matrix, validate_schedule
 # shift, its symbol windows, times the passes that run at once
 # (``_check_memory``).
 WORKING_SET_MATRICES = 6
+
+MAX_CONFIG_DEPTH = 64  # levels of objects and arrays; the deepest shipped case nests 6
+TRIANGLE_POINTS = 128  # sample points whose base-matrix block must keep the triangle inequality
 
 ROWS_CSV_HEADER = ("system", "metric", "eps", "n", "seed", "method", "value_bits")
 ESTIMATES_CSV_HEADER = (
@@ -112,10 +120,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     run needs of memory is priced by ``run_experiment``, not here."""
     if not isinstance(obj, dict):
         raise ConfigError("config", "config must be a JSON object")
-    try:  # the codec recurses once per nested node
-        config = ExperimentConfig.from_json(obj)
-    except RecursionError as exc:
-        raise ConfigError("config", "config is nested too deeply to decode") from exc
+    stack = [(obj, 1)]  # without recursion, so a self-referencing object stops at the bound
+    while stack:
+        value, level = stack.pop()
+        if level > MAX_CONFIG_DEPTH:
+            raise ConfigError("config", f"config nests deeper than {MAX_CONFIG_DEPTH} levels")
+        children = value.values() if isinstance(value, dict) else value
+        stack.extend((child, level + 1) for child in children if isinstance(child, (dict, list)))
+    config = ExperimentConfig.from_json(obj)
     system, metric, m = config.system, config.metric, config.m
     for key in ("eps_grid", "n_schedule", "seeds"):
         if not getattr(config, key):
@@ -204,6 +216,27 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _base_report(config: ExperimentConfig) -> admit.AdmissibilityReport:
+    """The admissibility report of the base metric on the first seed's sample,
+    once the matrix's leading ``TRIANGLE_POINTS`` block keeps the triangle
+    inequality to 1e-9, one middle point at a time.  A semimetric on the
+    sample makes every orbit average one too, so the check serves every
+    estimator; but the block can miss a violation among other points, and
+    the cover's own refusal of a packing above its ball cover stays as the
+    check on the averages."""
+    sample = sample_points(config.system, config.m, config.seeds[0])
+    matrix = distance_matrix(config.metric, sample)
+    block = matrix.values[:TRIANGLE_POINTS, :TRIANGLE_POINTS]
+    for j in range(len(block)):
+        excess = block - block[:, j, None] - block[None, j, :]
+        if excess.max() > 1e-9:
+            i, k = np.unravel_index(excess.argmax(), excess.shape)
+            raise ConfigError("metric", f"d(x{i}, x{k}) exceeds d(x{i}, x{j}) + d(x{j}, x{k}) "
+                                        f"by {excess[i, k]:.3g} on the first seed's sample, "
+                                        "so the metric breaks the triangle inequality")
+    return admit.admissibility_report(sample, matrix, eps=min(config.eps_grid))
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """Run the full pipeline and write the result bundle to output_dir.
 
@@ -212,10 +245,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     ``scaling.profile_cells`` pass, ``workers`` of them at once; the memory of
     the passes that run at once is priced before anything is written.
     """
-    try:  # encoded before any pass: the codec recurses once per nested node
-        config_text = _json_text(config.to_json())
-    except RecursionError as exc:
-        raise ConfigError("config", "config is nested too deeply to encode") from exc
     _check_memory(config, min(workers, len(config.seeds)))
     out = Path(config.output_dir)
     try:
@@ -232,6 +261,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
     try:
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 passes = list(pool.map(seed_job, config.seeds))
         else:  # on this thread: a one-thread pool's thread adds 4.4-5.4 MiB of peak RSS
@@ -249,9 +280,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
         # admissibility diagnostics of the base metric, and of the largest-n
         # average from each seed's pass
-        sample = sample_points(config.system, config.m, config.seeds[0])
-        base_report = admit.admissibility_report(
-            sample, distance_matrix(config.metric, sample), eps=min(config.eps_grid))
+        base_report = _base_report(config)
         limit_report = scaling.limit_metric_check(
             max(config.n_schedule), config.seeds, [report for _, report in passes],
         )
@@ -270,7 +299,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     }
 
     try:  # a bundle file that cannot be written, e.g. a directory by its name
-        paths["config"].write_text(config_text)
+        paths["config"].write_text(_json_text(config.to_json()))
 
         system_label = config.system.label()
         metric_label = config.metric.label()

@@ -412,25 +412,43 @@ class TestMalformedInput:
         assert json.loads(capsys.readouterr().err)["error"]["field"] == "output_dir"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kind, depth, stage", [
-        ("metric", 300, "encode"), ("metric", 600, "decode"), ("arrays", 100000, "decode")])
-    def test_config_nested_too_deep_exits_2(self, tmp_path, kind, depth, stage):
-        # the codec decodes 300 nested metric nodes but cannot encode them for
-        # config.json, and cannot decode 600; json.load stops near 1000 levels
+    @pytest.mark.parametrize("levels", [cli.MAX_CONFIG_DEPTH, cli.MAX_CONFIG_DEPTH + 1])
+    def test_config_nested_too_deep_exits_2(self, tmp_path, levels):
+        # the top-level object is the first level and its metric the second
+        metric = {"type": "Euclidean1D"}
+        for _ in range(levels - 2):
+            metric = {"type": "Cutoff", "level": 0.5, "inner": metric}
         path = tmp_path / "config.json"
-        if kind == "metric":
-            metric = {"type": "Euclidean1D"}
-            for _ in range(depth):
-                metric = {"type": "Cutoff", "level": 0.5, "inner": metric}
-            path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
-        else:
-            path.write_text("[" * depth + "]" * depth)
+        path.write_text(json.dumps(rotation_config(tmp_path / "out", metric)))
+        result = run_cli("run", str(path))
+        if levels == cli.MAX_CONFIG_DEPTH:
+            assert result.returncode == 0, result.stderr
+            config = json.loads((tmp_path / "out" / "config.json").read_text())
+            assert config["metric"] == metric
+            return
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"] == {
+            "code": "invalid_config", "field": "config",
+            "message": f"config nests deeper than {cli.MAX_CONFIG_DEPTH} levels"}
+        assert not (tmp_path / "out").exists()
+
+    def test_json_text_nested_too_deep_exits_2(self, tmp_path):
+        # json.load itself stops near 1000 levels, before parse_config sees the value
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000 + "]" * 100000)
         result = run_cli("run", str(path))
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"] == {
             "code": "invalid_config", "field": "config",
-            "message": f"config is nested too deeply to {stage}"}
-        assert not (tmp_path / "out").exists()
+            "message": "config is nested too deeply to decode"}
+
+    def test_self_referencing_config_is_refused(self, tmp_path):
+        raw = rotation_config(tmp_path / "out")
+        raw["metric"] = {"type": "Cutoff", "level": 0.5}
+        raw["metric"]["inner"] = raw["metric"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.field == "config"
 
     def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
         raw = bernoulli_config(tmp_path / "out")
@@ -505,11 +523,13 @@ class TestMalformedInput:
         assert main(["run", str(self.triangle_break_config(tmp_path))]) == 2
         assert list((tmp_path / "out").iterdir()) == []
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "only the covering estimator refuses a semimetric that breaks the triangle "
-        "inequality; under Kantorovich the run writes an Undetermined bundle (ROADMAP D4)"))
-    def test_triangle_inequality_break_exits_2_under_kantorovich(self, tmp_path):
+    def test_triangle_inequality_break_exits_2_under_kantorovich(self, tmp_path, capsys):
+        # the base-matrix check refuses what no Kantorovich estimate would
         assert main(["run", str(self.triangle_break_config(tmp_path, "Kantorovich"))]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["field"] == "metric"
+        assert error["message"].endswith("so the metric breaks the triangle inequality")
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def long_window_run(monkeypatch, tmp_path, mib):
@@ -760,7 +780,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("method", ["Covering", "Kantorovich"])
     def test_run_leaves_numpy_ma_unloaded(self, tmp_path, method):
-        # np.median imports numpy.ma, which every fresh run would then pay for
+        # np.median imports numpy.ma, which every fresh run would then pay for;
+        # a one-worker run needs no thread pool, nor the logging it imports
         raw = rotation_config(tmp_path / "out")
         raw["method"] = method
         config = tmp_path / "config.json"
@@ -769,13 +790,14 @@ class TestRunExperiment:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys; from orbent.cli import main; "
                 f"code = main(['run', {str(config)!r}]); "
-                "print(code, 'numpy.ma' in sys.modules)")
+                "print(code, *(name in sys.modules for name in "
+                "('numpy.ma', 'concurrent.futures', 'logging')))")
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+        assert result.stdout.splitlines()[-1] == "0 False False False"
 
 
 def preset_verdict(name, output_dir):

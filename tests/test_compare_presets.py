@@ -151,11 +151,11 @@ class TestScoreboard:
             " (discrete spectrum): ok",
             "  shift parent: DiscreteSpectrumEvidence on BernoulliShift"
             " (lebesgue spectrum): wrong",
-            "parent: 1 ok, 2 wrong, 0 of them Undetermined",
+            "parent: 1 ok, 2 wrong, 0 of them Undetermined, 1 right positive calls",
             "  anzai change: NotDiscreteEvidence on AnzaiSkew (mixed spectrum): ok",
             "  rotation change: Undetermined on CircleRotation (discrete spectrum): ok",
             "  shift change: Undetermined on BernoulliShift (lebesgue spectrum): ok",
-            "change: 3 ok, 0 wrong, 2 of them Undetermined",
+            "change: 3 ok, 0 wrong, 2 of them Undetermined, 1 right positive calls",
         ]
 
     def test_every_system_kind_has_a_benchmark_spectrum(self):
