@@ -13,14 +13,16 @@ objects), ``eps_grid`` (an array of numbers), ``n_schedule`` and ``seeds``
 :mod:`orbent.dynsys`: numbers and strings are strict, an unknown key is
 refused, and an error's ``field`` is the top-level field at fault.  A shift's
 ``horizon`` is widened to cover the schedule, and a metric that cannot run on
-the system's points is refused.  A run that would not fit in physical memory
-is refused before its output directory is created.
+the system's points is refused.  A config whose one seed pass would not fit
+in physical memory is refused before that probe, and a run whose concurrent
+passes would not fit before its output directory is created.
 
 A config nests at most ``MAX_CONFIG_DEPTH`` levels of objects and arrays, the
 top-level object being the first, so every accepted config decodes and encodes
 far inside the interpreter's recursion limit.  A run also refuses, with field
-``metric``, a base metric whose matrix on the leading ``TRIANGLE_POINTS``
-points of the first seed's sample breaks the triangle inequality.
+``metric`` and before any seed pass, a base metric whose matrix on the leading
+``TRIANGLE_POINTS`` points of the first seed's sample breaks the triangle
+inequality.
 """
 from __future__ import annotations
 
@@ -93,7 +95,8 @@ def _shift_horizon(n_schedule: Sequence[int], metric: Semimetric) -> int:
 def _check_memory(config: ExperimentConfig, passes: int) -> None:
     """Refuse a run whose ``passes`` seed passes at once need more than the
     physical memory.  The error names m when the matrices alone do not fit,
-    else the field that set a shift's horizon."""
+    else the field that set a shift's horizon: the system's own horizon, or
+    the metric when it reads past the schedule's largest n."""
     memory = _physical_memory()
     system, metric, m = config.system, config.metric, config.m
     matrices, windows = WORKING_SET_MATRICES * 8 * m * m, 0
@@ -107,7 +110,8 @@ def _check_memory(config: ExperimentConfig, passes: int) -> None:
         return
     field = "m"
     if passes * matrices <= memory:  # the windows tip it over
-        field = "n_schedule" if h == _shift_horizon(config.n_schedule, metric) else "system"
+        field = ("system" if h > _shift_horizon(config.n_schedule, metric) else
+                 "metric" if metric.symbol_horizon() > max(config.n_schedule) else "n_schedule")
     raise ConfigError(field, f"{passes} seed passes at once need about {need / 2 ** 30:.3g} GiB, "
                              f"each {WORKING_SET_MATRICES} m-by-m float64 matrices at m={m}"
                              f"{f' and {h}-symbol windows' if windows else ''}, more than the "
@@ -116,8 +120,9 @@ def _check_memory(config: ExperimentConfig, passes: int) -> None:
 
 def parse_config(obj: dict) -> ExperimentConfig:
     """Decode a raw config object, then make the checks that span fields or
-    that no field's decoder makes; errors name the offending field.  What a
-    run needs of memory is priced by ``run_experiment``, not here."""
+    that no field's decoder makes; errors name the offending field.  One
+    seed pass is priced against physical memory before the metric's probe;
+    ``run_experiment`` prices the passes that run at once."""
     if not isinstance(obj, dict):
         raise ConfigError("config", "config must be a JSON object")
     stack = [(obj, 1)]  # without recursion, so a self-referencing object stops at the bound
@@ -173,11 +178,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     # shift systems: make the symbol window cover the whole schedule
     if system.is_symbolic:
         system = replace(system, horizon=max(system.horizon, _shift_horizon(schedule, metric)))
+    _check_memory(replace(config, system=system), 1)
 
     # the metric must run on the system's points; two sampled points need not
     # show every symbol, so a shift's probe is its first and last symbol held
-    # constant along the symbols the metric reads, not the whole window, whose
-    # memory is not priced yet
+    # constant along the symbols the metric reads, not the whole window
     if isinstance(system, BernoulliShift):
         probe = np.full((2, metric.symbol_horizon() + 1), [[0], [len(system.weights) - 1]],
                         dtype=np.int8)
@@ -220,10 +225,10 @@ def _base_report(config: ExperimentConfig) -> admit.AdmissibilityReport:
     """The admissibility report of the base metric on the first seed's sample,
     once the matrix's leading ``TRIANGLE_POINTS`` block keeps the triangle
     inequality to 1e-9, one middle point at a time.  A semimetric on the
-    sample makes every orbit average one too, so the check serves every
-    estimator; but the block can miss a violation among other points, and
-    the cover's own refusal of a packing above its ball cover stays as the
-    check on the averages."""
+    sample makes every orbit average one too, so the check, made before any
+    seed pass, serves every estimator; but the block can miss a violation
+    among other points, and the cover's own refusal of a packing above its
+    ball cover stays as the check on the averages."""
     sample = sample_points(config.system, config.m, config.seeds[0])
     matrix = distance_matrix(config.metric, sample)
     block = matrix.values[:TRIANGLE_POINTS, :TRIANGLE_POINTS]
@@ -260,6 +265,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         )
 
     try:
+        base_report = _base_report(config)  # admissibility of the base metric
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -278,9 +284,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         ]
         verdict = scaling.discreteness_verdict(profiles)
 
-        # admissibility diagnostics of the base metric, and of the largest-n
-        # average from each seed's pass
-        base_report = _base_report(config)
+        # admissibility of the largest-n average from each seed's pass
         limit_report = scaling.limit_metric_check(
             max(config.n_schedule), config.seeds, [report for _, report in passes],
         )

@@ -20,7 +20,7 @@ from orbent.cli import (
 from orbent.admit import AdmissibilityReport
 from orbent.scaling import LimitMetricReport, ScalingProfile, SpectralVerdict
 
-from conftest import load_script, sample_report
+from conftest import sample_report
 from oracles import reference_limit_check
 
 
@@ -104,8 +104,8 @@ class TestConfigParsing:
         assert config.system.horizon >= max(raw["n_schedule"]) + 1
 
     def test_metric_probe_holds_no_whole_window(self, monkeypatch, tmp_path):
-        # memory is priced by the run, after parsing, so the probe of a long
-        # shift window reads only the symbols its metric reads
+        # the probe of a long shift window reads only the symbols its metric
+        # reads; with no memory figure, parsing prices nothing
         import tracemalloc
 
         monkeypatch.setattr(cli, "_physical_memory", lambda: None)
@@ -323,7 +323,16 @@ class TestMalformedInput:
         (rotation_config, {}, {"type": "FirstSymbolCut"}),
         (rotation_config, {}, {"type": "PullBack", "k": 1, "inner": {"type": "Euclidean1D"},
                                "system": {"kind": "BernoulliShift", "weights": [0.5, 0.5]}}),
-    ], ids=["three-symbols-block2", "shift-euclid", "rotation-cut", "rotation-shift-pullback"])
+        # 10**15 symbols a point fit in no machine's memory, so parsing
+        # refuses before the probe would hold them
+        (bernoulli_config, {}, {"type": "PullBack", "k": 10 ** 15,
+                                "inner": {"type": "FirstSymbolCut"},
+                                "system": {"kind": "BernoulliShift", "weights": [0.5, 0.5]}}),
+        (bernoulli_config, {}, {"type": "Cutoff", "level": 0.5, "inner": {
+            "type": "Average", "n": 10 ** 15, "inner": {"type": "FirstSymbolCut"},
+            "system": {"kind": "BernoulliShift", "weights": [0.5, 0.5]}}}),
+    ], ids=["three-symbols-block2", "shift-euclid", "rotation-cut", "rotation-shift-pullback",
+            "pullback-beyond-memory", "nested-average-beyond-memory"])
     def test_metric_that_cannot_run_on_the_system_exits_2(self, tmp_path, make_config,
                                                           system, metric):
         raw = make_config(tmp_path / "out")
@@ -450,7 +459,7 @@ class TestMalformedInput:
             parse_config(raw)
         assert err.value.field == "config"
 
-    def test_shift_windows_beyond_memory_exit_2(self, tmp_path):
+    def test_shift_windows_beyond_memory_exit_2(self, monkeypatch, tmp_path):
         raw = bernoulli_config(tmp_path / "out")
         raw["m"] = 16
         raw["n_schedule"] = [1, 2, 3, 10 ** 12]
@@ -469,6 +478,15 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert json.loads(result.stderr)["error"]["field"] == "system"
         assert not (tmp_path / "out").exists()
+        # a pull-back that reads 10**8 symbols past the schedule, under 1 GiB
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 30)
+        del raw["system"]["horizon"]
+        raw["metric"] = {"type": "PullBack", "k": 10 ** 8, "system": raw["system"],
+                         "inner": {"type": "FirstSymbolCut"}}
+        with pytest.raises(ConfigError) as err:
+            run_experiment(parse_config(raw))
+        assert err.value.field == "metric"
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_estimate_exits_3(self, monkeypatch, tmp_path, capsys):
         # ESTIMATORS looks the estimator up when it runs, so the swap reaches the run
@@ -486,9 +504,8 @@ class TestMalformedInput:
 
     @staticmethod
     def triangle_break_config(tmp_path, method="Covering"):
-        """Squared differences break the triangle inequality: at eps 0.05 this
-        sample holds more separated points than radius-eps/2 balls cover it
-        with.  The output directory is two levels below ``tmp_path``."""
+        """Squared differences break the triangle inequality on the first
+        seed's sample.  The output directory is two levels below ``tmp_path``."""
         raw = rotation_config(tmp_path / "out" / "run",
                               {"type": "ClosedForm", "tag": "squared_abs_diff"})
         raw.update(m=16, seeds=[15], eps_grid=[0.25, 0.05], n_schedule=[1, 2, 3, 4],
@@ -497,14 +514,19 @@ class TestMalformedInput:
         path.write_text(json.dumps(raw))
         return path
 
-    def test_triangle_inequality_break_exits_2(self, tmp_path):
-        result = run_cli("run", str(self.triangle_break_config(tmp_path)))
-        assert result.returncode == 2
-        assert json.loads(result.stderr)["error"] == {
-            "code": "invalid_config",
-            "message": "at eps 0.05 the packing bound 4 exceeds the ball cover 3, "
-                       "so the semimetric breaks the triangle inequality"}
-        # refused inside the seed pass: neither directory the run made is left
+    @pytest.mark.parametrize("method", ["Covering", "Kantorovich"])
+    def test_triangle_inequality_break_exits_2(self, monkeypatch, tmp_path, capsys, method):
+        # the base-matrix check refuses before any seed pass, whatever the estimator
+        def start(*args):
+            raise PassStarted
+
+        monkeypatch.setattr(scaling, "profile_cells", start)
+        assert main(["run", str(self.triangle_break_config(tmp_path, method))]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "code": "invalid_config", "field": "metric",
+            "message": "d(x9, x14) exceeds d(x9, x0) + d(x0, x14) by 0.382 on the first "
+                       "seed's sample, so the metric breaks the triangle inequality"}
+        # refused inside the run: neither directory it made is left
         assert not (tmp_path / "out").exists()
 
     def test_uncreatable_output_dir_is_refused_before_a_pass(self, monkeypatch, tmp_path):
@@ -522,14 +544,6 @@ class TestMalformedInput:
         (tmp_path / "out").mkdir()
         assert main(["run", str(self.triangle_break_config(tmp_path))]) == 2
         assert list((tmp_path / "out").iterdir()) == []
-
-    def test_triangle_inequality_break_exits_2_under_kantorovich(self, tmp_path, capsys):
-        # the base-matrix check refuses what no Kantorovich estimate would
-        assert main(["run", str(self.triangle_break_config(tmp_path, "Kantorovich"))]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["field"] == "metric"
-        assert error["message"].endswith("so the metric breaks the triangle inequality")
-        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def long_window_run(monkeypatch, tmp_path, mib):
@@ -552,12 +566,12 @@ class TestMalformedInput:
     def test_sample_windows_count_in_memory_budget(self, monkeypatch, tmp_path, capsys,
                                                    mib, refused):
         path = self.long_window_run(monkeypatch, tmp_path, mib)
-        assert load_config(path).system.horizon == 2 ** 20 + 2
         if refused:
             assert main(["run", str(path)]) == 2
             assert json.loads(capsys.readouterr().err)["error"]["field"] == "n_schedule"
             assert not (tmp_path / "out").exists()
         else:
+            assert load_config(path).system.horizon == 2 ** 20 + 2
             with pytest.raises(PassStarted):
                 main(["run", str(path)])
 
@@ -798,47 +812,6 @@ class TestRunExperiment:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False False False"
-
-
-def preset_verdict(name, output_dir):
-    paths = run_experiment(parse_config(dict(PRESETS[name], output_dir=str(output_dir))))
-    with open(paths["verdict"]) as fh:
-        return json.load(fh)
-
-
-class TestKnownAnswers:
-    """Presets on systems whose spectrum is known."""
-
-    @pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("bernoulli-")))
-    def test_bernoulli_shift_is_never_bounded(self, tmp_path, name):
-        # Lebesgue spectrum: rows pinned at the sample ceiling must not read Bounded
-        verdict = preset_verdict(name, tmp_path)
-        assert verdict["per_eps"] and all(
-            cls["kind"] != "Bounded" for cls in verdict["per_eps"].values())
-
-    @pytest.mark.parametrize("name, expected", [
-        ("rotation-euclid1d", "DiscreteSpectrumEvidence"),
-        ("anzai-arc", "NotDiscreteEvidence"),
-    ])
-    def test_verdict(self, tmp_path, name, expected):
-        assert preset_verdict(name, tmp_path)["verdict"] == expected
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "Euclidean1D reads only the circle factor of the skew, whose spectrum is discrete: "
-        "it is not a generating metric, and nothing checks that (ROADMAP item 5)"))
-    def test_anzai_factor_metric_is_not_read_as_discrete(self, tmp_path):
-        assert preset_verdict("anzai-euclid1d", tmp_path)["verdict"] != "DiscreteSpectrumEvidence"
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the rotation's dyadic cut averages approach their limit slowly, so at m = 64 "
-        "the eps 0.1 rows rise up to n = 8 (ROADMAP D1)"))
-    def test_rotation_dyadic_cut_is_not_read_as_not_discrete(self, tmp_path):
-        # the control of that name in scripts/compare_presets.py
-        raw = {**load_script("compare_presets").CONTROLS["rotation-dyadic-cut"],
-               "output_dir": str(tmp_path / "out")}
-        paths = run_experiment(parse_config(raw))
-        verdict = json.loads(Path(paths["verdict"]).read_text())
-        assert verdict["verdict"] != "NotDiscreteEvidence"
 
 
 class TestLimitCheckInBundle:

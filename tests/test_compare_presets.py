@@ -1,11 +1,12 @@
 """The bundle comparison of scripts/compare_presets.py on synthetic bundle
-directories; no experiment is run."""
+directories, and its known-answer table on a run of every case."""
 import json
 from pathlib import Path
 
 import pytest
 
 from orbent import cli
+from orbent.cli import parse_config, run_experiment
 
 from conftest import load_script
 
@@ -131,7 +132,7 @@ def write_scored_bundle(directory: Path, kind: str, verdict: str, per_eps_kind: 
 
 
 class TestScoreboard:
-    def test_verdicts_scored_by_the_benchmark_rule(self, tmp_path):
+    def test_verdicts_scored_by_the_benchmark_rule(self, monkeypatch, tmp_path):
         work = tmp_path / "work"
         verdicts = {
             ("anzai", "parent"): ("DiscreteSpectrumEvidence", "Bounded"),
@@ -144,18 +145,26 @@ class TestScoreboard:
         kinds = {"anzai": "AnzaiSkew", "rotation": "CircleRotation", "shift": "BernoulliShift"}
         for (name, side), (verdict, per_eps_kind) in verdicts.items():
             write_scored_bundle(work / side / name / "w1", kinds[name], verdict, per_eps_kind)
+        # anzai is a known wrong and rotation a right positive call; a case
+        # the table does not name must be ok
+        monkeypatch.setattr(compare_presets, "KNOWN_ANSWERS",
+                            {"anzai": "a factor metric (ROADMAP item 5)", "rotation": "positive"})
         # a case whose runs failed writes no bundle and gets no line
         assert compare_presets.scoreboard(work, ["anzai", "failed", "rotation", "shift"]) == [
-            "  anzai parent: DiscreteSpectrumEvidence on AnzaiSkew (mixed spectrum): wrong",
+            "  anzai parent: DiscreteSpectrumEvidence on AnzaiSkew (mixed spectrum): wrong:"
+            " a factor metric (ROADMAP item 5)",
             "  rotation parent: DiscreteSpectrumEvidence on CircleRotation"
             " (discrete spectrum): ok",
             "  shift parent: DiscreteSpectrumEvidence on BernoulliShift"
-            " (lebesgue spectrum): wrong",
-            "parent: 1 ok, 2 wrong, 0 of them Undetermined, 1 right positive calls",
-            "  anzai change: NotDiscreteEvidence on AnzaiSkew (mixed spectrum): ok",
-            "  rotation change: Undetermined on CircleRotation (discrete spectrum): ok",
+            " (lebesgue spectrum): wrong, unexpected",
+            "parent: 1 ok, 2 wrong, 0 of them Undetermined, 1 right positive calls,"
+            " 1 unexpected",
+            "  anzai change: NotDiscreteEvidence on AnzaiSkew (mixed spectrum): ok, unexpected",
+            "  rotation change: Undetermined on CircleRotation (discrete spectrum):"
+            " ok, unexpected",
             "  shift change: Undetermined on BernoulliShift (lebesgue spectrum): ok",
-            "change: 3 ok, 0 wrong, 2 of them Undetermined, 1 right positive calls",
+            "change: 3 ok, 0 wrong, 2 of them Undetermined, 1 right positive calls,"
+            " 2 unexpected",
         ]
 
     def test_every_system_kind_has_a_benchmark_spectrum(self):
@@ -167,17 +176,30 @@ class TestScoreboard:
 
 
 class TestDefaultCases:
-    @pytest.mark.parametrize("name", sorted(compare_presets.default_configs()))
-    def test_every_case_parses(self, name):
-        cli.parse_config(compare_presets.default_configs()[name])
-
     def test_no_control_is_named_as_a_preset_or_workload(self):
         assert not set(compare_presets.CONTROLS) & {*cli.PRESETS, *WORKLOADS.NAMES}
 
-    def test_every_case_is_scored(self):
-        # the scoreboard skips a case whose system kind has no spectrum label
-        for config in compare_presets.default_configs().values():
-            assert config["system"]["kind"] in compare_presets.SPECTRUM
+
+CASES = {**cli.PRESETS, **compare_presets.default_configs()}
+KNOWN_ANSWERS = compare_presets.KNOWN_ANSWERS
+
+
+class TestKnownAnswers:
+    def test_every_table_name_is_a_case(self):
+        assert set(KNOWN_ANSWERS) <= set(CASES)
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                   reason=KNOWN_ANSWERS[name]))
+        if KNOWN_ANSWERS.get(name) not in (None, "positive") else name
+        for name in CASES])
+    def test_case_is_scored_ok(self, tmp_path, name):
+        # the scoreboard's score of the case's one-worker bundle
+        run_experiment(parse_config({**CASES[name], "output_dir": str(tmp_path)}))
+        _, result = compare_presets.score(tmp_path)
+        assert result["verdict_ok"] == 1, result["verdict"]
+        if KNOWN_ANSWERS.get(name) == "positive":
+            assert result["verdict"] != "Undetermined"
 
 
 class TestMain:
